@@ -2,8 +2,8 @@
 classifiers, with entropy-based uncertainty quantification and abstention."""
 
 from .data import Dataset, load_csv_features, load_idx, make_ood
-from .diagnostics import acf, iact, mixing_comparison
-from .kernels import HmcConfig, PcnConfig, hmc_step, leapfrog, pcn_step, sghmc_step
+from .diagnostics import acf, iact
+from .kernels import HmcConfig, PcnConfig, hmc_step, leapfrog, pcn_step
 from .nets import (
     NetworkSpec,
     OptConfig,
@@ -13,7 +13,7 @@ from .nets import (
     map_estimate,
     mnist7_cnn_spec,
 )
-from .parallel import CombinedEstimate, RunResult, combine, run_parallel, standard_error
+from .parallel import CombinedEstimate, RunResult, combine, pool, run_parallel, standard_error
 from .smc import McmcConfig, SmcConfig, ess, next_lambda, run_mcmc, run_smc
 from .targets import (
     AnchoredPrior,

@@ -52,9 +52,6 @@ CONFIG_DEFAULTS: dict[str, object] = {
     "output_dir": "runs",
 }
 
-_BOOL_KEYS: set[str] = set()
-
-
 class ConfigError(ValueError):
     pass
 
@@ -80,10 +77,8 @@ def _coerce(key: str, value: str, lineno: int | None = None) -> dict[str, object
         raise ConfigError(f"{where}unknown config key {key!r}")
     default = CONFIG_DEFAULTS[key]
     try:
-        if isinstance(default, bool):
-            coerced: object = value.lower() in ("1", "true", "yes")
-        elif isinstance(default, int):
-            coerced = int(value)
+        if isinstance(default, int):
+            coerced: object = int(value)
         elif isinstance(default, float):
             coerced = float(value)
         else:

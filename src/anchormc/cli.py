@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import glob
-import json
 import os
 import sys
 
@@ -24,14 +23,13 @@ from .artifacts import (
     save_artifact,
 )
 from .diagnostics import acf_table_csv, hmc_chain, iact
-from .kernels import HmcConfig, PcnConfig
+from .kernels import HmcConfig
 from .nets import NetworkSpec, OptConfig, make_loglik, map_estimate
-from .parallel import RunResult, combine as combine_islands, island_weights, run_parallel
-from .smc import McmcConfig, SmcConfig
+from .parallel import RunResult, pool, run_parallel
+from .smc import McmcConfig, SmcConfig, ess
 from .targets import GaussianPrior, TargetDensity, make_anchored, make_cold
 from .toys import bimodal_toy
 from .uncertainty import (
-    PredictiveMatrix,
     abstain_2level,
     entropy_decomposition,
     features,
@@ -178,8 +176,10 @@ def cmd_sample(cfg: dict) -> None:
             seed=cfg["seed"],
         )
         save_artifact(os.path.join(out, f"island_{r.p:03d}"), artifact)
-    _write_resolved_config(cfg, out, "sample")
     done = sum(not r.failed for r in results)
+    if not done:
+        raise ValueError(f"no island succeeded; island 0 failed with {results[0].error}")
+    _write_resolved_config(cfg, out, "sample")
     print(f"sample: {done}/{len(results)} islands -> {out}/island_*")
 
 
@@ -208,41 +208,28 @@ def _island_results(out: str) -> list[RunResult]:
 
 def cmd_combine(cfg: dict) -> None:
     out = cfg["output_dir"]
-    results = _island_results(out)
-    w, excluded = island_weights(results)
-    usable = [r for r in results if r.p not in excluded]
-    samples = np.concatenate([r.samples for r in usable])
-    weights = np.concatenate(
-        [np.full(len(r.samples), wp / len(r.samples)) for r, wp in zip(usable, w)]
-    )
+    samples, weights, w, excluded = pool(_island_results(out))
     artifact = make_artifact(cfg, samples, kind="combined", seed=cfg["seed"])
     artifact.manifest["particle_weights"] = [float(x) for x in weights]
     artifact.manifest["island_weights"] = [float(x) for x in w]
     artifact.manifest["excluded_islands"] = excluded
     save_artifact(os.path.join(out, "combined"), artifact)
     _write_resolved_config(cfg, out, "combine")
-    eff = 1.0 / np.sum(w**2)
-    print(f"combine: {len(usable)} islands, effective {eff:.2f} -> {out}/combined")
+    print(f"combine: {len(w)} islands, effective {ess(w):.2f} -> {out}/combined")
 
 
-def _posterior_matrix(cfg: dict, spec: NetworkSpec, x: np.ndarray) -> PredictiveMatrix:
-    """Prefer combined > islands > map artifacts from the output directory."""
+def _posterior(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior (samples, weights) from the output directory, preferring
+    combined > islands > map artifacts."""
     out = cfg["output_dir"]
     if os.path.exists(os.path.join(out, "combined.manifest.json")):
         a = load_artifact(os.path.join(out, "combined"))
-        return predictive(a.samples, np.array(a.manifest["particle_weights"]), spec, x)
+        return a.samples, np.array(a.manifest["particle_weights"])
     if glob.glob(os.path.join(out, "island_*.manifest.json")):
-        results = _island_results(out)
-        w, excluded = island_weights(results)
-        usable = [r for r in results if r.p not in excluded]
-        samples = np.concatenate([r.samples for r in usable])
-        weights = np.concatenate(
-            [np.full(len(r.samples), wp / len(r.samples)) for r, wp in zip(usable, w)]
-        )
-        return predictive(samples, weights, spec, x)
+        samples, weights, _, _ = pool(_island_results(out))
+        return samples, weights
     if os.path.exists(os.path.join(out, "map.manifest.json")):
-        a = load_artifact(os.path.join(out, "map"))
-        return predictive(a.samples, np.ones(1), spec, x)
+        return load_artifact(os.path.join(out, "map")).samples, np.ones(1)
     raise FileNotFoundError(
         f"no artifacts in {out!r}; run `anchormc map` or `anchormc sample` first"
     )
@@ -265,7 +252,8 @@ def _ood_sets(cfg: dict, test) -> dict[str, data_mod.Dataset]:
 def cmd_evaluate(cfg: dict) -> None:
     out = cfg["output_dir"]
     _, _, test, spec, _ = _load_datasets(cfg)
-    matrix = _posterior_matrix(cfg, spec, test.x)
+    samples, weights = _posterior(cfg)
+    matrix = predictive(samples, weights, spec, test.x)
     m = metrics(matrix, test.y)
     rows = [("test", m)]
     ent_rows = []
@@ -273,7 +261,7 @@ def cmd_evaluate(cfg: dict) -> None:
     for i in range(len(test)):
         ent_rows.append(("test", i, ent.total[i], ent.aleatoric[i], ent.epistemic[i]))
     for name, ds in _ood_sets(cfg, test).items():
-        om = _posterior_matrix(cfg, spec, ds.x)
+        om = predictive(samples, weights, spec, ds.x)
         oent = entropy_decomposition(om)
         for i in range(len(ds)):
             ent_rows.append((name, i, oent.total[i], oent.aleatoric[i], oent.epistemic[i]))
@@ -301,9 +289,10 @@ def cmd_meta(cfg: dict) -> None:
     rng = np.random.default_rng(cfg["ood_seed"] + 10)
     perm = rng.permutation(len(ood_x))
     ood_train_x, ood_eval_x = ood_x[perm[: len(perm) // 2]], ood_x[perm[len(perm) // 2 :]]
+    samples, weights = _posterior(cfg)
 
     def block(x, labels):
-        matrix = _posterior_matrix(cfg, spec, x)
+        matrix = predictive(samples, weights, spec, x)
         feats = features(matrix)
         if labels is None:
             z = np.ones(len(x), dtype=np.int64)

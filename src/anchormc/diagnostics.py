@@ -1,9 +1,7 @@
 """Chain diagnostics: autocorrelation function, integrated autocorrelation
-time, and mixing comparisons across target settings."""
+time, and long HMC chains to measure them on."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,14 +42,6 @@ def iact(series: np.ndarray, max_lag: int | None = None) -> float:
     return 1.0 + 2.0 * total
 
 
-@dataclass(frozen=True)
-class MixingRow:
-    label: str
-    iact_coordinate: float
-    iact_log_density: float
-    acceptance_rate: float
-
-
 def hmc_chain(
     target: TargetDensity,
     theta0: np.ndarray,
@@ -71,30 +61,6 @@ def hmc_chain(
         states[t] = theta
         logps[t] = logp
     return states, logps, stats.rate
-
-
-def mixing_comparison(
-    targets: dict[str, TargetDensity],
-    cfg: HmcConfig,
-    n_steps: int,
-    seed: int = 0,
-    coordinate: int = 0,
-) -> list[MixingRow]:
-    """IACT of a fixed coordinate and of the log-density for each labelled
-    target, one chain per setting, all started from the target's prior mean."""
-    rows = []
-    for label, target in targets.items():
-        theta0 = np.asarray(target.prior.mean, dtype=float)
-        states, logps, rate = hmc_chain(target, theta0, cfg, n_steps, seed=seed)
-        rows.append(
-            MixingRow(
-                label=label,
-                iact_coordinate=iact(states[:, coordinate]),
-                iact_log_density=iact(logps),
-                acceptance_rate=rate,
-            )
-        )
-    return rows
 
 
 def acf_table_csv(path: str, series_by_label: dict[str, np.ndarray], max_lag: int):

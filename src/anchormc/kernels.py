@@ -1,13 +1,18 @@
-"""Target-invariant MCMC transition kernels: HMC with leapfrog, preconditioned
-Crank-Nicolson, and an experimental stochastic-gradient HMC variant."""
+"""Target-invariant MCMC transition kernels: HMC with leapfrog and
+preconditioned Crank-Nicolson.
+
+Both steps share one shape, ``step(target, theta, cfg, rng, cache, stats) ->
+(theta, accepted, cache)``, so samplers drive either kernel with one loop.
+The cache is the current log-density for HMC and the current log-likelihood
+for pCN."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .targets import NonFiniteDensityError, Prior, TargetDensity
+from .targets import NonFiniteDensityError, TargetDensity
 
 DIVERGENCE_THRESHOLD = 1000.0  # |energy error| above this marks a trajectory divergent
 
@@ -113,65 +118,41 @@ def hmc_step(
 
 
 def pcn_step(
-    loglik,
-    lam: float,
-    prior: Prior,
+    target: TargetDensity,
     theta: np.ndarray,
     cfg: PcnConfig,
     rng: np.random.Generator,
     ll: float | None = None,
     stats: KernelStats | None = None,
 ) -> tuple[np.ndarray, bool, float]:
-    """One preconditioned Crank-Nicolson step for target ~ exp(lam*loglik)*prior.
+    """One preconditioned Crank-Nicolson step for the target
+    exp((lam * loglik + logprior) / T).
 
-    The proposal is reversible with respect to the Gaussian prior, so the
-    acceptance ratio involves only the tempered likelihood difference.
-    ``ll`` may carry the cached loglik(theta). Returns (theta_next, accepted,
-    ll_next).
+    The Gaussian prior raised to the power 1/T is N(mean, T*v). The proposal
+    is reversible with respect to it, so the acceptance ratio involves only
+    the tempered likelihood difference (lam / T) * (ll_prop - ll).
+    ``ll`` may carry the cached ``target.log_likelihood(theta)``. A proposal
+    whose log-likelihood is NaN or +inf is rejected; at the current state it
+    raises ``NonFiniteDensityError``. Returns (theta_next, accepted, ll_next).
     """
     if ll is None:
-        ll = float(loglik(theta))
+        ll = target.log_likelihood(theta)
+    prior = target.prior
     mean = prior.mean
-    xi = rng.normal(0.0, prior.marginal_std, size=theta.shape[0])
+    xi = rng.normal(0.0, prior.marginal_std * np.sqrt(target.temperature), size=theta.shape[0])
     prop = mean + np.sqrt(1.0 - cfg.beta**2) * (theta - mean) + cfg.beta * xi
     accepted = False
     theta_next, ll_next = theta, ll
-    ll_prop = float(loglik(prop))
-    if np.isnan(ll_prop) or ll_prop == np.inf:
-        pass  # treat as rejected
-    elif lam == 0.0 or np.log(rng.uniform()) < lam * (ll_prop - ll):
-        theta_next, ll_next, accepted = prop, ll_prop, True
+    lam = target.lam / target.temperature  # the likelihood's exponent in the target
+    try:
+        ll_prop = target.log_likelihood(prop)
+        if lam == 0.0 or np.log(rng.uniform()) < lam * (ll_prop - ll):
+            theta_next, ll_next, accepted = prop, ll_prop, True
+    except NonFiniteDensityError:
+        pass
     if stats is not None:
         stats.record(accepted)
     return theta_next, accepted, ll_next
-
-
-def sghmc_step(
-    grad_estimate,
-    theta: np.ndarray,
-    momentum: np.ndarray,
-    step_size: float,
-    friction: float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One stochastic-gradient HMC update with friction and injected noise.
-
-    ``grad_estimate(theta)`` returns a (possibly minibatch) estimate of the
-    log-density gradient. No Metropolis correction; experimental.
-    """
-    if friction < 0:
-        raise ValueError(f"friction must be nonnegative, got {friction}")
-    if step_size == 0.0:
-        return np.array(theta, dtype=float), np.array(momentum, dtype=float)
-    g = np.asarray(grad_estimate(theta), dtype=float)
-    noise_scale = np.sqrt(2.0 * friction * step_size)
-    momentum = (
-        (1.0 - friction * step_size) * momentum
-        + step_size * g
-        + noise_scale * rng.standard_normal(theta.shape[0])
-    )
-    theta = theta + step_size * momentum
-    return theta, momentum
 
 
 def tune_step_size(

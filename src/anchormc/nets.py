@@ -3,7 +3,7 @@ the softmax categorical likelihood, and SGD MAP estimation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -329,36 +329,6 @@ def map_estimate(
             if since_best >= cfg.patience:
                 break
     return MapResult(theta=best_theta, epochs_used=epochs_used, val_nll=float(best_nll))
-
-
-def map_ascent(
-    loglik,
-    grad_loglik,
-    prior: GaussianPrior,
-    learning_rate: float = 0.1,
-    max_steps: int = 2000,
-    tol: float = 1e-8,
-    seed: int = 0,
-    theta0: np.ndarray | None = None,
-) -> np.ndarray:
-    """Full-batch gradient ascent on loglik + log-prior for an injected
-    likelihood (the network-free counterpart of map_estimate; used for
-    surrogate targets and sanity oracles)."""
-    rng = np.random.default_rng(seed)
-    theta = (
-        rng.normal(0.0, np.sqrt(prior.variance), size=prior.dim)
-        if theta0 is None
-        else np.array(theta0, dtype=float)
-    )
-    for _ in range(max_steps):
-        g = np.asarray(grad_loglik(theta), dtype=float) + prior.grad_log_density(theta)
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergedError("gradient became non-finite", last_theta=theta)
-        step = learning_rate * g
-        theta = theta + step
-        if np.linalg.norm(step) < tol:
-            break
-    return theta
 
 
 class EnsembleMemberError(RuntimeError):

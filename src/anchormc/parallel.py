@@ -109,6 +109,21 @@ def island_weights(results: list[RunResult]) -> tuple[np.ndarray, list[int]]:
     return w, excluded
 
 
+def pool(results: list[RunResult]) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """Pool the usable islands into one weighted sample.
+
+    Returns (samples, particle_weights, island_weights, excluded): each
+    island's evidence weight is spread evenly over its particles. Under the
+    max-shift rule of ``island_weights`` a particle weight below the smallest
+    double rounds to 0, and no floating-point exception is raised."""
+    w, excluded = island_weights(results)
+    usable = [r for r in results if r.p not in excluded]
+    sizes = np.array([len(r.samples) for r in usable])
+    with np.errstate(under="ignore"):
+        particle_weights = np.repeat(w / sizes, sizes)
+    return np.concatenate([r.samples for r in usable]), particle_weights, w, excluded
+
+
 def combine(results: list[RunResult], phi: Callable[[np.ndarray], np.ndarray | float]) -> CombinedEstimate:
     """Evidence-weighted average of island means of phi(theta)."""
     w, excluded = island_weights(results)

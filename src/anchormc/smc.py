@@ -11,7 +11,7 @@ All log-weights (tempering increments here, island evidences in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -198,82 +198,58 @@ def reweight_and_resample(
     )
 
 
-class _HmcMutation:
-    """HMC sweep over particles; caches the full log-density per particle and
-    marks cached log-likelihoods stale (refreshed once per mutation phase)."""
-
-    def __init__(self, cfg: HmcConfig):
-        self.cfg = cfg
-        self.stats = KernelStats()
-
-    def sweep(self, target, ensemble, logp, rngs):
-        accepted_any = 0
-        for i in range(ensemble.n):
-            before = self.stats.acceptances
-            ensemble.particles[i], _, logp[i] = hmc_step(
-                target, ensemble.particles[i], self.cfg, rngs[i], logp[i], self.stats
-            )
-            accepted_any += self.stats.acceptances - before
-        return accepted_any
-
-    # evaluation cost of one HMC step, in likelihood-or-gradient evaluations
-    @property
-    def evals_per_step(self) -> int:
-        return self.cfg.n_leapfrog + 2
+def _step(cfg: HmcConfig | PcnConfig):
+    """The kernel step for ``cfg``, looked up by module-global name at call
+    time so that a rebound ``hmc_step``/``pcn_step`` is the one used."""
+    return hmc_step if isinstance(cfg, HmcConfig) else pcn_step
 
 
-class _PcnMutation:
-    def __init__(self, cfg: PcnConfig):
-        self.cfg = cfg
-        self.stats = KernelStats()
-
-    def sweep(self, target, ensemble, _logp, rngs):
-        accepted_any = 0
-        for i in range(ensemble.n):
-            ensemble.particles[i], acc, ensemble.loglik[i] = pcn_step(
-                target.loglik,
-                target.lam,
-                target.prior,
-                ensemble.particles[i],
-                self.cfg,
-                rngs[i],
-                ensemble.loglik[i],
-                self.stats,
-            )
-            accepted_any += int(acc)
-        return accepted_any
-
-    @property
-    def evals_per_step(self) -> int:
-        return 1
+def _evals_per_particle(cfg: HmcConfig | PcnConfig, steps: int, refreshes: int = 0) -> float:
+    """Likelihood-or-gradient evaluations per particle, by formula: one at the
+    starting state, L + 2 per HMC step or 1 per pCN step, and one per
+    log-likelihood refresh after an HMC mutation phase (pCN keeps its cache)."""
+    if isinstance(cfg, HmcConfig):
+        return float(1 + steps * (cfg.n_leapfrog + 2) + refreshes)
+    return float(1 + steps)
 
 
 def mutate(
     ensemble: ParticleEnsemble,
     target: TargetDensity,
-    kernel,
+    cfg: HmcConfig | PcnConfig,
     tol: float,
     max_steps: int,
     rngs: list[np.random.Generator],
+    stats: KernelStats,
     schedule: TemperSchedule | None = None,
 ) -> int:
     """Apply kernel sweeps until the mean displacement from the
     post-resampling state stabilizes: smallest M >= 2 with
     |dist_M - dist_{M-1}| / dist_{M-1} <= tol, capped at max_steps.
 
-    A zero previous displacement counts as converged (an immobile ensemble
-    cannot improve). Refreshes the cached log-likelihoods. Returns M used.
+    ``cfg`` selects the kernel. pCN keeps ``ensemble.loglik`` current in
+    place; HMC caches each particle's log-density instead, and the
+    log-likelihoods are re-evaluated once after its sweeps. A zero previous
+    displacement counts as converged (an immobile ensemble cannot improve).
+    Returns M used.
     """
+    step = _step(cfg)
+    hmc = isinstance(cfg, HmcConfig)
     start = ensemble.particles.copy()
-    logp = None
-    if isinstance(kernel, _HmcMutation):
+    cache = ensemble.loglik
+    if hmc:
         prior_lp = np.array([target.prior.log_density(t) for t in ensemble.particles])
-        logp = (target.lam * ensemble.loglik + prior_lp) / target.temperature
+        cache = (target.lam * ensemble.loglik + prior_lp) / target.temperature
     dist_prev = None
     m_used = max_steps
     zero_accept_streak = 0
     for m in range(1, max_steps + 1):
-        accepted = kernel.sweep(target, ensemble, logp, rngs)
+        accepted = 0
+        for i in range(ensemble.n):
+            ensemble.particles[i], acc, cache[i] = step(
+                target, ensemble.particles[i], cfg, rngs[i], cache[i], stats
+            )
+            accepted += acc
         if accepted == 0:
             zero_accept_streak += 1
             if zero_accept_streak == 3 and schedule is not None:
@@ -291,7 +267,7 @@ def mutate(
                 m_used = m
                 break
         dist_prev = dist
-    if isinstance(kernel, _HmcMutation):
+    if hmc:
         ensemble.loglik = np.array(
             [target.loglik(t) for t in ensemble.particles], dtype=float
         )
@@ -304,11 +280,34 @@ def _spawn_rngs(seed_seq: np.random.SeedSequence, n: int) -> list[np.random.Gene
     return [np.random.default_rng(s) for s in seed_seq.spawn(n)]
 
 
+def _kernel_config(
+    cfg: SmcConfig | McmcConfig,
+    target: TargetDensity,
+    theta0: np.ndarray,
+    rng: np.random.Generator,
+) -> HmcConfig | PcnConfig:
+    """The run's kernel: pCN, or HMC with the configured step size or one
+    pilot-tuned from ``theta0`` on ``target`` (the pilot draws from ``rng``)."""
+    if cfg.kernel == "pcn":
+        return cfg.pcn
+    if cfg.hmc is not None:
+        return cfg.hmc
+    return HmcConfig(tune_step_size(target, theta0, HmcConfig(0.01), rng))
+
+
 def run_smc(target: TargetDensity, cfg: SmcConfig) -> SmcResult:
     """Full tempering run from the target's prior to lam = 1.
 
-    ``target.lam`` is ignored; the run owns the tempering exponent. The whole
-    run is a pure function of (seed, config, target)."""
+    ``target.lam`` is ignored; the run owns the tempering exponent. The path
+    starts from the untempered prior, so only T = 1 targets are accepted;
+    cold posteriors are sampled by ``run_mcmc``. The whole run is a pure
+    function of (seed, config, target)."""
+    if target.temperature != 1.0:
+        raise ValueError(
+            f"SMC samples only T = 1 posteriors, got T = {target.temperature}: its "
+            "tempering path starts from the untempered prior; use method=mcmc "
+            "(run_mcmc) for cold posteriors"
+        )
     root = np.random.SeedSequence(cfg.seed)
     island_rng = np.random.default_rng(root.spawn(1)[0])
     particle_rngs = _spawn_rngs(root, cfg.n_particles)
@@ -317,22 +316,9 @@ def run_smc(target: TargetDensity, cfg: SmcConfig) -> SmcResult:
     loglik = np.array([target.loglik(t) for t in particles], dtype=float)
     ensemble = ParticleEnsemble(particles=particles, loglik=loglik)
     schedule = TemperSchedule(adaptive=cfg.fixed_schedule is None)
+    kernel = _kernel_config(cfg, target.with_lam(1.0), ensemble.particles[0], island_rng)
+    stats = KernelStats()
 
-    if cfg.kernel == "hmc":
-        hmc_cfg = cfg.hmc
-        if hmc_cfg is None:
-            eps = tune_step_size(
-                target.with_lam(1.0),
-                ensemble.particles[0],
-                HmcConfig(0.01),
-                island_rng,
-            )
-            hmc_cfg = HmcConfig(eps)
-        kernel = _HmcMutation(hmc_cfg)
-    else:
-        kernel = _PcnMutation(cfg.pcn)
-
-    evals = cfg.n_particles  # initial likelihood evaluations
     fixed = list(cfg.fixed_schedule) if cfg.fixed_schedule is not None else None
     step = 0
     while ensemble.lam < 1.0:
@@ -342,25 +328,24 @@ def run_smc(target: TargetDensity, cfg: SmcConfig) -> SmcResult:
             lam_next = next_lambda(ensemble.loglik, ensemble.lam, cfg.ess_fraction)
         ensemble = reweight_and_resample(ensemble, lam_next, island_rng, schedule)
         schedule.lambdas.append(lam_next)
-        m_used = mutate(
+        mutate(
             ensemble,
             target.with_lam(lam_next),
             kernel,
             cfg.mutation_tol,
             cfg.max_mutation_steps,
             particle_rngs,
+            stats,
             schedule,
         )
-        evals += m_used * cfg.n_particles * kernel.evals_per_step
-        if cfg.kernel == "hmc":
-            evals += cfg.n_particles  # log-likelihood refresh after mutation
         step += 1
+    sweeps = schedule.mutation_steps
     return SmcResult(
         particles=ensemble.particles,
         log_z=ensemble.log_z,
         schedule=schedule,
-        epochs_per_particle=evals / cfg.n_particles,
-        acceptance_rate=kernel.stats.rate,
+        epochs_per_particle=_evals_per_particle(kernel, sum(sweeps), refreshes=len(sweeps)),
+        acceptance_rate=stats.rate,
     )
 
 
@@ -386,45 +371,30 @@ class McmcConfig:
 @dataclass(frozen=True)
 class McmcResult:
     particles: np.ndarray  # final state of each chain
-    log_z: float  # identically 0: chains carry no evidence estimate
     epochs_per_particle: float
     acceptance_rate: float
 
 
 def run_mcmc(target: TargetDensity, cfg: McmcConfig) -> McmcResult:
     """Bank of independent chains at lam = 1, initialized from the prior.
-    The returned particles are the final chain states."""
+    The returned particles are the final chain states. Chains carry no
+    evidence estimate."""
     root = np.random.SeedSequence(cfg.seed)
     init_rng = np.random.default_rng(root.spawn(1)[0])
     chain_rngs = _spawn_rngs(root, cfg.n_chains)
     target = target.with_lam(1.0)
 
     particles = target.prior.sample(init_rng, cfg.n_chains)
+    kernel = _kernel_config(cfg, target, particles[0], init_rng)
+    step = _step(kernel)
     stats = KernelStats()
-    hmc_cfg = cfg.hmc
-    if cfg.kernel == "hmc" and hmc_cfg is None:
-        eps = tune_step_size(target, particles[0], HmcConfig(0.01), init_rng)
-        hmc_cfg = HmcConfig(eps)
-
-    evals = 0
     for i in range(cfg.n_chains):
-        theta = particles[i]
-        if cfg.kernel == "hmc":
-            logp = None
-            for _ in range(cfg.n_steps):
-                theta, _, logp = hmc_step(target, theta, hmc_cfg, chain_rngs[i], logp, stats)
-            evals += cfg.n_steps * (hmc_cfg.n_leapfrog + 2) + 1
-        else:
-            ll = None
-            for _ in range(cfg.n_steps):
-                theta, _, ll = pcn_step(
-                    target.loglik, 1.0, target.prior, theta, cfg.pcn, chain_rngs[i], ll, stats
-                )
-            evals += cfg.n_steps + 1
+        theta, cache = particles[i], None
+        for _ in range(cfg.n_steps):
+            theta, _, cache = step(target, theta, kernel, chain_rngs[i], cache, stats)
         particles[i] = theta
     return McmcResult(
         particles=particles,
-        log_z=0.0,
-        epochs_per_particle=evals / cfg.n_chains,
+        epochs_per_particle=_evals_per_particle(kernel, cfg.n_steps),
         acceptance_rate=stats.rate,
     )

@@ -12,7 +12,7 @@ estimate with shrunken variance s*v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np

@@ -11,7 +11,6 @@ from scipy.stats import rankdata
 
 from .data import Dataset
 from .nets import MapResult, NetworkSpec, OptConfig, forward, map_estimate
-from .parallel import RunResult, island_weights
 from .targets import GaussianPrior
 
 FEATURE_NAMES = (
@@ -60,18 +59,6 @@ def predictive(samples: np.ndarray, weights: np.ndarray, spec: NetworkSpec, x: n
     weights = np.asarray(weights, dtype=float)
     probs = np.stack([forward(spec, theta, x) for theta in samples], axis=1)
     return PredictiveMatrix(probs=probs, weights=weights / weights.sum())
-
-
-def predictive_from_results(results: list[RunResult], spec: NetworkSpec, x: np.ndarray) -> PredictiveMatrix:
-    """Pool island samples with evidence weights spread over each island's
-    particles."""
-    omega, excluded = island_weights(results)
-    usable = [r for r in results if r.p not in excluded]
-    samples = np.concatenate([r.samples for r in usable], axis=0)
-    weights = np.concatenate(
-        [np.full(len(r.samples), w / len(r.samples)) for r, w in zip(usable, omega)]
-    )
-    return predictive(samples, weights, spec, x)
 
 
 def _entropy(p: np.ndarray) -> np.ndarray:

@@ -129,7 +129,7 @@ def test_criterion_03_kernel_correctness(rng):
     th, cache = np.zeros(1), None
     pcn_draws = np.empty(n)
     for i in range(n):
-        th, _, cache = pcn_step(ll, 1.0, prior, th, PcnConfig(0.3), gen, cache)
+        th, _, cache = pcn_step(target, th, PcnConfig(0.3), gen, cache)
         pcn_draws[i] = th[0]
 
     def ok(draws, discount):

@@ -212,6 +212,34 @@ class TestErrors:
         assert rc == 1
         assert "method" in capsys.readouterr().err
 
+    def test_sample_fails_when_no_island_succeeds(self, tmp_path, capsys):
+        # SMC refuses cold targets, so every island fails
+        tri, trl, tei, tel = synthetic_idx(str(tmp_path), 40, 40)
+        out = tmp_path / "o"
+        rc = main(
+            [
+                "sample",
+                "method=smc",
+                "kernel=pcn",
+                "s=1",
+                "t=0.5",
+                "p=2",
+                f"train_images={tri}",
+                f"train_labels={trl}",
+                f"test_images={tei}",
+                f"test_labels={tel}",
+                "arch=mlp",
+                "n_train=20",
+                "n_val=10",
+                f"output_dir={out}",
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "island 1 FAILED" in err
+        assert "error: no island succeeded" in err and "method=mcmc" in err
+        assert not os.path.exists(out / "sample.config")
+
 
 class TestDiag:
     def test_writes_acf_and_iact(self, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anchormc.diagnostics import acf, acf_table_csv, hmc_chain, iact, mixing_comparison
+from anchormc.diagnostics import acf, acf_table_csv, hmc_chain, iact
 from anchormc.kernels import HmcConfig
 from anchormc.targets import GaussianPrior, TargetDensity
 from anchormc.toys import bimodal_toy
@@ -86,24 +86,6 @@ class TestHmcChain:
         a = hmc_chain(target, np.zeros(1), HmcConfig(0.2), 100, seed=5)
         b = hmc_chain(target, np.zeros(1), HmcConfig(0.2), 100, seed=5)
         assert np.array_equal(a[0], b[0])
-
-
-class TestMixingComparison:
-    def test_anchoring_improves_mixing(self):
-        # anchoring at one mode shrinks the mass across the barrier, so the
-        # chain decorrelates faster; settings chosen so the full target still
-        # hops occasionally (otherwise its apparent IACT is deceptively small)
-        targets = {
-            "s=0.1": bimodal_toy(s=0.1, prior_variance=8.0, sigma=0.8),
-            "s=1": bimodal_toy(s=1.0, prior_variance=8.0, sigma=0.8),
-        }
-        rows = mixing_comparison(targets, HmcConfig(0.4, 5), n_steps=40_000, seed=0)
-        by = {r.label: r for r in rows}
-        assert by["s=0.1"].iact_coordinate < by["s=1"].iact_coordinate
-
-    def test_row_per_target(self):
-        rows = mixing_comparison({"a": bimodal_toy(s=0.5)}, HmcConfig(0.2), 500)
-        assert [r.label for r in rows] == ["a"]
 
 
 class TestAcfCsv:

@@ -9,7 +9,6 @@ from anchormc.nets import (
     deep_ensemble,
     forward,
     log_likelihood_and_grad,
-    map_ascent,
     map_estimate,
     mnist7_cnn_spec,
     pack,
@@ -142,20 +141,6 @@ class TestMapEstimate:
         )
         pred = forward(spec, result.theta, train.x).argmax(axis=1)
         assert np.array_equal(pred, train.y)
-
-    def test_ridge_closed_form(self, rng):
-        # quadratic surrogate loglik -|theta - a|^2 / 2 with prior N(0, v):
-        # MAP is a * v / (v + 1) per coordinate
-        a = rng.normal(size=4)
-        v = 0.5
-        prior = GaussianPrior(variance=v, dim=4)
-        theta = map_ascent(
-            lambda th: -0.5 * float(np.dot(th - a, th - a)),
-            lambda th: a - th,
-            prior,
-            learning_rate=0.1,
-        )
-        assert np.allclose(theta, a * v / (v + 1), atol=1e-3)
 
     def test_deterministic_given_seed(self, rng):
         spec = NetworkSpec(kind="mlp", widths=(2, 2))

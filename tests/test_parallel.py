@@ -7,6 +7,7 @@ from anchormc.parallel import (
     combine,
     island_weights,
     mix64,
+    pool,
     run_parallel,
     standard_error,
 )
@@ -132,6 +133,36 @@ class TestCombine:
         results = [make_result(0, [[1.0, 2.0]], 0.0), make_result(1, [[3.0, 4.0]], 0.0)]
         c = combine(results, lambda th: th)
         assert np.allclose(c.estimate, [2.0, 3.0])
+
+
+class TestPool:
+    def test_spreads_island_weights(self, rng):
+        s = rng.normal(size=(2, 3))
+        results = [make_result(0, s, 0.0), make_result(1, s + 1, np.log(3.0))]
+        samples, weights, w, excluded = pool(results)
+        # island weights (0.25, 0.75) split over 2 particles each
+        assert np.allclose(weights, [0.125, 0.125, 0.375, 0.375])
+        assert np.array_equal(samples, np.concatenate([s, s + 1]))
+        assert np.allclose(w, [0.25, 0.75])
+        assert excluded == []
+
+    def test_subnormal_island_weight_rounds_quietly(self):
+        # an island 740 nats down has a subnormal weight; spreading it over
+        # its particles underflows, which is not an error
+        results = [make_result(0, np.zeros((4, 1)), -740.0), make_result(1, np.ones((4, 1)), 0.0)]
+        with np.errstate(all="raise"):
+            _, weights, w, _ = pool(results)
+        assert 0.0 < w[0] < np.finfo(float).tiny
+        assert weights.sum() == 1.0
+        assert np.array_equal(weights[4:], np.full(4, 0.25))
+
+    def test_excludes_failed_islands(self):
+        failed = RunResult(p=1, samples=np.empty((0, 1)), log_z=0.0, epochs_per_particle=0.0, error="boom")
+        with pytest.warns(UserWarning, match="excluding"):
+            samples, weights, w, excluded = pool([make_result(0, [[1.0], [2.0]], -3.0), failed])
+        assert excluded == [1]
+        assert np.array_equal(samples, [[1.0], [2.0]])
+        assert np.array_equal(weights, [0.5, 0.5])
 
 
 class TestStandardError:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from anchormc.nets import NetworkSpec
-from anchormc.parallel import RunResult
 from anchormc.uncertainty import (
     FEATURE_NAMES,
     PredictiveMatrix,
@@ -14,7 +13,6 @@ from anchormc.uncertainty import (
     metrics,
     predict_classes,
     predictive,
-    predictive_from_results,
     threshold_metrics,
     train_meta,
 )
@@ -48,17 +46,6 @@ class TestPredictiveMatrix:
         assert m.probs.shape == (5, 4, 3)
         assert np.allclose(m.probs.sum(axis=-1), 1.0)
         assert np.allclose(m.weights, 0.25)
-
-    def test_predictive_from_results_spreads_island_weights(self, rng):
-        spec = NetworkSpec(kind="mlp", widths=(2, 3))
-        s = rng.normal(size=(2, spec.n_params))
-        results = [
-            RunResult(p=0, samples=s, log_z=0.0, epochs_per_particle=0.0),
-            RunResult(p=1, samples=s + 1, log_z=np.log(3.0), epochs_per_particle=0.0),
-        ]
-        m = predictive_from_results(results, spec, rng.normal(size=(3, 2)))
-        # island weights (0.25, 0.75) split over 2 particles each
-        assert np.allclose(m.weights, [0.125, 0.125, 0.375, 0.375])
 
 
 class TestEntropy:
