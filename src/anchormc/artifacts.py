@@ -3,9 +3,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -150,13 +152,30 @@ def make_artifact(
 
 
 def save_artifact(prefix: str, artifact: RunArtifact) -> None:
-    """Write ``{prefix}.manifest.json`` and ``{prefix}.samples.bin``."""
+    """Write ``{prefix}.samples.bin`` and ``{prefix}.manifest.json``.
+
+    Both are written in full to temporary files in the same directory first,
+    then renamed into place, the manifest last. A save that fails while
+    writing leaves the previous artifact as it was; one interrupted between
+    the two renames leaves a samples block that ``load_artifact`` refuses
+    by its hash."""
     os.makedirs(os.path.dirname(prefix) or ".", exist_ok=True)
-    with open(prefix + ".samples.bin", "wb") as f:
-        f.write(_samples_bytes(artifact.samples))
-    with open(prefix + ".manifest.json", "w") as f:
-        json.dump(artifact.manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    manifest = json.dumps(artifact.manifest, indent=2, sort_keys=True) + "\n"
+    files = [
+        (prefix + ".samples.bin", _samples_bytes(artifact.samples)),
+        (prefix + ".manifest.json", manifest.encode()),
+    ]
+    tag = f".{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        for path, data in files:
+            with open(path + tag, "wb") as f:
+                f.write(data)
+        for path, _ in files:
+            os.replace(path + tag, path)
+    finally:
+        for path, _ in files:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path + tag)
 
 
 def load_artifact(prefix: str) -> RunArtifact:
@@ -174,7 +193,11 @@ def load_artifact(prefix: str) -> RunArtifact:
         raise ValueError(
             f"{prefix}: samples block hash {digest} does not match manifest"
         )
-    samples = np.frombuffer(blob, dtype="<f8").reshape(
-        manifest["n_samples"], manifest["dim"]
-    )
+    n, dim = manifest["n_samples"], manifest["dim"]
+    if len(blob) != 8 * n * dim:
+        raise ValueError(
+            f"{prefix}: samples block has {len(blob)} bytes, manifest needs "
+            f"8 * {n} * {dim} = {8 * n * dim}"
+        )
+    samples = np.frombuffer(blob, dtype="<f8").reshape(n, dim)
     return RunArtifact(manifest=manifest, samples=samples.astype(float))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import glob
 import os
+import re
 import sys
 
 import numpy as np
@@ -47,12 +48,21 @@ def _write_resolved_config(cfg: dict, out_dir: str, command: str) -> None:
             f.write(f"{key} = {cfg[key]}\n")
 
 
+def _check_split_sizes(n_train: int, n_val: int, available: int, which: str) -> None:
+    if n_train + n_val > available:
+        raise ConfigError(
+            f"n_train + n_val = {n_train} + {n_val} exceeds the {available} "
+            f"training items {which}"
+        )
+
+
 def _load_datasets(cfg: dict):
     """Returns (train, val, test, spec, n_classes). Labels are remapped to
     0..K-1 in the order of ``labels_keep``."""
     if cfg["features_csv"]:
         full = data_mod.load_csv_features(cfg["features_csv"])
         n_tr, n_va = cfg["n_train"], cfg["n_val"]
+        _check_split_sizes(n_tr, n_va, len(full), f"in {cfg['features_csv']}")
         train = full.subset(np.arange(0, n_tr))
         val = full.subset(np.arange(n_tr, n_tr + n_va), split="validation")
         test = full.subset(np.arange(n_tr + n_va, len(full)), split="test")
@@ -71,6 +81,9 @@ def _load_datasets(cfg: dict):
             return data_mod.Dataset(x=ds.x, y=y, split=split, image_shape=ds.image_shape)
 
         n_tr, n_va = cfg["n_train"], cfg["n_val"]
+        _check_split_sizes(
+            n_tr, n_va, len(raw_train), f"with labels in labels_keep={cfg['labels_keep']}"
+        )
         train = remapped(raw_train.take(n_tr), "train")
         val = remapped(raw_train.subset(np.arange(n_tr, n_tr + n_va)), "validation")
         test = remapped(raw_test.take(cfg["n_test"]), "test")
@@ -184,6 +197,8 @@ def cmd_sample(cfg: dict) -> None:
 
 
 def _island_results(out: str) -> list[RunResult]:
+    """The island artifacts in ``out``, each numbered by the index in its
+    file name (``island_002`` is island 2, whichever islands are missing)."""
     prefixes = sorted(
         p[: -len(".manifest.json")]
         for p in glob.glob(os.path.join(out, "island_*.manifest.json"))
@@ -193,11 +208,14 @@ def _island_results(out: str) -> list[RunResult]:
             f"no island artifacts in {out!r}; run `anchormc sample` first"
         )
     results = []
-    for p, prefix in enumerate(prefixes):
+    for prefix in prefixes:
+        index = re.fullmatch(r"island_(\d+)", os.path.basename(prefix))
+        if index is None:
+            raise ValueError(f"{prefix}: island artifact name has no island index")
         a = load_artifact(prefix)
         results.append(
             RunResult(
-                p=p,
+                p=int(index.group(1)),
                 samples=a.samples,
                 log_z=a.manifest["log_z"],
                 epochs_per_particle=a.manifest["epochs_used"],

@@ -53,13 +53,13 @@ def hmc_chain(
     rng = np.random.default_rng(seed)
     stats = KernelStats()
     theta = np.array(theta0, dtype=float)
-    logp = target.log_density(theta)
+    state = None
     states = np.empty((n_steps, theta.shape[0]))
     logps = np.empty(n_steps)
     for t in range(n_steps):
-        theta, _, logp = hmc_step(target, theta, cfg, rng, logp, stats)
+        theta, _, state = hmc_step(target, theta, cfg, rng, state, stats)
         states[t] = theta
-        logps[t] = logp
+        logps[t] = state[0]
     return states, logps, stats.rate
 
 

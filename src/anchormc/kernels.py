@@ -3,8 +3,8 @@ preconditioned Crank-Nicolson.
 
 Both steps share one shape, ``step(target, theta, cfg, rng, cache, stats) ->
 (theta, accepted, cache)``, so samplers drive either kernel with one loop.
-The cache is the current log-density for HMC and the current log-likelihood
-for pCN."""
+The cache is the pair (log-density, its gradient) at the current state for
+HMC and the current log-likelihood for pCN."""
 
 from __future__ import annotations
 
@@ -62,15 +62,19 @@ def leapfrog(
     p: np.ndarray,
     step_size: float,
     n_steps: int,
-) -> tuple[np.ndarray, np.ndarray]:
+    grad: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Symplectic leapfrog for H(theta, p) = -log_density(theta) + |p|^2/2.
 
+    ``grad`` may carry the gradient of the log-density at ``theta``; without
+    it the trajectory starts with one gradient evaluation. Each step then
+    costs one evaluation. Returns (theta_end, p_end, grad at theta_end).
     Raises DivergentTrajectory if a gradient is non-finite mid-trajectory.
     """
     theta = np.array(theta, dtype=float)
     p = np.array(p, dtype=float)
     try:
-        g = target.grad_log_density(theta)
+        g = target.grad_log_density(theta) if grad is None else grad
         for _ in range(n_steps):
             p = p + 0.5 * step_size * g
             theta = theta + step_size * p
@@ -80,7 +84,11 @@ def leapfrog(
         raise DivergentTrajectory(str(e)) from e
     if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(p))):
         raise DivergentTrajectory("non-finite state after leapfrog")
-    return theta, p
+    return theta, p, g
+
+
+# (log-density, its gradient) at the current state; a None gradient is evaluated
+HmcState = tuple[float, np.ndarray | None]
 
 
 def hmc_step(
@@ -88,33 +96,48 @@ def hmc_step(
     theta: np.ndarray,
     cfg: HmcConfig,
     rng: np.random.Generator,
-    logp: float | None = None,
+    state: HmcState | None = None,
     stats: KernelStats | None = None,
-) -> tuple[np.ndarray, bool, float]:
+) -> tuple[np.ndarray, bool, HmcState]:
     """One Metropolis-corrected HMC step with identity mass.
 
-    ``logp`` may carry the cached current log-density to save one evaluation.
-    Returns (theta_next, accepted, logp_next). Divergent trajectories are
-    always rejected.
+    ``state`` is the pair (log-density, gradient of the log-density) at
+    ``theta`` that the previous step returned; callers pass ``None`` first
+    and then feed back what they got. A ``None`` gradient is evaluated here.
+    With the state carried, a step costs L gradient evaluations and one value
+    evaluation, at the trajectory's end. Returns (theta_next, accepted,
+    state_next). Divergent trajectories are always rejected.
     """
+    logp, grad = (None, None) if state is None else state
+    if grad is None:
+        try:
+            # before the value: a likelihood that remembers its last gradient
+            # call can then return the value without a second network pass
+            grad = target.grad_log_density(theta)
+        except NonFiniteDensityError:
+            pass  # the leapfrog meets it again and rejects the step as divergent
     if logp is None:
         logp = target.log_density(theta)
     p0 = rng.standard_normal(theta.shape[0])
     h0 = -logp + 0.5 * np.dot(p0, p0)
     accepted = False
-    theta_next, logp_next = theta, logp
+    state_next = (logp, grad)
+    theta_next = theta
     try:
-        theta_prop, p1 = leapfrog(target, theta, p0, cfg.step_size, cfg.n_leapfrog)
+        theta_prop, p1, grad_prop = leapfrog(
+            target, theta, p0, cfg.step_size, cfg.n_leapfrog, grad
+        )
         logp_prop = target.log_density(theta_prop)
         h1 = -logp_prop + 0.5 * np.dot(p1, p1)
         if abs(h1 - h0) <= DIVERGENCE_THRESHOLD:
             if np.log(rng.uniform()) < h0 - h1:
-                theta_next, logp_next, accepted = theta_prop, logp_prop, True
+                theta_next, accepted = theta_prop, True
+                state_next = (logp_prop, grad_prop)
     except (DivergentTrajectory, NonFiniteDensityError):
         pass
     if stats is not None:
         stats.record(accepted)
-    return theta_next, accepted, logp_next
+    return theta_next, accepted, state_next
 
 
 def pcn_step(
@@ -172,10 +195,10 @@ def tune_step_size(
     for _ in range(max_rounds):
         stats = KernelStats()
         theta = np.array(theta0, dtype=float)
-        logp = None
+        state = None
         for _ in range(pilot_steps):
-            theta, _, logp = hmc_step(
-                target, theta, HmcConfig(eps, cfg.n_leapfrog), rng, logp, stats
+            theta, _, state = hmc_step(
+                target, theta, HmcConfig(eps, cfg.n_leapfrog), rng, state, stats
             )
         if stats.rate > hi:
             eps *= 2.0

@@ -3,6 +3,7 @@ the softmax categorical likelihood, and SGD MAP estimation."""
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,53 +116,69 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     return cols
 
 
-def _forward_internal(spec: NetworkSpec, theta: np.ndarray, x: np.ndarray):
-    """Returns (log-probabilities, cache for backprop). x: (n, features)."""
+def _network_input(spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
+    """What the first layer reads from inputs x of shape (n, features) or
+    (features,): x itself for an MLP, the im2col patches (n, h*w, k*k*c_in)
+    for a CNN. Depends on x only, so a fixed dataset's is computed once."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
-    layers = unpack(spec, theta)
     if spec.kind == "mlp":
         if x.shape[1] != spec.widths[0]:
             raise ValueError(
                 f"input width {x.shape[1]} does not match spec width {spec.widths[0]}"
             )
-        activations = [x]
+        return x
+    h, w_ = spec.image_shape
+    c_in = spec.in_channels
+    if x.shape[1] != h * w_ * c_in:
+        raise ValueError(
+            f"input width {x.shape[1]} does not match image shape {h}x{w_}x{c_in}"
+        )
+    return _im2col(x.reshape(x.shape[0], h, w_, c_in), spec.kernel)
+
+
+def _forward_internal(
+    spec: NetworkSpec, theta: np.ndarray, inputs: np.ndarray, backprop: bool
+):
+    """Returns (log-probabilities, cache for backprop) from ``_network_input``'s
+    output. Without ``backprop`` the cache is None and max-pooling takes the
+    elementwise maximum of the four window slices, with no argmax to route a
+    gradient; the values are the same."""
+    layers = unpack(spec, theta)
+    if spec.kind == "mlp":
+        activations = [inputs]
         pre = None
         for i, (w, b) in enumerate(layers):
             pre = activations[-1] @ w.T + b
             if i < len(layers) - 1:
                 activations.append(np.maximum(pre, 0.0))
-        cache = {"layers": layers, "activations": activations}
+        cache = {"layers": layers, "activations": activations} if backprop else None
         return _log_softmax(pre), cache
 
     h, w_ = spec.image_shape
     c_in, c_out, k = spec.in_channels, spec.conv_channels, spec.kernel
-    if x.shape[1] != h * w_ * c_in:
-        raise ValueError(
-            f"input width {x.shape[1]} does not match image shape {h}x{w_}x{c_in}"
-        )
     (wc, bc), (wl, bl) = layers
-    n = x.shape[0]
-    img = x.reshape(n, h, w_, c_in)
-    cols = _im2col(img, k)  # (n, h*w, k*k*c_in)
+    n = inputs.shape[0]
     wc_mat = wc.transpose(2, 3, 1, 0).reshape(k * k * c_in, c_out)  # (ki,kj,c) order
-    conv = cols @ wc_mat + bc  # (n, h*w, c_out)
+    conv = inputs @ wc_mat + bc  # (n, h*w, c_out)
     relu = np.maximum(conv, 0.0)
-    grid = relu.reshape(n, h, w_, c_out)
+    grid = relu.reshape(n, h // 2, 2, w_ // 2, 2, c_out)
+    if not backprop:
+        pooled = np.maximum(
+            np.maximum(grid[:, :, 0, :, 0], grid[:, :, 0, :, 1]),
+            np.maximum(grid[:, :, 1, :, 0], grid[:, :, 1, :, 1]),
+        )
+        return _log_softmax(pooled.reshape(n, -1) @ wl.T + bl), None
     # 2x2 windows in row-major order so argmax ties break at the first index
-    win = (
-        grid.reshape(n, h // 2, 2, w_ // 2, 2, c_out)
-        .transpose(0, 1, 3, 5, 2, 4)
-        .reshape(n, h // 2, w_ // 2, c_out, 4)
-    )
+    win = grid.transpose(0, 1, 3, 5, 2, 4).reshape(n, h // 2, w_ // 2, c_out, 4)
     amax = win.argmax(axis=-1)
     pooled = np.take_along_axis(win, amax[..., None], axis=-1)[..., 0]
     flat = pooled.reshape(n, -1)
     logits = flat @ wl.T + bl
     cache = {
         "layers": layers,
-        "cols": cols,
+        "cols": inputs,
         "conv": conv,
         "amax": amax,
         "flat": flat,
@@ -173,25 +190,26 @@ def _forward_internal(spec: NetworkSpec, theta: np.ndarray, x: np.ndarray):
 def forward(spec: NetworkSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Class probabilities, shape (n, K) (or (K,) for a single input)."""
     single = np.asarray(x).ndim == 1
-    logp, _ = _forward_internal(spec, theta, x)
+    logp, _ = _forward_internal(spec, theta, _network_input(spec, x), backprop=False)
     p = np.exp(logp)
     return p[0] if single else p
 
 
-def log_likelihood_and_grad(
-    spec: NetworkSpec, theta: np.ndarray, data: Dataset
+def _label_log_prob(logp: np.ndarray, y: np.ndarray) -> float:
+    return float(logp[np.arange(logp.shape[0]), y].sum())
+
+
+def _log_likelihood_and_grad(
+    spec: NetworkSpec, theta: np.ndarray, inputs: np.ndarray, y: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Sum of log softmax probabilities at the labels, and its exact gradient."""
-    if data.y is None:
-        raise ValueError("log-likelihood needs labeled data")
-    logp, cache = _forward_internal(spec, theta, data.x)
+    logp, cache = _forward_internal(spec, theta, inputs, backprop=True)
     n, k = logp.shape
     idx = np.arange(n)
-    ll = float(logp[idx, data.y].sum())
+    ll = _label_log_prob(logp, y)
 
     probs = np.exp(logp)
     dlogits = -probs
-    dlogits[idx, data.y] += 1.0  # d ll / d logits = onehot - p
+    dlogits[idx, y] += 1.0  # d ll / d logits = onehot - p
 
     layers = cache["layers"]
     if spec.kind == "mlp":
@@ -229,14 +247,40 @@ def log_likelihood_and_grad(
     return ll, pack(spec, [(dwc, dbc), (dwl, dbl)])
 
 
+def log_likelihood_and_grad(
+    spec: NetworkSpec, theta: np.ndarray, data: Dataset
+) -> tuple[float, np.ndarray]:
+    """Sum of log softmax probabilities at the labels, and its exact gradient."""
+    if data.y is None:
+        raise ValueError("log-likelihood needs labeled data")
+    return _log_likelihood_and_grad(spec, theta, _network_input(spec, data.x), data.y)
+
+
 def make_loglik(spec: NetworkSpec, data: Dataset):
-    """Bind a dataset into the (loglik, grad_loglik) pair TargetDensity expects."""
+    """Bind a dataset into the (loglik, grad_loglik) pair TargetDensity expects.
+
+    The network input (the CNN's im2col) is computed once, here. ``loglik``
+    runs the forward pass only. ``grad_loglik`` runs forward and backward
+    and remembers, per thread, its parameter vector and the log-likelihood
+    it computed on the way; a ``loglik`` call at an equal vector returns that
+    value without a pass. HMC evaluates the gradient at the trajectory's end
+    just before the value there, so that value costs nothing."""
+    if data.y is None:
+        raise ValueError("log-likelihood needs labeled data")
+    inputs, y = _network_input(spec, data.x), data.y
+    last = threading.local()  # (theta copy, value) of this thread's latest gradient call
 
     def ll(theta: np.ndarray) -> float:
-        return log_likelihood_and_grad(spec, theta, data)[0]
+        memo = getattr(last, "value", None)
+        if memo is not None and np.array_equal(memo[0], theta):
+            return memo[1]
+        logp, _ = _forward_internal(spec, theta, inputs, backprop=False)
+        return _label_log_prob(logp, y)
 
     def grad(theta: np.ndarray) -> np.ndarray:
-        return log_likelihood_and_grad(spec, theta, data)[1]
+        value, g = _log_likelihood_and_grad(spec, theta, inputs, y)
+        last.value = (np.array(theta, dtype=float), value)
+        return g
 
     return ll, grad
 
@@ -270,7 +314,7 @@ def init_params(spec: NetworkSpec, prior: GaussianPrior, rng: np.random.Generato
 
 
 def _mean_nll(spec: NetworkSpec, theta: np.ndarray, data: Dataset) -> float:
-    logp, _ = _forward_internal(spec, theta, data.x)
+    logp, _ = _forward_internal(spec, theta, _network_input(spec, data.x), backprop=False)
     return float(-logp[np.arange(len(data)), data.y].mean())
 
 

@@ -204,13 +204,21 @@ def _step(cfg: HmcConfig | PcnConfig):
     return hmc_step if isinstance(cfg, HmcConfig) else pcn_step
 
 
-def _evals_per_particle(cfg: HmcConfig | PcnConfig, steps: int, refreshes: int = 0) -> float:
-    """Likelihood-or-gradient evaluations per particle, by formula: one at the
-    starting state, L + 2 per HMC step or 1 per pCN step, and one per
-    log-likelihood refresh after an HMC mutation phase (pCN keeps its cache)."""
-    if isinstance(cfg, HmcConfig):
-        return float(1 + steps * (cfg.n_leapfrog + 2) + refreshes)
-    return float(1 + steps)
+def _evals_per_particle(
+    cfg: HmcConfig | PcnConfig, steps: int, stages: int | None = None
+) -> float:
+    """Calls into the likelihood pair per particle, by formula.
+
+    pCN: one at the starting state and one per step. HMC: L + 1 per step (L
+    gradients, then the value at the trajectory's end), plus the evaluations
+    at the chain's start. A chain from ``run_mcmc`` (``stages`` None) starts
+    with a gradient and a value. An SMC particle starts with one value; each
+    of its ``stages`` adds a gradient at the stage's first step (the tempering
+    exponent changed) and a log-likelihood refresh after its sweeps."""
+    if isinstance(cfg, PcnConfig):
+        return float(1 + steps)
+    start = 2 if stages is None else 1 + 2 * stages
+    return float(start + steps * (cfg.n_leapfrog + 1))
 
 
 def mutate(
@@ -228,10 +236,11 @@ def mutate(
     |dist_M - dist_{M-1}| / dist_{M-1} <= tol, capped at max_steps.
 
     ``cfg`` selects the kernel. pCN keeps ``ensemble.loglik`` current in
-    place; HMC caches each particle's log-density instead, and the
-    log-likelihoods are re-evaluated once after its sweeps. A zero previous
-    displacement counts as converged (an immobile ensemble cannot improve).
-    Returns M used.
+    place. HMC caches each particle's (log-density, gradient) pair instead,
+    seeded without the gradient because the tempering exponent has just
+    changed, and the log-likelihoods are re-evaluated once after its sweeps.
+    A zero previous displacement counts as converged (an immobile ensemble
+    cannot improve). Returns M used.
     """
     step = _step(cfg)
     hmc = isinstance(cfg, HmcConfig)
@@ -239,7 +248,8 @@ def mutate(
     cache = ensemble.loglik
     if hmc:
         prior_lp = np.array([target.prior.log_density(t) for t in ensemble.particles])
-        cache = (target.lam * ensemble.loglik + prior_lp) / target.temperature
+        logp = (target.lam * ensemble.loglik + prior_lp) / target.temperature
+        cache = [(lp, None) for lp in logp]
     dist_prev = None
     m_used = max_steps
     zero_accept_streak = 0
@@ -344,7 +354,7 @@ def run_smc(target: TargetDensity, cfg: SmcConfig) -> SmcResult:
         particles=ensemble.particles,
         log_z=ensemble.log_z,
         schedule=schedule,
-        epochs_per_particle=_evals_per_particle(kernel, sum(sweeps), refreshes=len(sweeps)),
+        epochs_per_particle=_evals_per_particle(kernel, sum(sweeps), stages=len(sweeps)),
         acceptance_rate=stats.rate,
     )
 

@@ -150,8 +150,8 @@ def test_criterion_03_kernel_correctness(rng):
     )
     from anchormc.kernels import leapfrog
 
-    th1, p1 = leapfrog(big, th0, p0, 0.05, 8)
-    th2, p2 = leapfrog(big, th1, -p1, 0.05, 8)
+    th1, p1, _ = leapfrog(big, th0, p0, 0.05, 8)
+    th2, p2, _ = leapfrog(big, th1, -p1, 0.05, 8)
     rev_ok = np.max(np.abs(th2 - th0)) < 1e-10 and np.max(np.abs(-p2 - p0)) < 1e-10
 
     grad_ok = True

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
+from anchormc import artifacts
 from anchormc.artifacts import (
     CONFIG_DEFAULTS,
     ConfigError,
@@ -115,6 +117,39 @@ class TestArtifacts:
             f.write(bytes([byte[0] ^ 0xFF]))
         with pytest.raises(ValueError, match="hash"):
             load_artifact(prefix)
+
+    def test_truncated_samples_with_matching_hash_name_the_prefix(self, tmp_path, rng):
+        prefix = str(tmp_path / "a")
+        save_artifact(prefix, self.make(rng))
+        with open(prefix + ".samples.bin", "rb") as f:
+            blob = f.read()[:-8]
+        with open(prefix + ".samples.bin", "wb") as f:
+            f.write(blob)
+        manifest = json.loads(open(prefix + ".manifest.json").read())
+        manifest["samples_sha256"] = hashlib.sha256(blob).hexdigest()
+        with open(prefix + ".manifest.json", "w") as f:
+            json.dump(manifest, f)
+        with pytest.raises(ValueError, match=f"{prefix}: samples block has 112 bytes"):
+            load_artifact(prefix)
+
+    def test_failed_save_leaves_previous_artifact(self, tmp_path, rng, monkeypatch):
+        prefix = str(tmp_path / "a")
+        old = self.make(rng)
+        save_artifact(prefix, old)
+        real_open = open
+
+        def full_disk(path, *args, **kwargs):
+            if str(path).startswith(prefix + ".manifest.json"):
+                raise OSError(28, "No space left on device")
+            return real_open(path, *args, **kwargs)
+
+        # the samples block is written in full, then writing the manifest fails
+        monkeypatch.setattr(artifacts, "open", full_disk, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save_artifact(prefix, self.make(rng))
+        monkeypatch.undo()
+        assert load_artifact(prefix) == old
+        assert sorted(os.listdir(tmp_path)) == ["a.manifest.json", "a.samples.bin"]
 
     def test_one_dim_samples_promoted(self):
         art = make_artifact(dict(CONFIG_DEFAULTS), np.arange(4.0), kind="map")

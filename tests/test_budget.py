@@ -1,0 +1,196 @@
+"""Evaluation budget: what a kernel step costs in calls into the likelihood
+pair and in network passes, and the fused, memoised CNN/MLP likelihood that
+makes an HMC step cost one pass per leapfrog step."""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from anchormc import nets, smc
+from anchormc.data import Dataset
+from anchormc.kernels import HmcConfig, hmc_step
+from anchormc.targets import GaussianPrior, TargetDensity, gaussian_loglik, make_anchored
+
+CNN = nets.NetworkSpec(kind="cnn", image_shape=(6, 6), conv_channels=2, n_classes=3)
+MLP = nets.NetworkSpec(kind="mlp", widths=(5, 4, 3))
+
+
+def labeled(spec, n=12, seed=0):
+    rng = np.random.default_rng(seed)
+    width = spec.widths[0] if spec.kind == "mlp" else 36
+    shape = spec.image_shape if spec.kind == "cnn" else None
+    return Dataset(x=rng.normal(size=(n, width)), y=rng.integers(0, 3, n), image_shape=shape)
+
+
+class Counted:
+    """A likelihood pair that counts the calls made into it."""
+
+    def __init__(self, pair):
+        self._ll, self._grad = pair
+        self.loglik_calls = 0
+        self.grad_calls = 0
+
+    def loglik(self, theta):
+        self.loglik_calls += 1
+        return self._ll(theta)
+
+    def grad(self, theta):
+        self.grad_calls += 1
+        return self._grad(theta)
+
+    @property
+    def calls(self):
+        return (self.grad_calls, self.loglik_calls)
+
+    @property
+    def total(self):
+        return self.grad_calls + self.loglik_calls
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Counts network passes: {True: forward+backward, False: forward only}."""
+    counts = {True: 0, False: 0}
+    real = nets._forward_internal
+
+    def counting(spec, theta, inputs, backprop):
+        counts[backprop] += 1
+        return real(spec, theta, inputs, backprop)
+
+    monkeypatch.setattr(nets, "_forward_internal", counting)
+    return counts
+
+
+def gaussian_counted(d=20, seed=0):
+    mean = np.random.default_rng(seed).normal(size=d)
+    counted = Counted(gaussian_loglik(mean, 0.5))
+    return counted, TargetDensity(counted.loglik, counted.grad, GaussianPrior(1.0, d))
+
+
+def cnn_counted(seed=0):
+    counted = Counted(nets.make_loglik(CNN, labeled(CNN)))
+    anchor = np.random.default_rng(seed).normal(size=CNN.n_params) * 0.3
+    posterior = TargetDensity(counted.loglik, counted.grad, GaussianPrior(0.1, CNN.n_params))
+    return counted, make_anchored(posterior, anchor, 0.1)
+
+
+class TestHmcStepCost:
+    @pytest.mark.parametrize("make", [gaussian_counted, cnn_counted], ids=["gaussian", "cnn"])
+    @pytest.mark.parametrize("n_leapfrog", [1, 3])
+    def test_l_gradients_and_one_value_per_step(self, make, n_leapfrog, passes):
+        counted, target = make()
+        cfg = HmcConfig(0.01, n_leapfrog)
+        rng = np.random.default_rng(1)
+        theta, _, state = hmc_step(target, target.prior.sample(rng), cfg, rng)
+        # the first step also evaluates gradient and value at its start
+        assert counted.calls == (n_leapfrog + 1, 2)
+        accepted = 0
+        for _ in range(10):
+            before = counted.calls
+            theta, acc, state = hmc_step(target, theta, cfg, rng, state)
+            accepted += acc
+            assert (counted.grad_calls - before[0], counted.loglik_calls - before[1]) == (
+                n_leapfrog,
+                1,
+            )
+        assert accepted > 0
+        if target.dim == CNN.n_params:
+            # the value at each trajectory's end comes from the gradient's pass
+            assert passes == {True: 11 * n_leapfrog + 1, False: 0}
+
+    def test_cached_chain_equals_uncached_chain(self):
+        for make in (gaussian_counted, cnn_counted):
+            _, target = make()
+            cfg = HmcConfig(0.05, 2)
+            theta0 = target.prior.sample(np.random.default_rng(2))
+            rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+            a, b, state = theta0, theta0, None
+            for _ in range(20):
+                a, acc_a, state = hmc_step(target, a, cfg, rng_a, state)
+                b, acc_b, fresh = hmc_step(target, b, cfg, rng_b, None)
+                assert acc_a == acc_b
+                assert np.array_equal(a, b)
+                assert state[0] == fresh[0]
+                assert np.array_equal(state[1], fresh[1])
+
+
+class TestReportedEvaluations:
+    @pytest.mark.parametrize(
+        "kernel", [dict(kernel="hmc", hmc=HmcConfig(0.1, 3)), dict(kernel="pcn")], ids=["hmc", "pcn"]
+    )
+    def test_run_smc_reports_counted_calls(self, kernel):
+        counted, target = gaussian_counted()
+        result = smc.run_smc(target, smc.SmcConfig(n_particles=8, seed=4, **kernel))
+        assert result.epochs_per_particle == counted.total / 8
+
+    @pytest.mark.parametrize(
+        "kernel", [dict(kernel="hmc", hmc=HmcConfig(0.1, 3)), dict(kernel="pcn")], ids=["hmc", "pcn"]
+    )
+    def test_run_mcmc_reports_counted_calls(self, kernel):
+        counted, target = gaussian_counted()
+        result = smc.run_mcmc(target, smc.McmcConfig(n_chains=3, n_steps=12, seed=4, **kernel))
+        assert result.epochs_per_particle == counted.total / 3
+
+
+class TestFusedLikelihood:
+    @pytest.mark.parametrize("spec", [MLP, CNN], ids=["mlp", "cnn"])
+    def test_value_equals_log_likelihood_and_grad(self, spec):
+        data = labeled(spec)
+        ll, grad = nets.make_loglik(spec, data)
+        rng = np.random.default_rng(5)
+        theta, other = rng.normal(size=(2, spec.n_params)) * 0.5
+        exact = nets.log_likelihood_and_grad(spec, theta, data)[0]
+        assert ll(theta) == exact  # no gradient call yet
+        grad(theta)
+        assert ll(theta) == exact  # from the memo
+        grad(other)
+        assert ll(theta) == exact  # forward-only pass
+        assert ll(other) == nets.log_likelihood_and_grad(spec, other, data)[0]
+
+    @pytest.mark.parametrize("spec", [MLP, CNN], ids=["mlp", "cnn"])
+    def test_forward_equals_backprop_path(self, spec):
+        x = labeled(spec, n=40, seed=6).x
+        theta = np.random.default_rng(7).normal(size=spec.n_params)
+        logp, _ = nets._forward_internal(spec, theta, nets._network_input(spec, x), backprop=True)
+        assert np.array_equal(nets.forward(spec, theta, x), np.exp(logp))
+
+    def test_in_place_change_after_gradient_is_not_stale(self):
+        data = labeled(CNN)
+        ll, grad = nets.make_loglik(CNN, data)
+        theta = np.random.default_rng(8).normal(size=CNN.n_params)
+        grad(theta)
+        theta[0] += 1.0
+        assert ll(theta) == nets.log_likelihood_and_grad(CNN, theta, data)[0]
+
+    def test_each_thread_has_its_own_memo(self, passes):
+        # more threads than cores, switching often, all sharing one pair
+        data = labeled(CNN)
+        ll, grad = nets.make_loglik(CNN, data)
+        thetas = np.random.default_rng(9).normal(size=(4, CNN.n_params))
+        exact = [nets.log_likelihood_and_grad(CNN, t, data)[0] for t in thetas]
+        passes[False] = 0
+        turn = threading.Barrier(len(thetas), timeout=30)
+        got = [[] for _ in thetas]
+
+        def worker(i):
+            for _ in range(5):
+                grad(thetas[i])
+                turn.wait()  # every thread has called grad before any calls loglik
+                got[i].append(ll(thetas[i]))
+                turn.wait()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(thetas))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[value] * 5 for value in exact]
+        assert passes[False] == 0  # every value came from its own thread's memo

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from anchormc.artifacts import load_artifact
+from anchormc.artifacts import CONFIG_DEFAULTS, load_artifact, make_artifact, save_artifact
 from anchormc.cli import main
 
 
@@ -239,6 +239,58 @@ class TestErrors:
         assert "island 1 FAILED" in err
         assert "error: no island succeeded" in err and "method=mcmc" in err
         assert not os.path.exists(out / "sample.config")
+
+
+    def test_too_few_training_items_is_a_config_error(self, tmp_path, capsys):
+        tri, trl, tei, tel = synthetic_idx(str(tmp_path), 40, 40)
+        rc = main(
+            [
+                "map",
+                f"train_images={tri}",
+                f"train_labels={trl}",
+                f"test_images={tei}",
+                f"test_labels={tel}",
+                "arch=mlp",
+                "n_train=30",
+                "n_val=20",
+                f"output_dir={tmp_path / 'o'}",
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "n_train + n_val = 30 + 20" in err and "labels_keep=0,1,2,3,4,5,6,7" in err
+
+    def test_too_few_csv_rows_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "features.csv"
+        path.write_text("label,f1,f2\n" + "".join(f"{i % 2},{i},1\n" for i in range(10)))
+        rc = main(
+            [
+                "map",
+                f"features_csv={path}",
+                "arch=mlp",
+                "n_train=8",
+                "n_val=4",
+                f"output_dir={tmp_path / 'o'}",
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "n_train + n_val = 8 + 4" in err and "10 training items" in err
+
+
+class TestCombine:
+    def test_excluded_island_named_by_its_file(self, tmp_path):
+        # island 1 is missing (failed at sampling), island 2 has log Z = +inf
+        out = str(tmp_path)
+        for p, log_z in ((0, -1.0), (2, float("inf"))):
+            artifact = make_artifact(
+                dict(CONFIG_DEFAULTS), np.full((2, 3), float(p)), kind="smc", log_z=log_z
+            )
+            save_artifact(os.path.join(out, f"island_{p:03d}"), artifact)
+        assert main(["combine", f"output_dir={out}"]) == 0
+        manifest = load_artifact(os.path.join(out, "combined")).manifest
+        assert manifest["excluded_islands"] == [2]
+        assert manifest["island_weights"] == [1.0]
 
 
 class TestDiag:

@@ -43,7 +43,7 @@ class TestLeapfrog:
     def test_tiny_step_is_identity(self, rng):
         t = std_gaussian_target(3)
         th, p = rng.normal(size=3), rng.normal(size=3)
-        th2, p2 = leapfrog(t, th, p, 1e-12, 1)
+        th2, p2, _ = leapfrog(t, th, p, 1e-12, 1)
         assert np.allclose(th2, th, atol=1e-9)
         assert np.allclose(p2, p, atol=1e-9)
 
@@ -52,15 +52,15 @@ class TestLeapfrog:
         for _ in range(100):
             th, p = rng.normal(size=1), rng.normal(size=1)
             h0 = -t.log_density(th) + 0.5 * p @ p
-            th2, p2 = leapfrog(t, th, p, 0.1, 10)
+            th2, p2, _ = leapfrog(t, th, p, 0.1, 10)
             h1 = -t.log_density(th2) + 0.5 * p2 @ p2
             assert abs(h1 - h0) < 1e-2
 
     def test_reversibility(self, rng):
         t = conjugate_target(rng.normal(size=6), 0.7, 1.3)
         th, p = rng.normal(size=6), rng.normal(size=6)
-        th2, p2 = leapfrog(t, th, p, 0.05, 8)
-        th3, p3 = leapfrog(t, th2, -p2, 0.05, 8)
+        th2, p2, _ = leapfrog(t, th, p, 0.05, 8)
+        th3, p3, _ = leapfrog(t, th2, -p2, 0.05, 8)
         assert np.allclose(th3, th, atol=1e-10)
         assert np.allclose(-p3, p, atol=1e-10)
 
@@ -69,7 +69,7 @@ class TestLeapfrog:
         t = conjugate_target(rng.normal(size=2), 0.5, 1.0)
 
         def step(z):
-            th, p = leapfrog(t, z[:2], z[2:], 0.1, 1)
+            th, p, _ = leapfrog(t, z[:2], z[2:], 0.1, 1)
             return np.concatenate([th, p])
 
         z0 = rng.normal(size=4)
@@ -122,6 +122,19 @@ class TestHmc:
             th, accepted, _ = hmc_step(t, th, HmcConfig(100.0), rng, stats=stats)
         assert stats.rate < 0.02
         assert np.allclose(th, th0) or stats.acceptances <= 2
+
+    def test_non_finite_gradient_at_start_rejects(self):
+        t = TargetDensity(
+            loglik=lambda th: float(th[0]),
+            grad_loglik=lambda th: np.array([np.nan]),
+            prior=GaussianPrior(1.0, 1),
+        )
+        rng = np.random.default_rng(4)
+        th, state = np.zeros(1), None
+        for _ in range(3):
+            th, accepted, state = hmc_step(t, th, HmcConfig(0.1), rng, state)
+            assert not accepted and th[0] == 0.0
+        assert state == (t.log_density(th), None)
 
     def test_counters_consistent(self):
         t = std_gaussian_target(1)
