@@ -14,8 +14,8 @@ from anchormc.toys import conjugate_posterior
 
 a = np.array([1.0, -0.5])
 sl, v = 0.8, 1.5
-ll, grad = gaussian_loglik(a, sl)
-target = TargetDensity(loglik=ll, grad_loglik=grad, prior=GaussianPrior(v, 2))
+ll, ll_and_grad = gaussian_loglik(a, sl)
+target = TargetDensity(loglik=ll, loglik_and_grad=ll_and_grad, prior=GaussianPrior(v, 2))
 post_mean, post_var, log_ev = conjugate_posterior(a, sl, v)
 
 result = run_smc(

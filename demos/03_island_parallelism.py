@@ -15,8 +15,8 @@ from anchormc.toys import conjugate_posterior
 
 a = np.array([1.0, -0.5])
 sl, v = 0.8, 1.5
-ll, grad = gaussian_loglik(a, sl)
-target = TargetDensity(loglik=ll, grad_loglik=grad, prior=GaussianPrior(v, 2))
+ll, ll_and_grad = gaussian_loglik(a, sl)
+target = TargetDensity(loglik=ll, loglik_and_grad=ll_and_grad, prior=GaussianPrior(v, 2))
 post_mean, _, _ = conjugate_posterior(a, sl, v)
 
 cfg = SmcConfig(n_particles=64, kernel="pcn", pcn=PcnConfig(0.7))

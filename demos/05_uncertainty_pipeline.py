@@ -56,8 +56,8 @@ map_result = map_estimate(spec, prior, train, val, opt, seed=0)
 print(f"MAP: {map_result.epochs_used} epochs, val NLL {map_result.val_nll:.3f}")
 
 # 2. Anchored posterior sampling around the MAP point.
-ll, grad = make_loglik(spec, train)
-posterior = TargetDensity(loglik=ll, grad_loglik=grad, prior=prior)
+ll, ll_and_grad = make_loglik(spec, train)
+posterior = TargetDensity(loglik=ll, loglik_and_grad=ll_and_grad, prior=prior)
 target = make_anchored(posterior, map_result.theta, 0.1)
 smc = run_smc(target, SmcConfig(n_particles=10, kernel="pcn", seed=0))
 w = np.full(10, 0.1)

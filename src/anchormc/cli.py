@@ -125,10 +125,7 @@ def cmd_map(cfg: dict) -> None:
 
 
 def _build_target(cfg: dict, spec: NetworkSpec, train) -> TargetDensity:
-    ll, grad = make_loglik(spec, train)
-    target = TargetDensity(
-        loglik=ll, grad_loglik=grad, prior=GaussianPrior(cfg["v"], spec.n_params)
-    )
+    target = TargetDensity(*make_loglik(spec, train), prior=GaussianPrior(cfg["v"], spec.n_params))
     s = cfg["s"]
     if s < 1.0:
         map_prefix = os.path.join(cfg["output_dir"], "map")

@@ -56,6 +56,10 @@ class DivergentTrajectory(RuntimeError):
     pass
 
 
+# (log-density, its gradient) at the current state; a None gradient is evaluated
+HmcState = tuple[float, np.ndarray | None]
+
+
 def leapfrog(
     target: TargetDensity,
     theta: np.ndarray,
@@ -63,32 +67,33 @@ def leapfrog(
     step_size: float,
     n_steps: int,
     grad: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, HmcState]:
     """Symplectic leapfrog for H(theta, p) = -log_density(theta) + |p|^2/2.
 
     ``grad`` may carry the gradient of the log-density at ``theta``; without
     it the trajectory starts with one gradient evaluation. Each step then
-    costs one evaluation. Returns (theta_end, p_end, grad at theta_end).
-    Raises DivergentTrajectory if a gradient is non-finite mid-trajectory.
+    costs one evaluation: a gradient inside the trajectory, the log-density
+    and its gradient at the last point. Returns (theta_end, p_end,
+    (log-density, gradient) at theta_end). Raises DivergentTrajectory if an
+    evaluation is non-finite.
     """
     theta = np.array(theta, dtype=float)
     p = np.array(p, dtype=float)
     try:
         g = target.grad_log_density(theta) if grad is None else grad
-        for _ in range(n_steps):
+        for i in range(1, n_steps + 1):
             p = p + 0.5 * step_size * g
             theta = theta + step_size * p
-            g = target.grad_log_density(theta)
+            if i < n_steps:
+                g = target.grad_log_density(theta)
+            else:
+                logp, g = target.log_density_and_grad(theta)
             p = p + 0.5 * step_size * g
     except NonFiniteDensityError as e:
         raise DivergentTrajectory(str(e)) from e
-    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(p))):
+    if not (np.isfinite(theta).all() and np.isfinite(p).all()):
         raise DivergentTrajectory("non-finite state after leapfrog")
-    return theta, p, g
-
-
-# (log-density, its gradient) at the current state; a None gradient is evaluated
-HmcState = tuple[float, np.ndarray | None]
+    return theta, p, (logp, g)
 
 
 def hmc_step(
@@ -103,37 +108,33 @@ def hmc_step(
 
     ``state`` is the pair (log-density, gradient of the log-density) at
     ``theta`` that the previous step returned; callers pass ``None`` first
-    and then feed back what they got. A ``None`` gradient is evaluated here.
-    With the state carried, a step costs L gradient evaluations and one value
-    evaluation, at the trajectory's end. Returns (theta_next, accepted,
+    and then feed back what they got. A missing gradient is evaluated here,
+    with the value, in one call. With the state carried, a step costs L
+    likelihood calls, one per leapfrog step. Returns (theta_next, accepted,
     state_next). Divergent trajectories are always rejected.
     """
     logp, grad = (None, None) if state is None else state
     if grad is None:
         try:
-            # before the value: a likelihood that remembers its last gradient
-            # call can then return the value without a second network pass
-            grad = target.grad_log_density(theta)
+            logp, grad = target.log_density_and_grad(theta)
         except NonFiniteDensityError:
-            pass  # the leapfrog meets it again and rejects the step as divergent
-    if logp is None:
-        logp = target.log_density(theta)
+            # a non-finite value raises here; a non-finite gradient is met
+            # again by the leapfrog, which rejects the step as divergent
+            logp = target.log_density(theta)
     p0 = rng.standard_normal(theta.shape[0])
     h0 = -logp + 0.5 * np.dot(p0, p0)
     accepted = False
     state_next = (logp, grad)
     theta_next = theta
     try:
-        theta_prop, p1, grad_prop = leapfrog(
+        theta_prop, p1, state_prop = leapfrog(
             target, theta, p0, cfg.step_size, cfg.n_leapfrog, grad
         )
-        logp_prop = target.log_density(theta_prop)
-        h1 = -logp_prop + 0.5 * np.dot(p1, p1)
+        h1 = -state_prop[0] + 0.5 * np.dot(p1, p1)
         if abs(h1 - h0) <= DIVERGENCE_THRESHOLD:
             if np.log(rng.uniform()) < h0 - h1:
-                theta_next, accepted = theta_prop, True
-                state_next = (logp_prop, grad_prop)
-    except (DivergentTrajectory, NonFiniteDensityError):
+                theta_next, accepted, state_next = theta_prop, True, state_prop
+    except DivergentTrajectory:
         pass
     if stats is not None:
         stats.record(accepted)

@@ -3,7 +3,6 @@ the softmax categorical likelihood, and SGD MAP estimation."""
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,11 +187,23 @@ def _forward_internal(
 
 
 def forward(spec: NetworkSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Class probabilities, shape (n, K) (or (K,) for a single input)."""
+    """Class probabilities, shape (n, K) (or (K,) for a single input).
+
+    ``theta`` may be a (S, n_params) stack of parameter vectors: the result
+    is then stacked (S, ...), one array per vector, and the network input of
+    ``x`` is computed once for all of them."""
     single = np.asarray(x).ndim == 1
-    logp, _ = _forward_internal(spec, theta, _network_input(spec, x), backprop=False)
-    p = np.exp(logp)
-    return p[0] if single else p
+    stacked = np.asarray(theta).ndim == 2
+    inputs = _network_input(spec, x)
+    p = np.stack(
+        [
+            np.exp(_forward_internal(spec, t, inputs, backprop=False)[0])
+            for t in (theta if stacked else [theta])
+        ]
+    )
+    if single:
+        p = p[:, 0]
+    return p if stacked else p[0]
 
 
 def _label_log_prob(logp: np.ndarray, y: np.ndarray) -> float:
@@ -257,32 +268,25 @@ def log_likelihood_and_grad(
 
 
 def make_loglik(spec: NetworkSpec, data: Dataset):
-    """Bind a dataset into the (loglik, grad_loglik) pair TargetDensity expects.
+    """Bind a dataset into the (loglik, loglik_and_grad) pair TargetDensity
+    expects.
 
     The network input (the CNN's im2col) is computed once, here. ``loglik``
-    runs the forward pass only. ``grad_loglik`` runs forward and backward
-    and remembers, per thread, its parameter vector and the log-likelihood
-    it computed on the way; a ``loglik`` call at an equal vector returns that
-    value without a pass. HMC evaluates the gradient at the trajectory's end
-    just before the value there, so that value costs nothing."""
+    runs the forward pass only; ``loglik_and_grad`` runs forward and
+    backward and returns the value with the gradient. Neither keeps state
+    between calls."""
     if data.y is None:
         raise ValueError("log-likelihood needs labeled data")
     inputs, y = _network_input(spec, data.x), data.y
-    last = threading.local()  # (theta copy, value) of this thread's latest gradient call
 
     def ll(theta: np.ndarray) -> float:
-        memo = getattr(last, "value", None)
-        if memo is not None and np.array_equal(memo[0], theta):
-            return memo[1]
         logp, _ = _forward_internal(spec, theta, inputs, backprop=False)
         return _label_log_prob(logp, y)
 
-    def grad(theta: np.ndarray) -> np.ndarray:
-        value, g = _log_likelihood_and_grad(spec, theta, inputs, y)
-        last.value = (np.array(theta, dtype=float), value)
-        return g
+    def ll_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        return _log_likelihood_and_grad(spec, theta, inputs, y)
 
-    return ll, grad
+    return ll, ll_and_grad
 
 
 class TrainingDivergedError(RuntimeError):

@@ -125,15 +125,10 @@ def pool(results: list[RunResult]) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 
 
 def combine(results: list[RunResult], phi: Callable[[np.ndarray], np.ndarray | float]) -> CombinedEstimate:
-    """Evidence-weighted average of island means of phi(theta)."""
-    w, excluded = island_weights(results)
-    usable = [r for r in results if r.p not in excluded]
-    means = []
-    for r in usable:
-        vals = np.array([phi(theta) for theta in r.samples], dtype=float)
-        means.append(vals.mean(axis=0))
-    means = np.array(means)
-    estimate = np.tensordot(w, means, axes=1)
+    """Evidence-weighted average of island means of phi(theta): the sum of
+    w_j * phi(theta_j) over ``pool``'s particles and weights."""
+    samples, particle_weights, w, excluded = pool(results)
+    estimate = particle_weights @ np.array([phi(theta) for theta in samples], dtype=float)
     if estimate.ndim == 0:
         estimate = float(estimate)
     return CombinedEstimate(

@@ -209,16 +209,15 @@ def _evals_per_particle(
 ) -> float:
     """Calls into the likelihood pair per particle, by formula.
 
-    pCN: one at the starting state and one per step. HMC: L + 1 per step (L
-    gradients, then the value at the trajectory's end), plus the evaluations
-    at the chain's start. A chain from ``run_mcmc`` (``stages`` None) starts
-    with a gradient and a value. An SMC particle starts with one value; each
-    of its ``stages`` adds a gradient at the stage's first step (the tempering
-    exponent changed) and a log-likelihood refresh after its sweeps."""
+    pCN: one at the starting state and one per step. HMC: L per step, one
+    per leapfrog step, plus one value-and-gradient call at the chain's start.
+    An SMC particle (``stages`` given) starts with one value; each of its
+    ``stages`` adds a start call (the tempering exponent changed) and a
+    log-likelihood refresh after its sweeps."""
     if isinstance(cfg, PcnConfig):
         return float(1 + steps)
-    start = 2 if stages is None else 1 + 2 * stages
-    return float(start + steps * (cfg.n_leapfrog + 1))
+    start = 1 if stages is None else 1 + 2 * stages
+    return float(start + steps * cfg.n_leapfrog)
 
 
 def mutate(
@@ -237,19 +236,15 @@ def mutate(
 
     ``cfg`` selects the kernel. pCN keeps ``ensemble.loglik`` current in
     place. HMC caches each particle's (log-density, gradient) pair instead,
-    seeded without the gradient because the tempering exponent has just
-    changed, and the log-likelihoods are re-evaluated once after its sweeps.
+    seeded empty because the tempering exponent has just changed, and the
+    log-likelihoods are re-evaluated once after its sweeps.
     A zero previous displacement counts as converged (an immobile ensemble
     cannot improve). Returns M used.
     """
     step = _step(cfg)
     hmc = isinstance(cfg, HmcConfig)
     start = ensemble.particles.copy()
-    cache = ensemble.loglik
-    if hmc:
-        prior_lp = np.array([target.prior.log_density(t) for t in ensemble.particles])
-        logp = (target.lam * ensemble.loglik + prior_lp) / target.temperature
-        cache = [(lp, None) for lp in logp]
+    cache = [None] * ensemble.n if hmc else ensemble.loglik
     dist_prev = None
     m_used = max_steps
     zero_accept_streak = 0
@@ -278,9 +273,7 @@ def mutate(
                 break
         dist_prev = dist
     if hmc:
-        ensemble.loglik = np.array(
-            [target.loglik(t) for t in ensemble.particles], dtype=float
-        )
+        ensemble.loglik = np.array([target.log_likelihood(t) for t in ensemble.particles])
     if schedule is not None:
         schedule.mutation_steps.append(m_used)
     return m_used
@@ -323,7 +316,7 @@ def run_smc(target: TargetDensity, cfg: SmcConfig) -> SmcResult:
     particle_rngs = _spawn_rngs(root, cfg.n_particles)
 
     particles = target.prior.sample(island_rng, cfg.n_particles)
-    loglik = np.array([target.loglik(t) for t in particles], dtype=float)
+    loglik = np.array([target.log_likelihood(t) for t in particles])
     ensemble = ParticleEnsemble(particles=particles, loglik=loglik)
     schedule = TemperSchedule(adaptive=cfg.fixed_schedule is None)
     kernel = _kernel_config(cfg, target.with_lam(1.0), ensemble.particles[0], island_rng)

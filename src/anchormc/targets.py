@@ -32,6 +32,13 @@ def _check_finite(value: float, what: str) -> float:
     return value
 
 
+def _finite_grad(grad: np.ndarray) -> np.ndarray:
+    grad = np.asarray(grad, dtype=float)
+    if not np.isfinite(grad).all():
+        raise NonFiniteDensityError("log-likelihood gradient is non-finite")
+    return grad
+
+
 @dataclass(frozen=True)
 class GaussianPrior:
     """Isotropic N(0, v*Id) prior on d coordinates."""
@@ -124,20 +131,21 @@ class AnchoredPrior:
 Prior = GaussianPrior | AnchoredPrior
 
 LogLik = Callable[[np.ndarray], float]
-GradLogLik = Callable[[np.ndarray], np.ndarray]
+LogLikAndGrad = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 
 @dataclass(frozen=True)
 class TargetDensity:
     """Tempered product of a likelihood and a Gaussian prior.
 
-    ``loglik``/``grad_loglik`` are injected pure functions of the flat
-    parameter vector, so the same machinery serves neural-network and
-    synthetic Gaussian likelihoods.
+    ``loglik`` (the value) and ``loglik_and_grad`` (value and gradient from
+    one pass) are injected pure functions of the flat parameter vector, so
+    the same machinery serves neural-network and synthetic Gaussian
+    likelihoods.
     """
 
     loglik: LogLik
-    grad_loglik: GradLogLik
+    loglik_and_grad: LogLikAndGrad
     prior: Prior
     lam: float = 1.0
     temperature: float = 1.0
@@ -176,11 +184,19 @@ class TargetDensity:
         theta = self._check_dim(theta)
         g = self.prior.grad_log_density(theta)
         if self.lam != 0.0:
-            gl = np.asarray(self.grad_loglik(theta), dtype=float)
-            if not np.all(np.isfinite(gl)):
-                raise NonFiniteDensityError("log-likelihood gradient is non-finite")
-            g = g + self.lam * gl
+            g = g + self.lam * _finite_grad(self.loglik_and_grad(theta)[1])
         return g / self.temperature
+
+    def log_density_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        """``log_density`` and ``grad_log_density`` from one likelihood call."""
+        theta = self._check_dim(theta)
+        lp = _check_finite(self.prior.log_density(theta), "log-prior")
+        g = self.prior.grad_log_density(theta)
+        if self.lam != 0.0:
+            ll, gl = self.loglik_and_grad(theta)
+            lp = self.lam * _check_finite(float(ll), "log-likelihood") + lp
+            g = g + self.lam * _finite_grad(gl)
+        return lp / self.temperature, g / self.temperature
 
     def with_lam(self, lam: float) -> "TargetDensity":
         return replace(self, lam=lam)
@@ -212,20 +228,15 @@ def make_cold(posterior: TargetDensity, temperature: float) -> TargetDensity:
     return replace(posterior, temperature=temperature)
 
 
-def gaussian_loglik(mean: np.ndarray, variance: float) -> tuple[LogLik, GradLogLik]:
+def gaussian_loglik(mean: np.ndarray, variance: float) -> tuple[LogLik, LogLikAndGrad]:
     """Synthetic Gaussian 'likelihood' N(theta; mean, variance*Id), for tests
-    and conjugate oracles. Returns (loglik, grad) in the injected-function
-    contract of TargetDensity."""
+    and conjugate oracles. Returns (loglik, loglik_and_grad) in the
+    injected-function contract of TargetDensity."""
     mean = np.asarray(mean, dtype=float)
+    log_norm = -0.5 * mean.size * np.log(2 * np.pi * variance)
 
-    def ll(theta: np.ndarray) -> float:
+    def ll_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
         r = theta - mean
-        return float(
-            -0.5 * mean.size * np.log(2 * np.pi * variance)
-            - 0.5 * np.dot(r, r) / variance
-        )
+        return float(log_norm - 0.5 * np.dot(r, r) / variance), -r / variance
 
-    def grad(theta: np.ndarray) -> np.ndarray:
-        return -(theta - mean) / variance
-
-    return ll, grad
+    return lambda theta: ll_and_grad(theta)[0], ll_and_grad

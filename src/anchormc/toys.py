@@ -8,7 +8,8 @@ from .targets import GaussianPrior, TargetDensity, make_anchored, make_cold
 
 
 def bimodal_loglik(centers=(-2.0, 2.0), sigma: float = 0.35, weights=(0.5, 0.5)):
-    """1-d two-Gaussian-mixture log-likelihood with gradient."""
+    """1-d two-Gaussian-mixture log-likelihood, as the (loglik,
+    loglik_and_grad) pair."""
     centers = np.asarray(centers, dtype=float)
     weights = np.asarray(weights, dtype=float)
     log_w = np.log(weights / weights.sum())
@@ -17,18 +18,15 @@ def bimodal_loglik(centers=(-2.0, 2.0), sigma: float = 0.35, weights=(0.5, 0.5))
     def components(theta: np.ndarray) -> np.ndarray:
         return log_w - 0.5 * inv_var * (theta[0] - centers) ** 2
 
-    def ll(theta: np.ndarray) -> float:
+    def ll_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
         c = components(theta)
         m = c.max()
-        return float(m + np.log(np.exp(c - m).sum()))
+        r = np.exp(c - m)
+        total = r.sum()
+        grad = np.sum(r / total * (centers - theta[0])) * inv_var
+        return float(m + np.log(total)), np.array([grad])
 
-    def grad(theta: np.ndarray) -> np.ndarray:
-        c = components(theta)
-        r = np.exp(c - c.max())
-        r /= r.sum()
-        return np.array([np.sum(r * (centers - theta[0])) * inv_var])
-
-    return ll, grad
+    return lambda theta: ll_and_grad(theta)[0], ll_and_grad
 
 
 def bimodal_toy(
@@ -40,9 +38,9 @@ def bimodal_toy(
 ) -> TargetDensity:
     """Bimodal posterior in 1-d; optionally anchored at one mode and/or
     sharpened by a temperature below 1."""
-    ll, grad = bimodal_loglik(sigma=sigma)
+    ll, ll_and_grad = bimodal_loglik(sigma=sigma)
     target = TargetDensity(
-        loglik=ll, grad_loglik=grad, prior=GaussianPrior(prior_variance, 1)
+        loglik=ll, loglik_and_grad=ll_and_grad, prior=GaussianPrior(prior_variance, 1)
     )
     if s is not None:
         target = make_anchored(target, np.array([anchor]), s)

@@ -57,7 +57,7 @@ def predictive(samples: np.ndarray, weights: np.ndarray, spec: NetworkSpec, x: n
     """Evaluate the network at every sampled parameter vector."""
     samples = np.atleast_2d(samples)
     weights = np.asarray(weights, dtype=float)
-    probs = np.stack([forward(spec, theta, x) for theta in samples], axis=1)
+    probs = np.stack(forward(spec, samples, x), axis=1)
     return PredictiveMatrix(probs=probs, weights=weights / weights.sum())
 
 
@@ -92,11 +92,6 @@ class Metrics:
     nll: float
     brier: float
     ece: float
-
-
-def predict_classes(matrix: PredictiveMatrix) -> np.ndarray:
-    """Argmax of the posterior-mean probabilities; ties go to the lowest class."""
-    return matrix.mean.argmax(axis=1)
 
 
 def metrics(matrix: PredictiveMatrix, labels: np.ndarray, ece_bins: int = 15) -> Metrics:

@@ -56,8 +56,8 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 def test_criterion_01_conjugate_gaussian_oracle():
     a, sl, v = np.array([1.0, -0.5]), 0.8, 1.5
     post_mean, _, log_ev = conjugate_posterior(a, sl, v)
-    ll, grad = gaussian_loglik(a, sl)
-    target = TargetDensity(loglik=ll, grad_loglik=grad, prior=GaussianPrior(v, 2))
+    ll, ll_and_grad = gaussian_loglik(a, sl)
+    target = TargetDensity(loglik=ll, loglik_and_grad=ll_and_grad, prior=GaussianPrior(v, 2))
     cfg = SmcConfig(
         n_particles=256,
         kernel="pcn",
@@ -89,9 +89,9 @@ def test_criterion_01_conjugate_gaussian_oracle():
 
 def test_criterion_02_interpolation_limits(rng):
     a = rng.normal(size=3)
-    ll, grad = gaussian_loglik(a, 0.7)
+    ll, ll_and_grad = gaussian_loglik(a, 0.7)
     v = 0.6
-    posterior = TargetDensity(loglik=ll, grad_loglik=grad, prior=GaussianPrior(v, 3))
+    posterior = TargetDensity(loglik=ll, loglik_and_grad=ll_and_grad, prior=GaussianPrior(v, 3))
     anchor = rng.normal(size=3)
     s1 = make_anchored(posterior, anchor, 1.0)
     max_gap = max(
@@ -114,9 +114,9 @@ def test_criterion_02_interpolation_limits(rng):
 def test_criterion_03_kernel_correctness(rng):
     a, sl, v = np.array([2.0]), 0.5, 1.0
     post_mean, post_var, _ = conjugate_posterior(a, sl, v)
-    ll, grad = gaussian_loglik(a, sl)
+    ll, ll_and_grad = gaussian_loglik(a, sl)
     prior = GaussianPrior(v, 1)
-    target = TargetDensity(loglik=ll, grad_loglik=grad, prior=prior)
+    target = TargetDensity(loglik=ll, loglik_and_grad=ll_and_grad, prior=prior)
 
     n = 40_000
     gen = np.random.default_rng(0)
@@ -145,7 +145,7 @@ def test_criterion_03_kernel_correctness(rng):
     th0, p0 = rng.normal(size=4), rng.normal(size=4)
     big = TargetDensity(
         loglik=gaussian_loglik(rng.normal(size=4), 0.9)[0],
-        grad_loglik=gaussian_loglik(rng.normal(size=4), 0.9)[1],
+        loglik_and_grad=gaussian_loglik(rng.normal(size=4), 0.9)[1],
         prior=GaussianPrior(1.0, 4),
     )
     from anchormc.kernels import leapfrog
@@ -305,8 +305,8 @@ def _mnist7(seed_count=5):
     runs = []
     for seed in range(seed_count):
         map_result = map_estimate(spec, prior, train, val, opt, seed=seed)
-        ll, grad = make_loglik(spec, train)
-        posterior = TargetDensity(loglik=ll, grad_loglik=grad, prior=prior)
+        ll, ll_and_grad = make_loglik(spec, train)
+        posterior = TargetDensity(loglik=ll, loglik_and_grad=ll_and_grad, prior=prior)
         target = make_anchored(posterior, map_result.theta, 0.1)
         smc = run_smc(
             target,

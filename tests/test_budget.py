@@ -1,9 +1,7 @@
 """Evaluation budget: what a kernel step costs in calls into the likelihood
-pair and in network passes, and the fused, memoised CNN/MLP likelihood that
-makes an HMC step cost one pass per leapfrog step."""
-
-import sys
-import threading
+pair and in network passes, and the CNN/MLP likelihood pair whose value and
+gradient come from one pass, so that an HMC step costs one pass per leapfrog
+step."""
 
 import numpy as np
 import pytest
@@ -28,25 +26,25 @@ class Counted:
     """A likelihood pair that counts the calls made into it."""
 
     def __init__(self, pair):
-        self._ll, self._grad = pair
+        self._ll, self._ll_and_grad = pair
         self.loglik_calls = 0
-        self.grad_calls = 0
+        self.pair_calls = 0
 
     def loglik(self, theta):
         self.loglik_calls += 1
         return self._ll(theta)
 
-    def grad(self, theta):
-        self.grad_calls += 1
-        return self._grad(theta)
+    def loglik_and_grad(self, theta):
+        self.pair_calls += 1
+        return self._ll_and_grad(theta)
 
     @property
     def calls(self):
-        return (self.grad_calls, self.loglik_calls)
+        return (self.pair_calls, self.loglik_calls)
 
     @property
     def total(self):
-        return self.grad_calls + self.loglik_calls
+        return self.pair_calls + self.loglik_calls
 
 
 @pytest.fixture
@@ -66,13 +64,15 @@ def passes(monkeypatch):
 def gaussian_counted(d=20, seed=0):
     mean = np.random.default_rng(seed).normal(size=d)
     counted = Counted(gaussian_loglik(mean, 0.5))
-    return counted, TargetDensity(counted.loglik, counted.grad, GaussianPrior(1.0, d))
+    return counted, TargetDensity(counted.loglik, counted.loglik_and_grad, GaussianPrior(1.0, d))
 
 
 def cnn_counted(seed=0):
     counted = Counted(nets.make_loglik(CNN, labeled(CNN)))
     anchor = np.random.default_rng(seed).normal(size=CNN.n_params) * 0.3
-    posterior = TargetDensity(counted.loglik, counted.grad, GaussianPrior(0.1, CNN.n_params))
+    posterior = TargetDensity(
+        counted.loglik, counted.loglik_and_grad, GaussianPrior(0.1, CNN.n_params)
+    )
     return counted, make_anchored(posterior, anchor, 0.1)
 
 
@@ -84,20 +84,17 @@ class TestHmcStepCost:
         cfg = HmcConfig(0.01, n_leapfrog)
         rng = np.random.default_rng(1)
         theta, _, state = hmc_step(target, target.prior.sample(rng), cfg, rng)
-        # the first step also evaluates gradient and value at its start
-        assert counted.calls == (n_leapfrog + 1, 2)
+        # the first step also evaluates value and gradient at its start
+        assert counted.calls == (n_leapfrog + 1, 0)
         accepted = 0
         for _ in range(10):
-            before = counted.calls
+            before = counted.pair_calls
             theta, acc, state = hmc_step(target, theta, cfg, rng, state)
             accepted += acc
-            assert (counted.grad_calls - before[0], counted.loglik_calls - before[1]) == (
-                n_leapfrog,
-                1,
-            )
+            # the value at the trajectory's end comes with its last gradient
+            assert counted.calls == (before + n_leapfrog, 0)
         assert accepted > 0
         if target.dim == CNN.n_params:
-            # the value at each trajectory's end comes from the gradient's pass
             assert passes == {True: 11 * n_leapfrog + 1, False: 0}
 
     def test_cached_chain_equals_uncached_chain(self):
@@ -138,16 +135,15 @@ class TestFusedLikelihood:
     @pytest.mark.parametrize("spec", [MLP, CNN], ids=["mlp", "cnn"])
     def test_value_equals_log_likelihood_and_grad(self, spec):
         data = labeled(spec)
-        ll, grad = nets.make_loglik(spec, data)
+        ll, ll_and_grad = nets.make_loglik(spec, data)
         rng = np.random.default_rng(5)
-        theta, other = rng.normal(size=(2, spec.n_params)) * 0.5
-        exact = nets.log_likelihood_and_grad(spec, theta, data)[0]
-        assert ll(theta) == exact  # no gradient call yet
-        grad(theta)
-        assert ll(theta) == exact  # from the memo
-        grad(other)
-        assert ll(theta) == exact  # forward-only pass
-        assert ll(other) == nets.log_likelihood_and_grad(spec, other, data)[0]
+        for theta in rng.normal(size=(2, spec.n_params)) * 0.5:
+            exact, grad = nets.log_likelihood_and_grad(spec, theta, data)
+            assert ll(theta) == exact  # forward-only pass
+            value, g = ll_and_grad(theta)
+            assert value == exact
+            assert np.array_equal(g, grad)
+            assert ll(theta) == exact  # nothing kept from the call before
 
     @pytest.mark.parametrize("spec", [MLP, CNN], ids=["mlp", "cnn"])
     def test_forward_equals_backprop_path(self, spec):
@@ -155,42 +151,3 @@ class TestFusedLikelihood:
         theta = np.random.default_rng(7).normal(size=spec.n_params)
         logp, _ = nets._forward_internal(spec, theta, nets._network_input(spec, x), backprop=True)
         assert np.array_equal(nets.forward(spec, theta, x), np.exp(logp))
-
-    def test_in_place_change_after_gradient_is_not_stale(self):
-        data = labeled(CNN)
-        ll, grad = nets.make_loglik(CNN, data)
-        theta = np.random.default_rng(8).normal(size=CNN.n_params)
-        grad(theta)
-        theta[0] += 1.0
-        assert ll(theta) == nets.log_likelihood_and_grad(CNN, theta, data)[0]
-
-    def test_each_thread_has_its_own_memo(self, passes):
-        # more threads than cores, switching often, all sharing one pair
-        data = labeled(CNN)
-        ll, grad = nets.make_loglik(CNN, data)
-        thetas = np.random.default_rng(9).normal(size=(4, CNN.n_params))
-        exact = [nets.log_likelihood_and_grad(CNN, t, data)[0] for t in thetas]
-        passes[False] = 0
-        turn = threading.Barrier(len(thetas), timeout=30)
-        got = [[] for _ in thetas]
-
-        def worker(i):
-            for _ in range(5):
-                grad(thetas[i])
-                turn.wait()  # every thread has called grad before any calls loglik
-                got[i].append(ll(thetas[i]))
-                turn.wait()
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(thetas))]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert got == [[value] * 5 for value in exact]
-        assert passes[False] == 0  # every value came from its own thread's memo

@@ -1,0 +1,34 @@
+"""The quick demos run to completion. Demo 04 (about half a minute) and
+demo 06 (it leaves its temporary directory behind) are left out."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = (
+    "01_anchored_targets.py",
+    "02_smc_sampler.py",
+    "03_island_parallelism.py",
+    "05_uncertainty_pipeline.py",
+)
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_exits_zero(name, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr[-2000:]

@@ -72,7 +72,7 @@ class TestHmcChain:
     def test_shapes_and_rate(self):
         target = TargetDensity(
             loglik=lambda th: 0.0,
-            grad_loglik=lambda th: np.zeros_like(th),
+            loglik_and_grad=lambda th: (0.0, np.zeros_like(th)),
             prior=GaussianPrior(1.0, 2),
             lam=0.0,
         )

@@ -25,7 +25,10 @@ from conftest import finite_difference_grad
 
 def prior_only_target(prior):
     return TargetDensity(
-        loglik=lambda th: 0.0, grad_loglik=np.zeros_like, prior=prior, lam=0.0
+        loglik=lambda th: 0.0,
+        loglik_and_grad=lambda th: (0.0, np.zeros_like(th)),
+        prior=prior,
+        lam=0.0,
     )
 
 
@@ -35,8 +38,8 @@ def std_gaussian_target(d=1):
 
 
 def conjugate_target(a, sl, v):
-    ll, grad = gaussian_loglik(np.asarray(a, dtype=float), sl)
-    return TargetDensity(loglik=ll, grad_loglik=grad, prior=GaussianPrior(v, len(a)))
+    ll, ll_and_grad = gaussian_loglik(np.asarray(a, dtype=float), sl)
+    return TargetDensity(loglik=ll, loglik_and_grad=ll_and_grad, prior=GaussianPrior(v, len(a)))
 
 
 class TestLeapfrog:
@@ -81,7 +84,7 @@ class TestLeapfrog:
     def test_divergent_gradient_flagged(self):
         t = TargetDensity(
             loglik=lambda th: float(th[0]),
-            grad_loglik=lambda th: np.array([np.nan]),
+            loglik_and_grad=lambda th: (float(th[0]), np.array([np.nan])),
             prior=GaussianPrior(1.0, 1),
         )
         with pytest.raises(DivergentTrajectory):
@@ -126,7 +129,7 @@ class TestHmc:
     def test_non_finite_gradient_at_start_rejects(self):
         t = TargetDensity(
             loglik=lambda th: float(th[0]),
-            grad_loglik=lambda th: np.array([np.nan]),
+            loglik_and_grad=lambda th: (float(th[0]), np.array([np.nan])),
             prior=GaussianPrior(1.0, 1),
         )
         rng = np.random.default_rng(4)
@@ -204,7 +207,7 @@ class TestPcn:
         # a NaN at the proposal is a rejection; at the current state an error
         target = TargetDensity(
             loglik=lambda th: np.nan if th[0] > 0 else 0.0,
-            grad_loglik=np.zeros_like,
+            loglik_and_grad=lambda th: (np.nan if th[0] > 0 else 0.0, np.zeros_like(th)),
             prior=GaussianPrior(1.0, 1),
         )
         rng = np.random.default_rng(7)

@@ -74,6 +74,16 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(spec, np.zeros(spec.n_params), np.zeros(5))
 
+    def test_stack_of_parameter_vectors_equals_one_call_each(self, rng):
+        for spec in (small_mlp(), tiny_cnn()):
+            thetas = rng.normal(size=(3, spec.n_params))
+            x = rng.normal(size=(7, spec.widths[0] if spec.kind == "mlp" else 16))
+            p = forward(spec, thetas, x)
+            assert p.shape == (3, 7, spec.n_outputs)
+            for t, theta in enumerate(thetas):
+                assert np.array_equal(p[t], forward(spec, theta, x))
+                assert np.array_equal(forward(spec, thetas, x[0])[t], forward(spec, theta, x[0]))
+
 
 class TestLikelihood:
     def test_uniform_output_single_item(self):

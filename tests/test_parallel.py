@@ -17,8 +17,8 @@ from anchormc.targets import GaussianPrior, TargetDensity, gaussian_loglik
 
 def conjugate_target(a=(1.0,), sl=0.5, v=1.0):
     a = np.asarray(a, dtype=float)
-    ll, grad = gaussian_loglik(a, sl)
-    return TargetDensity(loglik=ll, grad_loglik=grad, prior=GaussianPrior(v, a.size))
+    ll, ll_and_grad = gaussian_loglik(a, sl)
+    return TargetDensity(loglik=ll, loglik_and_grad=ll_and_grad, prior=GaussianPrior(v, a.size))
 
 
 def make_result(p, samples, log_z=0.0):
@@ -62,7 +62,7 @@ class TestRunParallel:
     def test_failed_island_reported_not_raised(self):
         bad = TargetDensity(
             loglik=lambda th: np.nan,
-            grad_loglik=lambda th: th,
+            loglik_and_grad=lambda th: (np.nan, th),
             prior=GaussianPrior(1.0, 1),
         )
         results = run_parallel(bad, SmcConfig(n_particles=4, kernel="pcn"), 2, 0)

@@ -23,15 +23,15 @@ from anchormc.toys import conjugate_posterior
 def constant_target(c, d=1, v=1.0):
     return TargetDensity(
         loglik=lambda th: c,
-        grad_loglik=lambda th: np.zeros_like(th),
+        loglik_and_grad=lambda th: (c, np.zeros_like(th)),
         prior=GaussianPrior(v, d),
     )
 
 
 def conjugate_target(a, sl, v):
     a = np.asarray(a, dtype=float)
-    ll, grad = gaussian_loglik(a, sl)
-    return TargetDensity(loglik=ll, grad_loglik=grad, prior=GaussianPrior(v, a.size))
+    ll, ll_and_grad = gaussian_loglik(a, sl)
+    return TargetDensity(loglik=ll, loglik_and_grad=ll_and_grad, prior=GaussianPrior(v, a.size))
 
 
 class TestEss:

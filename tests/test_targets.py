@@ -16,16 +16,17 @@ from conftest import finite_difference_grad
 
 def quadratic_loglik():
     # l(theta) = -|theta|^2 / 2
-    return (lambda th: -0.5 * float(np.dot(th, th)), lambda th: -th)
+    ll = lambda th: -0.5 * float(np.dot(th, th))
+    return ll, lambda th: (ll(th), -th)
 
 
 def constant_loglik(c):
-    return (lambda th: c, lambda th: np.zeros_like(th))
+    return (lambda th: c, lambda th: (c, np.zeros_like(th)))
 
 
 def posterior(d=2, v=0.1, loglik=None):
-    ll, grad = loglik if loglik is not None else quadratic_loglik()
-    return TargetDensity(loglik=ll, grad_loglik=grad, prior=GaussianPrior(v, d))
+    ll, ll_and_grad = loglik if loglik is not None else quadratic_loglik()
+    return TargetDensity(loglik=ll, loglik_and_grad=ll_and_grad, prior=GaussianPrior(v, d))
 
 
 class TestLogDensity:
@@ -52,7 +53,7 @@ class TestLogDensity:
             posterior(d=2).log_density(np.zeros(3))
 
     def test_nan_likelihood_raises(self):
-        t = posterior(d=2, loglik=(lambda th: np.nan, lambda th: th))
+        t = posterior(d=2, loglik=(lambda th: np.nan, lambda th: (np.nan, th)))
         with pytest.raises(NonFiniteDensityError):
             t.log_density(np.zeros(2))
 
@@ -75,8 +76,8 @@ class TestGradient:
 
     def test_matches_finite_differences(self, rng):
         ll = lambda th: float(np.sin(th).sum() - 0.1 * np.dot(th, th))
-        grad = lambda th: np.cos(th) - 0.2 * th
-        base = TargetDensity(loglik=ll, grad_loglik=grad, prior=GaussianPrior(0.4, 6))
+        ll_and_grad = lambda th: (ll(th), np.cos(th) - 0.2 * th)
+        base = TargetDensity(loglik=ll, loglik_and_grad=ll_and_grad, prior=GaussianPrior(0.4, 6))
         for target in [
             base.with_lam(0.7),
             make_anchored(base, rng.normal(size=6), 0.2).with_lam(0.7),
@@ -93,6 +94,22 @@ class TestGradient:
         t = posterior(d=3, v=v)  # loglik -|th|^2/2
         th = rng.normal(size=3)
         assert np.allclose(t.grad_log_density(th), -th - th / v, atol=1e-12)
+
+    def test_value_and_gradient_in_one_call(self, rng):
+        base = posterior(d=3, v=0.5)
+        anchored = make_anchored(base, rng.normal(size=3), 0.2)
+        for target in [base, base.with_lam(0.0), anchored.with_lam(0.3), make_cold(anchored, 0.5)]:
+            th = rng.normal(size=3)
+            value, grad = target.log_density_and_grad(th)
+            assert value == target.log_density(th)
+            assert np.array_equal(grad, target.grad_log_density(th))
+
+    @pytest.mark.parametrize("value, grad", [(np.nan, 0.0), (0.0, np.inf)], ids=["value", "grad"])
+    def test_value_and_gradient_checked(self, value, grad):
+        t = posterior(d=2, loglik=(lambda th: value, lambda th: (value, np.full(2, grad))))
+        with pytest.raises(NonFiniteDensityError):
+            t.log_density_and_grad(np.zeros(2))
+        assert t.with_lam(0.0).log_density_and_grad(np.zeros(2))[0] == t.prior.log_density(np.zeros(2))
 
 
 class TestMakeAnchored:
@@ -132,8 +149,8 @@ class TestMakeCold:
 
     def test_gaussian_tempering_closed_form(self, rng):
         # cold Gaussian posterior has variance T * sigma^2: log-density ratios scale by 1/T
-        ll, grad = gaussian_loglik(np.array([1.0]), 0.5)
-        t = TargetDensity(loglik=ll, grad_loglik=grad, prior=GaussianPrior(2.0, 1))
+        ll, ll_and_grad = gaussian_loglik(np.array([1.0]), 0.5)
+        t = TargetDensity(loglik=ll, loglik_and_grad=ll_and_grad, prior=GaussianPrior(2.0, 1))
         cold = make_cold(t, 0.5)
         a, b = np.array([0.3]), np.array([-1.1])
         ratio = t.log_density(a) - t.log_density(b)

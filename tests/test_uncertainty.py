@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anchormc.nets import NetworkSpec
+from anchormc.nets import NetworkSpec, forward
 from anchormc.uncertainty import (
     FEATURE_NAMES,
     PredictiveMatrix,
@@ -11,7 +11,6 @@ from anchormc.uncertainty import (
     entropy_decomposition,
     features,
     metrics,
-    predict_classes,
     predictive,
     threshold_metrics,
     train_meta,
@@ -46,6 +45,8 @@ class TestPredictiveMatrix:
         assert m.probs.shape == (5, 4, 3)
         assert np.allclose(m.probs.sum(axis=-1), 1.0)
         assert np.allclose(m.weights, 0.25)
+        for j, theta in enumerate(samples):
+            assert np.array_equal(m.probs[:, j], forward(spec, theta, x))
 
 
 class TestEntropy:
@@ -105,10 +106,6 @@ class TestMetrics:
         m = matrix([[[0.5, 0.5]]])
         with pytest.raises(ValueError):
             metrics(m, np.array([0, 1]))
-
-    def test_predict_classes_ties_to_lowest(self):
-        m = matrix([[[0.5, 0.5]]])
-        assert predict_classes(m)[0] == 0
 
 
 class TestFeatures:
