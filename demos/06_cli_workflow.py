@@ -5,7 +5,8 @@ posterior islands, `combine` merges them by evidence weight, `evaluate`
 writes metrics and per-input entropies, `meta` trains the abstention
 meta-classifier, and `diag` runs the bimodal mixing diagnostics.  Every
 command takes `--config file` plus key=value overrides and leaves its
-resolved configuration next to its outputs.
+resolved configuration next to its outputs.  Everything is written to a
+temporary directory that is removed at the end.
 """
 
 import os
@@ -17,10 +18,9 @@ import numpy as np
 from anchormc.cli import main
 
 rng = np.random.default_rng(0)
-workdir = tempfile.mkdtemp(prefix="anchormc-demo-")
 
 
-def write_idx(prefix, n):
+def write_idx(workdir, prefix, n):
     """8x8 ten-class images: 0-7 carry a block pattern, 8-9 play OOD."""
     y = rng.integers(0, 10, n).astype(np.uint8)
     x = rng.integers(0, 60, size=(n, 8, 8)).astype(np.uint8)
@@ -39,35 +39,36 @@ def write_idx(prefix, n):
     return ip, lp
 
 
-train_images, train_labels = write_idx("train", 400)
-test_images, test_labels = write_idx("test", 240)
+with tempfile.TemporaryDirectory(prefix="anchormc-demo-") as workdir:
+    train_images, train_labels = write_idx(workdir, "train", 400)
+    test_images, test_labels = write_idx(workdir, "test", 240)
 
-out = os.path.join(workdir, "runs")
-common = [
-    f"train_images={train_images}",
-    f"train_labels={train_labels}",
-    f"test_images={test_images}",
-    f"test_labels={test_labels}",
-    "arch=mlp",
-    "n_train=240", "n_val=60", "n_test=180", "n_ood=40",
-    "max_epochs=60", "lr=0.1", "v=1",
-    f"output_dir={out}",
-]
+    out = os.path.join(workdir, "runs")
+    common = [
+        f"train_images={train_images}",
+        f"train_labels={train_labels}",
+        f"test_images={test_images}",
+        f"test_labels={test_labels}",
+        "arch=mlp",
+        "n_train=240", "n_val=60", "n_test=180", "n_ood=40",
+        "max_epochs=60", "lr=0.1", "v=1",
+        f"output_dir={out}",
+    ]
 
-for command, extra in [
-    ("map", []),
-    ("sample", ["method=smc", "kernel=pcn", "n=6", "p=2"]),
-    ("combine", []),
-    ("evaluate", []),
-    ("meta", []),
-]:
-    print(f"\n$ anchormc {command} " + " ".join(extra))
-    rc = main([command] + extra + common)
-    assert rc == 0, f"{command} failed"
+    for command, extra in [
+        ("map", []),
+        ("sample", ["method=smc", "kernel=pcn", "n=6", "p=2"]),
+        ("combine", []),
+        ("evaluate", []),
+        ("meta", []),
+    ]:
+        print(f"\n$ anchormc {command} " + " ".join(extra))
+        rc = main([command] + extra + common)
+        assert rc == 0, f"{command} failed"
 
-print("\nartifacts in", out + ":")
-for name in sorted(os.listdir(out)):
-    print(" ", name)
+    print("\nartifacts in", out + ":")
+    for name in sorted(os.listdir(out)):
+        print(" ", name)
 
-print("\nmetrics.csv:")
-print(open(os.path.join(out, "metrics.csv")).read().strip())
+    print("\nmetrics.csv:")
+    print(open(os.path.join(out, "metrics.csv")).read().strip())

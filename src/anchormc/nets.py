@@ -18,16 +18,15 @@ class NetworkSpec:
     mlp: ``widths`` = (n0, ..., nD) with ReLU between linear layers and a
     softmax head; (n0, K) is a plain linear-softmax model.
 
-    cnn: one conv layer (``conv_channels`` kernels of size ``kernel``,
-    stride 1, padding 1) -> ReLU -> 2x2 max-pool -> linear -> softmax.
+    cnn: one conv layer over grayscale images (``conv_channels`` 3x3
+    kernels, stride 1, padding 1) -> ReLU -> 2x2 max-pool -> linear ->
+    softmax.
     """
 
     kind: str
     widths: tuple[int, ...] = ()
     image_shape: tuple[int, int] = (28, 28)
-    in_channels: int = 1
     conv_channels: int = 4
-    kernel: int = 3
     n_classes: int = 8
 
     def __post_init__(self):
@@ -61,7 +60,7 @@ class NetworkSpec:
         c = self.conv_channels
         flat = c * (h // 2) * (w // 2)
         return [
-            ((c, self.in_channels, self.kernel, self.kernel), (c,)),
+            ((c, 1, 3, 3), (c,)),
             ((self.n_classes, flat), (self.n_classes,)),
         ]
 
@@ -104,21 +103,18 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """x: (n, h, w, c) zero-padded by (k-1)//2 -> (n, h*w, k*k*c) patches."""
-    n, h, w, c = x.shape
-    p = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    # windows: (n, h, w, c, k, k) -> (n, h*w, k*k*c) with (ki, kj, c) ordering
-    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n, h * w, k * k * c)
-    return cols
+def _im2col(x: np.ndarray) -> np.ndarray:
+    """x: (n, h, w) zero-padded by 1 -> (n, h*w, 9) 3x3 patches, row-major."""
+    n, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
+    return windows.reshape(n, h * w, 9)
 
 
 def _network_input(spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
     """What the first layer reads from inputs x of shape (n, features) or
-    (features,): x itself for an MLP, the im2col patches (n, h*w, k*k*c_in)
-    for a CNN. Depends on x only, so a fixed dataset's is computed once."""
+    (features,): x itself for an MLP, the im2col patches (n, h*w, 9) for a
+    CNN. Depends on x only, so a fixed dataset's is computed once."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
@@ -129,21 +125,15 @@ def _network_input(spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
             )
         return x
     h, w_ = spec.image_shape
-    c_in = spec.in_channels
-    if x.shape[1] != h * w_ * c_in:
-        raise ValueError(
-            f"input width {x.shape[1]} does not match image shape {h}x{w_}x{c_in}"
-        )
-    return _im2col(x.reshape(x.shape[0], h, w_, c_in), spec.kernel)
+    if x.shape[1] != h * w_:
+        raise ValueError(f"input width {x.shape[1]} does not match image shape {h}x{w_}")
+    return _im2col(x.reshape(x.shape[0], h, w_))
 
 
-def _forward_internal(
-    spec: NetworkSpec, theta: np.ndarray, inputs: np.ndarray, backprop: bool
-):
+def _forward_internal(spec: NetworkSpec, theta: np.ndarray, inputs: np.ndarray):
     """Returns (log-probabilities, cache for backprop) from ``_network_input``'s
-    output. Without ``backprop`` the cache is None and max-pooling takes the
-    elementwise maximum of the four window slices, with no argmax to route a
-    gradient; the values are the same."""
+    output. The CNN max-pools by the elementwise maximum of the four window
+    corners; the cache keeps the corners and that maximum."""
     layers = unpack(spec, theta)
     if spec.kind == "mlp":
         activations = [inputs]
@@ -152,38 +142,21 @@ def _forward_internal(
             pre = activations[-1] @ w.T + b
             if i < len(layers) - 1:
                 activations.append(np.maximum(pre, 0.0))
-        cache = {"layers": layers, "activations": activations} if backprop else None
-        return _log_softmax(pre), cache
+        return _log_softmax(pre), {"layers": layers, "activations": activations}
 
     h, w_ = spec.image_shape
-    c_in, c_out, k = spec.in_channels, spec.conv_channels, spec.kernel
+    c = spec.conv_channels
     (wc, bc), (wl, bl) = layers
     n = inputs.shape[0]
-    wc_mat = wc.transpose(2, 3, 1, 0).reshape(k * k * c_in, c_out)  # (ki,kj,c) order
-    conv = inputs @ wc_mat + bc  # (n, h*w, c_out)
-    relu = np.maximum(conv, 0.0)
-    grid = relu.reshape(n, h // 2, 2, w_ // 2, 2, c_out)
-    if not backprop:
-        pooled = np.maximum(
-            np.maximum(grid[:, :, 0, :, 0], grid[:, :, 0, :, 1]),
-            np.maximum(grid[:, :, 1, :, 0], grid[:, :, 1, :, 1]),
-        )
-        return _log_softmax(pooled.reshape(n, -1) @ wl.T + bl), None
-    # 2x2 windows in row-major order so argmax ties break at the first index
-    win = grid.transpose(0, 1, 3, 5, 2, 4).reshape(n, h // 2, w_ // 2, c_out, 4)
-    amax = win.argmax(axis=-1)
-    pooled = np.take_along_axis(win, amax[..., None], axis=-1)[..., 0]
-    flat = pooled.reshape(n, -1)
-    logits = flat @ wl.T + bl
-    cache = {
-        "layers": layers,
-        "cols": inputs,
-        "conv": conv,
-        "amax": amax,
-        "flat": flat,
-        "n": n,
-    }
-    return _log_softmax(logits), cache
+    conv = inputs @ wc.reshape(c, 9).T + bc  # (n, h*w, c)
+    # corners: (n, h/2, 2, w/2, 2, c); corner (i, j) of each window is [:, :, i, :, j]
+    corners = np.maximum(conv, 0.0).reshape(n, h // 2, 2, w_ // 2, 2, c)
+    pooled = np.maximum(
+        np.maximum(corners[:, :, 0, :, 0], corners[:, :, 0, :, 1]),
+        np.maximum(corners[:, :, 1, :, 0], corners[:, :, 1, :, 1]),
+    )
+    cache = {"layers": layers, "cols": inputs, "corners": corners, "pooled": pooled}
+    return _log_softmax(pooled.reshape(n, -1) @ wl.T + bl), cache
 
 
 def forward(spec: NetworkSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -197,7 +170,7 @@ def forward(spec: NetworkSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     inputs = _network_input(spec, x)
     p = np.stack(
         [
-            np.exp(_forward_internal(spec, t, inputs, backprop=False)[0])
+            np.exp(_forward_internal(spec, t, inputs)[0])
             for t in (theta if stacked else [theta])
         ]
     )
@@ -213,8 +186,8 @@ def _label_log_prob(logp: np.ndarray, y: np.ndarray) -> float:
 def _log_likelihood_and_grad(
     spec: NetworkSpec, theta: np.ndarray, inputs: np.ndarray, y: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    logp, cache = _forward_internal(spec, theta, inputs, backprop=True)
-    n, k = logp.shape
+    logp, cache = _forward_internal(spec, theta, inputs)
+    n = logp.shape[0]
     idx = np.arange(n)
     ll = _label_log_prob(logp, y)
 
@@ -234,28 +207,21 @@ def _log_likelihood_and_grad(
                 delta = (delta @ w) * (activations[i] > 0)
         return ll, pack(spec, grads)
 
-    (wc, bc), (wl, bl) = layers
-    h, w_ = spec.image_shape
-    c_in, c_out, kk = spec.in_channels, spec.conv_channels, spec.kernel
-    flat, cols, conv, amax = cache["flat"], cache["cols"], cache["conv"], cache["amax"]
-    dwl = dlogits.T @ flat
-    dbl = dlogits.sum(axis=0)
-    dflat = dlogits @ wl  # (n, flat)
-    dpool = dflat.reshape(n, h // 2, w_ // 2, c_out)
-    # route gradient back through max-pool to the winning window position
-    dwin = np.zeros((n, h // 2, w_ // 2, c_out, 4))
-    np.put_along_axis(dwin, amax[..., None], dpool[..., None], axis=-1)
-    drelu = (
-        dwin.reshape(n, h // 2, w_ // 2, c_out, 2, 2)
-        .transpose(0, 1, 4, 2, 5, 3)
-        .reshape(n, h, w_, c_out)
-        .reshape(n, h * w_, c_out)
-    )
-    dconv = drelu * (conv > 0)
-    wc_grad_mat = np.einsum("npk,npc->kc", cols, dconv)  # (k*k*c_in, c_out)
-    dwc = wc_grad_mat.reshape(kk, kk, c_in, c_out).transpose(3, 2, 0, 1)
-    dbc = dconv.sum(axis=(0, 1))
-    return ll, pack(spec, [(dwc, dbc), (dwl, dbl)])
+    corners, pooled = cache["corners"], cache["pooled"]
+    dpool = (dlogits @ layers[1][0]).reshape(pooled.shape)
+    # each window's gradient goes to its first corner, in row-major order,
+    # equal to the maximum (argmax's tie rule), and only through a live ReLU
+    dconv = np.zeros_like(corners)
+    free = pooled > 0
+    for i in (0, 1):
+        for j in (0, 1):
+            first = free & (corners[:, :, i, :, j] == pooled)
+            np.copyto(dconv[:, :, i, :, j], dpool, where=first)
+            free &= ~first
+    dconv = dconv.reshape(n, -1, pooled.shape[-1])
+    dwc = np.einsum("npk,npc->kc", cache["cols"], dconv).T
+    dwl = dlogits.T @ pooled.reshape(n, -1)
+    return ll, pack(spec, [(dwc, dconv.sum(axis=(0, 1))), (dwl, dlogits.sum(axis=0))])
 
 
 def log_likelihood_and_grad(
@@ -280,7 +246,7 @@ def make_loglik(spec: NetworkSpec, data: Dataset):
     inputs, y = _network_input(spec, data.x), data.y
 
     def ll(theta: np.ndarray) -> float:
-        logp, _ = _forward_internal(spec, theta, inputs, backprop=False)
+        logp, _ = _forward_internal(spec, theta, inputs)
         return _label_log_prob(logp, y)
 
     def ll_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -295,14 +261,15 @@ class TrainingDivergedError(RuntimeError):
         self.last_theta = last_theta
 
 
+LR_DROP_FRAC = 0.8  # map_estimate decays lr by 10x after this fraction of max_epochs
+
+
 @dataclass(frozen=True)
 class OptConfig:
     learning_rate: float = 1e-2
     batch_size: int = 64
     max_epochs: int = 160
     patience: int = 10
-    momentum: float = 0.0
-    lr_drop_frac: float = 0.8  # decay lr by 10x after this fraction of max_epochs
 
 
 @dataclass(frozen=True)
@@ -318,7 +285,7 @@ def init_params(spec: NetworkSpec, prior: GaussianPrior, rng: np.random.Generato
 
 
 def _mean_nll(spec: NetworkSpec, theta: np.ndarray, data: Dataset) -> float:
-    logp, _ = _forward_internal(spec, theta, _network_input(spec, data.x), backprop=False)
+    logp, _ = _forward_internal(spec, theta, _network_input(spec, data.x))
     return float(-logp[np.arange(len(data)), data.y].mean())
 
 
@@ -342,13 +309,12 @@ def map_estimate(
         )
     rng = np.random.default_rng(seed)
     theta = init_params(spec, prior, rng)
-    velocity = np.zeros_like(theta)
     m = len(train)
     best_nll = np.inf
     best_theta = theta.copy()
     since_best = 0
     epochs_used = 0
-    drop_at = int(np.ceil(cfg.lr_drop_frac * cfg.max_epochs))
+    drop_at = int(np.ceil(LR_DROP_FRAC * cfg.max_epochs))
     for epoch in range(cfg.max_epochs):
         lr = cfg.learning_rate * (0.1 if epoch >= drop_at else 1.0)
         order = rng.permutation(m)
@@ -360,8 +326,7 @@ def map_estimate(
                     f"loss became non-finite at epoch {epoch}", last_theta=best_theta
                 )
             g = g_ll / len(batch) + prior.grad_log_density(theta) / m
-            velocity = cfg.momentum * velocity + g
-            theta = theta + lr * velocity
+            theta = theta + lr * g
         epochs_used += 1
         val_nll = _mean_nll(spec, theta, val)
         if not np.isfinite(val_nll):

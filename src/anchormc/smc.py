@@ -113,13 +113,14 @@ def ess(weights: np.ndarray) -> float:
     return float(1.0 / sum_sq)
 
 
+_MAX_BISECTIONS = 60
+
+
 def _ess_at(loglik: np.ndarray, h: float) -> float:
     return ess(normalize_log_weights(h * loglik)[1])
 
 
-def next_lambda(
-    loglik: np.ndarray, lam: float, ess_fraction: float, max_iter: int = 60
-) -> float:
+def next_lambda(loglik: np.ndarray, lam: float, ess_fraction: float) -> float:
     """Bisection for the increment h with ESS(h) = ess_fraction * N.
 
     Returns 1.0 when even the full remaining increment keeps the ESS above
@@ -137,7 +138,7 @@ def next_lambda(
     if _ess_at(loglik, h_max) >= target:
         return 1.0
     lo, hi = 0.0, h_max
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
         e = _ess_at(loglik, mid)
         if abs(e - target) <= 0.005 * n or hi - lo < 1e-12:
@@ -360,13 +361,10 @@ class McmcConfig:
     hmc: HmcConfig | None = None
     pcn: PcnConfig = PcnConfig()
     seed: int = 0
-    discard_fraction: float = 0.0  # fraction of each chain discarded as burn-in
 
     def __post_init__(self):
         if self.n_chains < 1 or self.n_steps < 1:
             raise ValueError("need at least one chain and one step")
-        if not (0 <= self.discard_fraction < 1):
-            raise ValueError("discard fraction must lie in [0, 1)")
         if self.kernel not in ("hmc", "pcn"):
             raise ValueError(f"unknown kernel {self.kernel!r}")
 

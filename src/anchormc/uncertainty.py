@@ -94,7 +94,11 @@ class Metrics:
     ece: float
 
 
-def metrics(matrix: PredictiveMatrix, labels: np.ndarray, ece_bins: int = 15) -> Metrics:
+ECE_BINS = 15
+THRESHOLD_GRID_STEP = 0.001
+
+
+def metrics(matrix: PredictiveMatrix, labels: np.ndarray) -> Metrics:
     if labels is None:
         raise ValueError("metrics need labeled inputs")
     labels = np.asarray(labels)
@@ -111,10 +115,10 @@ def metrics(matrix: PredictiveMatrix, labels: np.ndarray, ece_bins: int = 15) ->
     onehot[np.arange(n), labels] = 1.0
     brier = float(((m - onehot) ** 2).sum(axis=1).mean())
     conf = m.max(axis=1)
-    edges = np.linspace(0.0, 1.0, ece_bins + 1)
-    which = np.clip(np.digitize(conf, edges[1:-1]), 0, ece_bins - 1)
+    edges = np.linspace(0.0, 1.0, ECE_BINS + 1)
+    which = np.clip(np.digitize(conf, edges[1:-1]), 0, ECE_BINS - 1)
     ece = 0.0
-    for b in range(ece_bins):
+    for b in range(ECE_BINS):
         mask = which == b
         if mask.any():
             ece += mask.mean() * abs(correct[mask].mean() - conf[mask].mean())
@@ -260,7 +264,7 @@ class ThresholdReport:
     f1_best: float
 
 
-def threshold_metrics(scores: np.ndarray, labels: np.ndarray, grid_step: float = 0.001) -> ThresholdReport:
+def threshold_metrics(scores: np.ndarray, labels: np.ndarray) -> ThresholdReport:
     """Precision/recall/F1 at 0.5 and at the best-F1 threshold over a dense
     grid, plus rank-statistic AUC."""
     scores = np.asarray(scores, dtype=float)
@@ -268,7 +272,7 @@ def threshold_metrics(scores: np.ndarray, labels: np.ndarray, grid_step: float =
     auc = auc_roc(scores, labels)
     p5, r5, f5 = _prf(scores, labels, 0.5)
     best = (0.0, 0.0, 0.0, 0.0)  # f1, threshold, precision, recall
-    for tau in np.arange(0.0, 1.0 + grid_step / 2, grid_step):
+    for tau in np.arange(0.0, 1.0 + THRESHOLD_GRID_STEP / 2, THRESHOLD_GRID_STEP):
         p, r, f = _prf(scores, labels, tau)
         if f > best[0]:
             best = (f, tau, p, r)

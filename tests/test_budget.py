@@ -49,13 +49,13 @@ class Counted:
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Counts network passes: {True: forward+backward, False: forward only}."""
-    counts = {True: 0, False: 0}
+    """Counts forward network passes, with or without a backward pass after."""
+    counts = {"forward": 0}
     real = nets._forward_internal
 
-    def counting(spec, theta, inputs, backprop):
-        counts[backprop] += 1
-        return real(spec, theta, inputs, backprop)
+    def counting(spec, theta, inputs):
+        counts["forward"] += 1
+        return real(spec, theta, inputs)
 
     monkeypatch.setattr(nets, "_forward_internal", counting)
     return counts
@@ -95,7 +95,8 @@ class TestHmcStepCost:
             assert counted.calls == (before + n_leapfrog, 0)
         assert accepted > 0
         if target.dim == CNN.n_params:
-            assert passes == {True: 11 * n_leapfrog + 1, False: 0}
+            # one pass per call into loglik_and_grad and none besides
+            assert passes["forward"] == 11 * n_leapfrog + 1
 
     def test_cached_chain_equals_uncached_chain(self):
         for make in (gaussian_counted, cnn_counted):
@@ -149,5 +150,5 @@ class TestFusedLikelihood:
     def test_forward_equals_backprop_path(self, spec):
         x = labeled(spec, n=40, seed=6).x
         theta = np.random.default_rng(7).normal(size=spec.n_params)
-        logp, _ = nets._forward_internal(spec, theta, nets._network_input(spec, x), backprop=True)
+        logp, _ = nets._forward_internal(spec, theta, nets._network_input(spec, x))
         assert np.array_equal(nets.forward(spec, theta, x), np.exp(logp))

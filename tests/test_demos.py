@@ -1,5 +1,5 @@
-"""The quick demos run to completion. Demo 04 (about half a minute) and
-demo 06 (it leaves its temporary directory behind) are left out."""
+"""The quick demos run to completion and leave no temporary files behind.
+Demo 04 (about half a minute) is left out."""
 
 import os
 import subprocess
@@ -14,12 +14,16 @@ DEMOS = (
     "02_smc_sampler.py",
     "03_island_parallelism.py",
     "05_uncertainty_pipeline.py",
+    "06_cli_workflow.py",
 )
 
 
 @pytest.mark.parametrize("name", DEMOS)
 def test_demo_exits_zero(name, tmp_path):
     env = dict(os.environ)
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    env["TMPDIR"] = str(tmp)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
@@ -32,3 +36,4 @@ def test_demo_exits_zero(name, tmp_path):
         timeout=300,
     )
     assert run.returncode == 0, run.stderr[-2000:]
+    assert not list(tmp.iterdir())

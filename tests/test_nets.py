@@ -131,6 +131,72 @@ class TestLikelihood:
         assert np.allclose(grad, num, rtol=1e-4, atol=1e-7)
 
 
+def first_corner(window):
+    return window.index(max(window))
+
+
+def last_corner(window):
+    return len(window) - 1 - window[::-1].index(max(window))
+
+
+def pooled_gradient_reference(spec, theta, x, y, corner):
+    """The CNN log-likelihood gradient, pooled window by window: each 2x2
+    window's gradient goes to the corner ``corner(window)`` picks from its
+    four values in row-major order."""
+    (wc, bc), (wl, bl) = unpack(spec, theta)
+    (h, w), c, n = spec.image_shape, spec.conv_channels, x.shape[0]
+    padded = np.pad(x.reshape(n, h, w), ((0, 0), (1, 1), (1, 1)))
+    patches = np.stack(
+        [padded[:, r : r + 3, s : s + 3] for r in range(h) for s in range(w)], axis=1
+    )  # (n, h*w, 3, 3)
+    conv = (np.einsum("npab,cab->npc", patches, wc[:, 0]) + bc).reshape(n, h, w, c)
+    relu = np.maximum(conv, 0.0)
+    pooled = np.zeros((n, h // 2, w // 2, c))
+    routed = {}
+    for i in range(n):
+        for r in range(h // 2):
+            for s in range(w // 2):
+                for k in range(c):
+                    window = [relu[i, 2 * r + a, 2 * s + b, k] for a in (0, 1) for b in (0, 1)]
+                    pooled[i, r, s, k] = max(window)
+                    a, b = divmod(corner(window), 2)
+                    routed[i, r, s, k] = (2 * r + a, 2 * s + b)
+    flat = pooled.reshape(n, -1)
+    logits = flat @ wl.T + bl
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    dlogits = np.eye(spec.n_classes)[y] - probs / probs.sum(axis=1, keepdims=True)
+    dpool = (dlogits @ wl).reshape(pooled.shape)
+    dconv = np.zeros((n, h, w, c))
+    for (i, r, s, k), (a, b) in routed.items():
+        if conv[i, a, b, k] > 0:
+            dconv[i, a, b, k] = dpool[i, r, s, k]
+    dwc = np.einsum("npab,npc->cab", patches, dconv.reshape(n, h * w, c))[:, None]
+    return pack(spec, [(dwc, dconv.sum(axis=(0, 1, 2))), (dlogits.T @ flat, dlogits.sum(axis=0))])
+
+
+class TestMaxPoolTies:
+    def test_gradient_goes_to_first_maximal_corner(self, rng):
+        spec = NetworkSpec(kind="cnn", image_shape=(6, 6), conv_channels=2, n_classes=3)
+        n = 4
+        x = np.full((n, 36), 0.2)  # constant background, a few bright pixels
+        x[rng.random(x.shape) < 0.15] = 1.0
+        y = rng.integers(0, 3, n)
+        wl, bl = rng.normal(size=(3, 18)), rng.normal(size=3)
+        # centre taps only, so every conv value is exactly x * w + b and the
+        # reference sees the network's ties; tied corners still differ in
+        # their off-centre pixels, which the weight gradient reads
+        wc = np.zeros((2, 1, 3, 3))
+        wc[:, 0, 1, 1] = (1.5, -1.5)
+        bc = np.array([0.5, 0.5])  # positive: background windows tie above the ReLU
+        theta = pack(spec, [(wc, bc), (wl, bl)])
+        _, grad = log_likelihood_and_grad(spec, theta, Dataset(x=x, y=y, image_shape=(6, 6)))
+        first = pooled_gradient_reference(spec, theta, x, y, first_corner)
+        assert np.allclose(grad, first, rtol=1e-12, atol=1e-12)
+        # the case tells the tie rules apart
+        last = pooled_gradient_reference(spec, theta, x, y, last_corner)
+        assert not np.allclose(first, last, rtol=1e-6, atol=1e-6)
+
+
 def separable_toy(rng, n=20):
     # two clusters far apart along the first coordinate
     x = np.vstack(

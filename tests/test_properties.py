@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from anchormc.artifacts import CONFIG_DEFAULTS, load_config, parse_config_text
 from anchormc.nets import NetworkSpec, forward, pack, unpack
 from anchormc.parallel import RunResult, island_weights
-from anchormc.smc import ess, next_lambda, systematic_resample
+from anchormc.smc import ess, next_lambda, normalize_log_weights, systematic_resample
 from anchormc.uncertainty import PredictiveMatrix, entropy_decomposition
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -24,12 +24,19 @@ def test_ess_bounds(raw):
 
 
 @given(
-    arrays(float, st.integers(4, 64), elements=st.floats(-50, 50)),
+    arrays(float, st.integers(4, 64), elements=st.floats(0.0, 1.0)),
+    st.floats(0.0, 1e6),
     st.floats(0.0, 0.9),
+    st.floats(0.1, 0.9),
 )
-def test_next_lambda_advances_and_stays_in_unit_interval(loglik, lam_prev):
-    lam = next_lambda(loglik, lam_prev, 0.5)
+def test_next_lambda_advances_and_stays_in_unit_interval(unit, spread, lam_prev, rho):
+    """For log-likelihood spreads up to 1e6, λ advances within (λ, 1] and the
+    ESS at the new λ is within the bisection's tolerance (0.01·N) of ρ·N."""
+    loglik = spread * unit
+    lam = next_lambda(loglik, lam_prev, rho)
     assert lam_prev < lam <= 1.0
+    weights = normalize_log_weights((lam - lam_prev) * loglik)[1]
+    assert ess(weights) >= (rho - 0.01) * len(loglik)
 
 
 @given(
