@@ -209,8 +209,8 @@ def _log_likelihood_and_grad(
 
     corners, pooled = cache["corners"], cache["pooled"]
     dpool = (dlogits @ layers[1][0]).reshape(pooled.shape)
-    # each window's gradient goes to its first corner, in row-major order,
-    # equal to the maximum (argmax's tie rule), and only through a live ReLU
+    # each window's gradient goes to the first of its corners, in row-major
+    # order, that equals the maximum, and only through a live ReLU
     dconv = np.zeros_like(corners)
     free = pooled > 0
     for i in (0, 1):

@@ -31,7 +31,7 @@ def test_ess_bounds(raw):
 )
 def test_next_lambda_advances_and_stays_in_unit_interval(unit, spread, lam_prev, rho):
     """For log-likelihood spreads up to 1e6, λ advances within (λ, 1] and the
-    ESS at the new λ is within the bisection's tolerance (0.01·N) of ρ·N."""
+    ESS at the new λ is at least ρ·N less the bisection's tolerance, 0.01·N."""
     loglik = spread * unit
     lam = next_lambda(loglik, lam_prev, rho)
     assert lam_prev < lam <= 1.0
