@@ -3,7 +3,9 @@ the softmax categorical likelihood, and SGD MAP estimation."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,27 +50,26 @@ class NetworkSpec:
     def n_outputs(self) -> int:
         return self.widths[-1] if self.kind == "mlp" else self.n_classes
 
-    @property
-    def layer_shapes(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """(weight shape, bias shape) per layer, in parameter-vector order."""
+    @cached_property
+    def layer_shapes(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """(weight shape, bias shape) per layer, in parameter-vector order.
+        Worked out once per spec; a tuple, since every caller shares it."""
         if self.kind == "mlp":
-            return [
+            return tuple(
                 ((n_out, n_in), (n_out,))
                 for n_in, n_out in zip(self.widths[:-1], self.widths[1:])
-            ]
+            )
         h, w = self.image_shape
         c = self.conv_channels
         flat = c * (h // 2) * (w // 2)
-        return [
+        return (
             ((c, 1, 3, 3), (c,)),
             ((self.n_classes, flat), (self.n_classes,)),
-        ]
-
-    @property
-    def n_params(self) -> int:
-        return sum(
-            int(np.prod(ws)) + int(np.prod(bs)) for ws, bs in self.layer_shapes
         )
+
+    @cached_property
+    def n_params(self) -> int:
+        return sum(math.prod(ws) + math.prod(bs) for ws, bs in self.layer_shapes)
 
 
 def mnist7_cnn_spec() -> NetworkSpec:
@@ -88,7 +89,7 @@ def unpack(spec: NetworkSpec, theta: np.ndarray) -> list[tuple[np.ndarray, np.nd
     out = []
     pos = 0
     for ws, bs in spec.layer_shapes:
-        nw, nb = int(np.prod(ws)), int(np.prod(bs))
+        nw, nb = math.prod(ws), math.prod(bs)
         out.append((theta[pos : pos + nw].reshape(ws), theta[pos + nw : pos + nw + nb]))
         pos += nw + nb
     return out
@@ -148,7 +149,7 @@ def _forward_internal(spec: NetworkSpec, theta: np.ndarray, inputs: np.ndarray):
     c = spec.conv_channels
     (wc, bc), (wl, bl) = layers
     n = inputs.shape[0]
-    conv = inputs @ wc.reshape(c, 9).T + bc  # (n, h*w, c)
+    conv = inputs.reshape(-1, 9) @ wc.reshape(c, 9).T + bc  # (n*h*w, c)
     # corners: (n, h/2, 2, w/2, 2, c); corner (i, j) of each window is [:, :, i, :, j]
     corners = np.maximum(conv, 0.0).reshape(n, h // 2, 2, w_ // 2, 2, c)
     pooled = np.maximum(
@@ -218,10 +219,10 @@ def _log_likelihood_and_grad(
             first = free & (corners[:, :, i, :, j] == pooled)
             np.copyto(dconv[:, :, i, :, j], dpool, where=first)
             free &= ~first
-    dconv = dconv.reshape(n, -1, pooled.shape[-1])
-    dwc = np.einsum("npk,npc->kc", cache["cols"], dconv).T
+    dconv = dconv.reshape(-1, pooled.shape[-1])
+    dwc = (cache["cols"].reshape(-1, 9).T @ dconv).T
     dwl = dlogits.T @ pooled.reshape(n, -1)
-    return ll, pack(spec, [(dwc, dconv.sum(axis=(0, 1))), (dwl, dlogits.sum(axis=0))])
+    return ll, pack(spec, [(dwc, dconv.sum(axis=0)), (dwl, dlogits.sum(axis=0))])
 
 
 def log_likelihood_and_grad(
@@ -284,9 +285,9 @@ def init_params(spec: NetworkSpec, prior: GaussianPrior, rng: np.random.Generato
     return rng.normal(0.0, np.sqrt(prior.variance), size=spec.n_params)
 
 
-def _mean_nll(spec: NetworkSpec, theta: np.ndarray, data: Dataset) -> float:
-    logp, _ = _forward_internal(spec, theta, _network_input(spec, data.x))
-    return float(-logp[np.arange(len(data)), data.y].mean())
+def _mean_nll(spec: NetworkSpec, theta: np.ndarray, inputs: np.ndarray, y: np.ndarray) -> float:
+    logp, _ = _forward_internal(spec, theta, inputs)
+    return float(-logp[np.arange(len(y)), y].mean())
 
 
 def map_estimate(
@@ -303,12 +304,16 @@ def map_estimate(
     sweeps over the training data."""
     if len(train) == 0:
         raise ValueError("training set is empty")
+    if train.y is None or val.y is None:
+        raise ValueError("log-likelihood needs labeled data")
     if prior.dim != spec.n_params:
         raise ValueError(
             f"prior dimension {prior.dim} does not match parameter count {spec.n_params}"
         )
     rng = np.random.default_rng(seed)
     theta = init_params(spec, prior, rng)
+    train_inputs = _network_input(spec, train.x)
+    val_inputs = _network_input(spec, val.x)
     m = len(train)
     best_nll = np.inf
     best_theta = theta.copy()
@@ -319,8 +324,8 @@ def map_estimate(
         lr = cfg.learning_rate * (0.1 if epoch >= drop_at else 1.0)
         order = rng.permutation(m)
         for start in range(0, m, cfg.batch_size):
-            batch = train.subset(order[start : start + cfg.batch_size])
-            ll, g_ll = log_likelihood_and_grad(spec, theta, batch)
+            batch = order[start : start + cfg.batch_size]
+            ll, g_ll = _log_likelihood_and_grad(spec, theta, train_inputs[batch], train.y[batch])
             if not np.isfinite(ll):
                 raise TrainingDivergedError(
                     f"loss became non-finite at epoch {epoch}", last_theta=best_theta
@@ -328,7 +333,7 @@ def map_estimate(
             g = g_ll / len(batch) + prior.grad_log_density(theta) / m
             theta = theta + lr * g
         epochs_used += 1
-        val_nll = _mean_nll(spec, theta, val)
+        val_nll = _mean_nll(spec, theta, val_inputs, val.y)
         if not np.isfinite(val_nll):
             raise TrainingDivergedError(
                 f"validation loss non-finite at epoch {epoch}", last_theta=best_theta

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anchormc import nets
 from anchormc.data import Dataset
 from anchormc.nets import (
     EnsembleMemberError,
@@ -130,6 +131,25 @@ class TestLikelihood:
         )
         assert np.allclose(grad, num, rtol=1e-4, atol=1e-7)
 
+    @pytest.mark.parametrize("spec_fn", [small_mlp, tiny_cnn], ids=["mlp", "cnn"])
+    def test_rows_of_precomputed_input_equal_batch_input(self, spec_fn, rng):
+        # map_estimate takes each minibatch as rows of the network input of
+        # the whole training set: shuffled rows, and a short final batch
+        spec = spec_fn()
+        n_in = spec.widths[0] if spec.kind == "mlp" else 16
+        data = Dataset(x=rng.normal(size=(23, n_in)), y=rng.integers(0, spec.n_outputs, 23))
+        theta = rng.normal(size=spec.n_params) * 0.5
+        inputs = nets._network_input(spec, data.x)
+        order = rng.permutation(len(data))
+        for start in range(0, len(data), 8):
+            idx = order[start : start + 8]
+            assert np.array_equal(inputs[idx], nets._network_input(spec, data.x[idx]))
+            ll, grad = nets._log_likelihood_and_grad(spec, theta, inputs[idx], data.y[idx])
+            ll_ref, grad_ref = log_likelihood_and_grad(spec, theta, data.subset(idx))
+            assert ll == ll_ref
+            assert np.array_equal(grad, grad_ref)
+        assert len(idx) == 7
+
 
 def first_corner(window):
     return window.index(max(window))
@@ -196,6 +216,17 @@ class TestMaxPoolTies:
         last = pooled_gradient_reference(spec, theta, x, y, last_corner)
         assert not np.allclose(first, last, rtol=1e-6, atol=1e-6)
 
+    def test_gradient_matches_reference_at_benchmark_shape(self, rng):
+        # the shape of the cnn-hmc-islands likelihood; finite differences
+        # (rtol 1e-4) cannot tell a wrong conv-weight contraction apart
+        spec = NetworkSpec(kind="cnn", image_shape=(8, 8), conv_channels=4, n_classes=8)
+        n = 64
+        x, y = rng.random((n, 64)), rng.integers(0, 8, n)
+        theta = rng.normal(size=spec.n_params) * 0.3
+        _, grad = log_likelihood_and_grad(spec, theta, Dataset(x=x, y=y, image_shape=(8, 8)))
+        reference = pooled_gradient_reference(spec, theta, x, y, first_corner)
+        assert np.allclose(grad, reference, rtol=1e-12, atol=1e-12)
+
 
 def separable_toy(rng, n=20):
     # two clusters far apart along the first coordinate
@@ -233,6 +264,14 @@ class TestMapEstimate:
         empty = Dataset(x=np.zeros((0, 2)), y=np.zeros(0, dtype=int))
         with pytest.raises(ValueError):
             map_estimate(spec, GaussianPrior(1.0, spec.n_params), empty, empty)
+
+    @pytest.mark.parametrize("unlabeled", ["train", "val"])
+    def test_unlabeled_split_rejected(self, unlabeled, rng):
+        spec = NetworkSpec(kind="mlp", widths=(2, 2))
+        splits = {"train": separable_toy(rng), "val": separable_toy(rng)}
+        splits[unlabeled] = Dataset(x=splits[unlabeled].x)
+        with pytest.raises(ValueError, match="labeled"):
+            map_estimate(spec, GaussianPrior(1.0, spec.n_params), splits["train"], splits["val"])
 
 
 class TestDeepEnsemble:

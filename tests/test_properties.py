@@ -6,9 +6,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from anchormc.artifacts import CONFIG_DEFAULTS, load_config, parse_config_text
+from anchormc.kernels import HmcConfig
 from anchormc.nets import NetworkSpec, forward, pack, unpack
 from anchormc.parallel import RunResult, island_weights
-from anchormc.smc import ess, next_lambda, normalize_log_weights, systematic_resample
+from anchormc.smc import (
+    SmcConfig,
+    ess,
+    next_lambda,
+    normalize_log_weights,
+    run_smc,
+    systematic_resample,
+)
+from anchormc.targets import GaussianPrior, TargetDensity, gaussian_loglik
 from anchormc.uncertainty import PredictiveMatrix, entropy_decomposition
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -37,6 +46,29 @@ def test_next_lambda_advances_and_stays_in_unit_interval(unit, spread, lam_prev,
     assert lam_prev < lam <= 1.0
     weights = normalize_log_weights((lam - lam_prev) * loglik)[1]
     assert ess(weights) >= (rho - 0.01) * len(loglik)
+
+
+@given(
+    st.floats(1e-9, 1e-6),
+    st.sampled_from([8, 16]),
+    st.sampled_from(["pcn", "hmc"]),
+    st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_adaptive_run_terminates_for_huge_loglik_spreads(variance, n_particles, kernel, seed):
+    """From the N(0, 1) prior to a 2-d likelihood of variance 1e-9 to 1e-6,
+    the first cloud's log-likelihoods spread over about 1e6 nats or more; the
+    whole adaptive run still climbs to λ = 1 in a bounded number of stages."""
+    target = TargetDensity(
+        *gaussian_loglik(np.array([1.0, -0.5]), variance), GaussianPrior(1.0, 2)
+    )
+    cfg = SmcConfig(n_particles=n_particles, kernel=kernel, hmc=HmcConfig(0.01, 3), seed=seed)
+    result = run_smc(target, cfg)
+    lams = result.schedule.lambdas
+    assert lams[-1] == 1.0
+    assert all(b > a for a, b in zip(lams, lams[1:]))
+    assert np.isfinite(result.log_z)
+    assert len(lams) - 1 <= 200
 
 
 @given(
