@@ -16,7 +16,6 @@ from .nets import (
 from .parallel import CombinedEstimate, RunResult, combine, pool, run_parallel, standard_error
 from .smc import McmcConfig, SmcConfig, ess, next_lambda, run_mcmc, run_smc
 from .targets import (
-    AnchoredPrior,
     GaussianPrior,
     TargetDensity,
     gaussian_loglik,

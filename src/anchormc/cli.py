@@ -57,7 +57,7 @@ def _check_split_sizes(n_train: int, n_val: int, available: int, which: str) -> 
 
 
 def _load_datasets(cfg: dict):
-    """Returns (train, val, test, spec, n_classes). Labels are remapped to
+    """Returns (train, val, test, spec). Labels are remapped to
     0..K-1 in the order of ``labels_keep``."""
     if cfg["features_csv"]:
         full = data_mod.load_csv_features(cfg["features_csv"])
@@ -99,7 +99,7 @@ def _load_datasets(cfg: dict):
         else:
             widths = (train.x.shape[1], k)
         spec = NetworkSpec(kind="mlp", widths=widths)
-    return train, val, test, spec, k
+    return train, val, test, spec
 
 
 def _opt_config(cfg: dict) -> OptConfig:
@@ -113,7 +113,7 @@ def _opt_config(cfg: dict) -> OptConfig:
 
 def cmd_map(cfg: dict) -> None:
     out = cfg["output_dir"]
-    train, val, _, spec, _ = _load_datasets(cfg)
+    train, val, _, spec = _load_datasets(cfg)
     prior = GaussianPrior(variance=cfg["v"], dim=spec.n_params)
     result = map_estimate(spec, prior, train, val, _opt_config(cfg), seed=cfg["seed"])
     artifact = make_artifact(
@@ -144,7 +144,7 @@ def _build_target(cfg: dict, spec: NetworkSpec, train) -> TargetDensity:
 
 def cmd_sample(cfg: dict) -> None:
     out = cfg["output_dir"]
-    train, _, _, spec, _ = _load_datasets(cfg)
+    train, _, _, spec = _load_datasets(cfg)
     target = _build_target(cfg, spec, train)
     hmc = HmcConfig(cfg["step_size"], cfg["leapfrog"]) if cfg["step_size"] > 0 else None
     if cfg["method"] == "smc":
@@ -266,7 +266,7 @@ def _ood_sets(cfg: dict, test) -> dict[str, data_mod.Dataset]:
 
 def cmd_evaluate(cfg: dict) -> None:
     out = cfg["output_dir"]
-    _, _, test, spec, _ = _load_datasets(cfg)
+    _, _, test, spec = _load_datasets(cfg)
     samples, weights = _posterior(cfg)
     matrix = predictive(samples, weights, spec, test.x)
     m = metrics(matrix, test.y)
@@ -294,7 +294,7 @@ def cmd_evaluate(cfg: dict) -> None:
 
 def cmd_meta(cfg: dict) -> None:
     out = cfg["output_dir"]
-    train, _, test, spec, _ = _load_datasets(cfg)
+    _, _, test, spec = _load_datasets(cfg)
     half = len(test) // 2
     meta_train_id, meta_eval_id = test.take(half), test.subset(np.arange(half, len(test)))
     ood_sets = _ood_sets(cfg, test)

@@ -151,28 +151,25 @@ def _is_float(s: str) -> bool:
         return False
 
 
-def make_ood(
-    base: Dataset,
-    kind: str,
-    n: int,
-    seed: int = 0,
-    heldout_labels: tuple[int, ...] = (8, 9),
-    noise_std: float = 0.5,
-) -> Dataset:
+OOD_HELDOUT_LABELS = (8, 9)  # labels held out of training for "heldout" OOD sets
+OOD_NOISE_STD = 0.5  # pixel noise of "perturbed" OOD sets
+
+
+def make_ood(base: Dataset, kind: str, n: int, seed: int = 0) -> Dataset:
     """Build an out-of-distribution set from a base (test) dataset.
 
-    kinds: ``heldout`` keeps items whose label is in heldout_labels (labels
-    dropped); ``white-noise`` draws pixels U[0,1]; ``perturbed`` adds
-    N(0, noise_std^2) pixel noise to the first n base items, clamps to
+    kinds: ``heldout`` keeps items whose label is in ``OOD_HELDOUT_LABELS``
+    (labels dropped); ``white-noise`` draws pixels U[0,1]; ``perturbed`` adds
+    N(0, OOD_NOISE_STD^2) pixel noise to the first n base items, clamps to
     [0, 1], and keeps the original labels.
     """
     rng = np.random.default_rng(seed)
     if kind == "heldout":
         if base.y is None:
             raise ValueError("heldout OOD needs a labeled base dataset")
-        mask = np.isin(base.y, heldout_labels)
+        mask = np.isin(base.y, OOD_HELDOUT_LABELS)
         if not mask.any():
-            raise ValueError(f"no items with labels {heldout_labels} in base dataset")
+            raise ValueError(f"no items with labels {OOD_HELDOUT_LABELS} in base dataset")
         idx = np.flatnonzero(mask)[:n]
         sub = base.subset(idx, split="ood")
         return Dataset(x=sub.x, y=None, split="ood", image_shape=base.image_shape)
@@ -181,6 +178,6 @@ def make_ood(
         return Dataset(x=x, y=None, split="ood", image_shape=base.image_shape)
     if kind == "perturbed":
         sub = base.take(n)
-        x = np.clip(sub.x + rng.normal(0.0, noise_std, size=sub.x.shape), 0.0, 1.0)
+        x = np.clip(sub.x + rng.normal(0.0, OOD_NOISE_STD, size=sub.x.shape), 0.0, 1.0)
         return Dataset(x=x, y=sub.y, split="ood", image_shape=base.image_shape)
     raise ValueError(f"unknown OOD kind {kind!r}")

@@ -179,25 +179,27 @@ def pcn_step(
     return theta_next, accepted, ll_next
 
 
+PILOT_RATE_BAND = (0.6, 0.9)  # tune_step_size stops once the acceptance rate is in here
+PILOT_STEPS = 25  # HMC steps per pilot round
+PILOT_MAX_ROUNDS = 12
+
+
 def tune_step_size(
     target: TargetDensity,
     theta0: np.ndarray,
     cfg: HmcConfig,
     rng: np.random.Generator,
-    target_rate: tuple[float, float] = (0.6, 0.9),
-    pilot_steps: int = 25,
-    max_rounds: int = 12,
 ) -> float:
     """Short pilot: double/halve the step size until the empirical acceptance
-    rate lands in ``target_rate``. Used once per run; the step size then
+    rate lands in ``PILOT_RATE_BAND``. Used once per run; the step size then
     stays fixed."""
     eps = cfg.step_size
-    lo, hi = target_rate
-    for _ in range(max_rounds):
+    lo, hi = PILOT_RATE_BAND
+    for _ in range(PILOT_MAX_ROUNDS):
         stats = KernelStats()
         theta = np.array(theta0, dtype=float)
         state = None
-        for _ in range(pilot_steps):
+        for _ in range(PILOT_STEPS):
             theta, _, state = hmc_step(
                 target, theta, HmcConfig(eps, cfg.n_leapfrog), rng, state, stats
             )

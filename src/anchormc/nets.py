@@ -257,9 +257,7 @@ def make_loglik(spec: NetworkSpec, data: Dataset):
 
 
 class TrainingDivergedError(RuntimeError):
-    def __init__(self, msg: str, last_theta: np.ndarray | None = None):
-        super().__init__(msg)
-        self.last_theta = last_theta
+    pass
 
 
 LR_DROP_FRAC = 0.8  # map_estimate decays lr by 10x after this fraction of max_epochs
@@ -327,17 +325,13 @@ def map_estimate(
             batch = order[start : start + cfg.batch_size]
             ll, g_ll = _log_likelihood_and_grad(spec, theta, train_inputs[batch], train.y[batch])
             if not np.isfinite(ll):
-                raise TrainingDivergedError(
-                    f"loss became non-finite at epoch {epoch}", last_theta=best_theta
-                )
+                raise TrainingDivergedError(f"loss became non-finite at epoch {epoch}")
             g = g_ll / len(batch) + prior.grad_log_density(theta) / m
             theta = theta + lr * g
         epochs_used += 1
         val_nll = _mean_nll(spec, theta, val_inputs, val.y)
         if not np.isfinite(val_nll):
-            raise TrainingDivergedError(
-                f"validation loss non-finite at epoch {epoch}", last_theta=best_theta
-            )
+            raise TrainingDivergedError(f"validation loss non-finite at epoch {epoch}")
         if val_nll < best_nll:
             best_nll = val_nll
             best_theta = theta.copy()

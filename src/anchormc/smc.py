@@ -11,7 +11,7 @@ All log-weights (tempering increments here, island evidences in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,7 +72,7 @@ class SmcResult:
     particles: np.ndarray
     log_z: float
     schedule: TemperSchedule
-    epochs_per_particle: float
+    epochs_per_particle: float  # counted calls into the likelihood pair per particle
     acceptance_rate: float
 
 
@@ -124,14 +124,18 @@ def next_lambda(loglik: np.ndarray, lam: float, ess_fraction: float) -> float:
     """Bisection for the increment h with ESS(h) = ess_fraction * N.
 
     Returns 1.0 when even the full remaining increment keeps the ESS above
-    the floor. Weights are formed in the log domain from h * loglik.
+    the floor. Weights are formed in the log domain from h * loglik, so a
+    particle with log-likelihood -inf (zero likelihood) gets weight zero.
+    NaN or +inf raises, and so does a cloud whose every particle is at -inf.
     """
     loglik = np.asarray(loglik, dtype=float)
     if lam >= 1.0:
         raise ValueError("tempering already complete")
-    bad = np.flatnonzero(~np.isfinite(loglik))
+    bad = np.flatnonzero(np.isnan(loglik) | (loglik == np.inf))
     if bad.size:
         raise ValueError(f"non-finite log-likelihood for particle {bad[0]}")
+    if np.all(loglik == -np.inf):
+        raise ValueError("every particle has log-likelihood -inf: no weight is positive")
     n = loglik.shape[0]
     target = ess_fraction * n
     h_max = 1.0 - lam
@@ -205,20 +209,21 @@ def _step(cfg: HmcConfig | PcnConfig):
     return hmc_step if isinstance(cfg, HmcConfig) else pcn_step
 
 
-def _evals_per_particle(
-    cfg: HmcConfig | PcnConfig, steps: int, stages: int | None = None
-) -> float:
-    """Calls into the likelihood pair per particle, by formula.
+def _counting(target: TargetDensity) -> tuple[TargetDensity, list[int]]:
+    """``target`` with every call into its likelihood pair counted, and the
+    one-element list that holds the count."""
+    calls = [0]
+    loglik, loglik_and_grad = target.loglik, target.loglik_and_grad
 
-    pCN: one at the starting state and one per step. HMC: L per step, one
-    per leapfrog step, plus one value-and-gradient call at the chain's start.
-    An SMC particle (``stages`` given) starts with one value; each of its
-    ``stages`` adds a start call (the tempering exponent changed) and a
-    log-likelihood refresh after its sweeps."""
-    if isinstance(cfg, PcnConfig):
-        return float(1 + steps)
-    start = 1 if stages is None else 1 + 2 * stages
-    return float(start + steps * cfg.n_leapfrog)
+    def counted_loglik(theta):
+        calls[0] += 1
+        return loglik(theta)
+
+    def counted_loglik_and_grad(theta):
+        calls[0] += 1
+        return loglik_and_grad(theta)
+
+    return replace(target, loglik=counted_loglik, loglik_and_grad=counted_loglik_and_grad), calls
 
 
 def mutate(
@@ -312,6 +317,7 @@ def run_smc(target: TargetDensity, cfg: SmcConfig) -> SmcResult:
             "tempering path starts from the untempered prior; use method=mcmc "
             "(run_mcmc) for cold posteriors"
         )
+    target, calls = _counting(target)
     root = np.random.SeedSequence(cfg.seed)
     island_rng = np.random.default_rng(root.spawn(1)[0])
     particle_rngs = _spawn_rngs(root, cfg.n_particles)
@@ -343,12 +349,11 @@ def run_smc(target: TargetDensity, cfg: SmcConfig) -> SmcResult:
             schedule,
         )
         step += 1
-    sweeps = schedule.mutation_steps
     return SmcResult(
         particles=ensemble.particles,
         log_z=ensemble.log_z,
         schedule=schedule,
-        epochs_per_particle=_evals_per_particle(kernel, sum(sweeps), stages=len(sweeps)),
+        epochs_per_particle=calls[0] / cfg.n_particles,
         acceptance_rate=stats.rate,
     )
 
@@ -372,7 +377,7 @@ class McmcConfig:
 @dataclass(frozen=True)
 class McmcResult:
     particles: np.ndarray  # final state of each chain
-    epochs_per_particle: float
+    epochs_per_particle: float  # counted calls into the likelihood pair per chain
     acceptance_rate: float
 
 
@@ -383,7 +388,7 @@ def run_mcmc(target: TargetDensity, cfg: McmcConfig) -> McmcResult:
     root = np.random.SeedSequence(cfg.seed)
     init_rng = np.random.default_rng(root.spawn(1)[0])
     chain_rngs = _spawn_rngs(root, cfg.n_chains)
-    target = target.with_lam(1.0)
+    target, calls = _counting(target.with_lam(1.0))
 
     particles = target.prior.sample(init_rng, cfg.n_chains)
     kernel = _kernel_config(cfg, target, particles[0], init_rng)
@@ -396,6 +401,6 @@ def run_mcmc(target: TargetDensity, cfg: McmcConfig) -> McmcResult:
         particles[i] = theta
     return McmcResult(
         particles=particles,
-        epochs_per_particle=_evals_per_particle(kernel, cfg.n_steps),
+        epochs_per_particle=calls[0] / cfg.n_chains,
         acceptance_rate=stats.rate,
     )

@@ -5,9 +5,9 @@ A target is always of the form
     log pi(theta) = (lam / T) * loglik(theta) + (1 / T) * logprior(theta)
 
 where ``lam`` is a likelihood-tempering exponent in [0, 1] and ``T`` a
-temperature (T < 1 sharpens the whole posterior). The prior is either a
-zero-mean isotropic Gaussian or an isotropic Gaussian anchored at a MAP
-estimate with shrunken variance s*v.
+temperature (T < 1 sharpens the whole posterior). The prior is an isotropic
+Gaussian: zero-mean, or anchored at a MAP estimate with shrunken variance
+s*v by ``make_anchored``.
 """
 
 from __future__ import annotations
@@ -41,75 +41,22 @@ def _finite_grad(grad: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianPrior:
-    """Isotropic N(0, v*Id) prior on d coordinates."""
+    """Isotropic N(mean, v*Id) prior on d coordinates; the mean is zero
+    unless one is given."""
 
     variance: float
     dim: int
+    mean: np.ndarray | None = None
 
     def __post_init__(self):
         if self.variance <= 0:
             raise ValueError(f"prior variance must be positive, got {self.variance}")
         if self.dim < 1:
             raise ValueError(f"dimension must be positive, got {self.dim}")
-
-    @property
-    def mean(self) -> np.ndarray:
-        return np.zeros(self.dim)
-
-    @property
-    def marginal_std(self) -> float:
-        return float(np.sqrt(self.variance))
-
-    def log_density(self, theta: np.ndarray) -> float:
-        v = self.variance
-        return float(
-            -0.5 * self.dim * np.log(2 * np.pi * v) - 0.5 * np.dot(theta, theta) / v
-        )
-
-    def grad_log_density(self, theta: np.ndarray) -> np.ndarray:
-        return -theta / self.variance
-
-    def sample(self, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-        size = self.dim if n is None else (n, self.dim)
-        return rng.normal(0.0, self.marginal_std, size=size)
-
-
-@dataclass(frozen=True)
-class AnchoredPrior:
-    """N(alpha * anchor, s*v*Id) with alpha = 1{s < 1/2}.
-
-    Interpolates between a tight ball around the anchor (small s) and the
-    original zero-mean prior (s = 1).
-    """
-
-    anchor: np.ndarray
-    s: float
-    base_variance: float
-
-    def __post_init__(self):
-        if not (0 < self.s <= 1):
-            raise ValueError(
-                f"s must lie in (0, 1]; got {self.s} (s=0 is the point-mass limit "
-                "and has no density)"
-            )
-        if self.base_variance <= 0:
-            raise ValueError(f"base variance must be positive, got {self.base_variance}")
-
-    @property
-    def alpha(self) -> float:
-        return 1.0 if self.s < 0.5 else 0.0
-
-    @property
-    def variance(self) -> float:
-        return self.s * self.base_variance
-
-    @property
-    def dim(self) -> int:
-        return self.anchor.shape[0]
-
-    @property
-    def mean(self) -> np.ndarray:
-        return self.alpha * self.anchor
+        mean = np.zeros(self.dim) if self.mean is None else np.asarray(self.mean, dtype=float)
+        if mean.shape != (self.dim,):
+            raise ValueError(f"prior mean has shape {mean.shape}, expected ({self.dim},)")
+        object.__setattr__(self, "mean", mean)
 
     @property
     def marginal_std(self) -> float:
@@ -121,14 +68,12 @@ class AnchoredPrior:
         return float(-0.5 * self.dim * np.log(2 * np.pi * v) - 0.5 * np.dot(r, r) / v)
 
     def grad_log_density(self, theta: np.ndarray) -> np.ndarray:
-        return -(theta - self.mean) / self.variance
+        return (self.mean - theta) / self.variance
 
     def sample(self, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-        size = (self.dim,) if n is None else (n, self.dim)
+        size = self.dim if n is None else (n, self.dim)
         return self.mean + rng.normal(0.0, self.marginal_std, size=size)
 
-
-Prior = GaussianPrior | AnchoredPrior
 
 LogLik = Callable[[np.ndarray], float]
 LogLikAndGrad = Callable[[np.ndarray], tuple[float, np.ndarray]]
@@ -146,7 +91,7 @@ class TargetDensity:
 
     loglik: LogLik
     loglik_and_grad: LogLikAndGrad
-    prior: Prior
+    prior: GaussianPrior
     lam: float = 1.0
     temperature: float = 1.0
 
@@ -203,28 +148,31 @@ class TargetDensity:
 
 
 def make_anchored(posterior: TargetDensity, anchor: np.ndarray, s: float) -> TargetDensity:
-    """Swap the posterior's zero-mean prior for one anchored at ``anchor``.
+    """Swap the posterior's zero-mean prior N(0, v*Id) for the anchored prior
+    N(alpha * anchor, s*v*Id) with alpha = 1{s < 1/2}.
 
-    At s = 1 the returned target equals the input pointwise (alpha(1) = 0 and
-    the variance reverts to v).
+    Interpolates between a tight ball around the anchor (small s) and the
+    original posterior: at s = 1 the returned target equals the input
+    pointwise.
     """
-    if not (0 <= s <= 1):
-        raise ValueError(f"s must lie in [0, 1], got {s}")
-    if not isinstance(posterior.prior, GaussianPrior):
-        raise TypeError("make_anchored expects a posterior with a zero-mean GaussianPrior")
+    if not (0 < s <= 1):
+        raise ValueError(
+            f"s must lie in (0, 1]; got {s} (s=0 is the point-mass limit and has no density)"
+        )
+    prior = posterior.prior
+    if np.any(prior.mean != 0):
+        raise TypeError("make_anchored expects a posterior with a zero-mean prior")
     anchor = np.asarray(anchor, dtype=float)
     if anchor.shape != (posterior.dim,):
         raise ValueError(
             f"anchor has shape {anchor.shape}, expected ({posterior.dim},)"
         )
-    prior = AnchoredPrior(anchor=anchor, s=s, base_variance=posterior.prior.variance)
-    return replace(posterior, prior=prior)
+    mean = anchor if s < 0.5 else None
+    return replace(posterior, prior=GaussianPrior(s * prior.variance, prior.dim, mean))
 
 
 def make_cold(posterior: TargetDensity, temperature: float) -> TargetDensity:
     """Raise the whole unnormalized posterior to the power 1/T."""
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
     return replace(posterior, temperature=temperature)
 
 

@@ -114,18 +114,18 @@ class TestHmcStepCost:
                 assert np.array_equal(state[1], fresh[1])
 
 
+# the pilot-tuned HMC step size (hmc=None) costs calls that the runs report too
+KERNELS = [dict(kernel="hmc", hmc=HmcConfig(0.1, 3)), dict(kernel="pcn"), dict(kernel="hmc")]
+
+
 class TestReportedEvaluations:
-    @pytest.mark.parametrize(
-        "kernel", [dict(kernel="hmc", hmc=HmcConfig(0.1, 3)), dict(kernel="pcn")], ids=["hmc", "pcn"]
-    )
+    @pytest.mark.parametrize("kernel", KERNELS, ids=["hmc", "pcn", "hmc-pilot"])
     def test_run_smc_reports_counted_calls(self, kernel):
         counted, target = gaussian_counted()
         result = smc.run_smc(target, smc.SmcConfig(n_particles=8, seed=4, **kernel))
         assert result.epochs_per_particle == counted.total / 8
 
-    @pytest.mark.parametrize(
-        "kernel", [dict(kernel="hmc", hmc=HmcConfig(0.1, 3)), dict(kernel="pcn")], ids=["hmc", "pcn"]
-    )
+    @pytest.mark.parametrize("kernel", KERNELS, ids=["hmc", "pcn", "hmc-pilot"])
     def test_run_mcmc_reports_counted_calls(self, kernel):
         counted, target = gaussian_counted()
         result = smc.run_mcmc(target, smc.McmcConfig(n_chains=3, n_steps=12, seed=4, **kernel))

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from anchormc import data
 from anchormc.data import (
     CsvParseError,
     Dataset,
@@ -163,15 +164,16 @@ class TestMakeOod:
 
     def test_perturbed_clamps_and_keeps_labels(self, rng):
         base = self.base(rng)
-        ood = make_ood(base, "perturbed", n=10, seed=1, noise_std=0.5)
+        ood = make_ood(base, "perturbed", n=10, seed=1)
         assert ood.x.shape == (10, 6)
         assert np.array_equal(ood.y, base.y[:10])
         assert np.all((ood.x >= 0) & (ood.x <= 1))
         assert not np.array_equal(ood.x, base.x[:10])
 
-    def test_perturbed_zero_noise_is_identity(self, rng):
+    def test_perturbed_zero_noise_is_identity(self, rng, monkeypatch):
+        monkeypatch.setattr(data, "OOD_NOISE_STD", 0.0)
         base = self.base(rng)
-        ood = make_ood(base, "perturbed", n=5, noise_std=0.0)
+        ood = make_ood(base, "perturbed", n=5)
         assert np.array_equal(ood.x, np.clip(base.x[:5], 0, 1))
 
     def test_unknown_kind_rejected(self, rng):

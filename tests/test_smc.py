@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from anchormc.kernels import HmcConfig, KernelStats, PcnConfig
 from anchormc.smc import (
@@ -32,6 +33,22 @@ def conjugate_target(a, sl, v):
     a = np.asarray(a, dtype=float)
     ll, ll_and_grad = gaussian_loglik(a, sl)
     return TargetDensity(loglik=ll, loglik_and_grad=ll_and_grad, prior=GaussianPrior(v, a.size))
+
+
+def truncated_target(a, sl, v):
+    """``conjugate_target`` with zero likelihood (log-likelihood -inf) on
+    theta_0 < 0."""
+    ll_and_grad = gaussian_loglik(np.asarray(a, dtype=float), sl)[1]
+
+    def cut_and_grad(th):
+        value, grad = ll_and_grad(th)
+        return (value if th[0] >= 0 else -np.inf), grad
+
+    return TargetDensity(
+        loglik=lambda th: cut_and_grad(th)[0],
+        loglik_and_grad=cut_and_grad,
+        prior=GaussianPrior(v, len(a)),
+    )
 
 
 class TestEss:
@@ -112,6 +129,14 @@ class TestNextLambda:
         ll = np.array([0.0, np.nan, 1.0])
         with pytest.raises(ValueError, match="particle 1"):
             next_lambda(ll, 0.0, 0.5)
+
+    def test_plus_inf_raises_next_to_minus_inf(self):
+        with pytest.raises(ValueError, match="particle 2"):
+            next_lambda(np.array([0.0, -np.inf, np.inf]), 0.0, 0.5)
+
+    def test_every_particle_at_minus_inf_rejected(self):
+        with pytest.raises(ValueError, match="every particle"):
+            next_lambda(np.full(4, -np.inf), 0.0, 0.5)
 
 
 class TestSystematicResample:
@@ -244,6 +269,19 @@ class TestRunSmc:
         assert np.array_equal(r1.particles, r2.particles)
         assert r1.log_z == r2.log_z
         assert r1.schedule.lambdas == r2.schedule.lambdas
+
+    @pytest.mark.parametrize(
+        "kernel", [dict(kernel="pcn"), dict(kernel="hmc", hmc=HmcConfig(0.3, 3))], ids=["pcn", "hmc"]
+    )
+    def test_zero_likelihood_region_gets_weight_zero(self, kernel):
+        # exact log Z: the conjugate evidence times the posterior mass of theta_0 >= 0
+        a, sl, v = np.array([0.5, -0.3]), 0.5, 1.0
+        post_mean, post_var, log_z = conjugate_posterior(a, sl, v)
+        log_z += norm.logcdf(post_mean[0] / np.sqrt(post_var))
+        for seed in range(5):
+            r = run_smc(truncated_target(a, sl, v), SmcConfig(n_particles=200, seed=seed, **kernel))
+            assert np.all(r.particles[:, 0] >= 0)
+            assert abs(r.log_z - log_z) <= 0.5
 
     def test_cold_target_is_refused(self):
         target = make_cold(conjugate_target(np.array([1.0]), 0.5, 1.0), 0.25)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from anchormc.targets import (
-    AnchoredPrior,
     GaussianPrior,
     NonFiniteDensityError,
     TargetDensity,
@@ -113,28 +112,32 @@ class TestGradient:
 
 
 class TestMakeAnchored:
-    def test_anchored_prior_parameters(self):
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.7, 1.0])
+    def test_anchored_prior_parameters(self, s):
+        # N(alpha * anchor, s*v) with alpha = 1{s < 1/2}
         anchor = np.array([1.0, 2.0])
-        t = make_anchored(posterior(d=2, v=0.1), anchor, 0.1)
-        assert isinstance(t.prior, AnchoredPrior)
-        assert np.array_equal(t.prior.mean, anchor)
-        assert t.prior.variance == pytest.approx(0.01)
-
-    def test_indicator_switches_off_at_half(self):
-        anchor = np.array([1.0, 2.0])
-        t = make_anchored(posterior(d=2, v=0.1), anchor, 0.6)
-        assert t.prior.alpha == 0.0
-        assert np.array_equal(t.prior.mean, np.zeros(2))
-        assert t.prior.variance == pytest.approx(0.06)
+        prior = make_anchored(posterior(d=2, v=0.1), anchor, s).prior
+        alpha = 1.0 if s < 0.5 else 0.0
+        assert np.array_equal(prior.mean, alpha * anchor)
+        assert prior.variance == s * 0.1
 
     @pytest.mark.parametrize("s", [-0.1, 1.5])
     def test_s_out_of_range_rejected(self, s):
         with pytest.raises(ValueError):
             make_anchored(posterior(), np.zeros(2), s)
 
+    def test_s_zero_is_the_point_mass_limit(self):
+        with pytest.raises(ValueError, match="point-mass limit"):
+            make_anchored(posterior(), np.zeros(2), 0.0)
+
+    def test_anchoring_twice_rejected(self):
+        anchored = make_anchored(posterior(d=2), np.array([1.0, 2.0]), 0.1)
+        with pytest.raises(TypeError):
+            make_anchored(anchored, np.zeros(2), 0.1)
+
     def test_anchored_prior_sampling_variance(self, rng):
         s, v = 0.2, 0.5
-        prior = AnchoredPrior(anchor=np.array([3.0]), s=s, base_variance=v)
+        prior = make_anchored(posterior(d=1, v=v), np.array([3.0]), s).prior
         draws = prior.sample(rng, 10_000)
         assert draws.var() == pytest.approx(s * v, rel=0.05)
         assert draws.mean() == pytest.approx(3.0, abs=0.02)
