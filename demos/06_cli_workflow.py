@@ -2,8 +2,10 @@
 
 The CLI mirrors the library: `map` fits the anchor network, `sample` draws
 posterior islands, `combine` merges them by evidence weight, `evaluate`
-writes metrics and per-input entropies, `meta` trains the abstention
-meta-classifier, and `diag` runs the bimodal mixing diagnostics.  Every
+writes metrics, per-input entropies and the `features` artifact, `meta`
+trains the abstention meta-classifier on those features (so it comes after
+`evaluate`, and reads only `output_dir`, `ood_seed` and `seed`), and `diag`
+runs the bimodal mixing diagnostics.  Every
 command takes `--config file` plus key=value overrides and leaves its
 resolved configuration next to its outputs.  Everything is written to a
 temporary directory that is removed at the end.

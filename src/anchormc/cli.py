@@ -2,7 +2,9 @@
 
 Every command takes ``--config file`` plus ``key=value`` overrides, writes its
 resolved configuration next to its outputs, and reads upstream artifacts from
-the configured output directory.
+the configured output directory. ``meta`` reads only the ``features``
+artifact that ``evaluate`` writes, and of the config only ``output_dir``,
+``ood_seed`` and ``seed``.
 """
 
 from __future__ import annotations
@@ -250,87 +252,82 @@ def _posterior(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _ood_sets(cfg: dict, test) -> dict[str, data_mod.Dataset]:
-    quarter = max(1, cfg["n_ood"] // 4)
-    sets = {}
-    if test.image_shape is not None:
-        full_test = data_mod.load_idx(cfg["test_images"], cfg["test_labels"])
-        sets["heldout"] = data_mod.make_ood(full_test, "heldout", 2 * quarter, seed=cfg["ood_seed"])
-        sets["white-noise"] = data_mod.make_ood(test, "white-noise", quarter, seed=cfg["ood_seed"] + 1)
-        perturbed = data_mod.make_ood(test, "perturbed", quarter, seed=cfg["ood_seed"] + 2)
-        sets["perturbed"] = data_mod.Dataset(
-            x=perturbed.x, y=None, split="ood", image_shape=perturbed.image_shape
+def _ood_sets(cfg: dict, test) -> dict[str, np.ndarray]:
+    """The OOD inputs by name, in the order ``evaluate`` writes them; none
+    without image input."""
+    if test.image_shape is None:
+        return {}
+    keep = {int(t) for t in str(cfg["labels_keep"]).split(",")}
+    overlap = sorted(keep & set(data_mod.OOD_HELDOUT_LABELS))
+    if overlap:
+        raise ConfigError(
+            f"labels_keep={cfg['labels_keep']} keeps labels {overlap}, which the heldout "
+            f"OOD set takes (labels {list(data_mod.OOD_HELDOUT_LABELS)})"
         )
-    return sets
+    quarter = max(1, cfg["n_ood"] // 4)
+    seed = cfg["ood_seed"]
+    full_test = data_mod.load_idx(cfg["test_images"], cfg["test_labels"])
+    return {
+        "heldout": data_mod.make_ood(full_test, "heldout", 2 * quarter, seed=seed).x,
+        "white-noise": data_mod.make_ood(test, "white-noise", quarter, seed=seed + 1).x,
+        "perturbed": data_mod.make_ood(test, "perturbed", quarter, seed=seed + 2).x,
+    }
 
 
 def cmd_evaluate(cfg: dict) -> None:
+    """Test metrics, and entropies and meta features per test and OOD input.
+    The ``features`` artifact has a row per input, test rows first: the 7
+    features, then 1 where the base prediction is correct (0 for OOD)."""
     out = cfg["output_dir"]
     _, _, test, spec = _load_datasets(cfg)
+    inputs = {"test": test.x, **_ood_sets(cfg, test)}
     samples, weights = _posterior(cfg)
-    matrix = predictive(samples, weights, spec, test.x)
-    m = metrics(matrix, test.y)
-    rows = [("test", m)]
-    ent_rows = []
-    ent = entropy_decomposition(matrix)
-    for i in range(len(test)):
-        ent_rows.append(("test", i, ent.total[i], ent.aleatoric[i], ent.epistemic[i]))
-    for name, ds in _ood_sets(cfg, test).items():
-        om = predictive(samples, weights, spec, ds.x)
-        oent = entropy_decomposition(om)
-        for i in range(len(ds)):
-            ent_rows.append((name, i, oent.total[i], oent.aleatoric[i], oent.epistemic[i]))
+    ents, feature_rows = [], []
+    for name, x in inputs.items():
+        matrix = predictive(samples, weights, spec, x)
+        correct = np.zeros(len(x), dtype=bool)
+        if name == "test":
+            m = metrics(matrix, test.y)
+            correct = matrix.mean.argmax(axis=1) == test.y
+        ents.append((name, entropy_decomposition(matrix)))
+        feature_rows.append(np.column_stack([features(matrix), correct]))
+    artifact = make_artifact(cfg, np.concatenate(feature_rows), kind="features", seed=cfg["seed"])
+    artifact.manifest["n_test"] = len(test)
+    save_artifact(os.path.join(out, "features"), artifact)
     with open(os.path.join(out, "metrics.csv"), "w") as f:
         f.write("split,accuracy,nll,brier,ece\n")
-        for split, mm in rows:
-            f.write(f"{split},{mm.accuracy:.6g},{mm.nll:.6g},{mm.brier:.6g},{mm.ece:.6g}\n")
+        f.write(f"test,{m.accuracy:.6g},{m.nll:.6g},{m.brier:.6g},{m.ece:.6g}\n")
     with open(os.path.join(out, "entropy.csv"), "w") as f:
         f.write("split,index,h_total,h_aleatoric,h_epistemic\n")
-        for split, i, ht, ha, he in ent_rows:
-            f.write(f"{split},{i},{ht:.6g},{ha:.6g},{he:.6g}\n")
+        for name, ent in ents:
+            for i, (ht, ha, he) in enumerate(zip(ent.total, ent.aleatoric, ent.epistemic)):
+                f.write(f"{name},{i},{ht:.6g},{ha:.6g},{he:.6g}\n")
     _write_resolved_config(cfg, out, "evaluate")
     print(f"evaluate: accuracy {m.accuracy:.4f}, NLL {m.nll:.4f} -> {out}/metrics.csv")
 
 
 def cmd_meta(cfg: dict) -> None:
+    """Train the meta-classifier on the first half of the test rows and half
+    the OOD rows of ``evaluate``'s features, and report on the rest."""
     out = cfg["output_dir"]
-    _, _, test, spec = _load_datasets(cfg)
-    half = len(test) // 2
-    meta_train_id, meta_eval_id = test.take(half), test.subset(np.arange(half, len(test)))
-    ood_sets = _ood_sets(cfg, test)
-    if not ood_sets:
+    prefix = os.path.join(out, "features")
+    try:
+        a = load_artifact(prefix)
+    except FileNotFoundError:
+        raise FileNotFoundError(
+            f"meta needs the features artifact at {prefix!r}; run `anchormc evaluate` first"
+        ) from None
+    n_test = a.manifest["n_test"]
+    test, ood = a.samples[:n_test], a.samples[n_test:]
+    if not len(ood):
         raise ConfigError("meta command needs image input to generate OOD data")
-    ood_x = np.concatenate([ds.x for ds in ood_sets.values()])
-    rng = np.random.default_rng(cfg["ood_seed"] + 10)
-    perm = rng.permutation(len(ood_x))
-    ood_train_x, ood_eval_x = ood_x[perm[: len(perm) // 2]], ood_x[perm[len(perm) // 2 :]]
-    samples, weights = _posterior(cfg)
-
-    def block(x, labels):
-        matrix = predictive(samples, weights, spec, x)
-        feats = features(matrix)
-        if labels is None:
-            z = np.ones(len(x), dtype=np.int64)
-            correct = np.zeros(len(x), dtype=bool)
-        else:
-            correct = matrix.mean.argmax(axis=1) == labels
-            z = (~correct).astype(np.int64)
-        return feats, z, correct
-
-    f_tr_id, z_tr_id, _ = block(meta_train_id.x, meta_train_id.y)
-    f_tr_ood, z_tr_ood, _ = block(ood_train_x, None)
-    meta = train_meta(
-        np.concatenate([f_tr_id, f_tr_ood]),
-        np.concatenate([z_tr_id, z_tr_ood]),
-        seed=cfg["seed"],
-    )
-    f_ev_id, z_ev_id, correct_id = block(meta_eval_id.x, meta_eval_id.y)
-    f_ev_ood, z_ev_ood, correct_ood = block(ood_eval_x, None)
-    f_ev = np.concatenate([f_ev_id, f_ev_ood])
-    z_ev = np.concatenate([z_ev_id, z_ev_ood])
-    correct = np.concatenate([correct_id, correct_ood])
-    scores = meta.predict_incorrect(f_ev)
-    report = threshold_metrics(scores, z_ev)
+    ood = ood[np.random.default_rng(cfg["ood_seed"] + 10).permutation(len(ood))]
+    train = np.concatenate([test[: n_test // 2], ood[: len(ood) // 2]])
+    held = np.concatenate([test[n_test // 2 :], ood[len(ood) // 2 :]])
+    meta = train_meta(train[:, :-1], train[:, -1] == 0, seed=cfg["seed"])
+    correct = held[:, -1] == 1
+    scores = meta.predict_incorrect(held[:, :-1])
+    report = threshold_metrics(scores, ~correct)
     sweep = [(tau, abstain_2level(scores, correct, tau).accuracy) for tau in np.linspace(0, 1, 101)]
     with open(os.path.join(out, "meta_report.csv"), "w") as f:
         f.write("threshold,precision,recall,f1,auc\n")

@@ -5,8 +5,16 @@ import struct
 import numpy as np
 import pytest
 
-from anchormc.artifacts import CONFIG_DEFAULTS, load_artifact, make_artifact, save_artifact
-from anchormc.cli import main
+from anchormc import data
+from anchormc.artifacts import (
+    CONFIG_DEFAULTS,
+    load_artifact,
+    load_config,
+    make_artifact,
+    save_artifact,
+)
+from anchormc.cli import _load_datasets, main
+from anchormc.uncertainty import features, predictive
 
 
 def synthetic_idx(dirpath, n_train=400, n_test=240, seed=0):
@@ -140,6 +148,48 @@ class TestPipeline:
             assert "s = 0.1" in text
             assert f"output_dir = {out}" in text
 
+    def test_features_artifact_matches_direct_predictive(self, workspace):
+        # the blocks meta fits and scores: the test halves and the halves of
+        # the OOD rows in the ood_seed + 10 permutation, each computed alone.
+        # OpenBLAS multiplies products of few rows (here 20 to 90) with another
+        # kernel, so these rows may differ from the full-set rows in the last
+        # bits; with 1000-row blocks (the cli-pipeline benchmark) they are equal.
+        out, common = workspace
+        cfg = load_config(None, common)
+        _, _, test, spec = _load_datasets(cfg)
+        full_test = data.load_idx(cfg["test_images"], cfg["test_labels"])
+        quarter, seed = cfg["n_ood"] // 4, cfg["ood_seed"]
+        ood_x = np.concatenate(
+            [
+                data.make_ood(full_test, "heldout", 2 * quarter, seed=seed).x,
+                data.make_ood(test, "white-noise", quarter, seed=seed + 1).x,
+                data.make_ood(test, "perturbed", quarter, seed=seed + 2).x,
+            ]
+        )
+        perm = np.random.default_rng(seed + 10).permutation(len(ood_x))
+        combined = load_artifact(os.path.join(out, "combined"))
+        samples, weights = combined.samples, np.array(combined.manifest["particle_weights"])
+
+        a = load_artifact(os.path.join(out, "features"))
+        n_test = a.manifest["n_test"]
+        assert n_test == len(test) == 180
+        assert a.samples.shape == (n_test + len(ood_x), 8)
+        half = n_test // 2
+        id_rows, ood_rows = a.samples[:n_test], a.samples[n_test:][perm]
+        blocks = [
+            (id_rows[:half], test.x[:half], test.y[:half]),
+            (id_rows[half:], test.x[half:], test.y[half:]),
+            (ood_rows[: len(perm) // 2], ood_x[perm[: len(perm) // 2]], None),
+            (ood_rows[len(perm) // 2 :], ood_x[perm[len(perm) // 2 :]], None),
+        ]
+        for rows, x, labels in blocks:
+            matrix = predictive(samples, weights, spec, x)
+            np.testing.assert_allclose(rows[:, :7], features(matrix), rtol=0, atol=1e-13)
+            if labels is None:
+                assert np.array_equal(rows[:, 7], np.zeros(len(x)))
+            else:
+                assert np.array_equal(rows[:, 7], matrix.mean.argmax(axis=1) == labels)
+
     def test_evaluate_falls_back_to_map_only(self, workspace, tmp_path):
         out, common = workspace
         alt = str(tmp_path / "maponly")
@@ -176,6 +226,56 @@ class TestErrors:
         rc = main(["combine", f"output_dir={tmp_path}"])
         assert rc == 1
         assert "anchormc sample" in capsys.readouterr().err
+
+    def test_meta_without_features_names_evaluate(self, tmp_path, capsys):
+        artifact = make_artifact(dict(CONFIG_DEFAULTS), np.zeros((2, 3)), kind="combined")
+        artifact.manifest["particle_weights"] = [0.5, 0.5]
+        save_artifact(os.path.join(tmp_path, "combined"), artifact)
+        rc = main(["meta", f"output_dir={tmp_path}"])
+        assert rc == 1
+        assert "anchormc evaluate" in capsys.readouterr().err
+
+    def test_meta_on_csv_input_needs_image_input(self, tmp_path, capsys):
+        path = tmp_path / "features.csv"
+        path.write_text("label,f1,f2\n" + "".join(f"{i % 2},{i % 5},1\n" for i in range(40)))
+        common = [
+            f"features_csv={path}",
+            "arch=mlp",
+            "n_train=20",
+            "n_val=10",
+            "max_epochs=5",
+            f"output_dir={tmp_path / 'o'}",
+        ]
+        assert main(["map"] + common) == 0
+        assert main(["evaluate"] + common) == 0
+        capsys.readouterr()
+        rc = main(["meta"] + common)
+        assert rc == 1
+        assert "needs image input" in capsys.readouterr().err
+
+    def test_heldout_labels_kept_is_a_config_error(self, tmp_path, capsys):
+        # the heldout OOD set takes labels 8 and 9, so keeping 8 would count
+        # its images both as test inputs and as OOD inputs
+        tri, trl, tei, tel = synthetic_idx(str(tmp_path), 80, 80)
+        common = [
+            f"train_images={tri}",
+            f"train_labels={trl}",
+            f"test_images={tei}",
+            f"test_labels={tel}",
+            "labels_keep=0,1,2,3,4,5,6,7,8",
+            "arch=mlp",
+            "n_train=40",
+            "n_val=10",
+            "n_ood=8",
+            "max_epochs=5",
+            f"output_dir={tmp_path / 'o'}",
+        ]
+        assert main(["map"] + common) == 0
+        capsys.readouterr()
+        rc = main(["evaluate"] + common)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "labels_keep=0,1,2,3,4,5,6,7,8 keeps labels [8]" in err and "heldout" in err
 
     def test_unknown_config_key(self, capsys):
         rc = main(["map", "frobnicate=1"])
