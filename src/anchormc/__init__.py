@@ -13,7 +13,7 @@ from .nets import (
     map_estimate,
     mnist7_cnn_spec,
 )
-from .parallel import CombinedEstimate, RunResult, combine, pool, run_parallel, standard_error
+from .parallel import RunResult, pool, run_parallel, standard_error
 from .smc import McmcConfig, SmcConfig, ess, next_lambda, run_mcmc, run_smc
 from .targets import (
     GaussianPrior,

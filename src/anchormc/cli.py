@@ -146,6 +146,11 @@ def _build_target(cfg: dict, spec: NetworkSpec, train) -> TargetDensity:
 
 def cmd_sample(cfg: dict) -> None:
     out = cfg["output_dir"]
+    if cfg["kernel"] == "hmc" and cfg["step_size"] <= 0 and cfg["leapfrog"] != 1:
+        raise ConfigError(
+            f"leapfrog={cfg['leapfrog']} needs a fixed step_size > 0: the pilot-tuned "
+            "step size (step_size=0) runs one leapfrog step"
+        )
     train, _, _, spec = _load_datasets(cfg)
     target = _build_target(cfg, spec, train)
     hmc = HmcConfig(cfg["step_size"], cfg["leapfrog"]) if cfg["step_size"] > 0 else None
@@ -175,7 +180,6 @@ def cmd_sample(cfg: dict) -> None:
                 "lambdas": list(r.schedule.lambdas),
                 "ess": list(r.schedule.ess_values),
                 "mutation_steps": list(r.schedule.mutation_steps),
-                "adaptive": r.schedule.adaptive,
                 "warnings": list(r.schedule.warnings),
             }
         artifact = make_artifact(

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import HmcConfig, KernelStats, hmc_step
+from .kernels import HmcConfig, hmc_step
 from .targets import TargetDensity
 
 
@@ -51,16 +51,17 @@ def hmc_chain(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """One long chain; returns (states, log-densities, acceptance rate)."""
     rng = np.random.default_rng(seed)
-    stats = KernelStats()
+    accepted = 0
     theta = np.array(theta0, dtype=float)
     state = None
     states = np.empty((n_steps, theta.shape[0]))
     logps = np.empty(n_steps)
     for t in range(n_steps):
-        theta, _, state = hmc_step(target, theta, cfg, rng, state, stats)
+        theta, acc, state = hmc_step(target, theta, cfg, rng, state)
+        accepted += acc
         states[t] = theta
         logps[t] = state[0]
-    return states, logps, stats.rate
+    return states, logps, accepted / n_steps
 
 
 def acf_table_csv(path: str, series_by_label: dict[str, np.ndarray], max_lag: int):

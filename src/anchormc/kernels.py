@@ -1,10 +1,11 @@
 """Target-invariant MCMC transition kernels: HMC with leapfrog and
 preconditioned Crank-Nicolson.
 
-Both steps share one shape, ``step(target, theta, cfg, rng, cache, stats) ->
-(theta, accepted, cache)``, so samplers drive either kernel with one loop.
-The cache is the pair (log-density, its gradient) at the current state for
-HMC and the current log-likelihood for pCN."""
+Both steps share one shape, ``step(target, theta, cfg, rng, cache) ->
+(theta, accepted, cache)``, and ``sweep`` steps a bank of chains with
+either one: it is the one loop the samplers and the pilot drive. The cache
+is the pair (log-density, its gradient) at the current state for HMC and
+the current log-likelihood for pCN."""
 
 from __future__ import annotations
 
@@ -36,20 +37,6 @@ class PcnConfig:
     def __post_init__(self):
         if not (0 < self.beta <= 1):
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
-
-
-@dataclass
-class KernelStats:
-    proposals: int = 0
-    acceptances: int = 0
-
-    @property
-    def rate(self) -> float:
-        return self.acceptances / self.proposals if self.proposals else 0.0
-
-    def record(self, accepted: bool):
-        self.proposals += 1
-        self.acceptances += int(accepted)
 
 
 class DivergentTrajectory(RuntimeError):
@@ -102,7 +89,6 @@ def hmc_step(
     cfg: HmcConfig,
     rng: np.random.Generator,
     state: HmcState | None = None,
-    stats: KernelStats | None = None,
 ) -> tuple[np.ndarray, bool, HmcState]:
     """One Metropolis-corrected HMC step with identity mass.
 
@@ -136,8 +122,6 @@ def hmc_step(
                 theta_next, accepted, state_next = theta_prop, True, state_prop
     except DivergentTrajectory:
         pass
-    if stats is not None:
-        stats.record(accepted)
     return theta_next, accepted, state_next
 
 
@@ -147,7 +131,6 @@ def pcn_step(
     cfg: PcnConfig,
     rng: np.random.Generator,
     ll: float | None = None,
-    stats: KernelStats | None = None,
 ) -> tuple[np.ndarray, bool, float]:
     """One preconditioned Crank-Nicolson step for the target
     exp((lam * loglik + logprior) / T).
@@ -174,9 +157,27 @@ def pcn_step(
             theta_next, ll_next, accepted = prop, ll_prop, True
     except NonFiniteDensityError:
         pass
-    if stats is not None:
-        stats.record(accepted)
     return theta_next, accepted, ll_next
+
+
+def sweep(
+    target: TargetDensity,
+    thetas: np.ndarray,
+    cfg: HmcConfig | PcnConfig,
+    rngs: list[np.random.Generator],
+    caches: list,
+) -> int:
+    """One kernel step for every row of ``thetas``, in place: row i draws
+    from ``rngs[i]`` and carries ``caches[i]``. ``cfg`` picks the kernel,
+    looked up by module-global name at call time so that a rebound
+    ``hmc_step``/``pcn_step`` is the one used. Returns the number of
+    accepted proposals."""
+    step = hmc_step if isinstance(cfg, HmcConfig) else pcn_step
+    accepted = 0
+    for i in range(thetas.shape[0]):
+        thetas[i], acc, caches[i] = step(target, thetas[i], cfg, rngs[i], caches[i])
+        accepted += acc
+    return accepted
 
 
 PILOT_RATE_BAND = (0.6, 0.9)  # tune_step_size stops once the acceptance rate is in here
@@ -196,16 +197,12 @@ def tune_step_size(
     eps = cfg.step_size
     lo, hi = PILOT_RATE_BAND
     for _ in range(PILOT_MAX_ROUNDS):
-        stats = KernelStats()
-        theta = np.array(theta0, dtype=float)
-        state = None
-        for _ in range(PILOT_STEPS):
-            theta, _, state = hmc_step(
-                target, theta, HmcConfig(eps, cfg.n_leapfrog), rng, state, stats
-            )
-        if stats.rate > hi:
+        bank, cache = np.array(theta0, dtype=float)[None], [None]
+        pilot = HmcConfig(eps, cfg.n_leapfrog)
+        accepted = sum(sweep(target, bank, pilot, [rng], cache) for _ in range(PILOT_STEPS))
+        if accepted / PILOT_STEPS > hi:
             eps *= 2.0
-        elif stats.rate < lo:
+        elif accepted / PILOT_STEPS < lo:
             eps *= 0.5
         else:
             return eps

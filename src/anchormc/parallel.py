@@ -1,5 +1,5 @@
-"""Independent parallel sampler runs (islands) and the evidence-weighted
-combination estimator, stabilized in log space at the island level.
+"""Independent parallel sampler runs (islands) and their evidence-weighted
+pooling, stabilized in log space at the island level.
 
 Island weights are max-shifted (``smc.normalize_log_weights``): an island
 whose evidence is below exp(-745) of the best island's gets weight exactly 0,
@@ -10,11 +10,10 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
-from .smc import McmcConfig, SmcConfig, ess, normalize_log_weights, run_mcmc, run_smc
+from .smc import McmcConfig, SmcConfig, normalize_log_weights, run_mcmc, run_smc
 from .targets import TargetDensity
 
 _MIX_GAMMA = 0x9E3779B97F4A7C15
@@ -47,14 +46,6 @@ class RunResult:
         return self.error is not None
 
 
-@dataclass(frozen=True)
-class CombinedEstimate:
-    estimate: np.ndarray | float
-    island_weights: np.ndarray
-    effective_islands: float
-    excluded: list[int]
-
-
 def run_parallel(
     target: TargetDensity,
     cfg: SmcConfig | McmcConfig,
@@ -70,16 +61,12 @@ def run_parallel(
     """
     if n_islands < 1:
         raise ValueError("need at least one island")
-    is_smc = isinstance(cfg, SmcConfig)
+    run = run_smc if isinstance(cfg, SmcConfig) else run_mcmc
 
     def one(p: int) -> RunResult:
-        island_cfg = replace(cfg, seed=mix64(base_seed, p))
         try:
-            if is_smc:
-                r = run_smc(target, island_cfg)
-                return RunResult(p, r.particles, r.log_z, r.epochs_per_particle, r.schedule)
-            r = run_mcmc(target, island_cfg)
-            return RunResult(p, r.particles, 0.0, r.epochs_per_particle)
+            r = run(target, replace(cfg, seed=mix64(base_seed, p)))
+            return RunResult(p, r.particles, r.log_z, r.epochs_per_particle, r.schedule)
         except Exception as e:  # noqa: BLE001 - failure report, not control flow
             d = target.dim
             return RunResult(p, np.empty((0, d)), 0.0, 0.0, error=f"{type(e).__name__}: {e}")
@@ -122,21 +109,6 @@ def pool(results: list[RunResult]) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     with np.errstate(under="ignore"):
         particle_weights = np.repeat(w / sizes, sizes)
     return np.concatenate([r.samples for r in usable]), particle_weights, w, excluded
-
-
-def combine(results: list[RunResult], phi: Callable[[np.ndarray], np.ndarray | float]) -> CombinedEstimate:
-    """Evidence-weighted average of island means of phi(theta): the sum of
-    w_j * phi(theta_j) over ``pool``'s particles and weights."""
-    samples, particle_weights, w, excluded = pool(results)
-    estimate = particle_weights @ np.array([phi(theta) for theta in samples], dtype=float)
-    if estimate.ndim == 0:
-        estimate = float(estimate)
-    return CombinedEstimate(
-        estimate=estimate,
-        island_weights=w,
-        effective_islands=ess(w),
-        excluded=excluded,
-    )
 
 
 def standard_error(values: np.ndarray) -> tuple[float, float]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kernels import HmcConfig, KernelStats, PcnConfig, hmc_step, pcn_step, tune_step_size
+from .kernels import HmcConfig, PcnConfig, sweep, tune_step_size
 from .targets import TargetDensity
 
 
@@ -37,7 +37,6 @@ class TemperSchedule:
     ess_values: list[float] = field(default_factory=list)
     mutation_steps: list[int] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-    adaptive: bool = True
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,7 @@ class SmcConfig:
     hmc: HmcConfig | None = None  # None: pilot-tuned step size at the start
     pcn: PcnConfig = PcnConfig()
     seed: int = 0
-    fixed_schedule: tuple[float, ...] | None = None  # overrides ESS adaptation
+    fixed_schedule: tuple[float, ...] | None = None  # the whole ladder 0 < ... < 1, no adaptation
 
     def __post_init__(self):
         if self.n_particles < 2:
@@ -61,19 +60,23 @@ class SmcConfig:
             raise ValueError(f"mutation tolerance must be positive, got {self.mutation_tol}")
         if self.kernel not in ("hmc", "pcn"):
             raise ValueError(f"unknown kernel {self.kernel!r}")
-        if self.fixed_schedule is not None:
-            lams = self.fixed_schedule
-            if not all(b > a for a, b in zip(lams, lams[1:])) or lams[-1] != 1.0:
-                raise ValueError("fixed schedule must be strictly increasing and end at 1")
+        lams = self.fixed_schedule
+        if lams is not None and not (
+            len(lams) >= 2 and lams[0] == 0.0 and lams[-1] == 1.0
+            and all(b > a for a, b in zip(lams, lams[1:]))
+        ):
+            raise ValueError(f"fixed schedule must rise strictly from 0 to 1, got {lams}")
 
 
 @dataclass(frozen=True)
-class SmcResult:
-    particles: np.ndarray
+class SamplerResult:
+    """What ``run_smc`` and ``run_mcmc`` return. MCMC runs carry no evidence
+    estimate (log Z 0) and no schedule."""
+
+    particles: np.ndarray  # final particles, or the final state of each chain
     log_z: float
-    schedule: TemperSchedule
+    schedule: TemperSchedule | None
     epochs_per_particle: float  # counted calls into the likelihood pair per particle
-    acceptance_rate: float
 
 
 def normalize_log_weights(log_w: np.ndarray) -> tuple[float, np.ndarray]:
@@ -121,12 +124,15 @@ def _ess_at(loglik: np.ndarray, h: float) -> float:
 
 
 def next_lambda(loglik: np.ndarray, lam: float, ess_fraction: float) -> float:
-    """Bisection for the increment h with ESS(h) = ess_fraction * N.
+    """Bisection for the increment h with ESS(h) = ess_fraction * N, where N
+    counts the particles with a finite log-likelihood.
 
     Returns 1.0 when even the full remaining increment keeps the ESS above
     the floor. Weights are formed in the log domain from h * loglik, so a
-    particle with log-likelihood -inf (zero likelihood) gets weight zero.
-    NaN or +inf raises, and so does a cloud whose every particle is at -inf.
+    particle with log-likelihood -inf (zero likelihood) gets weight zero at
+    every h > 0 and the ESS cannot exceed the finite count; the target is
+    therefore taken over the finite particles alone. NaN or +inf raises, and
+    so does a cloud whose every particle is at -inf.
     """
     loglik = np.asarray(loglik, dtype=float)
     if lam >= 1.0:
@@ -136,7 +142,7 @@ def next_lambda(loglik: np.ndarray, lam: float, ess_fraction: float) -> float:
         raise ValueError(f"non-finite log-likelihood for particle {bad[0]}")
     if np.all(loglik == -np.inf):
         raise ValueError("every particle has log-likelihood -inf: no weight is positive")
-    n = loglik.shape[0]
+    n = np.count_nonzero(loglik > -np.inf)
     target = ess_fraction * n
     h_max = 1.0 - lam
     if _ess_at(loglik, h_max) >= target:
@@ -203,12 +209,6 @@ def reweight_and_resample(
     )
 
 
-def _step(cfg: HmcConfig | PcnConfig):
-    """The kernel step for ``cfg``, looked up by module-global name at call
-    time so that a rebound ``hmc_step``/``pcn_step`` is the one used."""
-    return hmc_step if isinstance(cfg, HmcConfig) else pcn_step
-
-
 def _counting(target: TargetDensity) -> tuple[TargetDensity, list[int]]:
     """``target`` with every call into its likelihood pair counted, and the
     one-element list that holds the count."""
@@ -233,7 +233,6 @@ def mutate(
     tol: float,
     max_steps: int,
     rngs: list[np.random.Generator],
-    stats: KernelStats,
     schedule: TemperSchedule | None = None,
 ) -> int:
     """Apply kernel sweeps until the mean displacement from the
@@ -247,7 +246,6 @@ def mutate(
     A zero previous displacement counts as converged (an immobile ensemble
     cannot improve). Returns M used.
     """
-    step = _step(cfg)
     hmc = isinstance(cfg, HmcConfig)
     start = ensemble.particles.copy()
     cache = [None] * ensemble.n if hmc else ensemble.loglik
@@ -255,13 +253,7 @@ def mutate(
     m_used = max_steps
     zero_accept_streak = 0
     for m in range(1, max_steps + 1):
-        accepted = 0
-        for i in range(ensemble.n):
-            ensemble.particles[i], acc, cache[i] = step(
-                target, ensemble.particles[i], cfg, rngs[i], cache[i], stats
-            )
-            accepted += acc
-        if accepted == 0:
+        if sweep(target, ensemble.particles, cfg, rngs, cache) == 0:
             zero_accept_streak += 1
             if zero_accept_streak == 3 and schedule is not None:
                 schedule.warnings.append(
@@ -304,7 +296,7 @@ def _kernel_config(
     return HmcConfig(tune_step_size(target, theta0, HmcConfig(0.01), rng))
 
 
-def run_smc(target: TargetDensity, cfg: SmcConfig) -> SmcResult:
+def run_smc(target: TargetDensity, cfg: SmcConfig) -> SamplerResult:
     """Full tempering run from the target's prior to lam = 1.
 
     ``target.lam`` is ignored; the run owns the tempering exponent. The path
@@ -325,15 +317,13 @@ def run_smc(target: TargetDensity, cfg: SmcConfig) -> SmcResult:
     particles = target.prior.sample(island_rng, cfg.n_particles)
     loglik = np.array([target.log_likelihood(t) for t in particles])
     ensemble = ParticleEnsemble(particles=particles, loglik=loglik)
-    schedule = TemperSchedule(adaptive=cfg.fixed_schedule is None)
+    schedule = TemperSchedule()
     kernel = _kernel_config(cfg, target.with_lam(1.0), ensemble.particles[0], island_rng)
-    stats = KernelStats()
 
-    fixed = list(cfg.fixed_schedule) if cfg.fixed_schedule is not None else None
-    step = 0
+    fixed = iter(cfg.fixed_schedule[1:]) if cfg.fixed_schedule is not None else None
     while ensemble.lam < 1.0:
         if fixed is not None:
-            lam_next = fixed[step + 1] if step + 1 < len(fixed) else 1.0
+            lam_next = next(fixed)
         else:
             lam_next = next_lambda(ensemble.loglik, ensemble.lam, cfg.ess_fraction)
         ensemble = reweight_and_resample(ensemble, lam_next, island_rng, schedule)
@@ -345,16 +335,13 @@ def run_smc(target: TargetDensity, cfg: SmcConfig) -> SmcResult:
             cfg.mutation_tol,
             cfg.max_mutation_steps,
             particle_rngs,
-            stats,
             schedule,
         )
-        step += 1
-    return SmcResult(
+    return SamplerResult(
         particles=ensemble.particles,
         log_z=ensemble.log_z,
         schedule=schedule,
         epochs_per_particle=calls[0] / cfg.n_particles,
-        acceptance_rate=stats.rate,
     )
 
 
@@ -374,16 +361,11 @@ class McmcConfig:
             raise ValueError(f"unknown kernel {self.kernel!r}")
 
 
-@dataclass(frozen=True)
-class McmcResult:
-    particles: np.ndarray  # final state of each chain
-    epochs_per_particle: float  # counted calls into the likelihood pair per chain
-    acceptance_rate: float
-
-
-def run_mcmc(target: TargetDensity, cfg: McmcConfig) -> McmcResult:
-    """Bank of independent chains at lam = 1, initialized from the prior.
-    The returned particles are the final chain states. Chains carry no
+def run_mcmc(target: TargetDensity, cfg: McmcConfig) -> SamplerResult:
+    """Bank of independent chains at lam = 1, initialized from the prior,
+    advanced by ``n_steps`` sweeps. Each chain draws only from its own rng and
+    carries its own cache, so the bank is the same as the chains run one by
+    one. The returned particles are the final chain states. Chains carry no
     evidence estimate."""
     root = np.random.SeedSequence(cfg.seed)
     init_rng = np.random.default_rng(root.spawn(1)[0])
@@ -392,15 +374,12 @@ def run_mcmc(target: TargetDensity, cfg: McmcConfig) -> McmcResult:
 
     particles = target.prior.sample(init_rng, cfg.n_chains)
     kernel = _kernel_config(cfg, target, particles[0], init_rng)
-    step = _step(kernel)
-    stats = KernelStats()
-    for i in range(cfg.n_chains):
-        theta, cache = particles[i], None
-        for _ in range(cfg.n_steps):
-            theta, _, cache = step(target, theta, kernel, chain_rngs[i], cache, stats)
-        particles[i] = theta
-    return McmcResult(
+    caches = [None] * cfg.n_chains
+    for _ in range(cfg.n_steps):
+        sweep(target, particles, kernel, chain_rngs, caches)
+    return SamplerResult(
         particles=particles,
+        log_z=0.0,
+        schedule=None,
         epochs_per_particle=calls[0] / cfg.n_chains,
-        acceptance_rate=stats.rate,
     )

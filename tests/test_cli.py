@@ -1,5 +1,7 @@
+import glob
 import json
 import os
+import shutil
 import struct
 
 import numpy as np
@@ -194,13 +196,41 @@ class TestPipeline:
         out, common = workspace
         alt = str(tmp_path / "maponly")
         os.makedirs(alt)
-        import shutil
-
         for suffix in (".manifest.json", ".samples.bin"):
             shutil.copy(os.path.join(out, "map" + suffix), os.path.join(alt, "map" + suffix))
         args = [a for a in common if not a.startswith("output_dir=")]
         assert main(["evaluate", f"output_dir={alt}"] + args) == 0
         assert os.path.exists(os.path.join(alt, "metrics.csv"))
+
+
+    def test_evaluate_pools_islands_without_combine(self, workspace, tmp_path):
+        # without a combined artifact, evaluate pools the island artifacts
+        # itself, with the weights combine would have written
+        out, common = workspace
+        alt = str(tmp_path / "islands")
+        os.makedirs(alt)
+        for path in glob.glob(os.path.join(out, "island_*")):
+            shutil.copy(path, alt)
+        args = [a for a in common if not a.startswith("output_dir=")]
+        assert main(["evaluate", f"output_dir={alt}"] + args) == 0
+        for name in ("metrics.csv", "entropy.csv"):
+            with open(os.path.join(out, name), "rb") as a, open(os.path.join(alt, name), "rb") as b:
+                assert a.read() == b.read()
+
+    def test_pilot_tuned_hmc_refuses_more_leapfrog_steps(self, workspace, tmp_path, capsys):
+        # the pilot tunes the step size at one leapfrog step, so leapfrog=5
+        # would silently run L = 1
+        out, common = workspace
+        alt = str(tmp_path / "leapfrog")
+        os.makedirs(alt)
+        for suffix in (".manifest.json", ".samples.bin"):
+            shutil.copy(os.path.join(out, "map" + suffix), alt)
+        args = [a for a in common if not a.startswith("output_dir=")]
+        capsys.readouterr()
+        rc = main(["sample", "kernel=hmc", "leapfrog=5", "n=4", "p=1", f"output_dir={alt}"] + args)
+        assert rc == 1
+        assert "step_size" in capsys.readouterr().err
+        assert not glob.glob(os.path.join(alt, "island_*"))
 
 
 class TestErrors:

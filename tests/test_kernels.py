@@ -4,11 +4,11 @@ import pytest
 from anchormc.kernels import (
     DivergentTrajectory,
     HmcConfig,
-    KernelStats,
     PcnConfig,
     hmc_step,
     leapfrog,
     pcn_step,
+    sweep,
     tune_step_size,
 )
 from anchormc.targets import (
@@ -108,23 +108,25 @@ class TestHmc:
     def test_high_acceptance_at_small_step(self):
         t = std_gaussian_target(2)
         rng = np.random.default_rng(1)
-        stats = KernelStats()
         th = np.zeros(2)
         logp = None
+        accepted = 0
         for _ in range(2000):
-            th, _, logp = hmc_step(t, th, HmcConfig(0.01, 5), rng, logp, stats)
-        assert stats.rate > 0.9
+            th, acc, logp = hmc_step(t, th, HmcConfig(0.01, 5), rng, logp)
+            accepted += acc
+        assert accepted / 2000 > 0.9
 
     def test_huge_step_rejects(self):
         t = std_gaussian_target(2)
         rng = np.random.default_rng(2)
-        stats = KernelStats()
         th0 = np.array([0.3, -0.2])
         th = th0
+        accepted = 0
         for _ in range(200):
-            th, accepted, _ = hmc_step(t, th, HmcConfig(100.0), rng, stats=stats)
-        assert stats.rate < 0.02
-        assert np.allclose(th, th0) or stats.acceptances <= 2
+            th, acc, _ = hmc_step(t, th, HmcConfig(100.0), rng)
+            accepted += acc
+        assert accepted / 200 < 0.02
+        assert np.allclose(th, th0) or accepted <= 2
 
     def test_non_finite_gradient_at_start_rejects(self):
         t = TargetDensity(
@@ -139,16 +141,6 @@ class TestHmc:
             assert not accepted and th[0] == 0.0
         assert state == (t.log_density(th), None)
 
-    def test_counters_consistent(self):
-        t = std_gaussian_target(1)
-        rng = np.random.default_rng(3)
-        stats = KernelStats()
-        th = np.zeros(1)
-        for _ in range(500):
-            th, _, _ = hmc_step(t, th, HmcConfig(0.5, 2), rng, stats=stats)
-        assert stats.proposals == 500
-        assert 0 <= stats.acceptances <= stats.proposals
-        assert 0.0 <= stats.rate <= 1.0
 
 
 class TestPcn:
@@ -166,14 +158,15 @@ class TestPcn:
     def test_prior_invariance_accepts_everything(self):
         target = prior_only_target(GaussianPrior(0.7, 1))
         rng = np.random.default_rng(4)
-        stats = KernelStats()
         th = np.zeros(1)
         ll = None
         samples = np.empty(20_000)
+        accepted = 0
         for i in range(samples.size):
-            th, _, ll = pcn_step(target, th, PcnConfig(0.5), rng, ll, stats)
+            th, acc, ll = pcn_step(target, th, PcnConfig(0.5), rng, ll)
+            accepted += acc
             samples[i] = th[0]
-        assert stats.rate == 1.0
+        assert accepted == samples.size
         assert samples.var() == pytest.approx(0.7, rel=0.05)
 
     def test_beta_one_is_independent_prior_draw(self):
@@ -224,11 +217,35 @@ class TestTuning:
         t = std_gaussian_target(5)
         rng = np.random.default_rng(8)
         eps = tune_step_size(t, np.zeros(5), HmcConfig(1e-4), rng)
-        stats = KernelStats()
         th = np.zeros(5)
         logp = None
+        accepted = 0
         for _ in range(2000):
-            th, _, logp = hmc_step(t, th, HmcConfig(eps), rng, logp, stats)
+            th, acc, logp = hmc_step(t, th, HmcConfig(eps), rng, logp)
+            accepted += acc
         # pilot is short so the long-run rate can drift outside the exact band;
         # it must at least avoid the degenerate extremes
-        assert 0.4 <= stats.rate <= 0.995
+        assert 0.4 <= accepted / 2000 <= 0.995
+
+
+class TestSweep:
+    @pytest.mark.parametrize(
+        "cfg, step", [(HmcConfig(0.8, 2), hmc_step), (PcnConfig(0.6), pcn_step)], ids=["hmc", "pcn"]
+    )
+    def test_steps_each_row_with_its_own_rng_and_counts_acceptances(self, cfg, step):
+        target = conjugate_target([1.0, -0.5], 0.3, 1.0)
+        start = np.random.default_rng(9).normal(size=(6, 2))
+        bank, caches = start.copy(), [None] * 6
+        rngs = [np.random.default_rng(s) for s in range(6)]
+        counts = [sweep(target, bank, cfg, rngs, caches) for _ in range(4)]
+
+        rngs = [np.random.default_rng(s) for s in range(6)]
+        accepted = 0
+        for i in range(6):
+            theta, cache = start[i], None
+            for _ in range(4):
+                theta, acc, cache = step(target, theta, cfg, rngs[i], cache)
+                accepted += acc
+            assert np.array_equal(bank[i], theta)
+        assert sum(counts) == accepted
+        assert 0 < accepted < 24

@@ -4,14 +4,13 @@ import pytest
 from anchormc.kernels import PcnConfig
 from anchormc.parallel import (
     RunResult,
-    combine,
     island_weights,
     mix64,
     pool,
     run_parallel,
     standard_error,
 )
-from anchormc.smc import McmcConfig, SmcConfig, run_smc
+from anchormc.smc import McmcConfig, SmcConfig, ess, run_smc
 from anchormc.targets import GaussianPrior, TargetDensity, gaussian_loglik
 
 
@@ -71,11 +70,15 @@ class TestRunParallel:
 
 
 class TestCombine:
+    """The evidence-weighted estimate of a function of the parameters: the
+    dot product of ``pool``'s particle weights with its values at the
+    pooled samples."""
+
     def test_equal_log_z_is_plain_average(self):
         results = [make_result(0, [[1.0]], -5.0), make_result(1, [[3.0]], -5.0)]
-        c = combine(results, lambda th: th[0])
-        assert c.estimate == pytest.approx(2.0, abs=1e-12)
-        assert np.allclose(c.island_weights, 0.5)
+        samples, weights, w, _ = pool(results)
+        assert weights @ samples[:, 0] == pytest.approx(2.0, abs=1e-12)
+        assert np.allclose(w, 0.5)
 
     def test_huge_negative_log_z_no_overflow(self):
         results = [
@@ -83,9 +86,10 @@ class TestCombine:
             make_result(1, [[1.0]], -1e4 + np.log(3)),
         ]
         with np.errstate(all="raise"):
-            c = combine(results, lambda th: th[0])
-        assert np.allclose(c.island_weights, [0.25, 0.75], atol=1e-10)
-        assert np.isfinite(c.estimate)
+            samples, weights, w, _ = pool(results)
+            estimate = weights @ samples[:, 0]
+        assert np.allclose(w, [0.25, 0.75], atol=1e-10)
+        assert np.isfinite(estimate)
 
     def test_island_beyond_underflow_gets_zero_weight(self):
         # exp(-800) is below the smallest double: the weaker island's weight
@@ -95,27 +99,28 @@ class TestCombine:
             make_result(1, [[1.0], [2.0]], -1e4),
         ]
         with np.errstate(all="raise"):
-            c = combine(results, lambda th: th[0])
-        assert np.array_equal(c.island_weights, [0.0, 1.0])
-        assert c.estimate == 1.5
-        assert c.effective_islands == 1.0
+            samples, weights, w, _ = pool(results)
+            estimate = weights @ samples[:, 0]
+        assert np.array_equal(w, [0.0, 1.0])
+        assert estimate == 1.5
+        assert ess(w) == 1.0
 
     def test_single_island(self):
-        c = combine([make_result(0, [[2.0], [4.0]], -3.0)], lambda th: th[0])
-        assert c.island_weights[0] == pytest.approx(1.0)
-        assert c.estimate == pytest.approx(3.0)
+        samples, weights, w, _ = pool([make_result(0, [[2.0], [4.0]], -3.0)])
+        assert w[0] == pytest.approx(1.0)
+        assert weights @ samples[:, 0] == pytest.approx(3.0)
 
     def test_shift_invariance(self):
         base = [make_result(0, [[1.0]], -10.0), make_result(1, [[5.0]], -8.0)]
         shifted = [make_result(0, [[1.0]], -10.0 + 123.0), make_result(1, [[5.0]], -8.0 + 123.0)]
-        a = combine(base, lambda th: th[0])
-        b = combine(shifted, lambda th: th[0])
-        assert abs(a.estimate - b.estimate) < 1e-12
+        a_samples, a_weights, _, _ = pool(base)
+        b_samples, b_weights, _, _ = pool(shifted)
+        assert abs(a_weights @ a_samples[:, 0] - b_weights @ b_samples[:, 0]) < 1e-12
 
     def test_dominant_island_takes_over(self):
         results = [make_result(0, [[1.0]], 0.0), make_result(1, [[9.0]], 100.0)]
-        c = combine(results, lambda th: th[0])
-        assert abs(c.estimate - 9.0) < 1e-10
+        samples, weights, _, _ = pool(results)
+        assert abs(weights @ samples[:, 0] - 9.0) < 1e-10
 
     def test_weights_sum_to_one(self):
         results = [make_result(p, [[float(p)]], -p * 2.0) for p in range(5)]
@@ -125,14 +130,14 @@ class TestCombine:
     def test_nonfinite_log_z_excluded_with_warning(self):
         results = [make_result(0, [[1.0]], 0.0), make_result(1, [[9.0]], np.inf)]
         with pytest.warns(UserWarning, match="excluding"):
-            c = combine(results, lambda th: th[0])
-        assert c.excluded == [1]
-        assert c.estimate == pytest.approx(1.0)
+            samples, weights, _, excluded = pool(results)
+        assert excluded == [1]
+        assert weights @ samples[:, 0] == pytest.approx(1.0)
 
     def test_vector_phi(self):
         results = [make_result(0, [[1.0, 2.0]], 0.0), make_result(1, [[3.0, 4.0]], 0.0)]
-        c = combine(results, lambda th: th)
-        assert np.allclose(c.estimate, [2.0, 3.0])
+        samples, weights, _, _ = pool(results)
+        assert np.allclose(weights @ samples, [2.0, 3.0])
 
 
 class TestPool:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from anchormc.kernels import HmcConfig, KernelStats, PcnConfig
+from anchormc.kernels import HmcConfig, PcnConfig
 from anchormc.smc import (
     McmcConfig,
     ParticleEnsemble,
@@ -19,6 +19,11 @@ from anchormc.smc import (
 )
 from anchormc.targets import GaussianPrior, TargetDensity, gaussian_loglik, make_cold
 from anchormc.toys import conjugate_posterior
+
+
+BOTH_KERNELS = pytest.mark.parametrize(
+    "kernel", [dict(kernel="pcn"), dict(kernel="hmc", hmc=HmcConfig(0.3, 3))], ids=["pcn", "hmc"]
+)
 
 
 def constant_target(c, d=1, v=1.0):
@@ -213,7 +218,7 @@ class TestMutate:
         ens = ParticleEnsemble(
             particles=np.zeros((16, 2)), loglik=np.zeros(16), lam=0.0
         )
-        m = mutate(ens, target, PcnConfig(beta), tol, max_steps, rngs, KernelStats())
+        m = mutate(ens, target, PcnConfig(beta), tol, max_steps, rngs)
         return ens, m
 
     def test_infinite_tolerance_stops_at_two(self):
@@ -225,7 +230,7 @@ class TestMutate:
         target = constant_target(0.0, d=2, v=1.0).with_lam(0.0)
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(0).spawn(8)]
         ens = ParticleEnsemble(particles=np.ones((8, 2)), loglik=np.zeros(8), lam=0.0)
-        m = mutate(ens, target, HmcConfig(1e-300), 0.01, 20, rngs, KernelStats())
+        m = mutate(ens, target, HmcConfig(1e-300), 0.01, 20, rngs)
         assert m == 2
         assert np.allclose(ens.particles, 1.0)
 
@@ -270,9 +275,7 @@ class TestRunSmc:
         assert r1.log_z == r2.log_z
         assert r1.schedule.lambdas == r2.schedule.lambdas
 
-    @pytest.mark.parametrize(
-        "kernel", [dict(kernel="pcn"), dict(kernel="hmc", hmc=HmcConfig(0.3, 3))], ids=["pcn", "hmc"]
-    )
+    @BOTH_KERNELS
     def test_zero_likelihood_region_gets_weight_zero(self, kernel):
         # exact log Z: the conjugate evidence times the posterior mass of theta_0 >= 0
         a, sl, v = np.array([0.5, -0.3]), 0.5, 1.0
@@ -282,6 +285,27 @@ class TestRunSmc:
             r = run_smc(truncated_target(a, sl, v), SmcConfig(n_particles=200, seed=seed, **kernel))
             assert np.all(r.particles[:, 0] >= 0)
             assert abs(r.log_z - log_z) <= 0.5
+
+    @BOTH_KERNELS
+    def test_zero_likelihood_particles_do_not_stall_the_first_stage(self, kernel):
+        # about half the prior draws sit at -inf; the ESS target is taken over
+        # the finite ones, so the first increment is not driven towards 0
+        a, sl, v = np.array([0.5, -0.3]), 0.5, 1.0
+        for seed in range(5):
+            r = run_smc(truncated_target(a, sl, v), SmcConfig(n_particles=200, seed=seed, **kernel))
+            assert r.schedule.lambdas[1] > 1e-3
+
+    def test_fixed_schedule_is_run_as_given(self):
+        target = conjugate_target(np.array([1.0]), 0.5, 1.0)
+        r = run_smc(target, SmcConfig(n_particles=8, kernel="pcn", fixed_schedule=(0.0, 0.3, 1.0)))
+        assert r.schedule.lambdas == [0.0, 0.3, 1.0]
+
+    @pytest.mark.parametrize(
+        "ladder", [(), (1.0,), (0.3, 1.0), (0.0, 0.5), (0.0, 0.5, 0.5, 1.0), (0.0, 1.2, 1.0)]
+    )
+    def test_fixed_schedule_must_rise_from_zero_to_one(self, ladder):
+        with pytest.raises(ValueError, match="fixed schedule"):
+            SmcConfig(fixed_schedule=ladder)
 
     def test_cold_target_is_refused(self):
         target = make_cold(conjugate_target(np.array([1.0]), 0.5, 1.0), 0.25)
@@ -305,3 +329,12 @@ class TestRunMcmc:
         target = conjugate_target(np.array([1.0]), 0.5, 1.0)
         cfg = McmcConfig(n_chains=4, n_steps=20, kernel="pcn", seed=11)
         assert np.array_equal(run_mcmc(target, cfg).particles, run_mcmc(target, cfg).particles)
+
+    @BOTH_KERNELS
+    def test_chains_are_independent_of_the_bank_size(self, kernel):
+        # each chain uses only its own rng and cache, so chain i is the same
+        # whether it runs alone, first, or interleaved with others
+        target = conjugate_target(np.array([1.0, -0.5]), 0.5, 1.0)
+        small = run_mcmc(target, McmcConfig(n_chains=2, n_steps=15, seed=3, **kernel))
+        large = run_mcmc(target, McmcConfig(n_chains=5, n_steps=15, seed=3, **kernel))
+        assert np.array_equal(small.particles, large.particles[:2])
