@@ -353,7 +353,12 @@ def cmd_meta(cfg: dict) -> None:
 
 def cmd_diag(cfg: dict) -> None:
     """ACF/IACT comparison on the 1-d bimodal toy across anchor strengths and
-    temperatures."""
+    temperatures.
+
+    ``step_size > 0``, ``leapfrog > 1`` and ``mcmc_steps >= 1000`` are
+    honoured; otherwise the chains run with step size 0.4, 5 leapfrog steps
+    and 40,000 steps. The summary line and ``diag.config`` record the
+    values that ran."""
     out = cfg["output_dir"]
     os.makedirs(out, exist_ok=True)
     # toy settings chosen so the full (s=1) target still hops between modes:
@@ -381,8 +386,12 @@ def cmd_diag(cfg: dict) -> None:
         f.write("setting,iact\n")
         for label, x in series.items():
             f.write(f"{label},{iact(x):.6g}\n")
-    _write_resolved_config(cfg, out, "diag")
-    print(f"diag: wrote {out}/acf.csv and {out}/iact.csv")
+    ran = dict(step_size=hmc.step_size, leapfrog=hmc.n_leapfrog, mcmc_steps=n_steps)
+    _write_resolved_config(dict(cfg, **ran), out, "diag")
+    print(
+        f"diag: step_size={hmc.step_size:g} leapfrog={hmc.n_leapfrog} mcmc_steps={n_steps}; "
+        f"wrote {out}/acf.csv and {out}/iact.csv"
+    )
 
 
 COMMANDS = {

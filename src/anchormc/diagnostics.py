@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import HmcConfig, hmc_step
+from .kernels import HmcConfig, sweep
 from .targets import TargetDensity
 
 
@@ -49,18 +49,17 @@ def hmc_chain(
     n_steps: int,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """One long chain; returns (states, log-densities, acceptance rate)."""
-    rng = np.random.default_rng(seed)
+    """One long chain, stepped as a one-row bank; returns (states,
+    log-densities, acceptance rate)."""
+    rngs = [np.random.default_rng(seed)]
     accepted = 0
-    theta = np.array(theta0, dtype=float)
-    state = None
-    states = np.empty((n_steps, theta.shape[0]))
+    bank, caches = np.array(theta0, dtype=float)[None], [None]
+    states = np.empty((n_steps, bank.shape[1]))
     logps = np.empty(n_steps)
     for t in range(n_steps):
-        theta, acc, state = hmc_step(target, theta, cfg, rng, state)
-        accepted += acc
-        states[t] = theta
-        logps[t] = state[0]
+        accepted += sweep(target, bank, cfg, rngs, caches)
+        states[t] = bank[0]
+        logps[t] = caches[0][0]
     return states, logps, accepted / n_steps
 
 

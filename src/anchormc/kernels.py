@@ -3,9 +3,9 @@ preconditioned Crank-Nicolson.
 
 Both steps share one shape, ``step(target, theta, cfg, rng, cache) ->
 (theta, accepted, cache)``, and ``sweep`` steps a bank of chains with
-either one: it is the one loop the samplers and the pilot drive. The cache
-is the pair (log-density, its gradient) at the current state for HMC and
-the current log-likelihood for pCN."""
+either one: it is the one loop the samplers, the pilot and the diagnostic
+chains drive. The cache is the pair (log-density, its gradient) at the
+current state for HMC and the current log-likelihood for pCN."""
 
 from __future__ import annotations
 

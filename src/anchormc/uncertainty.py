@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import Dataset
 from .nets import MapResult, NetworkSpec, OptConfig, forward, map_estimate
@@ -231,13 +230,18 @@ def abstain_2level(
 
 def auc_roc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Probability a random positive outscores a random negative, from the
-    rank statistic (ties get average rank)."""
+    rank statistic (ties get average rank). Scores must be finite."""
     labels = np.asarray(labels, dtype=bool)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes in the evaluation set")
-    ranks = rankdata(scores)
+    if not np.isfinite(scores).all():
+        raise ValueError("AUC needs finite scores")
+    # a run of tied scores occupying ranks ends-counts+1..ends gets their mean
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = (0.5 * (ends + ends - counts + 1))[group]
     return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 

@@ -424,9 +424,12 @@ class TestCombine:
 
 
 class TestDiag:
-    def test_writes_acf_and_iact(self, tmp_path):
+    def test_writes_acf_and_iact(self, tmp_path, capsys):
         out = str(tmp_path / "diag")
         assert main(["diag", f"output_dir={out}", "mcmc_steps=4000"]) == 0
+        # the defaults step_size=0 and leapfrog=1 are replaced, mcmc_steps is honoured
+        assert "step_size=0.4 leapfrog=5 mcmc_steps=4000;" in capsys.readouterr().out
+        assert "step_size = 0.4\n" in open(os.path.join(out, "diag.config")).read()
         iact_lines = open(os.path.join(out, "iact.csv")).read().splitlines()
         assert iact_lines[0] == "setting,iact"
         settings = [ln.split(",")[0] for ln in iact_lines[1:]]

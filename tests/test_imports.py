@@ -1,4 +1,5 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and importing the CLI
+loads no scipy, which only the tests depend on.
 
 No linter ships with the project, so this parses each module of the package
 (``__init__.py`` re-exports by design and is skipped) and fails on an
@@ -6,7 +7,10 @@ imported name that never appears as a name in the module body.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -38,3 +42,11 @@ def test_no_unused_imports(path):
 def test_checker_flags_unused_and_accepts_used():
     source = "import os\nimport numpy as np\nfrom a import b, c as d\nnp.zeros(1)\nd()\n"
     assert unused_imports(source) == ["line 1: os", "line 3: b"]
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter, so modules the test run itself imported do not count
+    probe = "import sys, anchormc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

@@ -236,6 +236,30 @@ class TestAucAndThresholds:
         with pytest.raises(ValueError):
             auc_roc(np.array([0.1, 0.9]), np.array([1, 1]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        # sorted as a value, NaN would rank above every score and give a
+        # finite, wrong AUC
+        with pytest.raises(ValueError, match="finite"):
+            auc_roc(np.array([0.1, bad, 0.9, 0.4]), np.array([0, 1, 1, 0]))
+
+    @pytest.mark.parametrize("ties", ["untied", "rounded", "integer"])
+    def test_equals_rankdata_statistic(self, rng, ties):
+        from scipy.stats import rankdata
+
+        for _ in range(50):
+            n = int(rng.integers(2, 400))
+            scores = rng.normal(size=n)
+            if ties == "rounded":
+                scores = np.round(scores, 2)
+            elif ties == "integer":
+                scores = rng.integers(0, 5, n).astype(float)
+            labels = rng.integers(0, 2, n).astype(bool)
+            labels[:2] = (True, False)
+            n_pos, n_neg = int(labels.sum()), int((~labels).sum())
+            reference = (rankdata(scores)[labels].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
+            assert auc_roc(scores, labels) == reference
+
     def test_threshold_report_hand_case(self):
         scores = np.array([0.9, 0.8, 0.3, 0.2])
         labels = np.array([1, 1, 0, 0])
