@@ -28,7 +28,7 @@ print(f"{'setting':18s} {'IACT':>8s} {'accept':>7s} {'time at +mode':>14s}")
 series = {}
 for label, target in settings.items():
     theta0 = np.asarray(target.prior.mean, dtype=float)
-    states, _, rate = hmc_chain(target, theta0, cfg, n_steps, seed=0)
+    states, rate = hmc_chain(target, theta0, cfg, n_steps, seed=0)
     x = states[:, 0]
     series[label] = x
     print(f"{label:18s} {iact(x):8.1f} {rate:7.2%} {np.mean(x > 0):14.2%}")

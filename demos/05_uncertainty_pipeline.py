@@ -69,8 +69,8 @@ print("test metrics:", metrics(m_test, test.y))
 # (aleatoric) from "the sampled networks disagree" (epistemic); only the
 # epistemic part should blow up on OOD inputs.
 m_ood = predictive(smc.particles, w, spec, ood.x)
-for name, m in (("in-distribution", m_test), ("OOD noise", m_ood)):
-    rep = entropy_decomposition(m)
+rep_test, rep_ood = entropy_decomposition(m_test), entropy_decomposition(m_ood)
+for name, rep in (("in-distribution", rep_test), ("OOD noise", rep_ood)):
     print(
         f"{name:16s} H_total {rep.total.mean():.3f}  "
         f"H_aleatoric {rep.aleatoric.mean():.3f}  H_epistemic {rep.epistemic.mean():.3f}"
@@ -79,7 +79,7 @@ for name, m in (("in-distribution", m_test), ("OOD noise", m_ood)):
 # 4. Meta-classifier: 7 confidence features -> P(base prediction is wrong
 # or input is OOD), trained on one half and evaluated on the other.
 correct = m_test.mean.argmax(axis=1) == test.y
-f_id, f_ood = features(m_test), features(m_ood)
+f_id, f_ood = features(m_test, rep_test), features(m_ood, rep_ood)
 half_id, half_ood = len(test) // 2, len(ood) // 2
 meta = train_meta(
     np.concatenate([f_id[:half_id], f_ood[:half_ood]]),

@@ -293,8 +293,9 @@ def cmd_evaluate(cfg: dict) -> None:
         if name == "test":
             m = metrics(matrix, test.y)
             correct = matrix.mean.argmax(axis=1) == test.y
-        ents.append((name, entropy_decomposition(matrix)))
-        feature_rows.append(np.column_stack([features(matrix), correct]))
+        ent = entropy_decomposition(matrix)
+        ents.append((name, ent))
+        feature_rows.append(np.column_stack([features(matrix, ent), correct]))
     artifact = make_artifact(cfg, np.concatenate(feature_rows), kind="features", seed=cfg["seed"])
     artifact.manifest["n_test"] = len(test)
     save_artifact(os.path.join(out, "features"), artifact)
@@ -379,7 +380,7 @@ def cmd_diag(cfg: dict) -> None:
         "T=0.2": bimodal_toy(temperature=0.2, **toy),
     }.items():
         theta0 = np.asarray(target.prior.mean, dtype=float)
-        states, _, _ = hmc_chain(target, theta0, hmc, n_steps, seed=cfg["seed"])
+        states, _ = hmc_chain(target, theta0, hmc, n_steps, seed=cfg["seed"])
         series[label] = states[:, 0]
     acf_table_csv(os.path.join(out, "acf.csv"), series, max_lag=200)
     with open(os.path.join(out, "iact.csv"), "w") as f:

@@ -48,19 +48,17 @@ def hmc_chain(
     cfg: HmcConfig,
     n_steps: int,
     seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, float]:
     """One long chain, stepped as a one-row bank; returns (states,
-    log-densities, acceptance rate)."""
+    acceptance rate)."""
     rngs = [np.random.default_rng(seed)]
     accepted = 0
     bank, caches = np.array(theta0, dtype=float)[None], [None]
     states = np.empty((n_steps, bank.shape[1]))
-    logps = np.empty(n_steps)
     for t in range(n_steps):
         accepted += sweep(target, bank, cfg, rngs, caches)
         states[t] = bank[0]
-        logps[t] = caches[0][0]
-    return states, logps, accepted / n_steps
+    return states, accepted / n_steps
 
 
 def acf_table_csv(path: str, series_by_label: dict[str, np.ndarray], max_lag: int):

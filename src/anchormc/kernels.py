@@ -4,12 +4,12 @@ preconditioned Crank-Nicolson.
 Both steps share one shape, ``step(target, theta, cfg, rng, cache) ->
 (theta, accepted, cache)``, and ``sweep`` steps a bank of chains with
 either one: it is the one loop the samplers, the pilot and the diagnostic
-chains drive. The cache is the pair (log-density, its gradient) at the
-current state for HMC and the current log-likelihood for pCN."""
+chains drive. Both carry one cache record, ``KernelCache``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,16 @@ class DivergentTrajectory(RuntimeError):
     pass
 
 
-# (log-density, its gradient) at the current state; a None gradient is evaluated
-HmcState = tuple[float, np.ndarray | None]
+class KernelCache(NamedTuple):
+    """What a chain carries between steps, for both kernels. The checked
+    likelihood pair (ll, gl) at its state holds for every lam and T; the
+    log-density pair (logp, grad) tempered from it only for its target, so a
+    caller that changes the target drops it. Steps fill in None entries."""
+
+    ll: float
+    gl: np.ndarray | None
+    logp: float | None
+    grad: np.ndarray | None
 
 
 def leapfrog(
@@ -53,34 +61,32 @@ def leapfrog(
     p: np.ndarray,
     step_size: float,
     n_steps: int,
-    grad: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, HmcState]:
-    """Symplectic leapfrog for H(theta, p) = -log_density(theta) + |p|^2/2.
+    g: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, KernelCache]:
+    """Symplectic leapfrog for H(theta, p) = -log_density(theta) + |p|^2/2,
+    from ``g``, the gradient of the log-density at ``theta``.
 
-    ``grad`` may carry the gradient of the log-density at ``theta``; without
-    it the trajectory starts with one gradient evaluation. Each step then
-    costs one evaluation: a gradient inside the trajectory, the log-density
-    and its gradient at the last point. Returns (theta_end, p_end,
-    (log-density, gradient) at theta_end). Raises DivergentTrajectory if an
-    evaluation is non-finite.
+    Each step costs one likelihood call: a gradient inside the trajectory,
+    the pair at the last point. Returns (theta_end, p_end, the cache at
+    theta_end). Raises DivergentTrajectory if an evaluation is non-finite.
     """
     theta = np.array(theta, dtype=float)
     p = np.array(p, dtype=float)
     try:
-        g = target.grad_log_density(theta) if grad is None else grad
         for i in range(1, n_steps + 1):
             p = p + 0.5 * step_size * g
             theta = theta + step_size * p
             if i < n_steps:
                 g = target.grad_log_density(theta)
             else:
-                logp, g = target.log_density_and_grad(theta)
+                ll, gl = target.log_likelihood_and_grad(theta)
+                logp, g = target.temper(theta, ll, gl)
             p = p + 0.5 * step_size * g
     except NonFiniteDensityError as e:
         raise DivergentTrajectory(str(e)) from e
     if not (np.isfinite(theta).all() and np.isfinite(p).all()):
         raise DivergentTrajectory("non-finite state after leapfrog")
-    return theta, p, (logp, g)
+    return theta, p, KernelCache(ll, gl, logp, g)
 
 
 def hmc_step(
@@ -88,41 +94,36 @@ def hmc_step(
     theta: np.ndarray,
     cfg: HmcConfig,
     rng: np.random.Generator,
-    state: HmcState | None = None,
-) -> tuple[np.ndarray, bool, HmcState]:
+    cache: KernelCache | None = None,
+) -> tuple[np.ndarray, bool, KernelCache]:
     """One Metropolis-corrected HMC step with identity mass.
 
-    ``state`` is the pair (log-density, gradient of the log-density) at
-    ``theta`` that the previous step returned; callers pass ``None`` first
-    and then feed back what they got. A missing gradient is evaluated here,
-    with the value, in one call. With the state carried, a step costs L
-    likelihood calls, one per leapfrog step. Returns (theta_next, accepted,
-    state_next). Divergent trajectories are always rejected.
+    ``cache`` is what the previous step returned at ``theta``, or None; its
+    missing entries are evaluated here, so with it carried a step costs L
+    likelihood calls. A non-finite likelihood or gradient at ``theta`` raises
+    ``NonFiniteDensityError``; a divergent trajectory is rejected. Returns
+    (theta_next, accepted, cache_next).
     """
-    logp, grad = (None, None) if state is None else state
+    ll, gl, logp, grad = (None, None, None, None) if cache is None else cache
     if grad is None:
-        try:
-            logp, grad = target.log_density_and_grad(theta)
-        except NonFiniteDensityError:
-            # a non-finite value raises here; a non-finite gradient is met
-            # again by the leapfrog, which rejects the step as divergent
-            logp = target.log_density(theta)
+        if gl is None:
+            ll, gl = target.log_likelihood_and_grad(theta)
+        logp, grad = target.temper(theta, ll, gl)
+        cache = KernelCache(ll, gl, logp, grad)
     p0 = rng.standard_normal(theta.shape[0])
     h0 = -logp + 0.5 * np.dot(p0, p0)
-    accepted = False
-    state_next = (logp, grad)
-    theta_next = theta
+    theta_next, accepted, cache_next = theta, False, cache
     try:
-        theta_prop, p1, state_prop = leapfrog(
+        theta_prop, p1, cache_prop = leapfrog(
             target, theta, p0, cfg.step_size, cfg.n_leapfrog, grad
         )
-        h1 = -state_prop[0] + 0.5 * np.dot(p1, p1)
+        h1 = -cache_prop.logp + 0.5 * np.dot(p1, p1)
         if abs(h1 - h0) <= DIVERGENCE_THRESHOLD:
             if np.log(rng.uniform()) < h0 - h1:
-                theta_next, accepted, state_next = theta_prop, True, state_prop
+                theta_next, accepted, cache_next = theta_prop, True, cache_prop
     except DivergentTrajectory:
         pass
-    return theta_next, accepted, state_next
+    return theta_next, accepted, cache_next
 
 
 def pcn_step(
@@ -130,34 +131,33 @@ def pcn_step(
     theta: np.ndarray,
     cfg: PcnConfig,
     rng: np.random.Generator,
-    ll: float | None = None,
-) -> tuple[np.ndarray, bool, float]:
+    cache: KernelCache | None = None,
+) -> tuple[np.ndarray, bool, KernelCache]:
     """One preconditioned Crank-Nicolson step for the target
     exp((lam * loglik + logprior) / T).
 
     The Gaussian prior raised to the power 1/T is N(mean, T*v). The proposal
     is reversible with respect to it, so the acceptance ratio involves only
-    the tempered likelihood difference (lam / T) * (ll_prop - ll).
-    ``ll`` may carry the cached ``target.log_likelihood(theta)``. A proposal
-    whose log-likelihood is NaN or +inf is rejected; at the current state it
-    raises ``NonFiniteDensityError``. Returns (theta_next, accepted, ll_next).
+    the tempered likelihood difference (lam / T) * (ll_prop - ll), so of
+    ``cache`` it reads only ``ll``. A proposal whose log-likelihood is NaN or
+    +inf is rejected; at the current state it raises
+    ``NonFiniteDensityError``. Returns (theta_next, accepted, cache_next).
     """
-    if ll is None:
-        ll = target.log_likelihood(theta)
+    if cache is None:
+        cache = KernelCache(target.log_likelihood(theta), None, None, None)
     prior = target.prior
     mean = prior.mean
     xi = rng.normal(0.0, prior.marginal_std * np.sqrt(target.temperature), size=theta.shape[0])
     prop = mean + np.sqrt(1.0 - cfg.beta**2) * (theta - mean) + cfg.beta * xi
-    accepted = False
-    theta_next, ll_next = theta, ll
+    theta_next, accepted, cache_next = theta, False, cache
     lam = target.lam / target.temperature  # the likelihood's exponent in the target
     try:
         ll_prop = target.log_likelihood(prop)
-        if lam == 0.0 or np.log(rng.uniform()) < lam * (ll_prop - ll):
-            theta_next, ll_next, accepted = prop, ll_prop, True
+        if lam == 0.0 or np.log(rng.uniform()) < lam * (ll_prop - cache.ll):
+            theta_next, cache_next, accepted = prop, KernelCache(ll_prop, None, None, None), True
     except NonFiniteDensityError:
         pass
-    return theta_next, accepted, ll_next
+    return theta_next, accepted, cache_next
 
 
 def sweep(
@@ -165,7 +165,7 @@ def sweep(
     thetas: np.ndarray,
     cfg: HmcConfig | PcnConfig,
     rngs: list[np.random.Generator],
-    caches: list,
+    caches: list[KernelCache | None],
 ) -> int:
     """One kernel step for every row of ``thetas``, in place: row i draws
     from ``rngs[i]`` and carries ``caches[i]``. ``cfg`` picks the kernel,

@@ -15,20 +15,20 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kernels import HmcConfig, PcnConfig, sweep, tune_step_size
+from .kernels import HmcConfig, KernelCache, PcnConfig, sweep, tune_step_size
 from .targets import TargetDensity
 
 
 @dataclass
 class ParticleEnsemble:
     particles: np.ndarray  # (N, d)
-    loglik: np.ndarray  # cached loglik per particle, refreshed after mutation
+    caches: list[KernelCache]  # each particle's kernel cache, kept current by mutation
     lam: float = 0.0
     log_z: float = 0.0
 
     @property
-    def n(self) -> int:
-        return self.particles.shape[0]
+    def loglik(self) -> np.ndarray:
+        return np.array([c.ll for c in self.caches])
 
 
 @dataclass
@@ -179,10 +179,11 @@ def reweight_and_resample(
     ensemble: ParticleEnsemble,
     lam_next: float,
     rng: np.random.Generator,
-    schedule: TemperSchedule | None = None,
+    schedule: TemperSchedule,
 ) -> ParticleEnsemble:
     """Advance the tempering exponent: accumulate log Z by log-mean-exp of the
     incremental log-weights, then systematic-resample to uniform weights.
+    Each particle's cache goes with it.
 
     Weights are max-shifted (``normalize_log_weights``): a particle whose
     incremental weight is below exp(-745) of the best one gets weight exactly
@@ -192,18 +193,17 @@ def reweight_and_resample(
     dl = lam_next - ensemble.lam
     logw = dl * ensemble.loglik
     log_norm, weights = normalize_log_weights(logw)
-    log_increment = log_norm - np.log(ensemble.n)
+    log_increment = log_norm - np.log(len(weights))
     e = ess(weights)
-    if schedule is not None:
-        schedule.ess_values.append(e)
-        if e < 1.5:
-            schedule.warnings.append(
-                f"degenerate weights before resampling at lam={lam_next:.6g} (ESS={e:.3g})"
-            )
+    schedule.ess_values.append(e)
+    if e < 1.5:
+        schedule.warnings.append(
+            f"degenerate weights before resampling at lam={lam_next:.6g} (ESS={e:.3g})"
+        )
     idx = systematic_resample(weights, rng)
     return ParticleEnsemble(
         particles=ensemble.particles[idx].copy(),
-        loglik=ensemble.loglik[idx].copy(),
+        caches=[ensemble.caches[i] for i in idx],
         lam=lam_next,
         log_z=ensemble.log_z + log_increment,
     )
@@ -233,29 +233,26 @@ def mutate(
     tol: float,
     max_steps: int,
     rngs: list[np.random.Generator],
-    schedule: TemperSchedule | None = None,
+    schedule: TemperSchedule,
 ) -> int:
     """Apply kernel sweeps until the mean displacement from the
     post-resampling state stabilizes: smallest M >= 2 with
     |dist_M - dist_{M-1}| / dist_{M-1} <= tol, capped at max_steps.
 
-    ``cfg`` selects the kernel. pCN keeps ``ensemble.loglik`` current in
-    place. HMC caches each particle's (log-density, gradient) pair instead,
-    seeded empty because the tempering exponent has just changed, and the
-    log-likelihoods are re-evaluated once after its sweeps.
+    ``cfg`` selects the kernel. The caches drop their tempered part, which
+    held for the previous target, and the sweeps keep them current.
     A zero previous displacement counts as converged (an immobile ensemble
     cannot improve). Returns M used.
     """
-    hmc = isinstance(cfg, HmcConfig)
     start = ensemble.particles.copy()
-    cache = [None] * ensemble.n if hmc else ensemble.loglik
+    caches = ensemble.caches = [c._replace(logp=None, grad=None) for c in ensemble.caches]
     dist_prev = None
     m_used = max_steps
     zero_accept_streak = 0
     for m in range(1, max_steps + 1):
-        if sweep(target, ensemble.particles, cfg, rngs, cache) == 0:
+        if sweep(target, ensemble.particles, cfg, rngs, caches) == 0:
             zero_accept_streak += 1
-            if zero_accept_streak == 3 and schedule is not None:
+            if zero_accept_streak == 3:
                 schedule.warnings.append(
                     f"no acceptances for 3 consecutive sweeps at lam={target.lam:.6g}"
                 )
@@ -270,10 +267,7 @@ def mutate(
                 m_used = m
                 break
         dist_prev = dist
-    if hmc:
-        ensemble.loglik = np.array([target.log_likelihood(t) for t in ensemble.particles])
-    if schedule is not None:
-        schedule.mutation_steps.append(m_used)
+    schedule.mutation_steps.append(m_used)
     return m_used
 
 
@@ -315,8 +309,8 @@ def run_smc(target: TargetDensity, cfg: SmcConfig) -> SamplerResult:
     particle_rngs = _spawn_rngs(root, cfg.n_particles)
 
     particles = target.prior.sample(island_rng, cfg.n_particles)
-    loglik = np.array([target.log_likelihood(t) for t in particles])
-    ensemble = ParticleEnsemble(particles=particles, loglik=loglik)
+    caches = [KernelCache(target.log_likelihood(t), None, None, None) for t in particles]
+    ensemble = ParticleEnsemble(particles=particles, caches=caches)
     schedule = TemperSchedule()
     kernel = _kernel_config(cfg, target.with_lam(1.0), ensemble.particles[0], island_rng)
 

@@ -117,6 +117,13 @@ class TargetDensity:
         theta = self._check_dim(theta)
         return _check_finite(float(self.loglik(theta)), "log-likelihood")
 
+    def log_likelihood_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        """The checked log-likelihood and its gradient from one call. Like
+        the likelihood itself they hold for every ``lam`` and ``T``."""
+        theta = self._check_dim(theta)
+        ll, gl = self.loglik_and_grad(theta)
+        return _check_finite(float(ll), "log-likelihood"), _finite_grad(gl)
+
     def log_density(self, theta: np.ndarray) -> float:
         theta = self._check_dim(theta)
         lp = _check_finite(self.prior.log_density(theta), "log-prior")
@@ -132,15 +139,14 @@ class TargetDensity:
             g = g + self.lam * _finite_grad(self.loglik_and_grad(theta)[1])
         return g / self.temperature
 
-    def log_density_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        """``log_density`` and ``grad_log_density`` from one likelihood call."""
-        theta = self._check_dim(theta)
+    def temper(self, theta: np.ndarray, ll: float, gl: np.ndarray) -> tuple[float, np.ndarray]:
+        """``log_density`` and ``grad_log_density`` at ``theta`` from the
+        checked likelihood pair (ll, gl) there, with no likelihood call."""
         lp = _check_finite(self.prior.log_density(theta), "log-prior")
         g = self.prior.grad_log_density(theta)
         if self.lam != 0.0:
-            ll, gl = self.loglik_and_grad(theta)
-            lp = self.lam * _check_finite(float(ll), "log-likelihood") + lp
-            g = g + self.lam * _finite_grad(gl)
+            lp = self.lam * ll + lp
+            g = g + self.lam * gl
         return lp / self.temperature, g / self.temperature
 
     def with_lam(self, lam: float) -> "TargetDensity":

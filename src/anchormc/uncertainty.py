@@ -124,8 +124,9 @@ def metrics(matrix: PredictiveMatrix, labels: np.ndarray) -> Metrics:
     return Metrics(accuracy=accuracy, nll=nll, brier=brier, ece=float(ece))
 
 
-def features(matrix: PredictiveMatrix) -> np.ndarray:
-    """The 7 confidence features per input (see FEATURE_NAMES).
+def features(matrix: PredictiveMatrix, ent: EntropyReport) -> np.ndarray:
+    """The 7 confidence features per input (see FEATURE_NAMES); ``ent`` is
+    ``entropy_decomposition(matrix)``.
 
     Moments of p_max and delta_max (top-1 minus top-2 probability) are taken
     under the weighted particle law; variances are exactly 0 for a single
@@ -141,7 +142,6 @@ def features(matrix: PredictiveMatrix) -> np.ndarray:
     e_delta = delta @ w
     var_pmax = np.maximum((p_max**2) @ w - e_pmax**2, 0.0)
     var_delta = np.maximum((delta**2) @ w - e_delta**2, 0.0)
-    ent = entropy_decomposition(matrix)
     p_max_mean = matrix.mean.max(axis=1)
     return np.column_stack(
         [p_max_mean, ent.total, e_pmax, e_delta, ent.epistemic, var_pmax, var_delta]

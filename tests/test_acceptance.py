@@ -150,8 +150,8 @@ def test_criterion_03_kernel_correctness(rng):
     )
     from anchormc.kernels import leapfrog
 
-    th1, p1, _ = leapfrog(big, th0, p0, 0.05, 8)
-    th2, p2, _ = leapfrog(big, th1, -p1, 0.05, 8)
+    th1, p1, _ = leapfrog(big, th0, p0, 0.05, 8, big.grad_log_density(th0))
+    th2, p2, _ = leapfrog(big, th1, -p1, 0.05, 8, big.grad_log_density(th1))
     rev_ok = np.max(np.abs(th2 - th0)) < 1e-10 and np.max(np.abs(-p2 - p0)) < 1e-10
 
     grad_ok = True
@@ -373,7 +373,7 @@ def test_criterion_09_mixing_ordering():
         "T=0.2": bimodal_toy(s=1.0, temperature=0.2, **toy),
     }.items():
         theta0 = np.asarray(target.prior.mean, dtype=float)
-        states, _, _ = hmc_chain(target, theta0, cfg, 40_000, seed=0)
+        states, _ = hmc_chain(target, theta0, cfg, 40_000, seed=0)
         iacts[label] = iact(states[:, 0])
     s_order = iacts["s=0.1"] < iacts["s=0.3"] < iacts["s=1"]
     s_sep = iacts["s=1"] >= 2 * iacts["s=0.1"]
@@ -399,9 +399,9 @@ def test_criterion_10_meta_classifier(mnist7_runs):
 
     m_id = predictive(smc.particles, wN, spec, test.x)
     correct_id = m_id.mean.argmax(axis=1) == test.y
-    f_id = features(m_id)
+    f_id = features(m_id, entropy_decomposition(m_id))
     m_ood = predictive(smc.particles, wN, spec, ood_x)
-    f_ood = features(m_ood)
+    f_ood = features(m_ood, entropy_decomposition(m_ood))
 
     half_id, half_ood = len(test) // 2, len(ood_x) // 2
     f_train = np.concatenate([f_id[:half_id], f_ood[:half_ood]])

@@ -83,13 +83,13 @@ class TestHmcStepCost:
         counted, target = make()
         cfg = HmcConfig(0.01, n_leapfrog)
         rng = np.random.default_rng(1)
-        theta, _, state = hmc_step(target, target.prior.sample(rng), cfg, rng)
+        theta, _, cache = hmc_step(target, target.prior.sample(rng), cfg, rng)
         # the first step also evaluates value and gradient at its start
         assert counted.calls == (n_leapfrog + 1, 0)
         accepted = 0
         for _ in range(10):
             before = counted.pair_calls
-            theta, acc, state = hmc_step(target, theta, cfg, rng, state)
+            theta, acc, cache = hmc_step(target, theta, cfg, rng, cache)
             accepted += acc
             # the value at the trajectory's end comes with its last gradient
             assert counted.calls == (before + n_leapfrog, 0)
@@ -104,14 +104,15 @@ class TestHmcStepCost:
             cfg = HmcConfig(0.05, 2)
             theta0 = target.prior.sample(np.random.default_rng(2))
             rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
-            a, b, state = theta0, theta0, None
+            a, b, cache = theta0, theta0, None
             for _ in range(20):
-                a, acc_a, state = hmc_step(target, a, cfg, rng_a, state)
+                a, acc_a, cache = hmc_step(target, a, cfg, rng_a, cache)
                 b, acc_b, fresh = hmc_step(target, b, cfg, rng_b, None)
                 assert acc_a == acc_b
                 assert np.array_equal(a, b)
-                assert state[0] == fresh[0]
-                assert np.array_equal(state[1], fresh[1])
+                assert cache.ll == fresh.ll and cache.logp == fresh.logp
+                assert np.array_equal(cache.gl, fresh.gl)
+                assert np.array_equal(cache.grad, fresh.grad)
 
 
 # the pilot-tuned HMC step size (hmc=None) costs calls that the runs report too
@@ -130,6 +131,28 @@ class TestReportedEvaluations:
         counted, target = gaussian_counted()
         result = smc.run_mcmc(target, smc.McmcConfig(n_chains=3, n_steps=12, seed=4, **kernel))
         assert result.epochs_per_particle == counted.total / 3
+
+    # Exact calls of an SMC run on a fixed ladder: each particle's cache
+    # carries its likelihood pair across stages, so no stage re-evaluates it.
+    LADDER = (0.0, 0.05, 0.3, 1.0)
+
+    def test_run_smc_budget_with_fixed_step_hmc(self):
+        counted, target = gaussian_counted()
+        n, n_leapfrog = 8, 3
+        cfg = smc.SmcConfig(
+            n_particles=n, seed=4, hmc=HmcConfig(0.1, n_leapfrog), fixed_schedule=self.LADDER
+        )
+        steps = sum(smc.run_smc(target, cfg).schedule.mutation_steps)
+        # one value per particle at lam = 0, the first step's pair at its
+        # start, then one pair per leapfrog step
+        assert counted.calls == (n * (1 + n_leapfrog * steps), n)
+
+    def test_run_smc_budget_with_pcn(self):
+        counted, target = gaussian_counted()
+        n = 8
+        cfg = smc.SmcConfig(n_particles=n, seed=4, kernel="pcn", fixed_schedule=self.LADDER)
+        steps = sum(smc.run_smc(target, cfg).schedule.mutation_steps)
+        assert counted.calls == (0, n * (1 + steps))
 
 
 class TestFusedLikelihood:

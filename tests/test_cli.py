@@ -16,7 +16,7 @@ from anchormc.artifacts import (
     save_artifact,
 )
 from anchormc.cli import _load_datasets, main
-from anchormc.uncertainty import features, predictive
+from anchormc.uncertainty import entropy_decomposition, features, predictive
 
 
 def synthetic_idx(dirpath, n_train=400, n_test=240, seed=0):
@@ -186,7 +186,8 @@ class TestPipeline:
         ]
         for rows, x, labels in blocks:
             matrix = predictive(samples, weights, spec, x)
-            np.testing.assert_allclose(rows[:, :7], features(matrix), rtol=0, atol=1e-13)
+            expected = features(matrix, entropy_decomposition(matrix))
+            np.testing.assert_allclose(rows[:, :7], expected, rtol=0, atol=1e-13)
             if labels is None:
                 assert np.array_equal(rows[:, 7], np.zeros(len(x)))
             else:

@@ -76,9 +76,8 @@ class TestHmcChain:
             prior=GaussianPrior(1.0, 2),
             lam=0.0,
         )
-        states, logps, rate = hmc_chain(target, np.zeros(2), HmcConfig(0.3, 3), 200)
+        states, rate = hmc_chain(target, np.zeros(2), HmcConfig(0.3, 3), 200)
         assert states.shape == (200, 2)
-        assert logps.shape == (200,)
         assert 0.0 <= rate <= 1.0
 
     def test_deterministic(self):

@@ -46,7 +46,7 @@ class TestLeapfrog:
     def test_tiny_step_is_identity(self, rng):
         t = std_gaussian_target(3)
         th, p = rng.normal(size=3), rng.normal(size=3)
-        th2, p2, _ = leapfrog(t, th, p, 1e-12, 1)
+        th2, p2, _ = leapfrog(t, th, p, 1e-12, 1, t.grad_log_density(th))
         assert np.allclose(th2, th, atol=1e-9)
         assert np.allclose(p2, p, atol=1e-9)
 
@@ -55,15 +55,15 @@ class TestLeapfrog:
         for _ in range(100):
             th, p = rng.normal(size=1), rng.normal(size=1)
             h0 = -t.log_density(th) + 0.5 * p @ p
-            th2, p2, _ = leapfrog(t, th, p, 0.1, 10)
+            th2, p2, _ = leapfrog(t, th, p, 0.1, 10, t.grad_log_density(th))
             h1 = -t.log_density(th2) + 0.5 * p2 @ p2
             assert abs(h1 - h0) < 1e-2
 
     def test_reversibility(self, rng):
         t = conjugate_target(rng.normal(size=6), 0.7, 1.3)
         th, p = rng.normal(size=6), rng.normal(size=6)
-        th2, p2, _ = leapfrog(t, th, p, 0.05, 8)
-        th3, p3, _ = leapfrog(t, th2, -p2, 0.05, 8)
+        th2, p2, _ = leapfrog(t, th, p, 0.05, 8, t.grad_log_density(th))
+        th3, p3, _ = leapfrog(t, th2, -p2, 0.05, 8, t.grad_log_density(th2))
         assert np.allclose(th3, th, atol=1e-10)
         assert np.allclose(-p3, p, atol=1e-10)
 
@@ -72,7 +72,7 @@ class TestLeapfrog:
         t = conjugate_target(rng.normal(size=2), 0.5, 1.0)
 
         def step(z):
-            th, p, _ = leapfrog(t, z[:2], z[2:], 0.1, 1)
+            th, p, _ = leapfrog(t, z[:2], z[2:], 0.1, 1, t.grad_log_density(z[:2]))
             return np.concatenate([th, p])
 
         z0 = rng.normal(size=4)
@@ -88,7 +88,7 @@ class TestLeapfrog:
             prior=GaussianPrior(1.0, 1),
         )
         with pytest.raises(DivergentTrajectory):
-            leapfrog(t, np.zeros(1), np.ones(1), 0.1, 1)
+            leapfrog(t, np.zeros(1), np.ones(1), 0.1, 1, np.zeros(1))
 
 
 class TestHmc:
@@ -97,10 +97,10 @@ class TestHmc:
         rng = np.random.default_rng(0)
         cfg = HmcConfig(0.05, 5)
         th = np.zeros(1)
-        logp = None
+        cache = None
         samples = np.empty(50_000)
         for i in range(samples.size):
-            th, _, logp = hmc_step(t, th, cfg, rng, logp)
+            th, _, cache = hmc_step(t, th, cfg, rng, cache)
             samples[i] = th[0]
         assert abs(samples.mean()) < 0.05
         assert abs(samples.var() - 1.0) < 0.1
@@ -109,10 +109,10 @@ class TestHmc:
         t = std_gaussian_target(2)
         rng = np.random.default_rng(1)
         th = np.zeros(2)
-        logp = None
+        cache = None
         accepted = 0
         for _ in range(2000):
-            th, acc, logp = hmc_step(t, th, HmcConfig(0.01, 5), rng, logp)
+            th, acc, cache = hmc_step(t, th, HmcConfig(0.01, 5), rng, cache)
             accepted += acc
         assert accepted / 2000 > 0.9
 
@@ -128,19 +128,16 @@ class TestHmc:
         assert accepted / 200 < 0.02
         assert np.allclose(th, th0) or accepted <= 2
 
-    def test_non_finite_gradient_at_start_rejects(self):
+    def test_non_finite_gradient_at_start_raises(self):
+        # as for pCN at a NaN value: a non-finite value or gradient at the
+        # chain's current state is an error, not a rejection
         t = TargetDensity(
             loglik=lambda th: float(th[0]),
             loglik_and_grad=lambda th: (float(th[0]), np.array([np.nan])),
             prior=GaussianPrior(1.0, 1),
         )
-        rng = np.random.default_rng(4)
-        th, state = np.zeros(1), None
-        for _ in range(3):
-            th, accepted, state = hmc_step(t, th, HmcConfig(0.1), rng, state)
-            assert not accepted and th[0] == 0.0
-        assert state == (t.log_density(th), None)
-
+        with pytest.raises(NonFiniteDensityError):
+            hmc_step(t, np.zeros(1), HmcConfig(0.1), np.random.default_rng(4))
 
 
 class TestPcn:
@@ -159,11 +156,11 @@ class TestPcn:
         target = prior_only_target(GaussianPrior(0.7, 1))
         rng = np.random.default_rng(4)
         th = np.zeros(1)
-        ll = None
+        cache = None
         samples = np.empty(20_000)
         accepted = 0
         for i in range(samples.size):
-            th, acc, ll = pcn_step(target, th, PcnConfig(0.5), rng, ll)
+            th, acc, cache = pcn_step(target, th, PcnConfig(0.5), rng, cache)
             accepted += acc
             samples[i] = th[0]
         assert accepted == samples.size
@@ -206,8 +203,8 @@ class TestPcn:
         rng = np.random.default_rng(7)
         th = np.array([-1.0])
         for _ in range(50):
-            th, _, ll = pcn_step(target, th, PcnConfig(1.0), rng)
-            assert th[0] <= 0 and ll == 0.0
+            th, _, cache = pcn_step(target, th, PcnConfig(1.0), rng)
+            assert th[0] <= 0 and cache.ll == 0.0
         with pytest.raises(NonFiniteDensityError):
             pcn_step(target, np.array([1.0]), PcnConfig(1.0), rng)
 
@@ -218,10 +215,10 @@ class TestTuning:
         rng = np.random.default_rng(8)
         eps = tune_step_size(t, np.zeros(5), HmcConfig(1e-4), rng)
         th = np.zeros(5)
-        logp = None
+        cache = None
         accepted = 0
         for _ in range(2000):
-            th, acc, logp = hmc_step(t, th, HmcConfig(eps), rng, logp)
+            th, acc, cache = hmc_step(t, th, HmcConfig(eps), rng, cache)
             accepted += acc
         # pilot is short so the long-run rate can drift outside the exact band;
         # it must at least avoid the degenerate extremes

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anchormc.kernels import PcnConfig
+from anchormc.kernels import HmcConfig, PcnConfig
 from anchormc.parallel import (
     RunResult,
     island_weights,
@@ -67,6 +67,20 @@ class TestRunParallel:
         results = run_parallel(bad, SmcConfig(n_particles=4, kernel="pcn"), 2, 0)
         assert all(r.failed for r in results)
         assert all(r.error for r in results)
+
+    @pytest.mark.parametrize("hmc", [HmcConfig(0.1, 2), None], ids=["fixed", "pilot"])
+    def test_nan_gradient_fails_the_island(self, hmc):
+        # a finite likelihood whose gradient is NaN: HMC cannot start a chain
+        # there, with or without the pilot, just as pCN cannot at a NaN value
+        bad = TargetDensity(
+            loglik=lambda th: -0.5 * float(th @ th),
+            loglik_and_grad=lambda th: (-0.5 * float(th @ th), np.full_like(th, np.nan)),
+            prior=GaussianPrior(1.0, 2),
+        )
+        cfg = SmcConfig(n_particles=4, kernel="hmc", hmc=hmc)
+        results = run_parallel(bad, cfg, 2, 0, workers=2)
+        assert all(r.failed for r in results)
+        assert all(r.error.startswith("NonFiniteDensityError:") for r in results)
 
 
 class TestCombine:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from anchormc.kernels import HmcConfig, PcnConfig
+from anchormc.kernels import HmcConfig, KernelCache, PcnConfig
 from anchormc.smc import (
     McmcConfig,
     ParticleEnsemble,
@@ -54,6 +54,11 @@ def truncated_target(a, sl, v):
         loglik_and_grad=cut_and_grad,
         prior=GaussianPrior(v, len(a)),
     )
+
+
+def value_caches(loglik):
+    """Kernel caches that hold only each particle's log-likelihood."""
+    return [KernelCache(float(ll), None, None, None) for ll in loglik]
 
 
 class TestEss:
@@ -123,10 +128,10 @@ class TestNextLambda:
     @pytest.mark.parametrize("spread", [0.0, 5.0, 1e3, 1e6])
     def test_wide_spreads_raise_no_floating_point_error(self, rng, spread):
         ll = -1e4 + spread * rng.uniform(-1.0, 0.0, size=32)
-        ens = ParticleEnsemble(particles=np.zeros((32, 1)), loglik=ll)
+        ens = ParticleEnsemble(particles=np.zeros((32, 1)), caches=value_caches(ll))
         with np.errstate(all="raise"):
             lam_next = next_lambda(ll, 0.0, 0.5)
-            out = reweight_and_resample(ens, lam_next, rng)
+            out = reweight_and_resample(ens, lam_next, rng, TemperSchedule())
         assert 0 < lam_next <= 1
         assert np.isfinite(out.log_z)
 
@@ -165,12 +170,12 @@ class TestReweightAndResample:
         n = len(loglik)
         return ParticleEnsemble(
             particles=rng.normal(size=(n, 1)),
-            loglik=np.asarray(loglik, dtype=float),
+            caches=value_caches(loglik),
         )
 
     def test_constant_likelihood_increment(self, rng):
         ens = self.make_ensemble(np.full(8, -2.5))
-        out = reweight_and_resample(ens, 0.4, rng)
+        out = reweight_and_resample(ens, 0.4, rng, TemperSchedule())
         assert out.log_z == pytest.approx(0.4 * -2.5, abs=1e-12)
         # constant weights: each particle survives exactly once
         assert sorted(map(tuple, out.particles)) == sorted(map(tuple, ens.particles))
@@ -178,7 +183,7 @@ class TestReweightAndResample:
     def test_extreme_log_weights_stay_finite(self, rng):
         ens = self.make_ensemble([-1e4, -1e4 + 3.0, -1e4 - 2.0])
         with np.errstate(all="raise"):
-            out = reweight_and_resample(ens, 1.0, rng)
+            out = reweight_and_resample(ens, 1.0, rng, TemperSchedule())
         expected = -1e4 + np.log((1.0 + np.exp(3.0) + np.exp(-2.0)) / 3.0)
         assert abs(out.log_z - expected) < 1e-9
 
@@ -215,10 +220,8 @@ class TestMutate:
         target = constant_target(0.0, d=2, v=1.0).with_lam(0.0)
         root = np.random.SeedSequence(seed)
         rngs = [np.random.default_rng(s) for s in root.spawn(16)]
-        ens = ParticleEnsemble(
-            particles=np.zeros((16, 2)), loglik=np.zeros(16), lam=0.0
-        )
-        m = mutate(ens, target, PcnConfig(beta), tol, max_steps, rngs)
+        ens = ParticleEnsemble(particles=np.zeros((16, 2)), caches=value_caches(np.zeros(16)))
+        m = mutate(ens, target, PcnConfig(beta), tol, max_steps, rngs, TemperSchedule())
         return ens, m
 
     def test_infinite_tolerance_stops_at_two(self):
@@ -229,8 +232,8 @@ class TestMutate:
         # beta -> 0 is disallowed, so freeze via an HMC kernel with eps ~ 0
         target = constant_target(0.0, d=2, v=1.0).with_lam(0.0)
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(0).spawn(8)]
-        ens = ParticleEnsemble(particles=np.ones((8, 2)), loglik=np.zeros(8), lam=0.0)
-        m = mutate(ens, target, HmcConfig(1e-300), 0.01, 20, rngs)
+        ens = ParticleEnsemble(particles=np.ones((8, 2)), caches=value_caches(np.zeros(8)))
+        m = mutate(ens, target, HmcConfig(1e-300), 0.01, 20, rngs, TemperSchedule())
         assert m == 2
         assert np.allclose(ens.particles, 1.0)
 
@@ -238,6 +241,33 @@ class TestMutate:
         ens, m = self.run_mutate(0.05, max_steps=50, beta=1.0, seed=3)
         assert m <= 50
         assert ens.particles.var() == pytest.approx(1.0, rel=0.35)
+
+
+class TestCaches:
+    @staticmethod
+    def assert_current(ens, target):
+        for theta, cache in zip(ens.particles, ens.caches):
+            ll, gl = target.log_likelihood_and_grad(theta)
+            assert cache.ll == ll
+            assert cache.gl is None or np.array_equal(cache.gl, gl)
+
+    @pytest.mark.parametrize("cfg", [PcnConfig(0.5), HmcConfig(0.2, 3)], ids=["pcn", "hmc"])
+    def test_cached_pair_equals_a_fresh_call(self, cfg):
+        target = conjugate_target([1.0, -0.5], 0.3, 1.0)
+        rng = np.random.default_rng(11)
+        rngs = [np.random.default_rng(s) for s in range(16)]
+        particles = target.prior.sample(rng, 16)
+        ens = ParticleEnsemble(particles, value_caches(map(target.log_likelihood, particles)))
+        schedule = TemperSchedule()
+        for lam in (0.3, 0.6, 1.0):
+            ens = reweight_and_resample(ens, lam, rng, schedule)
+            # resampling dropped some particles and duplicated others
+            assert len(np.unique(ens.particles, axis=0)) < len(particles)
+            self.assert_current(ens, target)
+            mutate(ens, target.with_lam(lam), cfg, 0.05, 4, rngs, schedule)
+            self.assert_current(ens, target)
+            if isinstance(cfg, HmcConfig):
+                assert all(c.gl is not None for c in ens.caches)
 
 
 class TestRunSmc:

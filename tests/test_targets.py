@@ -95,20 +95,25 @@ class TestGradient:
         assert np.allclose(t.grad_log_density(th), -th - th / v, atol=1e-12)
 
     def test_value_and_gradient_in_one_call(self, rng):
+        # one likelihood call, tempered for each target, gives the same bits
+        # as the log-density and its gradient evaluated directly
         base = posterior(d=3, v=0.5)
         anchored = make_anchored(base, rng.normal(size=3), 0.2)
         for target in [base, base.with_lam(0.0), anchored.with_lam(0.3), make_cold(anchored, 0.5)]:
             th = rng.normal(size=3)
-            value, grad = target.log_density_and_grad(th)
+            ll, gl = target.log_likelihood_and_grad(th)
+            assert ll == target.log_likelihood(th)
+            value, grad = target.temper(th, ll, gl)
             assert value == target.log_density(th)
             assert np.array_equal(grad, target.grad_log_density(th))
 
     @pytest.mark.parametrize("value, grad", [(np.nan, 0.0), (0.0, np.inf)], ids=["value", "grad"])
     def test_value_and_gradient_checked(self, value, grad):
+        # the pair holds for every lam, so it is checked at lam = 0 too
         t = posterior(d=2, loglik=(lambda th: value, lambda th: (value, np.full(2, grad))))
-        with pytest.raises(NonFiniteDensityError):
-            t.log_density_and_grad(np.zeros(2))
-        assert t.with_lam(0.0).log_density_and_grad(np.zeros(2))[0] == t.prior.log_density(np.zeros(2))
+        for target in (t, t.with_lam(0.0)):
+            with pytest.raises(NonFiniteDensityError):
+                target.log_likelihood_and_grad(np.zeros(2))
 
 
 class TestMakeAnchored:

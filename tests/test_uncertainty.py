@@ -115,7 +115,7 @@ class TestFeatures:
     def test_two_point_moments(self):
         # particles (0.9, 0.1) and (0.5, 0.5), equal weight
         m = matrix([[[0.9, 0.1], [0.5, 0.5]]])
-        f = features(m)[0]
+        f = features(m, entropy_decomposition(m))[0]
         assert f[0] == pytest.approx(0.7)  # p_max of mean (0.7, 0.3)
         assert f[2] == pytest.approx(0.7)  # E[p_max] = (0.9 + 0.5)/2
         assert f[3] == pytest.approx(0.4)  # E[delta] = (0.8 + 0.0)/2
@@ -124,14 +124,16 @@ class TestFeatures:
 
     def test_single_particle_zero_variance(self, rng):
         probs = rng.dirichlet(np.ones(3), size=(5, 1))
-        f = features(matrix(probs))
+        m = matrix(probs)
+        f = features(m, entropy_decomposition(m))
         assert np.allclose(f[:, 5], 0.0, atol=1e-12)
         assert np.allclose(f[:, 6], 0.0, atol=1e-12)
         assert np.allclose(f[:, 4], 0.0, atol=1e-9)  # no epistemic spread
 
     def test_single_class_rejected(self):
+        m = matrix([[[1.0]]])
         with pytest.raises(ValueError):
-            features(matrix([[[1.0]]]))
+            features(m, entropy_decomposition(m))
 
 
 class TestStandardizer:
