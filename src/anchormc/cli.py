@@ -144,6 +144,13 @@ def _build_target(cfg: dict, spec: NetworkSpec, train) -> TargetDensity:
     return target
 
 
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_sample(cfg: dict) -> None:
     out = cfg["output_dir"]
     if cfg["kernel"] == "hmc" and cfg["step_size"] <= 0 and cfg["leapfrog"] != 1:
@@ -169,7 +176,9 @@ def cmd_sample(cfg: dict) -> None:
         )
     else:
         raise ConfigError(f"unknown sampling method {cfg['method']!r}")
-    results = run_parallel(target, run_cfg, cfg["p"], cfg["seed"])
+    # results do not depend on the worker count, so it is not a config key
+    workers = min(cfg["p"], _cores())
+    results = run_parallel(target, run_cfg, cfg["p"], cfg["seed"], workers=workers)
     for r in results:
         if r.failed:
             print(f"island {r.p} FAILED: {r.error}", file=sys.stderr)

@@ -101,8 +101,9 @@ def hmc_step(
     ``cache`` is what the previous step returned at ``theta``, or None; its
     missing entries are evaluated here, so with it carried a step costs L
     likelihood calls. A non-finite likelihood or gradient at ``theta`` raises
-    ``NonFiniteDensityError``; a divergent trajectory is rejected. Returns
-    (theta_next, accepted, cache_next).
+    ``NonFiniteDensityError``; a divergent trajectory is rejected. From a
+    state of zero density (log-likelihood -inf) any proposal of positive
+    density is accepted. Returns (theta_next, accepted, cache_next).
     """
     ll, gl, logp, grad = (None, None, None, None) if cache is None else cache
     if grad is None:
@@ -118,7 +119,10 @@ def hmc_step(
             target, theta, p0, cfg.step_size, cfg.n_leapfrog, grad
         )
         h1 = -cache_prop.logp + 0.5 * np.dot(p1, p1)
-        if abs(h1 - h0) <= DIVERGENCE_THRESHOLD:
+        if h0 == np.inf:  # zero density here: any proposal of positive density is taken
+            if np.isfinite(h1):
+                theta_next, accepted, cache_next = theta_prop, True, cache_prop
+        elif abs(h1 - h0) <= DIVERGENCE_THRESHOLD:
             if np.log(rng.uniform()) < h0 - h1:
                 theta_next, accepted, cache_next = theta_prop, True, cache_prop
     except DivergentTrajectory:

@@ -8,7 +8,6 @@ and no floating-point exception is raised for finite log Z."""
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,6 +45,36 @@ class RunResult:
         return self.error is not None
 
 
+def _failed(p: int, dim: int, e: BaseException) -> RunResult:
+    return RunResult(p, np.empty((0, dim)), 0.0, 0.0, error=f"{type(e).__name__}: {e}")
+
+
+def _run_island(
+    target: TargetDensity, cfg: SmcConfig | McmcConfig, base_seed: int, p: int
+) -> RunResult:
+    run = run_smc if isinstance(cfg, SmcConfig) else run_mcmc
+    try:
+        r = run(target, replace(cfg, seed=mix64(base_seed, p)))
+        return RunResult(p, r.particles, r.log_z, r.epochs_per_particle, r.schedule)
+    except Exception as e:  # noqa: BLE001 - failure report, not control flow
+        return _failed(p, target.dim, e)
+
+
+# (target, cfg, base_seed) of the batch a worker process serves. Set only in
+# workers, by the pool's initializer: under fork its arguments are inherited,
+# not pickled, so closures over data reach the workers as they are.
+_batch = None
+
+
+def _join_batch(target: TargetDensity, cfg: SmcConfig | McmcConfig, base_seed: int) -> None:
+    global _batch
+    _batch = (target, cfg, base_seed)
+
+
+def _worker_island(p: int) -> RunResult:
+    return _run_island(*_batch, p)
+
+
 def run_parallel(
     target: TargetDensity,
     cfg: SmcConfig | McmcConfig,
@@ -55,26 +84,39 @@ def run_parallel(
 ) -> list[RunResult]:
     """n_islands fully independent runs with seeds derived from base_seed.
 
-    Results are ordered by island index and independent of worker scheduling.
-    A failed island is returned with its error message instead of aborting
-    the batch.
+    With ``workers`` > 1 and ``fork`` available, the islands run in
+    min(workers, n_islands) forked processes; only island indices go out and
+    only results come back. Results are ordered by island index and do not
+    depend on the worker count. A failed island is returned with its error
+    message instead of aborting the batch; a worker process that dies fails
+    the islands it had not returned (``BrokenProcessPool``). As with any
+    fork, a caller that runs other threads risks a worker inheriting a lock
+    one of them held.
     """
     if n_islands < 1:
         raise ValueError("need at least one island")
-    run = run_smc if isinstance(cfg, SmcConfig) else run_mcmc
-
-    def one(p: int) -> RunResult:
-        try:
-            r = run(target, replace(cfg, seed=mix64(base_seed, p)))
-            return RunResult(p, r.particles, r.log_z, r.epochs_per_particle, r.schedule)
-        except Exception as e:  # noqa: BLE001 - failure report, not control flow
-            d = target.dim
-            return RunResult(p, np.empty((0, d)), 0.0, 0.0, error=f"{type(e).__name__}: {e}")
-
+    workers = min(workers, n_islands)
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, range(n_islands)))
-    return [one(p) for p in range(n_islands)]
+        # imported here, so that importing the package loads no pool module
+        import multiprocessing
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            with ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_join_batch,
+                initargs=(target, cfg, base_seed),
+            ) as executor:
+                futures = [executor.submit(_worker_island, p) for p in range(n_islands)]
+            results = []
+            for p, future in enumerate(futures):
+                try:
+                    results.append(future.result())
+                except BrokenProcessPool as e:  # a worker died: its islands fail
+                    results.append(_failed(p, target.dim, e))
+            return results
+    return [_run_island(target, cfg, base_seed, p) for p in range(n_islands)]
 
 
 def island_weights(results: list[RunResult]) -> tuple[np.ndarray, list[int]]:

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from anchormc import data
+from anchormc import cli, data
 from anchormc.artifacts import (
     CONFIG_DEFAULTS,
     load_artifact,
@@ -217,6 +217,29 @@ class TestPipeline:
         for name in ("metrics.csv", "entropy.csv"):
             with open(os.path.join(out, name), "rb") as a, open(os.path.join(alt, name), "rb") as b:
                 assert a.read() == b.read()
+
+    def test_island_files_do_not_depend_on_worker_count(self, workspace, tmp_path, monkeypatch):
+        # sample runs min(p, cores) workers; force 1 and 2 through the core count
+        out, common = workspace
+        args = [a for a in common if not a.startswith("output_dir=")]
+        runs = {}
+        for cores in (1, 2):
+            monkeypatch.setattr(cli, "_cores", lambda: cores)
+            alt = str(tmp_path / f"cores{cores}")
+            os.makedirs(alt)
+            for suffix in (".manifest.json", ".samples.bin"):
+                shutil.copy(os.path.join(out, "map" + suffix), alt)
+            sample = ["sample", "method=smc", "kernel=pcn", "n=6", "p=2", f"output_dir={alt}"]
+            assert main(sample + args) == 0
+            runs[cores] = []
+            for p in range(2):
+                prefix = os.path.join(alt, f"island_{p:03d}")
+                with open(prefix + ".samples.bin", "rb") as f:
+                    manifest = load_artifact(prefix).manifest
+                    runs[cores].append((f.read(), manifest["log_z"], manifest["schedule"]))
+        assert runs[1] == runs[2]
+        with open(os.path.join(out, "island_001.samples.bin"), "rb") as f:
+            assert f.read() == runs[1][1][0]
 
     def test_pilot_tuned_hmc_refuses_more_leapfrog_steps(self, workspace, tmp_path, capsys):
         # the pilot tunes the step size at one leapfrog step, so leapfrog=5

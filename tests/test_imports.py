@@ -1,5 +1,6 @@
 """Every name a module imports is used in that module, and importing the CLI
-loads no scipy, which only the tests depend on.
+loads no scipy, which only the tests depend on, and no process-pool module,
+which only parallel islands need.
 
 No linter ships with the project, so this parses each module of the package
 (``__init__.py`` re-exports by design and is skipped) and fails on an
@@ -47,6 +48,17 @@ def test_checker_flags_unused_and_accepts_used():
 def test_cli_import_loads_no_scipy():
     # a fresh interpreter, so modules the test run itself imported do not count
     probe = "import sys, anchormc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_pool_modules():
+    # parallel islands import them on first use, which keeps them out of start-up
+    probe = (
+        "import sys, anchormc.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"

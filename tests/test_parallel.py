@@ -1,6 +1,12 @@
+import multiprocessing
+import os
+import signal
+
 import numpy as np
 import pytest
 
+from anchormc import nets, parallel
+from anchormc.data import Dataset
 from anchormc.kernels import HmcConfig, PcnConfig
 from anchormc.parallel import (
     RunResult,
@@ -11,13 +17,52 @@ from anchormc.parallel import (
     standard_error,
 )
 from anchormc.smc import McmcConfig, SmcConfig, ess, run_smc
-from anchormc.targets import GaussianPrior, TargetDensity, gaussian_loglik
+from anchormc.targets import GaussianPrior, TargetDensity, gaussian_loglik, make_anchored
 
 
 def conjugate_target(a=(1.0,), sl=0.5, v=1.0):
     a = np.asarray(a, dtype=float)
     ll, ll_and_grad = gaussian_loglik(a, sl)
     return TargetDensity(loglik=ll, loglik_and_grad=ll_and_grad, prior=GaussianPrior(v, a.size))
+
+
+def anchored_cnn_target(n=32, seed=0):
+    """The anchored (s=0.1) posterior of an 8x8 CNN over 8 classes, on
+    random images, anchored at a prior draw."""
+    spec = nets.NetworkSpec(kind="cnn", image_shape=(8, 8), n_classes=8)
+    rng = np.random.default_rng(seed)
+    data = Dataset(x=rng.uniform(size=(n, 64)), y=rng.integers(0, 8, n), image_shape=(8, 8))
+    prior = GaussianPrior(0.1, spec.n_params)
+    ll, ll_and_grad = nets.make_loglik(spec, data)
+    return make_anchored(TargetDensity(ll, ll_and_grad, prior), prior.sample(rng), 0.1)
+
+
+def assert_same_islands(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert not x.failed and not y.failed
+        assert np.array_equal(x.samples, y.samples)
+        assert x.log_z == y.log_z
+        assert x.epochs_per_particle == y.epochs_per_particle
+        if x.schedule is None:
+            assert y.schedule is None
+        else:
+            assert x.schedule.lambdas == y.schedule.lambdas
+            assert x.schedule.ess_values == y.schedule.ess_values
+            assert x.schedule.mutation_steps == y.schedule.mutation_steps
+
+
+@pytest.fixture
+def time_limit():
+    """Fails the test, instead of hanging, after the given seconds."""
+
+    def on_alarm(signum, frame):
+        raise TimeoutError("run_parallel did not return in time")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    yield signal.alarm
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def make_result(p, samples, log_z=0.0):
@@ -49,9 +94,53 @@ class TestRunParallel:
         target = conjugate_target()
         cfg = McmcConfig(n_chains=4, n_steps=10, kernel="pcn")
         serial = run_parallel(target, cfg, 4, base_seed=1, workers=1)
-        threaded = run_parallel(target, cfg, 4, base_seed=1, workers=4)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.samples, b.samples)
+        forked = run_parallel(target, cfg, 4, base_seed=1, workers=4)
+        assert_same_islands(serial, forked)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SmcConfig(n_particles=4, kernel="hmc", fixed_schedule=(0.0, 0.5, 1.0)),
+            McmcConfig(n_chains=3, n_steps=20, kernel="pcn"),
+        ],
+        ids=["smc-hmc", "mcmc-pcn"],
+    )
+    def test_anchored_cnn_same_for_one_and_two_workers(self, cfg):
+        # the target holds closures over the data; forked workers inherit it
+        target = anchored_cnn_target()
+        serial = run_parallel(target, cfg, 3, base_seed=7, workers=1)
+        forked = run_parallel(target, cfg, 3, base_seed=7, workers=2)
+        assert_same_islands(serial, forked)
+        assert parallel._batch is None  # set in the workers only
+
+    def test_serial_where_fork_is_missing(self, monkeypatch):
+        target = conjugate_target()
+        cfg = SmcConfig(n_particles=8, kernel="pcn")
+        forked = run_parallel(target, cfg, 2, base_seed=3, workers=2)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        parent, pair = os.getpid(), target.loglik_and_grad
+
+        def ll_and_grad(theta):  # fails the island if it runs in another process
+            assert os.getpid() == parent
+            return pair(theta)
+
+        in_parent = TargetDensity(lambda th: ll_and_grad(th)[0], ll_and_grad, target.prior)
+        assert_same_islands(run_parallel(in_parent, cfg, 2, base_seed=3, workers=2), forked)
+
+    def test_dead_worker_fails_its_islands(self, time_limit):
+        parent = os.getpid()
+
+        def ll_and_grad(theta):
+            if os.getpid() != parent:
+                os._exit(1)
+            return -0.5 * float(theta @ theta), -theta
+
+        target = TargetDensity(lambda th: ll_and_grad(th)[0], ll_and_grad, GaussianPrior(1.0, 2))
+        time_limit(60)
+        results = run_parallel(target, McmcConfig(n_chains=2, n_steps=3, kernel="pcn"), 3, 0, workers=2)
+        assert all(r.failed for r in results)
+        assert all("BrokenProcessPool" in r.error for r in results)
+        assert [r.p for r in results] == [0, 1, 2]
 
     def test_mcmc_islands_have_zero_log_z(self):
         target = conjugate_target()

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from anchormc.kernels import HmcConfig, KernelCache, PcnConfig
+from anchormc.kernels import HmcConfig, KernelCache, PcnConfig, sweep
 from anchormc.smc import (
     McmcConfig,
     ParticleEnsemble,
@@ -368,3 +370,17 @@ class TestRunMcmc:
         small = run_mcmc(target, McmcConfig(n_chains=2, n_steps=15, seed=3, **kernel))
         large = run_mcmc(target, McmcConfig(n_chains=5, n_steps=15, seed=3, **kernel))
         assert np.array_equal(small.particles, large.particles[:2])
+
+    @BOTH_KERNELS
+    def test_chain_started_at_zero_likelihood_leaves_it(self, kernel):
+        # at theta_0 = -0.5 the log-likelihood is -inf: every proposal of
+        # positive density is accepted, silently, and none back into the cut
+        target = truncated_target(np.array([0.5, -0.3]), 0.5, 1.0)
+        cfg = kernel.get("hmc", PcnConfig(0.5))
+        thetas, caches, rngs = np.array([[-0.5, 0.0]]), [None], [np.random.default_rng(5)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            accepted = sum(sweep(target, thetas, cfg, rngs, caches) for _ in range(50))
+        assert accepted > 0
+        assert thetas[0, 0] >= 0
+        assert np.isfinite(caches[0].ll)
