@@ -177,8 +177,7 @@ def cmd_sample(cfg: dict) -> None:
     else:
         raise ConfigError(f"unknown sampling method {cfg['method']!r}")
     # results do not depend on the worker count, so it is not a config key
-    workers = min(cfg["p"], _cores())
-    results = run_parallel(target, run_cfg, cfg["p"], cfg["seed"], workers=workers)
+    results = run_parallel(target, run_cfg, cfg["p"], cfg["seed"], workers=_cores())
     for r in results:
         if r.failed:
             print(f"island {r.p} FAILED: {r.error}", file=sys.stderr)
