@@ -52,11 +52,11 @@ def hmc_chain(
     """One long chain, stepped as a one-row bank; returns (states,
     acceptance rate)."""
     rngs = [np.random.default_rng(seed)]
-    accepted = 0
-    bank, caches = np.array(theta0, dtype=float)[None], [None]
+    bank, state, accepted = np.array(theta0, dtype=float)[None], None, 0
     states = np.empty((n_steps, bank.shape[1]))
     for t in range(n_steps):
-        accepted += sweep(target, bank, cfg, rngs, caches)
+        bank, n, state = sweep(target, bank, cfg, rngs, state)
+        accepted += n
         states[t] = bank[0]
     return states, accepted / n_steps
 

@@ -1,10 +1,11 @@
-"""Target-invariant MCMC transition kernels: HMC with leapfrog and
-preconditioned Crank-Nicolson.
-
-Both steps share one shape, ``step(target, theta, cfg, rng, cache) ->
-(theta, accepted, cache)``, and ``sweep`` steps a bank of chains with
-either one: it is the one loop the samplers, the pilot and the diagnostic
-chains drive. Both carry one cache record, ``KernelCache``."""
+"""Target-invariant MCMC transition kernels on a bank of chains, an (N, d)
+array whose rows are chains: HMC with leapfrog and preconditioned
+Crank-Nicolson. Both steps share one shape, ``step(target, thetas, cfg,
+rngs, state) -> (thetas, accepted, state)``, and ``sweep`` is the one entry
+the samplers, the pilot and the diagnostic chains drive. Row i draws only
+from ``rngs[i]`` and the likelihood pair is called once per live row per
+evaluation; the rest is array work over the rows that sums as one chain
+does, so a bank steps each row exactly as a one-row bank would."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .targets import NonFiniteDensityError, TargetDensity
+from .targets import TargetDensity, row_dots
 
 DIVERGENCE_THRESHOLD = 1000.0  # |energy error| above this marks a trajectory divergent
 
@@ -39,129 +40,120 @@ class PcnConfig:
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
 
 
-class DivergentTrajectory(RuntimeError):
-    pass
+class BankState(NamedTuple):
+    """What a bank carries between steps, for both kernels, one entry per row.
+    The checked likelihood pair (ll (N,), gl (N, d)) holds for every lam and
+    T; the log-density pair (logp, grad) tempered from it only for its
+    target, so a caller that changes the target drops it. Steps fill in None
+    entries."""
 
+    ll: np.ndarray
+    gl: np.ndarray | None = None
+    logp: np.ndarray | None = None
+    grad: np.ndarray | None = None
 
-class KernelCache(NamedTuple):
-    """What a chain carries between steps, for both kernels. The checked
-    likelihood pair (ll, gl) at its state holds for every lam and T; the
-    log-density pair (logp, grad) tempered from it only for its target, so a
-    caller that changes the target drops it. Steps fill in None entries."""
-
-    ll: float
-    gl: np.ndarray | None
-    logp: float | None
-    grad: np.ndarray | None
+    def update(self, new: "BankState", accepted: np.ndarray) -> "BankState":
+        # rows in ``accepted`` from ``new``, the others kept; what ``new`` lacks is dropped
+        return BankState(*(
+            None if b is None else np.where(accepted if b.ndim == 1 else accepted[:, None], b, a)
+            for a, b in zip(self, new)
+        ))
 
 
 def leapfrog(
     target: TargetDensity,
-    theta: np.ndarray,
+    thetas: np.ndarray,
     p: np.ndarray,
     step_size: float,
     n_steps: int,
     g: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, KernelCache]:
-    """Symplectic leapfrog for H(theta, p) = -log_density(theta) + |p|^2/2,
-    from ``g``, the gradient of the log-density at ``theta``.
-
-    Each step costs one likelihood call: a gradient inside the trajectory,
-    the pair at the last point. Returns (theta_end, p_end, the cache at
-    theta_end). Raises DivergentTrajectory if an evaluation is non-finite.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, BankState]:
+    """Symplectic leapfrog for H(theta, p) = -log_density(theta) + |p|^2/2 on
+    every row of ``thetas`` (N, d), from momenta ``p`` and ``g``, the tempered
+    gradient at ``thetas``. Each step costs one pair call per live row (at
+    lam = 0 only the last does). A row whose value or gradient is NaN or +inf
+    dies and makes no further call. Returns (thetas_end, p_end, ok, the state
+    at thetas_end); ``ok`` marks the live rows that end on finite theta and p.
     """
-    theta = np.array(theta, dtype=float)
-    p = np.array(p, dtype=float)
-    try:
-        for i in range(1, n_steps + 1):
-            p = p + 0.5 * step_size * g
-            theta = theta + step_size * p
-            if i < n_steps:
-                g = target.grad_log_density(theta)
-            else:
-                ll, gl = target.log_likelihood_and_grad(theta)
-                logp, g = target.temper(theta, ll, gl)
-            p = p + 0.5 * step_size * g
-    except NonFiniteDensityError as e:
-        raise DivergentTrajectory(str(e)) from e
-    if not (np.isfinite(theta).all() and np.isfinite(p).all()):
-        raise DivergentTrajectory("non-finite state after leapfrog")
-    return theta, p, KernelCache(ll, gl, logp, g)
+    ok = np.ones(len(thetas), dtype=bool)
+    ll, gl = np.zeros(len(thetas)), np.zeros(thetas.shape)
+    half = 0.5 * step_size
+    for i in range(1, n_steps + 1):
+        p = p + half * g
+        thetas = thetas + step_size * p
+        if target.lam != 0.0 or i == n_steps:
+            for j in np.flatnonzero(ok):
+                ll[j], gl[j] = target.loglik_and_grad(thetas[j])
+            ok &= (ll < np.inf) & np.isfinite(gl).all(axis=1)  # -inf is zero density, a value
+            ll[~ok], gl[~ok] = 0.0, 0.0  # a dead row's values are never read
+        logp, g = target.temper(thetas, ll, gl)
+        p = p + half * g
+    ok &= np.isfinite(thetas).all(axis=1) & np.isfinite(p).all(axis=1)
+    return thetas, p, ok, BankState(ll, gl, logp, g)
 
 
 def hmc_step(
     target: TargetDensity,
-    theta: np.ndarray,
+    thetas: np.ndarray,
     cfg: HmcConfig,
-    rng: np.random.Generator,
-    cache: KernelCache | None = None,
-) -> tuple[np.ndarray, bool, KernelCache]:
-    """One Metropolis-corrected HMC step with identity mass.
-
-    ``cache`` is what the previous step returned at ``theta``, or None; its
-    missing entries are evaluated here, so with it carried a step costs L
-    likelihood calls. A non-finite likelihood or gradient at ``theta`` raises
-    ``NonFiniteDensityError``; a divergent trajectory is rejected. From a
-    state of zero density (log-likelihood -inf) any proposal of positive
-    density is accepted. Returns (theta_next, accepted, cache_next).
-    """
-    ll, gl, logp, grad = (None, None, None, None) if cache is None else cache
-    if grad is None:
-        if gl is None:
-            ll, gl = target.log_likelihood_and_grad(theta)
-        logp, grad = target.temper(theta, ll, gl)
-        cache = KernelCache(ll, gl, logp, grad)
-    p0 = rng.standard_normal(theta.shape[0])
-    h0 = -logp + 0.5 * np.dot(p0, p0)
-    theta_next, accepted, cache_next = theta, False, cache
-    try:
-        theta_prop, p1, cache_prop = leapfrog(
-            target, theta, p0, cfg.step_size, cfg.n_leapfrog, grad
-        )
-        h1 = -cache_prop.logp + 0.5 * np.dot(p1, p1)
-        if h0 == np.inf:  # zero density here: any proposal of positive density is taken
-            if np.isfinite(h1):
-                theta_next, accepted, cache_next = theta_prop, True, cache_prop
-        elif abs(h1 - h0) <= DIVERGENCE_THRESHOLD:
-            if np.log(rng.uniform()) < h0 - h1:
-                theta_next, accepted, cache_next = theta_prop, True, cache_prop
-    except DivergentTrajectory:
-        pass
-    return theta_next, accepted, cache_next
+    rngs: list[np.random.Generator],
+    state: BankState | None = None,
+) -> tuple[np.ndarray, int, BankState]:
+    """One Metropolis-corrected HMC step with identity mass for every row.
+    ``state`` is what the previous step returned, or None; its missing
+    entries are evaluated here, so with it carried a step costs L likelihood
+    calls per row. A non-finite value or gradient at a row's current state
+    raises ``NonFiniteDensityError``; a row whose trajectory diverges is
+    rejected. A row at zero density (log-likelihood -inf) takes any proposal
+    of positive density. A row draws a uniform only if it reaches the accept
+    test. Returns (thetas_next, the number accepted, state_next)."""
+    if state is None or state.gl is None:
+        ll, gl = zip(*map(target.log_likelihood_and_grad, thetas))
+        state = BankState(np.array(ll), np.array(gl))
+    if state.grad is None:
+        state = BankState(state.ll, state.gl, *target.temper(thetas, state.ll, state.gl))
+    p0 = np.array([rng.standard_normal(thetas.shape[1]) for rng in rngs])
+    h0 = -state.logp + 0.5 * row_dots(p0)
+    prop, p1, ok, new = leapfrog(target, thetas, p0, cfg.step_size, cfg.n_leapfrog, state.grad)
+    h1 = -new.logp + 0.5 * row_dots(p1)
+    with np.errstate(invalid="ignore"):  # inf - inf where both ends have zero density
+        from_zero = h0 == np.inf
+        accepted = ok & from_zero & np.isfinite(h1)
+        rows = np.flatnonzero(ok & ~from_zero & (np.abs(h1 - h0) <= DIVERGENCE_THRESHOLD))
+        accepted[rows] = np.log([rngs[i].uniform() for i in rows]) < h0[rows] - h1[rows]
+    return np.where(accepted[:, None], prop, thetas), int(accepted.sum()), state.update(new, accepted)
 
 
 def pcn_step(
     target: TargetDensity,
-    theta: np.ndarray,
+    thetas: np.ndarray,
     cfg: PcnConfig,
-    rng: np.random.Generator,
-    cache: KernelCache | None = None,
-) -> tuple[np.ndarray, bool, KernelCache]:
+    rngs: list[np.random.Generator],
+    state: BankState | None = None,
+) -> tuple[np.ndarray, int, BankState]:
     """One preconditioned Crank-Nicolson step for the target
-    exp((lam * loglik + logprior) / T).
-
-    The Gaussian prior raised to the power 1/T is N(mean, T*v). The proposal
-    is reversible with respect to it, so the acceptance ratio involves only
-    the tempered likelihood difference (lam / T) * (ll_prop - ll), so of
-    ``cache`` it reads only ``ll``. A proposal whose log-likelihood is NaN or
-    +inf is rejected; at the current state it raises
-    ``NonFiniteDensityError``. Returns (theta_next, accepted, cache_next).
-    """
-    if cache is None:
-        cache = KernelCache(target.log_likelihood(theta), None, None, None)
-    prior = target.prior
-    mean = prior.mean
-    xi = rng.normal(0.0, prior.marginal_std * np.sqrt(target.temperature), size=theta.shape[0])
-    prop = mean + np.sqrt(1.0 - cfg.beta**2) * (theta - mean) + cfg.beta * xi
-    theta_next, accepted, cache_next = theta, False, cache
+    exp((lam * loglik + logprior) / T), for every row. The prior raised to
+    the power 1/T is N(mean, T*v) and the proposal is reversible with respect
+    to it, so the acceptance ratio is (lam / T) * (ll_prop - ll) and of
+    ``state`` a step reads ``ll`` alone. A proposal whose log-likelihood is
+    NaN or +inf is rejected; at a row's current state it raises
+    ``NonFiniteDensityError``. At lam = 0 no uniform is drawn. Returns
+    (thetas_next, the number accepted, state_next)."""
+    if state is None:
+        state = BankState(np.array([target.log_likelihood(t) for t in thetas]))
+    mean, sd = target.prior.mean, target.prior.marginal_std * np.sqrt(target.temperature)
+    xi = np.array([rng.normal(0.0, sd, size=thetas.shape[1]) for rng in rngs])
+    prop = mean + np.sqrt(1.0 - cfg.beta**2) * (thetas - mean) + cfg.beta * xi
+    ll_prop = np.array([target.loglik(t) for t in prop], dtype=float)
+    accepted = ll_prop < np.inf  # -inf is zero density, a value
     lam = target.lam / target.temperature  # the likelihood's exponent in the target
-    try:
-        ll_prop = target.log_likelihood(prop)
-        if lam == 0.0 or np.log(rng.uniform()) < lam * (ll_prop - cache.ll):
-            theta_next, cache_next, accepted = prop, KernelCache(ll_prop, None, None, None), True
-    except NonFiniteDensityError:
-        pass
-    return theta_next, accepted, cache_next
+    if lam != 0.0:
+        rows = np.flatnonzero(accepted)
+        log_u = np.log([rngs[i].uniform() for i in rows])
+        with np.errstate(invalid="ignore"):  # -inf - -inf where both have zero density
+            accepted[rows] = log_u < lam * (ll_prop[rows] - state.ll[rows])
+    new = state.update(BankState(ll_prop), accepted)
+    return np.where(accepted[:, None], prop, thetas), int(accepted.sum()), new
 
 
 def sweep(
@@ -169,19 +161,12 @@ def sweep(
     thetas: np.ndarray,
     cfg: HmcConfig | PcnConfig,
     rngs: list[np.random.Generator],
-    caches: list[KernelCache | None],
-) -> int:
-    """One kernel step for every row of ``thetas``, in place: row i draws
-    from ``rngs[i]`` and carries ``caches[i]``. ``cfg`` picks the kernel,
-    looked up by module-global name at call time so that a rebound
-    ``hmc_step``/``pcn_step`` is the one used. Returns the number of
-    accepted proposals."""
+    state: BankState | None,
+) -> tuple[np.ndarray, int, BankState]:
+    """One step of the kernel ``cfg`` picks, looked up by module-global name
+    at call time so that a rebound ``hmc_step``/``pcn_step`` is the one used."""
     step = hmc_step if isinstance(cfg, HmcConfig) else pcn_step
-    accepted = 0
-    for i in range(thetas.shape[0]):
-        thetas[i], acc, caches[i] = step(target, thetas[i], cfg, rngs[i], caches[i])
-        accepted += acc
-    return accepted
+    return step(target, thetas, cfg, rngs, state)
 
 
 PILOT_RATE_BAND = (0.6, 0.9)  # tune_step_size stops once the acceptance rate is in here
@@ -195,15 +180,17 @@ def tune_step_size(
     cfg: HmcConfig,
     rng: np.random.Generator,
 ) -> float:
-    """Short pilot: double/halve the step size until the empirical acceptance
-    rate lands in ``PILOT_RATE_BAND``. Used once per run; the step size then
-    stays fixed."""
+    """Short pilot on a one-row bank: double/halve the step size until the
+    empirical acceptance rate lands in ``PILOT_RATE_BAND``. Used once per
+    run; the step size then stays fixed."""
     eps = cfg.step_size
     lo, hi = PILOT_RATE_BAND
     for _ in range(PILOT_MAX_ROUNDS):
-        bank, cache = np.array(theta0, dtype=float)[None], [None]
+        bank, state, accepted = np.array(theta0, dtype=float)[None], None, 0
         pilot = HmcConfig(eps, cfg.n_leapfrog)
-        accepted = sum(sweep(target, bank, pilot, [rng], cache) for _ in range(PILOT_STEPS))
+        for _ in range(PILOT_STEPS):
+            bank, n, state = sweep(target, bank, pilot, [rng], state)
+            accepted += n
         if accepted / PILOT_STEPS > hi:
             eps *= 2.0
         elif accepted / PILOT_STEPS < lo:

@@ -222,7 +222,7 @@ def _log_likelihood_and_grad(
     dconv = dconv.reshape(-1, pooled.shape[-1])
     dwc = (cache["cols"].reshape(-1, 9).T @ dconv).T
     dwl = dlogits.T @ pooled.reshape(n, -1)
-    return ll, pack(spec, [(dwc, dconv.sum(axis=0)), (dwl, dlogits.sum(axis=0))])
+    return ll, pack(spec, [(dwc, np.einsum("pc->c", dconv)), (dwl, dlogits.sum(axis=0))])
 
 
 def log_likelihood_and_grad(

@@ -3,7 +3,8 @@ the matching bank of short parallel MCMC chains.
 
 One SMC run alternates: pick the next tempering exponent by ESS root-finding,
 reweight (accumulating log Z in log space), systematic resampling, then
-adaptive-length MCMC mutation at the new exponent.
+adaptive-length MCMC mutation at the new exponent. Resampling and mutation
+act on the whole particle bank and its ``kernels.BankState`` arrays at once.
 
 All log-weights (tempering increments here, island evidences in
 ``parallel``) are normalised by one max-shift rule, ``normalize_log_weights``.
@@ -15,20 +16,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kernels import HmcConfig, KernelCache, PcnConfig, sweep, tune_step_size
+from .kernels import BankState, HmcConfig, PcnConfig, sweep, tune_step_size
 from .targets import TargetDensity
 
 
 @dataclass
 class ParticleEnsemble:
     particles: np.ndarray  # (N, d)
-    caches: list[KernelCache]  # each particle's kernel cache, kept current by mutation
+    state: BankState  # the particles' kernel state, kept current by mutation
     lam: float = 0.0
     log_z: float = 0.0
-
-    @property
-    def loglik(self) -> np.ndarray:
-        return np.array([c.ll for c in self.caches])
 
 
 @dataclass
@@ -183,7 +180,7 @@ def reweight_and_resample(
 ) -> ParticleEnsemble:
     """Advance the tempering exponent: accumulate log Z by log-mean-exp of the
     incremental log-weights, then systematic-resample to uniform weights.
-    Each particle's cache goes with it.
+    Each particle's row of the kernel state goes with it.
 
     Weights are max-shifted (``normalize_log_weights``): a particle whose
     incremental weight is below exp(-745) of the best one gets weight exactly
@@ -191,7 +188,7 @@ def reweight_and_resample(
     if lam_next <= ensemble.lam:
         raise ValueError(f"lam must increase: {ensemble.lam} -> {lam_next}")
     dl = lam_next - ensemble.lam
-    logw = dl * ensemble.loglik
+    logw = dl * ensemble.state.ll
     log_norm, weights = normalize_log_weights(logw)
     log_increment = log_norm - np.log(len(weights))
     e = ess(weights)
@@ -202,8 +199,8 @@ def reweight_and_resample(
         )
     idx = systematic_resample(weights, rng)
     return ParticleEnsemble(
-        particles=ensemble.particles[idx].copy(),
-        caches=[ensemble.caches[i] for i in idx],
+        particles=ensemble.particles[idx],
+        state=BankState(*(None if a is None else a[idx] for a in ensemble.state)),
         lam=lam_next,
         log_z=ensemble.log_z + log_increment,
     )
@@ -239,18 +236,18 @@ def mutate(
     post-resampling state stabilizes: smallest M >= 2 with
     |dist_M - dist_{M-1}| / dist_{M-1} <= tol, capped at max_steps.
 
-    ``cfg`` selects the kernel. The caches drop their tempered part, which
-    held for the previous target, and the sweeps keep them current.
+    ``cfg`` selects the kernel. The kernel state drops its tempered part,
+    which held for the previous target, and the sweeps keep it current.
     A zero previous displacement counts as converged (an immobile ensemble
     cannot improve). Returns M used.
     """
-    start = ensemble.particles.copy()
-    caches = ensemble.caches = [c._replace(logp=None, grad=None) for c in ensemble.caches]
+    particles, state = ensemble.particles, ensemble.state._replace(logp=None, grad=None)
     dist_prev = None
     m_used = max_steps
     zero_accept_streak = 0
     for m in range(1, max_steps + 1):
-        if sweep(target, ensemble.particles, cfg, rngs, caches) == 0:
+        particles, accepted, state = sweep(target, particles, cfg, rngs, state)
+        if accepted == 0:
             zero_accept_streak += 1
             if zero_accept_streak == 3:
                 schedule.warnings.append(
@@ -258,7 +255,7 @@ def mutate(
                 )
         else:
             zero_accept_streak = 0
-        dist = float(np.mean(np.linalg.norm(ensemble.particles - start, axis=1)))
+        dist = float(np.mean(np.linalg.norm(particles - ensemble.particles, axis=1)))
         if m >= 2:
             if dist_prev == 0.0:
                 m_used = m
@@ -267,6 +264,7 @@ def mutate(
                 m_used = m
                 break
         dist_prev = dist
+    ensemble.particles, ensemble.state = particles, state
     schedule.mutation_steps.append(m_used)
     return m_used
 
@@ -309,8 +307,8 @@ def run_smc(target: TargetDensity, cfg: SmcConfig) -> SamplerResult:
     particle_rngs = _spawn_rngs(root, cfg.n_particles)
 
     particles = target.prior.sample(island_rng, cfg.n_particles)
-    caches = [KernelCache(target.log_likelihood(t), None, None, None) for t in particles]
-    ensemble = ParticleEnsemble(particles=particles, caches=caches)
+    ll = np.array([target.log_likelihood(t) for t in particles])
+    ensemble = ParticleEnsemble(particles=particles, state=BankState(ll))
     schedule = TemperSchedule()
     kernel = _kernel_config(cfg, target.with_lam(1.0), ensemble.particles[0], island_rng)
 
@@ -319,7 +317,7 @@ def run_smc(target: TargetDensity, cfg: SmcConfig) -> SamplerResult:
         if fixed is not None:
             lam_next = next(fixed)
         else:
-            lam_next = next_lambda(ensemble.loglik, ensemble.lam, cfg.ess_fraction)
+            lam_next = next_lambda(ensemble.state.ll, ensemble.lam, cfg.ess_fraction)
         ensemble = reweight_and_resample(ensemble, lam_next, island_rng, schedule)
         schedule.lambdas.append(lam_next)
         mutate(
@@ -358,9 +356,9 @@ class McmcConfig:
 def run_mcmc(target: TargetDensity, cfg: McmcConfig) -> SamplerResult:
     """Bank of independent chains at lam = 1, initialized from the prior,
     advanced by ``n_steps`` sweeps. Each chain draws only from its own rng and
-    carries its own cache, so the bank is the same as the chains run one by
-    one. The returned particles are the final chain states. Chains carry no
-    evidence estimate."""
+    carries its own row of the kernel state, so the bank is the same as the
+    chains run one by one. The returned particles are the final chain
+    states. Chains carry no evidence estimate."""
     root = np.random.SeedSequence(cfg.seed)
     init_rng = np.random.default_rng(root.spawn(1)[0])
     chain_rngs = _spawn_rngs(root, cfg.n_chains)
@@ -368,9 +366,9 @@ def run_mcmc(target: TargetDensity, cfg: McmcConfig) -> SamplerResult:
 
     particles = target.prior.sample(init_rng, cfg.n_chains)
     kernel = _kernel_config(cfg, target, particles[0], init_rng)
-    caches = [None] * cfg.n_chains
+    state = None
     for _ in range(cfg.n_steps):
-        sweep(target, particles, kernel, chain_rngs, caches)
+        particles, _, state = sweep(target, particles, kernel, chain_rngs, state)
     return SamplerResult(
         particles=particles,
         log_z=0.0,

@@ -39,6 +39,12 @@ def _finite_grad(grad: np.ndarray) -> np.ndarray:
     return grad
 
 
+def row_dots(x: np.ndarray) -> float | np.ndarray:
+    """``np.dot(x, x)``, or that of each row of a bank ``x``, summed in
+    ``np.dot``'s own order, so a bank's row gets the bits of one chain."""
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
+
+
 @dataclass(frozen=True)
 class GaussianPrior:
     """Isotropic N(mean, v*Id) prior on d coordinates; the mean is zero
@@ -62,10 +68,10 @@ class GaussianPrior:
     def marginal_std(self) -> float:
         return float(np.sqrt(self.variance))
 
-    def log_density(self, theta: np.ndarray) -> float:
+    def log_density(self, theta: np.ndarray) -> float | np.ndarray:  # or one per row of a bank
         v = self.variance
         r = theta - self.mean
-        return float(-0.5 * self.dim * np.log(2 * np.pi * v) - 0.5 * np.dot(r, r) / v)
+        return -0.5 * self.dim * np.log(2 * np.pi * v) - 0.5 * row_dots(r) / v
 
     def grad_log_density(self, theta: np.ndarray) -> np.ndarray:
         return (self.mean - theta) / self.variance
@@ -139,11 +145,13 @@ class TargetDensity:
             g = g + self.lam * _finite_grad(self.loglik_and_grad(theta)[1])
         return g / self.temperature
 
-    def temper(self, theta: np.ndarray, ll: float, gl: np.ndarray) -> tuple[float, np.ndarray]:
-        """``log_density`` and ``grad_log_density`` at ``theta`` from the
-        checked likelihood pair (ll, gl) there, with no likelihood call."""
-        lp = _check_finite(self.prior.log_density(theta), "log-prior")
-        g = self.prior.grad_log_density(theta)
+    def temper(self, thetas: np.ndarray, ll: np.ndarray, gl: np.ndarray) -> tuple:
+        """``log_density`` and ``grad_log_density`` at each row of the bank
+        ``thetas`` (N, d), or at one vector, from the likelihood pair there,
+        with no likelihood call and no check; at lam = 0 the pair is not
+        read. A row gets the bits of the one-vector methods."""
+        lp = self.prior.log_density(thetas)
+        g = self.prior.grad_log_density(thetas)
         if self.lam != 0.0:
             lp = self.lam * ll + lp
             g = g + self.lam * gl

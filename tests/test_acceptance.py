@@ -118,19 +118,20 @@ def test_criterion_03_kernel_correctness(rng):
     prior = GaussianPrior(v, 1)
     target = TargetDensity(loglik=ll, loglik_and_grad=ll_and_grad, prior=prior)
 
-    n = 40_000
-    gen = np.random.default_rng(0)
-    th, logp = np.zeros(1), None
-    hmc_draws = np.empty(n)
-    for i in range(n):
-        th, _, logp = hmc_step(target, th, HmcConfig(0.5, 3), gen, logp)
-        hmc_draws[i] = th[0]
-    gen = np.random.default_rng(1)
-    th, cache = np.zeros(1), None
-    pcn_draws = np.empty(n)
-    for i in range(n):
-        th, _, cache = pcn_step(target, th, PcnConfig(0.3), gen, cache)
-        pcn_draws[i] = th[0]
+    n, chains = 40_000, 8
+
+    def bank_draws(step, cfg, seed):
+        # a bank of chains started at zero, each with its own rng
+        gens = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(chains)]
+        th, state = np.zeros((chains, 1)), None
+        draws = np.empty((n // chains, chains))
+        for i in range(n // chains):
+            th, _, state = step(target, th, cfg, gens, state)
+            draws[i] = th[:, 0]
+        return draws.ravel()
+
+    hmc_draws = bank_draws(hmc_step, HmcConfig(0.5, 3), 0)
+    pcn_draws = bank_draws(pcn_step, PcnConfig(0.3), 1)
 
     def ok(draws, discount):
         se = draws.std() / np.sqrt(n / discount)
@@ -147,9 +148,9 @@ def test_criterion_03_kernel_correctness(rng):
     big = TargetDensity(*gaussian_loglik(rng.normal(size=4), 0.9), prior=GaussianPrior(1.0, 4))
     from anchormc.kernels import leapfrog
 
-    th1, p1, _ = leapfrog(big, th0, p0, 0.05, 8, big.grad_log_density(th0))
-    th2, p2, _ = leapfrog(big, th1, -p1, 0.05, 8, big.grad_log_density(th1))
-    rev_ok = np.max(np.abs(th2 - th0)) < 1e-10 and np.max(np.abs(-p2 - p0)) < 1e-10
+    th1, p1, _, end = leapfrog(big, th0[None], p0[None], 0.05, 8, big.grad_log_density(th0)[None])
+    th2, p2, _, _ = leapfrog(big, th1, -p1, 0.05, 8, end.grad)
+    rev_ok = np.max(np.abs(th2[0] - th0)) < 1e-10 and np.max(np.abs(-p2[0] - p0)) < 1e-10
 
     grad_ok = True
     for spec in (

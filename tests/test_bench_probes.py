@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
-from anchormc import nets, targets  # noqa: E402
+from anchormc import kernels, nets, smc, targets  # noqa: E402
 from anchormc.data import Dataset  # noqa: E402
 from bench import probes  # noqa: E402
 
@@ -41,3 +41,36 @@ def test_probes_wrap_the_package_and_undo_on_exit():
     assert tracer.get("targets.log_density").count == 2
     assert tracer.get("targets.grad_log_density").count == 2
     assert (nets.make_loglik, targets.gaussian_loglik, targets.TargetDensity.log_density) == originals
+
+
+def test_traced_samplers_complete_and_count_bank_sweeps():
+    # the probes wrap the kernels by name and read element [1] of a step's
+    # result as an int count; a traced run that crashes fails the benchmark
+    d, n = 3, 4
+    runs = [
+        ("smc", dict(kernel="hmc", hmc=kernels.HmcConfig(0.3, 2)), False),
+        ("smc", dict(kernel="hmc"), True),  # pilot-tuned step size
+        ("mcmc", dict(kernel="pcn"), False),
+    ]
+    for method, kernel, pilot in runs:
+        tracer = probes.new_tracer()
+        with probes.instrument(tracer):
+            target = targets.TargetDensity(
+                *targets.gaussian_loglik(np.ones(d), 0.5), targets.GaussianPrior(1.0, d)
+            )
+            if method == "smc":
+                result = smc.run_smc(target, smc.SmcConfig(n_particles=n, seed=1, **kernel))
+                row_sweeps = n * sum(result.schedule.mutation_steps)
+            else:
+                result = smc.run_mcmc(target, smc.McmcConfig(n_chains=n, n_steps=5, seed=1, **kernel))
+                row_sweeps = n * 5
+        assert np.isfinite(result.particles).all()
+        sweeps = tracer.get("kernels.hmc_step").count + tracer.get("kernels.pcn_step").count
+        step = "kernels.pcn_step" if kernel["kernel"] == "pcn" else "kernels.hmc_step"
+        assert tracer.get(step).count > 0
+        pilot_sweeps = sweeps - row_sweeps // n  # one-row banks
+        assert tracer.get("kernels.tune_step_size").count == pilot
+        assert (pilot_sweeps > 0) == pilot
+        accepted = tracer.counters.get("kernels.accepted", 0)
+        assert isinstance(accepted, int)
+        assert 0 < accepted <= row_sweeps + pilot_sweeps

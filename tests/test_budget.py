@@ -82,37 +82,38 @@ class TestHmcStepCost:
     def test_l_gradients_and_one_value_per_step(self, make, n_leapfrog, passes):
         counted, target = make()
         cfg = HmcConfig(0.01, n_leapfrog)
-        rng = np.random.default_rng(1)
-        theta, _, cache = hmc_step(target, target.prior.sample(rng), cfg, rng)
-        # the first step also evaluates value and gradient at its start
-        assert counted.calls == (n_leapfrog + 1, 0)
-        accepted = 0
+        n = 3
+        rngs = [np.random.default_rng(s) for s in range(1, n + 1)]
+        thetas = target.prior.sample(np.random.default_rng(1), n)
+        thetas, accepted, state = hmc_step(target, thetas, cfg, rngs)
+        # the first sweep also evaluates value and gradient at each row's start
+        assert counted.calls == (n * (n_leapfrog + 1), 0)
         for _ in range(10):
             before = counted.pair_calls
-            theta, acc, cache = hmc_step(target, theta, cfg, rng, cache)
+            thetas, acc, state = hmc_step(target, thetas, cfg, rngs, state)
             accepted += acc
             # the value at the trajectory's end comes with its last gradient
-            assert counted.calls == (before + n_leapfrog, 0)
+            assert counted.calls == (before + n * n_leapfrog, 0)
         assert accepted > 0
         if target.dim == CNN.n_params:
             # one pass per call into loglik_and_grad and none besides
-            assert passes["forward"] == 11 * n_leapfrog + 1
+            assert passes["forward"] == n * (11 * n_leapfrog + 1)
 
     def test_cached_chain_equals_uncached_chain(self):
         for make in (gaussian_counted, cnn_counted):
             _, target = make()
             cfg = HmcConfig(0.05, 2)
-            theta0 = target.prior.sample(np.random.default_rng(2))
-            rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
-            a, b, cache = theta0, theta0, None
+            theta0 = target.prior.sample(np.random.default_rng(2), 3)
+            rngs_a = [np.random.default_rng(s) for s in (3, 4, 5)]
+            rngs_b = [np.random.default_rng(s) for s in (3, 4, 5)]
+            a, b, state = theta0, theta0, None
             for _ in range(20):
-                a, acc_a, cache = hmc_step(target, a, cfg, rng_a, cache)
-                b, acc_b, fresh = hmc_step(target, b, cfg, rng_b, None)
+                a, acc_a, state = hmc_step(target, a, cfg, rngs_a, state)
+                b, acc_b, fresh = hmc_step(target, b, cfg, rngs_b, None)
                 assert acc_a == acc_b
                 assert np.array_equal(a, b)
-                assert cache.ll == fresh.ll and cache.logp == fresh.logp
-                assert np.array_equal(cache.gl, fresh.gl)
-                assert np.array_equal(cache.grad, fresh.grad)
+                for carried, evaluated in zip(state, fresh):
+                    assert np.array_equal(carried, evaluated)
 
 
 # the pilot-tuned HMC step size (hmc=None) costs calls that the runs report too
@@ -132,8 +133,9 @@ class TestReportedEvaluations:
         result = smc.run_mcmc(target, smc.McmcConfig(n_chains=3, n_steps=12, seed=4, **kernel))
         assert result.epochs_per_particle == counted.total / 3
 
-    # Exact calls of an SMC run on a fixed ladder: each particle's cache
-    # carries its likelihood pair across stages, so no stage re-evaluates it.
+    # Exact calls of an SMC run on a fixed ladder: each particle's row of the
+    # kernel state carries its likelihood pair across stages, so no stage
+    # re-evaluates it.
     LADDER = (0.0, 0.05, 0.3, 1.0)
 
     def test_run_smc_budget_with_fixed_step_hmc(self):

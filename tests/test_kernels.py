@@ -1,8 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
 from anchormc.kernels import (
-    DivergentTrajectory,
+    BankState,
     HmcConfig,
     PcnConfig,
     hmc_step,
@@ -42,28 +44,68 @@ def conjugate_target(a, sl, v):
     return TargetDensity(loglik=ll, loglik_and_grad=ll_and_grad, prior=GaussianPrior(v, len(a)))
 
 
+def grads(target, thetas):
+    """The tempered gradient at each row, from the one-vector reference."""
+    return np.array([target.grad_log_density(t) for t in thetas])
+
+
+def rows_equal(a: BankState, b: BankState, i, j) -> bool:
+    """Whether rows ``i`` of ``a`` and ``j`` of ``b`` hold the same entries."""
+    return all(
+        (x is None and y is None) or np.array_equal(x[i], y[j]) for x, y in zip(a, b)
+    )
+
+
+def run_bank(target, thetas, cfg, seeds, n_sweeps):
+    """``n_sweeps`` sweeps of the bank ``thetas``, row i drawing from
+    default_rng(seeds[i]); returns (thetas, accepted per sweep, state)."""
+    rngs = [np.random.default_rng(s) for s in seeds]
+    state, counts = None, []
+    for _ in range(n_sweeps):
+        thetas, n, state = sweep(target, thetas, cfg, rngs, state)
+        counts.append(n)
+    return thetas, counts, state
+
+
+def chain_draws(target, cfg, n_chains, n_steps, d=1, seed=0):
+    """Draws of a bank of chains started at zero: an (n_steps, n_chains, d)
+    array."""
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_chains)]
+    thetas, state = np.zeros((n_chains, d)), None
+    draws = np.empty((n_steps, n_chains, d))
+    accepted = 0
+    for t in range(n_steps):
+        thetas, n, state = sweep(target, thetas, cfg, rngs, state)
+        draws[t] = thetas
+        accepted += n
+    return draws, accepted
+
+
 class TestLeapfrog:
     def test_tiny_step_is_identity(self, rng):
         t = std_gaussian_target(3)
-        th, p = rng.normal(size=3), rng.normal(size=3)
-        th2, p2, _ = leapfrog(t, th, p, 1e-12, 1, t.grad_log_density(th))
+        th, p = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        th2, p2, ok, _ = leapfrog(t, th, p, 1e-12, 1, grads(t, th))
+        assert ok.all()
         assert np.allclose(th2, th, atol=1e-9)
         assert np.allclose(p2, p, atol=1e-9)
 
     def test_energy_error_small(self, rng):
         t = std_gaussian_target(1)
-        for _ in range(100):
-            th, p = rng.normal(size=1), rng.normal(size=1)
-            h0 = -t.log_density(th) + 0.5 * p @ p
-            th2, p2, _ = leapfrog(t, th, p, 0.1, 10, t.grad_log_density(th))
-            h1 = -t.log_density(th2) + 0.5 * p2 @ p2
-            assert abs(h1 - h0) < 1e-2
+        th, p = rng.normal(size=(100, 1)), rng.normal(size=(100, 1))
+        h0 = [-t.log_density(a) + 0.5 * b @ b for a, b in zip(th, p)]
+        th2, p2, ok, end = leapfrog(t, th, p, 0.1, 10, grads(t, th))
+        h1 = [-t.log_density(a) + 0.5 * b @ b for a, b in zip(th2, p2)]
+        assert ok.all()
+        assert np.max(np.abs(np.subtract(h1, h0))) < 1e-2
+        # the state at the end is the reference log-density there
+        assert np.array_equal(end.logp, [t.log_density(a) for a in th2])
 
     def test_reversibility(self, rng):
         t = conjugate_target(rng.normal(size=6), 0.7, 1.3)
-        th, p = rng.normal(size=6), rng.normal(size=6)
-        th2, p2, _ = leapfrog(t, th, p, 0.05, 8, t.grad_log_density(th))
-        th3, p3, _ = leapfrog(t, th2, -p2, 0.05, 8, t.grad_log_density(th2))
+        th, p = rng.normal(size=(3, 6)), rng.normal(size=(3, 6))
+        th2, p2, _, end = leapfrog(t, th, p, 0.05, 8, grads(t, th))
+        th3, p3, _, _ = leapfrog(t, th2, -p2, 0.05, 8, end.grad)
         assert np.allclose(th3, th, atol=1e-10)
         assert np.allclose(-p3, p, atol=1e-10)
 
@@ -72,8 +114,8 @@ class TestLeapfrog:
         t = conjugate_target(rng.normal(size=2), 0.5, 1.0)
 
         def step(z):
-            th, p, _ = leapfrog(t, z[:2], z[2:], 0.1, 1, t.grad_log_density(z[:2]))
-            return np.concatenate([th, p])
+            th, p, _, _ = leapfrog(t, z[None, :2], z[None, 2:], 0.1, 1, grads(t, z[None, :2]))
+            return np.concatenate([th[0], p[0]])
 
         z0 = rng.normal(size=4)
         jac = np.column_stack(
@@ -82,51 +124,39 @@ class TestLeapfrog:
         assert abs(np.linalg.det(jac) - 1.0) < 1e-6
 
     def test_divergent_gradient_flagged(self):
+        # a NaN gradient in row 1 marks that row only
         t = TargetDensity(
             loglik=lambda th: float(th[0]),
-            loglik_and_grad=lambda th: (float(th[0]), np.array([np.nan])),
+            loglik_and_grad=lambda th: (float(th[0]), np.array([np.nan if th[0] > 0 else 1.0])),
             prior=GaussianPrior(1.0, 1),
         )
-        with pytest.raises(DivergentTrajectory):
-            leapfrog(t, np.zeros(1), np.ones(1), 0.1, 1, np.zeros(1))
+        _, _, ok, _ = leapfrog(t, np.array([[-5.0], [0.0]]), np.ones((2, 1)), 0.1, 1, np.zeros((2, 1)))
+        assert ok.tolist() == [True, False]
+        # and so is a row that leaves the finite reals with finite values
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, _, ok, _ = leapfrog(
+                std_gaussian_target(1), np.zeros((2, 1)), np.array([[1.0], [1e308]]), 10.0, 1,
+                np.zeros((2, 1)),
+            )
+        assert ok.tolist() == [True, False]
 
 
 class TestHmc:
     def test_gaussian_moments(self):
-        t = std_gaussian_target(1)
-        rng = np.random.default_rng(0)
-        cfg = HmcConfig(0.05, 5)
-        th = np.zeros(1)
-        cache = None
-        samples = np.empty(50_000)
-        for i in range(samples.size):
-            th, _, cache = hmc_step(t, th, cfg, rng, cache)
-            samples[i] = th[0]
-        assert abs(samples.mean()) < 0.05
-        assert abs(samples.var() - 1.0) < 0.1
+        draws, _ = chain_draws(std_gaussian_target(1), HmcConfig(0.05, 5), 10, 5000)
+        assert abs(draws.mean()) < 0.05
+        assert abs(draws.var() - 1.0) < 0.1
 
     def test_high_acceptance_at_small_step(self):
-        t = std_gaussian_target(2)
-        rng = np.random.default_rng(1)
-        th = np.zeros(2)
-        cache = None
-        accepted = 0
-        for _ in range(2000):
-            th, acc, cache = hmc_step(t, th, HmcConfig(0.01, 5), rng, cache)
-            accepted += acc
+        _, accepted = chain_draws(std_gaussian_target(2), HmcConfig(0.01, 5), 20, 100, d=2, seed=1)
         assert accepted / 2000 > 0.9
 
     def test_huge_step_rejects(self):
         t = std_gaussian_target(2)
-        rng = np.random.default_rng(2)
-        th0 = np.array([0.3, -0.2])
-        th = th0
-        accepted = 0
-        for _ in range(200):
-            th, acc, _ = hmc_step(t, th, HmcConfig(100.0), rng)
-            accepted += acc
-        assert accepted / 200 < 0.02
-        assert np.allclose(th, th0) or accepted <= 2
+        th0 = np.tile([0.3, -0.2], (20, 1))
+        th, counts, _ = run_bank(t, th0, HmcConfig(100.0), range(20), 10)
+        assert sum(counts) / 200 < 0.02
+        assert np.sum(np.any(th != th0, axis=1)) <= sum(counts)
 
     def test_non_finite_gradient_at_start_raises(self):
         # as for pCN at a NaN value: a non-finite value or gradient at the
@@ -137,40 +167,24 @@ class TestHmc:
             prior=GaussianPrior(1.0, 1),
         )
         with pytest.raises(NonFiniteDensityError):
-            hmc_step(t, np.zeros(1), HmcConfig(0.1), np.random.default_rng(4))
+            hmc_step(t, np.zeros((1, 1)), HmcConfig(0.1), [np.random.default_rng(4)])
 
 
 class TestPcn:
     @staticmethod
-    def chain(target, n=50_000):
-        rng = np.random.default_rng(6)
-        th = np.zeros(1)
-        cache = None
-        samples = np.empty(n)
-        for i in range(n):
-            th, _, cache = pcn_step(target, th, PcnConfig(0.3), rng, cache)
-            samples[i] = th[0]
-        return samples
+    def chain(target):
+        return chain_draws(target, PcnConfig(0.3), 10, 5000, seed=6)[0].ravel()
 
     def test_prior_invariance_accepts_everything(self):
         target = prior_only_target(GaussianPrior(0.7, 1))
-        rng = np.random.default_rng(4)
-        th = np.zeros(1)
-        cache = None
-        samples = np.empty(20_000)
-        accepted = 0
-        for i in range(samples.size):
-            th, acc, cache = pcn_step(target, th, PcnConfig(0.5), rng, cache)
-            accepted += acc
-            samples[i] = th[0]
-        assert accepted == samples.size
-        assert samples.var() == pytest.approx(0.7, rel=0.05)
+        draws, accepted = chain_draws(target, PcnConfig(0.5), 10, 2000, seed=4)
+        assert accepted == draws.size
+        assert draws.var() == pytest.approx(0.7, rel=0.05)
 
     def test_beta_one_is_independent_prior_draw(self):
         target = prior_only_target(GaussianPrior(1.0, 3))
-        rng = np.random.default_rng(5)
-        th = np.full(3, 100.0)  # far from the prior: beta=1 must forget it
-        th2, _, _ = pcn_step(target, th, PcnConfig(1.0), rng)
+        th = np.full((2, 3), 100.0)  # far from the prior: beta=1 must forget it
+        th2, _, _ = pcn_step(target, th, PcnConfig(1.0), [np.random.default_rng(s) for s in (5, 6)])
         assert np.all(np.abs(th2) < 10)
 
     def test_conjugate_posterior_moments(self):
@@ -200,49 +214,238 @@ class TestPcn:
             loglik_and_grad=lambda th: (np.nan if th[0] > 0 else 0.0, np.zeros_like(th)),
             prior=GaussianPrior(1.0, 1),
         )
-        rng = np.random.default_rng(7)
-        th = np.array([-1.0])
+        rngs = [np.random.default_rng(7), np.random.default_rng(8)]
+        th, state = np.array([[-1.0], [-2.0]]), None
         for _ in range(50):
-            th, _, cache = pcn_step(target, th, PcnConfig(1.0), rng)
-            assert th[0] <= 0 and cache.ll == 0.0
+            th, _, state = pcn_step(target, th, PcnConfig(1.0), rngs, state)
+            assert np.all(th <= 0) and np.all(state.ll == 0.0)
         with pytest.raises(NonFiniteDensityError):
-            pcn_step(target, np.array([1.0]), PcnConfig(1.0), rng)
+            pcn_step(target, np.array([[-1.0], [1.0]]), PcnConfig(1.0), rngs)
 
 
 class TestTuning:
     def test_pilot_lands_in_band(self):
         t = std_gaussian_target(5)
-        rng = np.random.default_rng(8)
-        eps = tune_step_size(t, np.zeros(5), HmcConfig(1e-4), rng)
-        th = np.zeros(5)
-        cache = None
-        accepted = 0
-        for _ in range(2000):
-            th, acc, cache = hmc_step(t, th, HmcConfig(eps), rng, cache)
-            accepted += acc
+        eps = tune_step_size(t, np.zeros(5), HmcConfig(1e-4), np.random.default_rng(8))
+        _, accepted = chain_draws(t, HmcConfig(eps), 20, 100, d=5, seed=8)
         # pilot is short so the long-run rate can drift outside the exact band;
         # it must at least avoid the degenerate extremes
         assert 0.4 <= accepted / 2000 <= 0.995
 
 
-class TestSweep:
-    @pytest.mark.parametrize(
-        "cfg, step", [(HmcConfig(0.8, 2), hmc_step), (PcnConfig(0.6), pcn_step)], ids=["hmc", "pcn"]
-    )
-    def test_steps_each_row_with_its_own_rng_and_counts_acceptances(self, cfg, step):
-        target = conjugate_target([1.0, -0.5], 0.3, 1.0)
-        start = np.random.default_rng(9).normal(size=(6, 2))
-        bank, caches = start.copy(), [None] * 6
-        rngs = [np.random.default_rng(s) for s in range(6)]
-        counts = [sweep(target, bank, cfg, rngs, caches) for _ in range(4)]
+class Counted:
+    """The conjugate likelihood pair with its calls counted, and optionally one
+    call (by index, from 0) poisoned: its value NaN or +inf, or its gradient
+    NaN."""
 
-        rngs = [np.random.default_rng(s) for s in range(6)]
+    def __init__(self, a, sl, poison_at=None, kind="nan"):
+        self._ll, self._pair = gaussian_loglik(np.asarray(a, dtype=float), sl)
+        self.calls, self.poison_at, self.kind = 0, poison_at, kind
+
+    def _call(self, theta):
+        value, grad = self._pair(theta)
+        if self.calls == self.poison_at:
+            if self.kind == "grad":
+                grad = np.full_like(grad, np.nan)
+            else:
+                value = np.nan if self.kind == "nan" else np.inf
+        self.calls += 1
+        return value, grad
+
+    def loglik(self, theta):
+        return self._call(theta)[0]
+
+    def loglik_and_grad(self, theta):
+        return self._call(theta)
+
+    def target(self, v=1.0, lam=1.0):
+        return TargetDensity(self.loglik, self.loglik_and_grad, GaussianPrior(v, 2), lam=lam)
+
+
+BANK_CASES = {
+    "hmc": (HmcConfig(0.8, 3), 0.6),
+    "pcn": (PcnConfig(0.6), 0.6),
+    "hmc-L1": (HmcConfig(0.8, 1), 0.6),
+    "hmc-lam0": (HmcConfig(0.8, 3), 0.0),
+    "hmc-L1-lam0": (HmcConfig(0.8, 1), 0.0),
+    "pcn-lam0": (PcnConfig(0.6), 0.0),
+}
+
+
+def reference_hmc_chain(target, theta, cfg, rng, n_steps):
+    """One chain stepped alone with ``np.dot`` energies and the one-vector
+    target methods: the per-chain form that a bank row must equal bit for bit."""
+    accepted = 0
+    for _ in range(n_steps):
+        g = target.grad_log_density(theta)
+        p0 = rng.standard_normal(theta.shape[0])
+        h0 = -target.log_density(theta) + 0.5 * np.dot(p0, p0)
+        th, p = theta, p0
+        for _ in range(cfg.n_leapfrog):
+            p = p + 0.5 * cfg.step_size * g
+            th = th + cfg.step_size * p
+            g = target.grad_log_density(th)
+            p = p + 0.5 * cfg.step_size * g
+        h1 = -target.log_density(th) + 0.5 * np.dot(p, p)
+        if abs(h1 - h0) <= 1000.0 and np.log(rng.uniform()) < h0 - h1:
+            theta, accepted = th, accepted + 1
+    return theta, accepted
+
+
+def reference_pcn_chain(target, theta, cfg, rng, n_steps):
+    """One pCN chain stepped alone with the one-vector target methods."""
+    accepted, lam = 0, target.lam / target.temperature
+    sd = target.prior.marginal_std * np.sqrt(target.temperature)
+    for _ in range(n_steps):
+        xi = rng.normal(0.0, sd, size=theta.shape[0])
+        prop = target.prior.mean + np.sqrt(1.0 - cfg.beta**2) * (theta - target.prior.mean) + cfg.beta * xi
+        if lam == 0.0 or np.log(rng.uniform()) < lam * (target.log_likelihood(prop) - target.log_likelihood(theta)):
+            theta, accepted = prop, accepted + 1
+    return theta, accepted
+
+
+class TestReferenceChains:
+    @pytest.mark.parametrize("case", BANK_CASES)
+    def test_bank_rows_equal_chains_stepped_alone(self, case):
+        # the reference draws the same numbers in the same order per chain;
+        # its energies use np.dot and its tempering the one-vector methods
+        cfg, lam = BANK_CASES[case]
+        target = make_cold(conjugate_target([1.0, -0.5, 0.3], 0.3, 1.0), 0.8).with_lam(lam)
+        start = np.random.default_rng(10).normal(size=(5, 3))
+        bank, counts, _ = run_bank(target, start, cfg, range(5), 6)
+        reference = reference_hmc_chain if isinstance(cfg, HmcConfig) else reference_pcn_chain
         accepted = 0
-        for i in range(6):
-            theta, cache = start[i], None
-            for _ in range(4):
-                theta, acc, cache = step(target, theta, cfg, rngs[i], cache)
-                accepted += acc
+        for i in range(5):
+            theta, n = reference(target, start[i], cfg, np.random.default_rng(i), 6)
             assert np.array_equal(bank[i], theta)
+            accepted += n
         assert sum(counts) == accepted
-        assert 0 < accepted < 24
+
+
+class TestSweep:
+    @pytest.mark.parametrize("case", BANK_CASES)
+    def test_steps_each_row_with_its_own_rng_and_counts_acceptances(self, case):
+        # an N-row bank equals N one-row banks in states, acceptances and
+        # likelihood calls, at lam = 0 and inside (0, 1)
+        cfg, lam = BANK_CASES[case]
+        n, n_sweeps = 6, 4
+        start = np.random.default_rng(9).normal(size=(n, 2))
+        bank_lik = Counted([1.0, -0.5], 0.3)
+        bank, counts, state = run_bank(bank_lik.target(lam=lam), start, cfg, range(n), n_sweeps)
+
+        accepted = calls = 0
+        for i in range(n):
+            row_lik = Counted([1.0, -0.5], 0.3)
+            row, row_counts, row_state = run_bank(row_lik.target(lam=lam), start[i : i + 1], cfg, [i], n_sweeps)
+            assert np.array_equal(bank[i], row[0])
+            assert rows_equal(state, row_state, i, 0)
+            accepted += sum(row_counts)
+            calls += row_lik.calls
+        assert sum(counts) == accepted
+        assert bank_lik.calls == calls
+        # one call per row at its first step, then L per row per sweep (HMC
+        # at lam = 0 calls only at the trajectory's end), one for pCN
+        per_sweep = cfg.n_leapfrog if isinstance(cfg, HmcConfig) and lam > 0 else 1
+        assert calls == n * (1 + per_sweep * n_sweeps)
+        assert 0 < accepted
+        if lam > 0:
+            assert accepted < n * n_sweeps
+
+
+def hmc_state(target, thetas):
+    """The full HMC state of a bank, from the one-vector references."""
+    pairs = [target.log_likelihood_and_grad(t) for t in thetas]
+    ll, gl = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+    return BankState(ll, gl, *target.temper(thetas, ll, gl))
+
+
+class TestFailureIsolation:
+    START = np.array([[0.2, -0.1], [0.9, 0.4], [-0.3, 0.5], [0.6, -0.8]])
+    N_LEAPFROG = 3
+
+    @pytest.mark.parametrize(
+        "kernel, kind",
+        [("hmc", "nan"), ("hmc", "inf"), ("hmc", "grad"), ("pcn", "nan"), ("pcn", "inf")],
+    )
+    def test_a_row_that_fails_mid_trajectory_is_rejected_alone(self, kernel, kind):
+        # HMC calls rows 0-3 at each leapfrog step: call 6 is row 2 at the
+        # second step. pCN makes one call per row: call 2 is row 2's proposal.
+        hmc = kernel == "hmc"
+        poisoned = Counted([1.0, -0.5], 0.3, poison_at=6 if hmc else 2, kind=kind)
+        target = poisoned.target(lam=0.6)
+        cfg = HmcConfig(0.3, self.N_LEAPFROG) if hmc else PcnConfig(0.5)
+        reference = conjugate_target([1.0, -0.5], 0.3, 1.0).with_lam(0.6)
+        state = hmc_state(reference, self.START) if hmc else BankState(
+            np.array([reference.log_likelihood(t) for t in self.START])
+        )
+        rngs = [np.random.default_rng(s) for s in range(4)]
+        step = hmc_step if hmc else pcn_step
+        thetas, n, out = step(target, self.START, cfg, rngs, state)
+
+        # row 2 is rejected, keeps its state and drew no uniform
+        assert np.array_equal(thetas[2], self.START[2])
+        assert rows_equal(out, state, 2, 2)
+        fresh = np.random.default_rng(2)
+        fresh.standard_normal(2) if hmc else fresh.normal(size=2)
+        assert rngs[2].uniform() == fresh.uniform()
+        # and made no call after the failed one
+        assert poisoned.calls == (4 * self.N_LEAPFROG - 1 if hmc else 4)
+
+        # the other rows equal a bank run without row 2
+        keep = [0, 1, 3]
+        others, n_others, out_others = step(
+            reference, self.START[keep], cfg,
+            [np.random.default_rng(s) for s in keep],
+            BankState(*(None if a is None else a[keep] for a in state)),
+        )
+        assert np.array_equal(thetas[keep], others)
+        assert n == n_others
+        assert rows_equal(out, out_others, keep, slice(None))
+
+    @pytest.mark.parametrize("kernel", ["hmc", "pcn"])
+    def test_non_finite_current_state_raises(self, kernel):
+        nan_right = TargetDensity(
+            loglik=lambda th: np.nan if th[0] > 0 else 0.0,
+            loglik_and_grad=lambda th: (np.nan if th[0] > 0 else 0.0, np.zeros_like(th)),
+            prior=GaussianPrior(1.0, 2),
+        )
+        cfg = HmcConfig(0.1) if kernel == "hmc" else PcnConfig(0.5)
+        rngs = [np.random.default_rng(s) for s in range(2)]
+        with pytest.raises(NonFiniteDensityError):
+            sweep(nan_right, np.array([[-1.0, 0.0], [1.0, 0.0]]), cfg, rngs, None)
+
+    def test_row_at_zero_likelihood_takes_its_first_finite_proposal(self):
+        # theta_0 < 0 has log-likelihood -inf; row 0 starts there, row 1 not
+        ll_and_grad = gaussian_loglik(np.array([0.5, -0.3]), 0.5)[1]
+
+        def cut_and_grad(th):
+            value, grad = ll_and_grad(th)
+            return (value if th[0] >= 0 else -np.inf), grad
+
+        target = TargetDensity(lambda th: cut_and_grad(th)[0], cut_and_grad, GaussianPrior(1.0, 2))
+        cfg = HmcConfig(0.3, 2)
+        thetas = np.array([[-0.6, 0.0], [0.4, 0.1]])
+        rngs = [np.random.default_rng(s) for s in (5, 6)]
+        state = hmc_state(target, thetas)
+        left = False
+        for _ in range(30):
+            probe = copy.deepcopy(rngs[0])
+            p0 = probe.standard_normal(2)[None]
+            prop, _, ok, end = leapfrog(target, thetas[:1], p0, 0.3, 2, state.grad[:1])
+            at_zero = state.ll[0] == -np.inf
+            thetas, _, state = hmc_step(target, thetas, cfg, rngs, state)
+            if at_zero:
+                # taken if and only if it has positive density, with no uniform drawn
+                taken = bool(ok[0] and end.ll[0] > -np.inf)
+                assert np.array_equal(thetas[0], prop[0]) == taken
+                assert rngs[0].bit_generator.state == probe.bit_generator.state
+                left |= taken
+            else:
+                assert state.ll[0] > -np.inf  # never back into the cut
+        assert left
+        # row 1 is the same as alone
+        alone = np.array([[0.4, 0.1]])
+        one_rng, one_state = [np.random.default_rng(6)], hmc_state(target, alone)
+        for _ in range(30):
+            alone, _, one_state = hmc_step(target, alone, cfg, one_rng, one_state)
+        assert np.array_equal(thetas[1], alone[0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from anchormc.kernels import HmcConfig, KernelCache, PcnConfig, sweep
+from anchormc.kernels import BankState, HmcConfig, PcnConfig, sweep
 from anchormc.smc import (
     McmcConfig,
     ParticleEnsemble,
@@ -58,9 +58,9 @@ def truncated_target(a, sl, v):
     )
 
 
-def value_caches(loglik):
-    """Kernel caches that hold only each particle's log-likelihood."""
-    return [KernelCache(float(ll), None, None, None) for ll in loglik]
+def value_state(loglik):
+    """A kernel state that holds only each particle's log-likelihood."""
+    return BankState(np.array(list(loglik), dtype=float))
 
 
 class TestEss:
@@ -130,7 +130,7 @@ class TestNextLambda:
     @pytest.mark.parametrize("spread", [0.0, 5.0, 1e3, 1e6])
     def test_wide_spreads_raise_no_floating_point_error(self, rng, spread):
         ll = -1e4 + spread * rng.uniform(-1.0, 0.0, size=32)
-        ens = ParticleEnsemble(particles=np.zeros((32, 1)), caches=value_caches(ll))
+        ens = ParticleEnsemble(particles=np.zeros((32, 1)), state=value_state(ll))
         with np.errstate(all="raise"):
             lam_next = next_lambda(ll, 0.0, 0.5)
             out = reweight_and_resample(ens, lam_next, rng, TemperSchedule())
@@ -172,7 +172,7 @@ class TestReweightAndResample:
         n = len(loglik)
         return ParticleEnsemble(
             particles=rng.normal(size=(n, 1)),
-            caches=value_caches(loglik),
+            state=value_state(loglik),
         )
 
     def test_constant_likelihood_increment(self, rng):
@@ -222,7 +222,7 @@ class TestMutate:
         target = constant_target(0.0, d=2, v=1.0).with_lam(0.0)
         root = np.random.SeedSequence(seed)
         rngs = [np.random.default_rng(s) for s in root.spawn(16)]
-        ens = ParticleEnsemble(particles=np.zeros((16, 2)), caches=value_caches(np.zeros(16)))
+        ens = ParticleEnsemble(particles=np.zeros((16, 2)), state=value_state(np.zeros(16)))
         m = mutate(ens, target, PcnConfig(beta), tol, max_steps, rngs, TemperSchedule())
         return ens, m
 
@@ -234,7 +234,7 @@ class TestMutate:
         # beta -> 0 is disallowed, so freeze via an HMC kernel with eps ~ 0
         target = constant_target(0.0, d=2, v=1.0).with_lam(0.0)
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(0).spawn(8)]
-        ens = ParticleEnsemble(particles=np.ones((8, 2)), caches=value_caches(np.zeros(8)))
+        ens = ParticleEnsemble(particles=np.ones((8, 2)), state=value_state(np.zeros(8)))
         m = mutate(ens, target, HmcConfig(1e-300), 0.01, 20, rngs, TemperSchedule())
         assert m == 2
         assert np.allclose(ens.particles, 1.0)
@@ -248,10 +248,10 @@ class TestMutate:
 class TestCaches:
     @staticmethod
     def assert_current(ens, target):
-        for theta, cache in zip(ens.particles, ens.caches):
+        for i, theta in enumerate(ens.particles):
             ll, gl = target.log_likelihood_and_grad(theta)
-            assert cache.ll == ll
-            assert cache.gl is None or np.array_equal(cache.gl, gl)
+            assert ens.state.ll[i] == ll
+            assert ens.state.gl is None or np.array_equal(ens.state.gl[i], gl)
 
     @pytest.mark.parametrize("cfg", [PcnConfig(0.5), HmcConfig(0.2, 3)], ids=["pcn", "hmc"])
     def test_cached_pair_equals_a_fresh_call(self, cfg):
@@ -259,7 +259,7 @@ class TestCaches:
         rng = np.random.default_rng(11)
         rngs = [np.random.default_rng(s) for s in range(16)]
         particles = target.prior.sample(rng, 16)
-        ens = ParticleEnsemble(particles, value_caches(map(target.log_likelihood, particles)))
+        ens = ParticleEnsemble(particles, value_state(map(target.log_likelihood, particles)))
         schedule = TemperSchedule()
         for lam in (0.3, 0.6, 1.0):
             ens = reweight_and_resample(ens, lam, rng, schedule)
@@ -269,7 +269,7 @@ class TestCaches:
             mutate(ens, target.with_lam(lam), cfg, 0.05, 4, rngs, schedule)
             self.assert_current(ens, target)
             if isinstance(cfg, HmcConfig):
-                assert all(c.gl is not None for c in ens.caches)
+                assert ens.state.gl is not None
 
 
 class TestRunSmc:
@@ -377,10 +377,13 @@ class TestRunMcmc:
         # positive density is accepted, silently, and none back into the cut
         target = truncated_target(np.array([0.5, -0.3]), 0.5, 1.0)
         cfg = kernel.get("hmc", PcnConfig(0.5))
-        thetas, caches, rngs = np.array([[-0.5, 0.0]]), [None], [np.random.default_rng(5)]
+        thetas, state, rngs = np.array([[-0.5, 0.0]]), None, [np.random.default_rng(5)]
+        accepted = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            accepted = sum(sweep(target, thetas, cfg, rngs, caches) for _ in range(50))
+            for _ in range(50):
+                thetas, n, state = sweep(target, thetas, cfg, rngs, state)
+                accepted += n
         assert accepted > 0
         assert thetas[0, 0] >= 0
-        assert np.isfinite(caches[0].ll)
+        assert np.isfinite(state.ll[0])

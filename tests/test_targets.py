@@ -8,6 +8,7 @@ from anchormc.targets import (
     gaussian_loglik,
     make_anchored,
     make_cold,
+    row_dots,
 )
 
 from conftest import finite_difference_grad
@@ -67,6 +68,14 @@ class TestLogDensity:
         assert all(b < a for a, b in zip(neg_vals, neg_vals[1:]))
 
 
+def test_row_dots_sum_as_np_dot(rng):
+    # a bank's energies and prior terms must have the bits of one chain's
+    for d in (1, 2, 7, 20, 560):
+        x = rng.normal(size=(16, d))
+        assert np.array_equal(row_dots(x), [np.dot(r, r) for r in x])
+        assert row_dots(x[3]) == np.dot(x[3], x[3])
+
+
 class TestGradient:
     def test_zero_at_anchored_prior_mode(self):
         anchor = np.array([1.0, -2.0])
@@ -106,6 +115,10 @@ class TestGradient:
             value, grad = target.temper(th, ll, gl)
             assert value == target.log_density(th)
             assert np.array_equal(grad, target.grad_log_density(th))
+            # and on a bank, row by row
+            bank = np.stack([th, -th])
+            values, grads = target.temper(bank, np.array([ll, ll]), np.stack([gl, gl]))
+            assert values[0] == value and np.array_equal(grads[0], grad)
 
     @pytest.mark.parametrize("value, grad", [(np.nan, 0.0), (0.0, np.inf)], ids=["value", "grad"])
     def test_value_and_gradient_checked(self, value, grad):
