@@ -11,7 +11,6 @@ from .nets import (
     forward,
     log_likelihood_and_grad,
     map_estimate,
-    mnist7_cnn_spec,
 )
 from .parallel import RunResult, pool, run_parallel, standard_error
 from .smc import McmcConfig, SmcConfig, ess, next_lambda, run_mcmc, run_smc

@@ -72,12 +72,6 @@ class NetworkSpec:
         return sum(math.prod(ws) + math.prod(bs) for ws, bs in self.layer_shapes)
 
 
-def mnist7_cnn_spec() -> NetworkSpec:
-    """The 28x28 8-class CNN used throughout: 4 channels of 3x3 kernels,
-    unit stride and padding, 2x2 max-pool, linear head; 6320 parameters."""
-    return NetworkSpec(kind="cnn", image_shape=(28, 28), n_classes=8)
-
-
 def unpack(spec: NetworkSpec, theta: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Split a flat parameter vector into per-layer (W, b), layer-major with
     weights before biases. Views, not copies."""
@@ -105,17 +99,23 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _im2col(x: np.ndarray) -> np.ndarray:
-    """x: (n, h, w) zero-padded by 1 -> (n, h*w, 9) 3x3 patches, row-major."""
+    """x: (n, h, w) zero-padded by 1 -> (n, 4, h/2 * w/2, 10): per pool-window
+    corner (row-major), per window (row-major), the 3x3 patch (row-major)
+    and a 1 that carries the conv bias through the patch matmul."""
     n, h, w = x.shape
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
     windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
-    return windows.reshape(n, h * w, 9)
+    corners = windows.reshape(n, h // 2, 2, w // 2, 2, 3, 3).transpose(0, 2, 4, 1, 3, 5, 6)
+    out = np.empty((n, 2, 2, h // 2, w // 2, 10))
+    np.copyto(out[..., :9].reshape(corners.shape), corners)  # a view: splits the last axis
+    out[..., 9] = 1.0
+    return out.reshape(n, 4, (h // 2) * (w // 2), 10)
 
 
 def _network_input(spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
     """What the first layer reads from inputs x of shape (n, features) or
-    (features,): x itself for an MLP, the im2col patches (n, h*w, 9) for a
-    CNN. Depends on x only, so a fixed dataset's is computed once."""
+    (features,): x itself for an MLP, ``_im2col``'s patches for a CNN. Row i
+    is input i's alone, and a fixed dataset's is computed once."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
@@ -133,8 +133,9 @@ def _network_input(spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
 
 def _forward_internal(spec: NetworkSpec, theta: np.ndarray, inputs: np.ndarray):
     """Returns (log-probabilities, cache for backprop) from ``_network_input``'s
-    output. The CNN max-pools by the elementwise maximum of the four window
-    corners; the cache keeps the corners and that maximum."""
+    output. The CNN conv is one matmul of the patches with the kernels over
+    the bias, (n, 4, P, c); the pool is the maximum of its 4 corner blocks,
+    then the ReLU, (n, P, c) in (n, h/2, w/2, c) order. The cache keeps both."""
     layers = unpack(spec, theta)
     if spec.kind == "mlp":
         activations = [inputs]
@@ -145,18 +146,13 @@ def _forward_internal(spec: NetworkSpec, theta: np.ndarray, inputs: np.ndarray):
                 activations.append(np.maximum(pre, 0.0))
         return _log_softmax(pre), {"layers": layers, "activations": activations}
 
-    h, w_ = spec.image_shape
     c = spec.conv_channels
     (wc, bc), (wl, bl) = layers
     n = inputs.shape[0]
-    conv = inputs.reshape(-1, 9) @ wc.reshape(c, 9).T + bc  # (n*h*w, c)
-    # corners: (n, h/2, 2, w/2, 2, c); corner (i, j) of each window is [:, :, i, :, j]
-    corners = np.maximum(conv, 0.0).reshape(n, h // 2, 2, w_ // 2, 2, c)
-    pooled = np.maximum(
-        np.maximum(corners[:, :, 0, :, 0], corners[:, :, 0, :, 1]),
-        np.maximum(corners[:, :, 1, :, 0], corners[:, :, 1, :, 1]),
-    )
-    cache = {"layers": layers, "cols": inputs, "corners": corners, "pooled": pooled}
+    kernel = np.concatenate([wc.reshape(c, 9).T, bc[None]])  # (10, c)
+    conv = (inputs.reshape(-1, 10) @ kernel).reshape(*inputs.shape[:3], c)
+    pooled = np.maximum(conv.max(axis=1), 0.0)  # max commutes with the ReLU
+    cache = {"layers": layers, "cols": inputs, "conv": conv, "pooled": pooled}
     return _log_softmax(pooled.reshape(n, -1) @ wl.T + bl), cache
 
 
@@ -208,21 +204,22 @@ def _log_likelihood_and_grad(
                 delta = (delta @ w) * (activations[i] > 0)
         return ll, pack(spec, grads)
 
-    corners, pooled = cache["corners"], cache["pooled"]
+    conv, pooled = cache["conv"], cache["pooled"]
     dpool = (dlogits @ layers[1][0]).reshape(pooled.shape)
     # each window's gradient goes to the first of its corners, in row-major
     # order, that equals the maximum, and only through a live ReLU
-    dconv = np.zeros_like(corners)
-    free = pooled > 0
-    for i in (0, 1):
-        for j in (0, 1):
-            first = free & (corners[:, :, i, :, j] == pooled)
-            np.copyto(dconv[:, :, i, :, j], dpool, where=first)
-            free &= ~first
-    dconv = dconv.reshape(-1, pooled.shape[-1])
-    dwc = (cache["cols"].reshape(-1, 9).T @ dconv).T
+    route = conv == pooled[:, None]
+    taken = pooled <= 0  # a dead window routes to no corner
+    for k in range(4):
+        route[:, k] &= ~taken
+        taken |= route[:, k]
+    # into conv's buffer, dead from here: a fresh array of this size
+    # page-faults on every call at large n
+    dconv = np.multiply(route, dpool[:, None], out=conv)
+    # rows 0-8: the kernel gradient; row 9, the ones column: the bias gradient
+    dkernel = cache["cols"].reshape(-1, 10).T @ dconv.reshape(-1, spec.conv_channels)
     dwl = dlogits.T @ pooled.reshape(n, -1)
-    return ll, pack(spec, [(dwc, np.einsum("pc->c", dconv)), (dwl, dlogits.sum(axis=0))])
+    return ll, pack(spec, [(dkernel[:9].T, dkernel[9]), (dwl, dlogits.sum(axis=0))])
 
 
 def log_likelihood_and_grad(

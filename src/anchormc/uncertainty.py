@@ -245,17 +245,6 @@ def auc_roc(scores: np.ndarray, labels: np.ndarray) -> float:
     return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
-def _prf(scores: np.ndarray, labels: np.ndarray, threshold: float) -> tuple[float, float, float]:
-    pred = scores >= threshold
-    tp = int(np.sum(pred & labels))
-    fp = int(np.sum(pred & ~labels))
-    fn = int(np.sum(~pred & labels))
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
-
-
 @dataclass(frozen=True)
 class ThresholdReport:
     auc: float
@@ -270,23 +259,30 @@ class ThresholdReport:
 
 def threshold_metrics(scores: np.ndarray, labels: np.ndarray) -> ThresholdReport:
     """Precision/recall/F1 at 0.5 and at the best-F1 threshold over a dense
-    grid, plus rank-statistic AUC."""
+    grid, plus rank-statistic AUC. One sort gives the counts at every
+    threshold tau: the scores below tau are the first searchsorted(tau)."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=bool)
-    auc = auc_roc(scores, labels)
-    p5, r5, f5 = _prf(scores, labels, 0.5)
-    best = (0.0, 0.0, 0.0, 0.0)  # f1, threshold, precision, recall
-    for tau in np.arange(0.0, 1.0 + THRESHOLD_GRID_STEP / 2, THRESHOLD_GRID_STEP):
-        p, r, f = _prf(scores, labels, tau)
-        if f > best[0]:
-            best = (f, tau, p, r)
+    auc = auc_roc(scores, labels)  # raises unless both classes are present
+    grid = np.arange(0.0, 1.0 + THRESHOLD_GRID_STEP / 2, THRESHOLD_GRID_STEP)
+    order = np.argsort(scores)
+    below = np.searchsorted(scores[order], np.append(0.5, grid), "left")
+    n_pos = int(labels.sum())
+    tp = n_pos - np.concatenate([[0], np.cumsum(labels[order])])[below]
+    n_pred = len(scores) - below  # tp + fp
+    p = np.divide(tp, n_pred, out=np.zeros(len(below)), where=n_pred > 0)
+    r = tp / n_pos
+    f = np.divide(2 * p * r, p + r, out=np.zeros(len(below)), where=p + r > 0)
+    # index 0 is tau = 0.5; then the first grid point of highest F1, which
+    # is (0, 0, 0, 0) at tau = 0 when no threshold has a true positive
+    i = 1 + int(np.argmax(f[1:]))
     return ThresholdReport(
         auc=auc,
-        precision_05=p5,
-        recall_05=r5,
-        f1_05=f5,
-        best_threshold=best[1],
-        precision_best=best[2],
-        recall_best=best[3],
-        f1_best=best[0],
+        precision_05=float(p[0]),
+        recall_05=float(r[0]),
+        f1_05=float(f[0]),
+        best_threshold=float(grid[i - 1]),
+        precision_best=float(p[i]),
+        recall_best=float(r[i]),
+        f1_best=float(f[i]),
     )

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from anchormc.nets import NetworkSpec
+
 
 @pytest.fixture
 def rng():
@@ -18,3 +20,10 @@ def finite_difference_grad(f, theta, step=1e-5):
         dn[i] -= step
         g[i] = (f(up) - f(dn)) / (2 * step)
     return g
+
+
+def mnist7_cnn_spec():
+    """The 28x28 8-class CNN of criteria 08 and 10: 4 channels of 3x3
+    kernels, unit stride and padding, 2x2 max-pool, linear head; 6320
+    parameters."""
+    return NetworkSpec(kind="cnn", image_shape=(28, 28), n_classes=8)

@@ -23,7 +23,6 @@ from anchormc.nets import (
     log_likelihood_and_grad,
     make_loglik,
     map_estimate,
-    mnist7_cnn_spec,
 )
 from anchormc.parallel import RunResult, pool, standard_error
 from anchormc.smc import SmcConfig, next_lambda, run_smc
@@ -45,7 +44,7 @@ from anchormc.uncertainty import (
     train_meta,
 )
 
-from conftest import finite_difference_grad
+from conftest import finite_difference_grad, mnist7_cnn_spec
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

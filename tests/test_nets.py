@@ -11,13 +11,12 @@ from anchormc.nets import (
     forward,
     log_likelihood_and_grad,
     map_estimate,
-    mnist7_cnn_spec,
     pack,
     unpack,
 )
 from anchormc.targets import GaussianPrior
 
-from conftest import finite_difference_grad
+from conftest import finite_difference_grad, mnist7_cnn_spec
 
 
 def small_mlp():
@@ -151,12 +150,48 @@ class TestLikelihood:
         assert len(idx) == 7
 
 
+class TestNetworkInput:
+    def test_cnn_patches_are_corner_major_with_a_ones_column(self, rng):
+        spec = NetworkSpec(kind="cnn", image_shape=(4, 6), conv_channels=2, n_classes=3)
+        x = rng.normal(size=(3, 24))
+        inputs = nets._network_input(spec, x)
+        assert inputs.shape == (3, 4, 6, 10)
+        assert inputs.flags.c_contiguous
+        padded = np.pad(x.reshape(3, 4, 6), ((0, 0), (1, 1), (1, 1)))
+        for a in (0, 1):
+            for b in (0, 1):
+                for r in range(2):
+                    for s in range(3):
+                        # corner (a, b) of pool window (r, s) is pixel (2r + a, 2s + b)
+                        patch = padded[:, 2 * r + a : 2 * r + a + 3, 2 * s + b : 2 * s + b + 3]
+                        row = inputs[:, 2 * a + b, 3 * r + s]
+                        assert np.array_equal(row[:, :9], patch.reshape(3, 9))
+        assert np.all(inputs[..., 9] == 1.0)
+
+
 def first_corner(window):
     return window.index(max(window))
 
 
 def last_corner(window):
     return len(window) - 1 - window[::-1].index(max(window))
+
+
+def naive_log_probs(spec, theta, x):
+    """The CNN's log class probabilities, pixel by pixel: 3x3 conv over the
+    zero-padded image, ReLU, 2x2 max-pool, linear head, log-softmax."""
+    (wc, bc), (wl, bl) = unpack(spec, theta)
+    (h, w), c, n = spec.image_shape, spec.conv_channels, x.shape[0]
+    padded = np.pad(x.reshape(n, h, w), ((0, 0), (1, 1), (1, 1)))
+    conv = np.empty((n, h, w, c))
+    for r in range(h):
+        for s in range(w):
+            conv[:, r, s] = np.einsum("nab,cab->nc", padded[:, r : r + 3, s : s + 3], wc[:, 0]) + bc
+    relu = np.maximum(conv, 0.0)
+    pooled = np.maximum.reduce([relu[:, a::2, b::2] for a in (0, 1) for b in (0, 1)])
+    logits = pooled.reshape(n, -1) @ wl.T + bl
+    z = logits - logits.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
 def pooled_gradient_reference(spec, theta, x, y, corner):
@@ -215,6 +250,47 @@ class TestMaxPoolTies:
         # the case tells the tie rules apart
         last = pooled_gradient_reference(spec, theta, x, y, last_corner)
         assert not np.allclose(first, last, rtol=1e-6, atol=1e-6)
+
+    def test_every_tie_pattern_goes_to_its_first_corner(self, rng):
+        # one 2x2 window per subset of corners holding the bright pixel: 2-,
+        # 3- and 4-way ties with the first tied corner in every position.
+        # Centre taps only and values exact in binary, so every conv value
+        # is exactly x * w + b and the reference sees the network's ties.
+        # Channel 0 peaks at the bright corners (live), channel 1 at the dim
+        # ones (live, or a dead 4-way tie when all four are bright),
+        # channel 2 at the bright ones (live, dead when none is bright).
+        spec = NetworkSpec(kind="cnn", image_shape=(8, 8), conv_channels=3, n_classes=4)
+        n = 3
+        x = np.full((n, 8, 8), 0.25)
+        for i in range(n):
+            for cell, subset in enumerate(rng.permutation(16)):
+                r, s = divmod(cell, 4)
+                for corner in range(4):
+                    if subset >> corner & 1:
+                        x[i, 2 * r + corner // 2, 2 * s + corner % 2] = 1.0
+        x = x.reshape(n, 64)
+        y = rng.integers(0, 4, n)
+        wc = np.zeros((3, 1, 3, 3))
+        wc[:, 0, 1, 1] = (1.5, -1.5, 1.0)
+        bc = np.array([0.5, 0.5, -0.5])
+        theta = pack(spec, [(wc, bc), (rng.normal(size=(4, 48)), rng.normal(size=4))])
+        _, grad = log_likelihood_and_grad(spec, theta, Dataset(x=x, y=y, image_shape=(8, 8)))
+        first = pooled_gradient_reference(spec, theta, x, y, first_corner)
+        last = pooled_gradient_reference(spec, theta, x, y, last_corner)
+        assert np.allclose(grad, first, rtol=1e-12, atol=1e-12)
+        assert not np.allclose(grad, last, rtol=1e-6, atol=1e-6)
+
+    def test_mnist_shape_matches_references(self, rng):
+        # the 28x28 shape of criteria 08 and 10, which skip without MNIST
+        spec = mnist7_cnn_spec()
+        n = 3
+        x, y = rng.random((n, 784)), rng.integers(0, 8, n)
+        theta = rng.normal(size=spec.n_params) * 0.3
+        p = forward(spec, theta, x)
+        assert np.allclose(np.log(p), naive_log_probs(spec, theta, x), rtol=1e-12, atol=1e-12)
+        _, grad = log_likelihood_and_grad(spec, theta, Dataset(x=x, y=y, image_shape=(28, 28)))
+        reference = pooled_gradient_reference(spec, theta, x, y, first_corner)
+        assert np.allclose(grad, reference, rtol=1e-12, atol=1e-12)
 
     def test_gradient_matches_reference_at_benchmark_shape(self, rng):
         # the shape of the cnn-hmc-islands likelihood; finite differences

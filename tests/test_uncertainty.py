@@ -4,8 +4,10 @@ import pytest
 from anchormc.nets import NetworkSpec, forward
 from anchormc.uncertainty import (
     FEATURE_NAMES,
+    THRESHOLD_GRID_STEP,
     PredictiveMatrix,
     Standardizer,
+    ThresholdReport,
     abstain_2level,
     auc_roc,
     entropy_decomposition,
@@ -279,3 +281,40 @@ class TestAucAndThresholds:
         rep = threshold_metrics(scores, labels)
         assert rep.f1_best >= rep.f1_05
         assert rep.f1_best > 0.9
+
+    @pytest.mark.parametrize("ties", ["untied", "rounded", "grid", "few"])
+    def test_equals_threshold_loop(self, rng, ties):
+        # the grid search as one F1 evaluation per threshold, first best kept
+        def prf(scores, labels, tau):
+            pred = scores >= tau
+            tp = int(np.sum(pred & labels))
+            fp = int(np.sum(pred & ~labels))
+            fn = int(np.sum(~pred & labels))
+            precision = tp / (tp + fp) if tp + fp else 0.0
+            recall = tp / (tp + fn) if tp + fn else 0.0
+            f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+            return precision, recall, f1
+
+        def reference(scores, labels):
+            best = (0.0, 0.0, 0.0, 0.0)  # f1, threshold, precision, recall
+            for tau in np.arange(0.0, 1.0 + THRESHOLD_GRID_STEP / 2, THRESHOLD_GRID_STEP):
+                p, r, f = prf(scores, labels, tau)
+                if f > best[0]:
+                    best = (f, tau, p, r)
+            return ThresholdReport(
+                auc_roc(scores, labels), *prf(scores, labels, 0.5), best[1], *best[2:], best[0]
+            )
+
+        grid = np.arange(0.0, 1.0 + THRESHOLD_GRID_STEP / 2, THRESHOLD_GRID_STEP)
+        for _ in range(40):
+            n = int(rng.integers(2, 300))
+            scores = rng.random(n) * 1.2 - 0.1  # some below and above the grid
+            if ties == "rounded":
+                scores = np.round(scores, 2)
+            elif ties == "grid":  # exactly on grid points, 0.5 among them
+                scores = rng.choice(np.append(grid, 0.5), n)
+            elif ties == "few":
+                scores = rng.choice([0.0, 0.25, 0.5, 1.0], n)
+            labels = rng.random(n) < rng.random()
+            labels[:2] = (True, False)
+            assert threshold_metrics(scores, labels) == reference(scores, labels)
