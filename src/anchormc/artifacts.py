@@ -41,7 +41,7 @@ CONFIG_DEFAULTS: dict[str, object] = {
     "eta": 0.05,
     "max_mutation_steps": 20,
     "kernel": "hmc",
-    "step_size": 0.0,  # 0 means pilot-tuned
+    "step_size": 0.0,  # 0: adapted after every sweep (smc) or pilot-tuned (mcmc)
     "leapfrog": 1,
     "mcmc_steps": 80,
     # optimizer

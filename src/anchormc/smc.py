@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kernels import BankState, HmcConfig, PcnConfig, sweep, tune_step_size
+from .kernels import BankState, HmcConfig, PcnConfig, adapt_step_size, sweep, tune_step_size
 from .targets import TargetDensity
 
 
@@ -33,6 +33,8 @@ class TemperSchedule:
     lambdas: list[float] = field(default_factory=lambda: [0.0])
     ess_values: list[float] = field(default_factory=list)
     mutation_steps: list[int] = field(default_factory=list)
+    # HMC only: the step size of each stage's first sweep
+    step_sizes: list[float] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
 
@@ -43,7 +45,7 @@ class SmcConfig:
     mutation_tol: float = 0.05
     max_mutation_steps: int = 20
     kernel: str = "hmc"
-    hmc: HmcConfig | None = None  # None: pilot-tuned step size at the start
+    hmc: HmcConfig | None = None  # None: one leapfrog step, its size adapted after every sweep
     pcn: PcnConfig = PcnConfig()
     seed: int = 0
     fixed_schedule: tuple[float, ...] | None = None  # the whole ladder 0 < ... < 1, no adaptation
@@ -231,22 +233,30 @@ def mutate(
     max_steps: int,
     rngs: list[np.random.Generator],
     schedule: TemperSchedule,
-) -> int:
+    adapt: bool = False,
+) -> HmcConfig | PcnConfig:
     """Apply kernel sweeps until the mean displacement from the
     post-resampling state stabilizes: smallest M >= 2 with
     |dist_M - dist_{M-1}| / dist_{M-1} <= tol, capped at max_steps.
 
-    ``cfg`` selects the kernel. The kernel state drops its tempered part,
-    which held for the previous target, and the sweeps keep it current.
-    A zero previous displacement counts as converged (an immobile ensemble
-    cannot improve). Returns M used.
+    ``cfg`` selects the kernel; with ``adapt`` its HMC step size is adapted
+    after every sweep (``kernels.adapt_step_size``). The kernel state drops
+    its tempered part, which held for the previous target, and the sweeps
+    keep it current. A zero previous displacement counts as converged (an
+    immobile ensemble cannot improve). Records M and, for HMC, the first
+    sweep's step size in ``schedule``. Returns the kernel the next stage
+    starts from: ``cfg``, or the adapted one.
     """
     particles, state = ensemble.particles, ensemble.state._replace(logp=None, grad=None)
+    if isinstance(cfg, HmcConfig):
+        schedule.step_sizes.append(cfg.step_size)
     dist_prev = None
     m_used = max_steps
     zero_accept_streak = 0
     for m in range(1, max_steps + 1):
         particles, accepted, state = sweep(target, particles, cfg, rngs, state)
+        if adapt:
+            cfg = adapt_step_size(cfg, accepted, len(particles))
         if accepted == 0:
             zero_accept_streak += 1
             if zero_accept_streak == 3:
@@ -266,7 +276,7 @@ def mutate(
         dist_prev = dist
     ensemble.particles, ensemble.state = particles, state
     schedule.mutation_steps.append(m_used)
-    return m_used
+    return cfg
 
 
 def _spawn_rngs(seed_seq: np.random.SeedSequence, n: int) -> list[np.random.Generator]:
@@ -279,12 +289,17 @@ def _kernel_config(
     theta0: np.ndarray,
     rng: np.random.Generator,
 ) -> HmcConfig | PcnConfig:
-    """The run's kernel: pCN, or HMC with the configured step size or one
-    pilot-tuned from ``theta0`` on ``target`` (the pilot draws from ``rng``)."""
+    """The run's kernel: pCN, or HMC with the configured step size. With
+    none configured, SMC starts the step size it adapts at the prior's
+    marginal sd times d^(-1/4), the rate at which an HMC step must shrink
+    with dimension to keep its acceptance, and MCMC runs a pilot from
+    ``theta0`` on ``target`` (drawing from ``rng``)."""
     if cfg.kernel == "pcn":
         return cfg.pcn
     if cfg.hmc is not None:
         return cfg.hmc
+    if isinstance(cfg, SmcConfig):
+        return HmcConfig(target.prior.marginal_std * target.dim**-0.25)
     return HmcConfig(tune_step_size(target, theta0, HmcConfig(0.01), rng))
 
 
@@ -310,7 +325,8 @@ def run_smc(target: TargetDensity, cfg: SmcConfig) -> SamplerResult:
     ll = np.array([target.log_likelihood(t) for t in particles])
     ensemble = ParticleEnsemble(particles=particles, state=BankState(ll))
     schedule = TemperSchedule()
-    kernel = _kernel_config(cfg, target.with_lam(1.0), ensemble.particles[0], island_rng)
+    kernel = _kernel_config(cfg, target, ensemble.particles[0], island_rng)
+    adapt = cfg.kernel == "hmc" and cfg.hmc is None
 
     fixed = iter(cfg.fixed_schedule[1:]) if cfg.fixed_schedule is not None else None
     while ensemble.lam < 1.0:
@@ -320,7 +336,7 @@ def run_smc(target: TargetDensity, cfg: SmcConfig) -> SamplerResult:
             lam_next = next_lambda(ensemble.state.ll, ensemble.lam, cfg.ess_fraction)
         ensemble = reweight_and_resample(ensemble, lam_next, island_rng, schedule)
         schedule.lambdas.append(lam_next)
-        mutate(
+        kernel = mutate(
             ensemble,
             target.with_lam(lam_next),
             kernel,
@@ -328,6 +344,7 @@ def run_smc(target: TargetDensity, cfg: SmcConfig) -> SamplerResult:
             cfg.max_mutation_steps,
             particle_rngs,
             schedule,
+            adapt,
         )
     return SamplerResult(
         particles=ensemble.particles,

@@ -164,7 +164,7 @@ class Standardizer:
 
 @dataclass(frozen=True)
 class MetaClassifier:
-    """Binary incorrect/OOD classifier over the 7 features: 7 -> hidden -> 2
+    """Binary incorrect/OOD classifier over the 7 features: 7 -> META_HIDDEN -> 2
     MLP trained with the same MAP machinery as the base networks.
     Standardization statistics are frozen from the meta-training set."""
 
@@ -178,15 +178,13 @@ class MetaClassifier:
         return np.atleast_2d(probs)[:, 1]
 
 
-def train_meta(
-    raw_features: np.ndarray,
-    labels: np.ndarray,
-    cfg: OptConfig = OptConfig(learning_rate=0.05, max_epochs=200, patience=20),
-    hidden: int = 50,
-    prior_variance: float = 1.0,
-    val_fraction: float = 0.2,
-    seed: int = 0,
-) -> MetaClassifier:
+META_OPT = OptConfig(learning_rate=0.05, max_epochs=200, patience=20)
+META_HIDDEN = 50  # width of the meta-classifier's one hidden layer
+META_PRIOR_VARIANCE = 1.0
+META_VAL_FRACTION = 0.2  # share of the meta-training rows held out for early stopping
+
+
+def train_meta(raw_features: np.ndarray, labels: np.ndarray, seed: int = 0) -> MetaClassifier:
     """Fit the meta-classifier. ``labels``: 1 for incorrect/OOD, 0 for correct."""
     labels = np.asarray(labels, dtype=np.int64)
     if set(np.unique(labels)) - {0, 1}:
@@ -195,17 +193,17 @@ def train_meta(
         raise ValueError("meta training set contains a single class")
     std = Standardizer.fit(raw_features)
     x = std.apply(raw_features)
-    spec = NetworkSpec(kind="mlp", widths=(x.shape[1], hidden, 2))
+    spec = NetworkSpec(kind="mlp", widths=(x.shape[1], META_HIDDEN, 2))
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(x))
-    n_val = max(1, int(val_fraction * len(x)))
+    n_val = max(1, int(META_VAL_FRACTION * len(x)))
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     train = Dataset(x=x[train_idx], y=labels[train_idx])
     val = Dataset(x=x[val_idx], y=labels[val_idx], split="validation")
     if len(np.unique(train.y)) < 2:
         raise ValueError("meta training split contains a single class")
-    prior = GaussianPrior(variance=prior_variance, dim=spec.n_params)
-    result: MapResult = map_estimate(spec, prior, train, val, cfg, seed=seed)
+    prior = GaussianPrior(variance=META_PRIOR_VARIANCE, dim=spec.n_params)
+    result: MapResult = map_estimate(spec, prior, train, val, META_OPT, seed=seed)
     return MetaClassifier(spec=spec, theta=result.theta, standardizer=std)
 
 

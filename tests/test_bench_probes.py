@@ -49,7 +49,8 @@ def test_traced_samplers_complete_and_count_bank_sweeps():
     d, n = 3, 4
     runs = [
         ("smc", dict(kernel="hmc", hmc=kernels.HmcConfig(0.3, 2)), False),
-        ("smc", dict(kernel="hmc"), True),  # pilot-tuned step size
+        ("smc", dict(kernel="hmc"), False),  # step size adapted from the sweeps, no pilot
+        ("mcmc", dict(kernel="hmc"), True),  # pilot-tuned step size
         ("mcmc", dict(kernel="pcn"), False),
     ]
     for method, kernel, pilot in runs:

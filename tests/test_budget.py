@@ -116,7 +116,8 @@ class TestHmcStepCost:
                     assert np.array_equal(carried, evaluated)
 
 
-# the pilot-tuned HMC step size (hmc=None) costs calls that the runs report too
+# hmc=None: SMC adapts the step size from its sweeps at no extra call, and
+# MCMC runs a pilot whose calls the run reports too
 KERNELS = [dict(kernel="hmc", hmc=HmcConfig(0.1, 3)), dict(kernel="pcn"), dict(kernel="hmc")]
 
 
@@ -148,6 +149,14 @@ class TestReportedEvaluations:
         # one value per particle at lam = 0, the first step's pair at its
         # start, then one pair per leapfrog step
         assert counted.calls == (n * (1 + n_leapfrog * steps), n)
+
+    def test_run_smc_budget_with_adapted_hmc(self):
+        # hmc=None: one leapfrog step per sweep, and no pilot call anywhere
+        counted, target = gaussian_counted()
+        n = 8
+        cfg = smc.SmcConfig(n_particles=n, seed=4, fixed_schedule=self.LADDER)
+        steps = sum(smc.run_smc(target, cfg).schedule.mutation_steps)
+        assert counted.calls == (n * (1 + steps), n)
 
     def test_run_smc_budget_with_pcn(self):
         counted, target = gaussian_counted()

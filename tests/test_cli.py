@@ -256,6 +256,22 @@ class TestPipeline:
         assert "step_size" in capsys.readouterr().err
         assert not glob.glob(os.path.join(alt, "island_*"))
 
+    def test_smc_hmc_records_a_step_size_per_stage(self, workspace, tmp_path):
+        # step_size=0: SMC adapts the step size, and the manifest records
+        # the one each stage's sweeps started from
+        out, common = workspace
+        alt = str(tmp_path / "adapted")
+        os.makedirs(alt)
+        for suffix in (".manifest.json", ".samples.bin"):
+            shutil.copy(os.path.join(out, "map" + suffix), alt)
+        args = [a for a in common if not a.startswith("output_dir=")]
+        assert main(["sample", "method=smc", "kernel=hmc", "n=4", "p=1", f"output_dir={alt}"] + args) == 0
+        sched = load_artifact(os.path.join(alt, "island_000")).manifest["schedule"]
+        assert len(sched["step_sizes"]) == len(sched["lambdas"]) - 1 == len(sched["mutation_steps"])
+        assert all(eps > 0 for eps in sched["step_sizes"])
+        # pCN islands have no step size
+        assert load_artifact(os.path.join(out, "island_000")).manifest["schedule"]["step_sizes"] == []
+
 
 class TestErrors:
     def test_sample_without_map_names_prereq(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ from anchormc.kernels import (
     BankState,
     HmcConfig,
     PcnConfig,
+    adapt_step_size,
     hmc_step,
     leapfrog,
     pcn_step,
@@ -231,6 +232,24 @@ class TestTuning:
         # pilot is short so the long-run rate can drift outside the exact band;
         # it must at least avoid the degenerate extremes
         assert 0.4 <= accepted / 2000 <= 0.995
+
+    def test_adapted_step_size_rule(self):
+        cfg = HmcConfig(0.2, 3)
+        assert adapt_step_size(cfg, 3, 4) == cfg  # at the target rate 0.75
+        assert adapt_step_size(cfg, 4, 4) == HmcConfig(0.2 * np.exp(0.25), 3)
+        assert adapt_step_size(cfg, 0, 4) == HmcConfig(0.2 * np.exp(-0.75), 3)
+
+    @pytest.mark.parametrize("eps0", [1e-3, 5.0])
+    def test_adapted_step_size_settles_near_the_target_rate(self, eps0):
+        t = std_gaussian_target(5)
+        rngs = [np.random.default_rng(s) for s in range(32)]
+        thetas, state, cfg = t.prior.sample(np.random.default_rng(0), 32), None, HmcConfig(eps0)
+        rates = []
+        for _ in range(150):
+            thetas, accepted, state = sweep(t, thetas, cfg, rngs, state)
+            cfg = adapt_step_size(cfg, accepted, len(thetas))
+            rates.append(accepted / len(thetas))
+        assert 0.65 <= np.mean(rates[50:]) <= 0.85
 
 
 class Counted:

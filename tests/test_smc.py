@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from anchormc import smc
 from anchormc.kernels import BankState, HmcConfig, PcnConfig, sweep
 from anchormc.smc import (
     McmcConfig,
@@ -223,8 +224,9 @@ class TestMutate:
         root = np.random.SeedSequence(seed)
         rngs = [np.random.default_rng(s) for s in root.spawn(16)]
         ens = ParticleEnsemble(particles=np.zeros((16, 2)), state=value_state(np.zeros(16)))
-        m = mutate(ens, target, PcnConfig(beta), tol, max_steps, rngs, TemperSchedule())
-        return ens, m
+        schedule = TemperSchedule()
+        mutate(ens, target, PcnConfig(beta), tol, max_steps, rngs, schedule)
+        return ens, schedule.mutation_steps[-1]
 
     def test_infinite_tolerance_stops_at_two(self):
         _, m = self.run_mutate(np.inf)
@@ -235,8 +237,9 @@ class TestMutate:
         target = constant_target(0.0, d=2, v=1.0).with_lam(0.0)
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(0).spawn(8)]
         ens = ParticleEnsemble(particles=np.ones((8, 2)), state=value_state(np.zeros(8)))
-        m = mutate(ens, target, HmcConfig(1e-300), 0.01, 20, rngs, TemperSchedule())
-        assert m == 2
+        schedule = TemperSchedule()
+        mutate(ens, target, HmcConfig(1e-300), 0.01, 20, rngs, schedule)
+        assert schedule.mutation_steps == [2]
         assert np.allclose(ens.particles, 1.0)
 
     def test_prior_draws_stabilize_at_prior_variance(self):
@@ -343,6 +346,54 @@ class TestRunSmc:
         target = make_cold(conjugate_target(np.array([1.0]), 0.5, 1.0), 0.25)
         with pytest.raises(ValueError, match="method=mcmc"):
             run_smc(target, SmcConfig(n_particles=4, kernel="pcn"))
+
+
+class TestAdaptedStepSize:
+    """hmc=None: SMC adapts the HMC step size after every sweep from the
+    bank's acceptance, with no pilot."""
+
+    # the gauss-smc-hmc benchmark target: a 20-d conjugate Gaussian whose
+    # data sit at the typical radius of a draw from the evidence
+    D, LIK_VARIANCE, PRIOR_VARIANCE = 20, 0.05, 1.0
+
+    def target_and_oracle(self, seed):
+        u = np.random.default_rng(seed).standard_normal(self.D)
+        a = u / np.linalg.norm(u) * np.sqrt(self.D * (self.LIK_VARIANCE + self.PRIOR_VARIANCE))
+        oracle = conjugate_posterior(a, self.LIK_VARIANCE, self.PRIOR_VARIANCE)
+        return conjugate_target(a, self.LIK_VARIANCE, self.PRIOR_VARIANCE), oracle
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_evidence_and_mean_on_the_20d_conjugate_target(self, seed):
+        target, (post_mean, post_var, log_z) = self.target_and_oracle(seed)
+        r = run_smc(target, SmcConfig(n_particles=128, kernel="hmc", seed=100 + seed))
+        assert abs(r.log_z - log_z) <= 2.5
+        assert np.all(np.abs(r.particles.mean(axis=0) - post_mean) <= 0.5 * np.sqrt(post_var))
+        eps = r.schedule.step_sizes
+        assert len(eps) == len(r.schedule.lambdas) - 1
+        # the first stage starts at marginal_std * d^(-1/4), then the step shrinks with lam
+        assert eps[0] == self.D**-0.25
+        assert eps[-1] < eps[0]
+
+    def test_smc_runs_no_pilot_and_mcmc_still_does(self, monkeypatch):
+        def pilot(*args):
+            raise AssertionError("tune_step_size called")
+
+        monkeypatch.setattr(smc, "tune_step_size", pilot)
+        target = conjugate_target(np.array([1.0, -0.5]), 0.5, 1.0)
+        r = run_smc(target, SmcConfig(n_particles=8, kernel="hmc", seed=3))
+        assert np.isfinite(r.log_z)
+        with pytest.raises(AssertionError, match="tune_step_size called"):
+            run_mcmc(target, McmcConfig(n_chains=2, n_steps=3, kernel="hmc", seed=3))
+
+    @pytest.mark.parametrize(
+        "kernel, per_stage",
+        [(dict(kernel="hmc", hmc=HmcConfig(0.3, 3)), [0.3]), (dict(kernel="pcn"), [])],
+        ids=["fixed-hmc", "pcn"],
+    )
+    def test_fixed_kernels_record_what_they_ran(self, kernel, per_stage):
+        target = conjugate_target(np.array([1.0, -0.5]), 0.5, 1.0)
+        schedule = run_smc(target, SmcConfig(n_particles=8, seed=3, **kernel)).schedule
+        assert schedule.step_sizes == per_stage * (len(schedule.lambdas) - 1)
 
 
 class TestRunMcmc:

@@ -8,7 +8,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "anchormc"
-CEILING = 75
+CEILING = 73
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
