@@ -151,6 +151,16 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
+def _remove_run_artifacts(out: str) -> None:
+    """Remove the island, ``combined`` and ``features`` artifacts of an
+    earlier run from ``out``, so that ``combine``, ``evaluate`` and ``meta``
+    read only what the next ``sample`` writes."""
+    for name in ("island_*", "combined", "features"):
+        for suffix in (".samples.bin", ".manifest.json"):
+            for path in glob.glob(os.path.join(out, name + suffix)):
+                os.remove(path)
+
+
 def cmd_sample(cfg: dict) -> None:
     out = cfg["output_dir"]
     if cfg["kernel"] == "hmc" and cfg["step_size"] <= 0 and cfg["leapfrog"] != 1:
@@ -176,6 +186,7 @@ def cmd_sample(cfg: dict) -> None:
         )
     else:
         raise ConfigError(f"unknown sampling method {cfg['method']!r}")
+    _remove_run_artifacts(out)
     # results do not depend on the worker count, so it is not a config key
     results = run_parallel(target, run_cfg, cfg["p"], cfg["seed"], workers=_cores())
     for r in results:

@@ -3,9 +3,10 @@ array whose rows are chains: HMC with leapfrog and preconditioned
 Crank-Nicolson. Both steps share one shape, ``step(target, thetas, cfg,
 rngs, state) -> (thetas, accepted, state)``, and ``sweep`` is the one entry
 the samplers, the MCMC pilot and the diagnostic chains drive. Row i draws
-only from ``rngs[i]`` and the likelihood pair is called once per live row
-per evaluation; the rest is array work over the rows that sums as one chain
-does, so a bank steps each row exactly as a one-row bank would.
+only from ``rngs[i]``. Each evaluation is one call into the likelihood pair
+(the bank contract of ``TargetDensity``) on the bank's live rows; the rest
+is array work over the rows that sums as one chain does, so a bank steps
+each row exactly as a one-row bank would.
 
 An HMC step size left unset is adapted inside SMC after every sweep from
 the acceptance count the sweep returns (``adapt_step_size``, no extra
@@ -78,10 +79,11 @@ def leapfrog(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, BankState]:
     """Symplectic leapfrog for H(theta, p) = -log_density(theta) + |p|^2/2 on
     every row of ``thetas`` (N, d), from momenta ``p`` and ``g``, the tempered
-    gradient at ``thetas``. Each step costs one pair call per live row (at
-    lam = 0 only the last does). A row whose value or gradient is NaN or +inf
-    dies and makes no further call. Returns (thetas_end, p_end, ok, the state
-    at thetas_end); ``ok`` marks the live rows that end on finite theta and p.
+    gradient at ``thetas``. Each step costs one pair call on the live rows
+    (at lam = 0 only the last does). A row whose value or gradient is NaN or
+    +inf dies and is left out of every later call. Returns (thetas_end,
+    p_end, ok, the state at thetas_end); ``ok`` marks the live rows that end
+    on finite theta and p.
     """
     ok = np.ones(len(thetas), dtype=bool)
     ll, gl = np.zeros(len(thetas)), np.zeros(thetas.shape)
@@ -90,8 +92,9 @@ def leapfrog(
         p = p + half * g
         thetas = thetas + step_size * p
         if target.lam != 0.0 or i == n_steps:
-            for j in np.flatnonzero(ok):
-                ll[j], gl[j] = target.loglik_and_grad(thetas[j])
+            live = np.flatnonzero(ok)
+            if live.size:
+                ll[live], gl[live] = target.loglik_and_grad(thetas[live])
             ok &= (ll < np.inf) & np.isfinite(gl).all(axis=1)  # -inf is zero density, a value
             ll[~ok], gl[~ok] = 0.0, 0.0  # a dead row's values are never read
         logp, g = target.temper(thetas, ll, gl)
@@ -109,15 +112,14 @@ def hmc_step(
 ) -> tuple[np.ndarray, int, BankState]:
     """One Metropolis-corrected HMC step with identity mass for every row.
     ``state`` is what the previous step returned, or None; its missing
-    entries are evaluated here, so with it carried a step costs L likelihood
-    calls per row. A non-finite value or gradient at a row's current state
-    raises ``NonFiniteDensityError``; a row whose trajectory diverges is
-    rejected. A row at zero density (log-likelihood -inf) takes any proposal
+    entries are evaluated here, so with it carried a step costs L pair
+    calls, each on the live rows. A non-finite value or gradient at a row's
+    current state raises ``NonFiniteDensityError``; a row whose trajectory
+    diverges is rejected. A row at zero density (log-likelihood -inf) takes any proposal
     of positive density. A row draws a uniform only if it reaches the accept
     test. Returns (thetas_next, the number accepted, state_next)."""
     if state is None or state.gl is None:
-        ll, gl = zip(*map(target.log_likelihood_and_grad, thetas))
-        state = BankState(np.array(ll), np.array(gl))
+        state = BankState(*target.log_likelihood_and_grad(thetas))
     if state.grad is None:
         state = BankState(state.ll, state.gl, *target.temper(thetas, state.ll, state.gl))
     p0 = np.array([rng.standard_normal(thetas.shape[1]) for rng in rngs])
@@ -143,16 +145,17 @@ def pcn_step(
     exp((lam * loglik + logprior) / T), for every row. The prior raised to
     the power 1/T is N(mean, T*v) and the proposal is reversible with respect
     to it, so the acceptance ratio is (lam / T) * (ll_prop - ll) and of
-    ``state`` a step reads ``ll`` alone. A proposal whose log-likelihood is
-    NaN or +inf is rejected; at a row's current state it raises
-    ``NonFiniteDensityError``. At lam = 0 no uniform is drawn. Returns
-    (thetas_next, the number accepted, state_next)."""
+    ``state`` a step reads ``ll`` alone: one ``loglik`` call on the bank of
+    proposals. A proposal whose log-likelihood is NaN or +inf is rejected;
+    at a row's current state it raises ``NonFiniteDensityError``. At lam = 0
+    no uniform is drawn. Returns (thetas_next, the number accepted,
+    state_next)."""
     if state is None:
-        state = BankState(np.array([target.log_likelihood(t) for t in thetas]))
+        state = BankState(target.log_likelihood(thetas))
     mean, sd = target.prior.mean, target.prior.marginal_std * np.sqrt(target.temperature)
     xi = np.array([rng.normal(0.0, sd, size=thetas.shape[1]) for rng in rngs])
     prop = mean + np.sqrt(1.0 - cfg.beta**2) * (thetas - mean) + cfg.beta * xi
-    ll_prop = np.array([target.loglik(t) for t in prop], dtype=float)
+    ll_prop = np.asarray(target.loglik(prop), dtype=float)
     accepted = ll_prop < np.inf  # -inf is zero density, a value
     lam = target.lam / target.temperature  # the likelihood's exponent in the target
     if lam != 0.0:

@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import Dataset
-from .targets import GaussianPrior
+from .targets import GaussianPrior, per_row
 
 
 @dataclass(frozen=True)
@@ -233,7 +233,9 @@ def log_likelihood_and_grad(
 
 def make_loglik(spec: NetworkSpec, data: Dataset):
     """Bind a dataset into the (loglik, loglik_and_grad) pair TargetDensity
-    expects.
+    expects, in its bank form: each takes an (N, n_params) bank and runs
+    the network once per row, so every row has the bits of a one-vector
+    call.
 
     The network input (the CNN's im2col) is computed once, here. ``loglik``
     runs the forward pass only; ``loglik_and_grad`` runs forward and
@@ -250,7 +252,7 @@ def make_loglik(spec: NetworkSpec, data: Dataset):
     def ll_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
         return _log_likelihood_and_grad(spec, theta, inputs, y)
 
-    return ll, ll_and_grad
+    return per_row(ll, ll_and_grad)
 
 
 class TrainingDivergedError(RuntimeError):

@@ -7,6 +7,7 @@ and no floating-point exception is raised for finite log Z."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -85,13 +86,15 @@ def run_parallel(
     """n_islands fully independent runs with seeds derived from base_seed.
 
     With ``workers`` > 1 and ``fork`` available, the islands run in
-    min(workers, n_islands) forked processes; only island indices go out and
-    only results come back. Results are ordered by island index and do not
-    depend on the worker count. A failed island is returned with its error
-    message instead of aborting the batch; a worker process that dies fails
-    the islands it had not returned (``BrokenProcessPool``). As with any
-    fork, a caller that runs other threads risks a worker inheriting a lock
-    one of them held.
+    min(workers, n_islands) forked processes, in chunks of
+    ceil(n_islands / (4 * workers)) consecutive islands per task, so that
+    many small islands cost little more than the serial loop; only island
+    indices go out and only results come back. Results are ordered by
+    island index and do not depend on the worker count. A failed island is
+    returned with its error message instead of aborting the batch; a worker
+    process that dies fails the islands not yet returned
+    (``BrokenProcessPool``). As with any fork, a caller that runs other
+    threads risks a worker inheriting a lock one of them held.
     """
     if n_islands < 1:
         raise ValueError("need at least one island")
@@ -102,19 +105,18 @@ def run_parallel(
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
         if "fork" in multiprocessing.get_all_start_methods():
+            results = []
             with ProcessPoolExecutor(
                 workers,
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_join_batch,
                 initargs=(target, cfg, base_seed),
             ) as executor:
-                futures = [executor.submit(_worker_island, p) for p in range(n_islands)]
-            results = []
-            for p, future in enumerate(futures):
+                chunk = math.ceil(n_islands / (4 * workers))
                 try:
-                    results.append(future.result())
-                except BrokenProcessPool as e:  # a worker died: its islands fail
-                    results.append(_failed(p, target.dim, e))
+                    results.extend(executor.map(_worker_island, range(n_islands), chunksize=chunk))
+                except BrokenProcessPool as e:  # a worker died: the islands not returned fail
+                    results.extend(_failed(p, target.dim, e) for p in range(len(results), n_islands))
             return results
     return [_run_island(target, cfg, base_seed, p) for p in range(n_islands)]
 

@@ -75,7 +75,7 @@ class SamplerResult:
     particles: np.ndarray  # final particles, or the final state of each chain
     log_z: float
     schedule: TemperSchedule | None
-    epochs_per_particle: float  # counted calls into the likelihood pair per particle
+    epochs_per_particle: float  # counted row evaluations of the likelihood pair per particle
 
 
 def normalize_log_weights(log_w: np.ndarray) -> tuple[float, np.ndarray]:
@@ -209,18 +209,18 @@ def reweight_and_resample(
 
 
 def _counting(target: TargetDensity) -> tuple[TargetDensity, list[int]]:
-    """``target`` with every call into its likelihood pair counted, and the
-    one-element list that holds the count."""
+    """``target`` with the rows of every call into its likelihood pair
+    counted, and the one-element list that holds the count."""
     calls = [0]
     loglik, loglik_and_grad = target.loglik, target.loglik_and_grad
 
-    def counted_loglik(theta):
-        calls[0] += 1
-        return loglik(theta)
+    def counted_loglik(thetas):
+        calls[0] += len(thetas)
+        return loglik(thetas)
 
-    def counted_loglik_and_grad(theta):
-        calls[0] += 1
-        return loglik_and_grad(theta)
+    def counted_loglik_and_grad(thetas):
+        calls[0] += len(thetas)
+        return loglik_and_grad(thetas)
 
     return replace(target, loglik=counted_loglik, loglik_and_grad=counted_loglik_and_grad), calls
 
@@ -322,8 +322,7 @@ def run_smc(target: TargetDensity, cfg: SmcConfig) -> SamplerResult:
     particle_rngs = _spawn_rngs(root, cfg.n_particles)
 
     particles = target.prior.sample(island_rng, cfg.n_particles)
-    ll = np.array([target.log_likelihood(t) for t in particles])
-    ensemble = ParticleEnsemble(particles=particles, state=BankState(ll))
+    ensemble = ParticleEnsemble(particles, BankState(target.log_likelihood(particles)))
     schedule = TemperSchedule()
     kernel = _kernel_config(cfg, target, ensemble.particles[0], island_rng)
     adapt = cfg.kernel == "hmc" and cfg.hmc is None

@@ -26,17 +26,16 @@ class NonFiniteDensityError(ValueError):
     """
 
 
-def _check_finite(value: float, what: str) -> float:
-    if np.isnan(value) or value == np.inf:
-        raise NonFiniteDensityError(f"{what} evaluated to {value!r}")
-    return value
-
-
-def _finite_grad(grad: np.ndarray) -> np.ndarray:
-    grad = np.asarray(grad, dtype=float)
-    if not np.isfinite(grad).all():
-        raise NonFiniteDensityError("log-likelihood gradient is non-finite")
-    return grad
+def _check_rows(values, n: int, what: str) -> np.ndarray:
+    """``values`` as an (n,) array, one per row of a bank; a NaN or +inf row
+    raises ``NonFiniteDensityError`` naming it."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (n,):
+        raise ValueError(f"{what} of {n} rows has shape {values.shape}, expected ({n},)")
+    bad = np.flatnonzero(np.isnan(values) | (values == np.inf))
+    if bad.size:
+        raise NonFiniteDensityError(f"{what} evaluated to {values[bad[0]]!r} at row {bad[0]}")
+    return values
 
 
 def row_dots(x: np.ndarray) -> float | np.ndarray:
@@ -81,18 +80,39 @@ class GaussianPrior:
         return self.mean + rng.normal(0.0, self.marginal_std, size=size)
 
 
-LogLik = Callable[[np.ndarray], float]
-LogLikAndGrad = Callable[[np.ndarray], tuple[float, np.ndarray]]
+LogLik = Callable[[np.ndarray], np.ndarray]
+LogLikAndGrad = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def per_row(loglik, loglik_and_grad) -> tuple[LogLik, LogLikAndGrad]:
+    """Lift a per-vector pair, ``loglik(theta) -> float`` and
+    ``loglik_and_grad(theta) -> (float, (d,))``, to the bank form
+    ``TargetDensity`` takes, by calling it on each row in turn."""
+
+    def bank_loglik(thetas: np.ndarray) -> np.ndarray:
+        return np.array([loglik(theta) for theta in thetas], dtype=float)
+
+    def bank_loglik_and_grad(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ll, gl = np.empty(len(thetas)), np.empty(np.shape(thetas))
+        for i, theta in enumerate(thetas):
+            ll[i], gl[i] = loglik_and_grad(theta)
+        return ll, gl
+
+    return bank_loglik, bank_loglik_and_grad
 
 
 @dataclass(frozen=True)
 class TargetDensity:
     """Tempered product of a likelihood and a Gaussian prior.
 
-    ``loglik`` (the value) and ``loglik_and_grad`` (value and gradient from
-    one pass) are injected pure functions of the flat parameter vector, so
-    the same machinery serves neural-network and synthetic Gaussian
-    likelihoods.
+    The likelihood is injected as a pair of pure functions of a bank of
+    parameter vectors, an (N, d) array whose rows are particles or chains:
+    ``loglik(thetas)`` returns the (N,) log-likelihoods and
+    ``loglik_and_grad(thetas)`` the (N,) values with their (N, d) gradients
+    from one pass. Row i of an output depends on row i of the input alone,
+    so the samplers make one call per evaluation for a whole bank, and the
+    same machinery serves neural-network and synthetic Gaussian
+    likelihoods (``per_row`` lifts a per-vector pair to this form).
     """
 
     loglik: LogLik
@@ -111,39 +131,49 @@ class TargetDensity:
     def dim(self) -> int:
         return self.prior.dim
 
-    def _check_dim(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dim,):
+    def _check_bank(self, thetas: np.ndarray) -> np.ndarray:
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 2 or thetas.shape[1] != self.dim:
             raise ValueError(
-                f"parameter vector has shape {theta.shape}, target expects ({self.dim},)"
+                f"parameter bank has shape {thetas.shape}, target expects (N, {self.dim})"
             )
-        return theta
+        return thetas
 
-    def log_likelihood(self, theta: np.ndarray) -> float:
-        theta = self._check_dim(theta)
-        return _check_finite(float(self.loglik(theta)), "log-likelihood")
+    def log_likelihood(self, thetas: np.ndarray) -> np.ndarray:
+        """The checked log-likelihood of each row of the bank ``thetas``: a
+        NaN or +inf row raises ``NonFiniteDensityError``; -inf (zero
+        likelihood) is a value."""
+        thetas = self._check_bank(thetas)
+        return _check_rows(self.loglik(thetas), len(thetas), "log-likelihood")
 
-    def log_likelihood_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        """The checked log-likelihood and its gradient from one call. Like
-        the likelihood itself they hold for every ``lam`` and ``T``."""
-        theta = self._check_dim(theta)
-        ll, gl = self.loglik_and_grad(theta)
-        return _check_finite(float(ll), "log-likelihood"), _finite_grad(gl)
+    def log_likelihood_and_grad(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The checked log-likelihood and its gradient at each row of the
+        bank ``thetas``, from one call; a non-finite gradient entry raises
+        too. Like the likelihood itself they hold for every ``lam`` and
+        ``T``."""
+        thetas = self._check_bank(thetas)
+        ll, gl = self.loglik_and_grad(thetas)
+        ll, gl = _check_rows(ll, len(thetas), "log-likelihood"), np.asarray(gl, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(gl).all(axis=1))
+        if bad.size:
+            raise NonFiniteDensityError(f"log-likelihood gradient is non-finite at row {bad[0]}")
+        return ll, gl
 
     def log_density(self, theta: np.ndarray) -> float:
-        theta = self._check_dim(theta)
-        lp = _check_finite(self.prior.log_density(theta), "log-prior")
-        if self.lam == 0.0:
-            return lp / self.temperature
-        ll = _check_finite(float(self.loglik(theta)), "log-likelihood")
-        return (self.lam * ll + lp) / self.temperature
+        """The tempered log-density at one vector, checked: a one-row bank."""
+        thetas = self._check_bank(np.asarray(theta, dtype=float)[None])
+        lp = _check_rows(self.prior.log_density(thetas), 1, "log-prior")
+        if self.lam != 0.0:
+            lp = self.lam * self.log_likelihood(thetas) + lp
+        return float(lp[0] / self.temperature)
 
     def grad_log_density(self, theta: np.ndarray) -> np.ndarray:
-        theta = self._check_dim(theta)
-        g = self.prior.grad_log_density(theta)
+        """The gradient of ``log_density`` at one vector, checked."""
+        thetas = self._check_bank(np.asarray(theta, dtype=float)[None])
+        g = self.prior.grad_log_density(thetas)
         if self.lam != 0.0:
-            g = g + self.lam * _finite_grad(self.loglik_and_grad(theta)[1])
-        return g / self.temperature
+            g = g + self.lam * self.log_likelihood_and_grad(thetas)[1]
+        return g[0] / self.temperature
 
     def temper(self, thetas: np.ndarray, ll: np.ndarray, gl: np.ndarray) -> tuple:
         """``log_density`` and ``grad_log_density`` at each row of the bank
@@ -192,13 +222,14 @@ def make_cold(posterior: TargetDensity, temperature: float) -> TargetDensity:
 
 def gaussian_loglik(mean: np.ndarray, variance: float) -> tuple[LogLik, LogLikAndGrad]:
     """Synthetic Gaussian 'likelihood' N(theta; mean, variance*Id), for tests
-    and conjugate oracles. Returns (loglik, loglik_and_grad) in the
-    injected-function contract of TargetDensity."""
+    and conjugate oracles. Returns (loglik, loglik_and_grad) in the bank
+    contract of TargetDensity; each row has the bits of the one-vector
+    formula, its square summed in ``np.dot``'s order (``row_dots``)."""
     mean = np.asarray(mean, dtype=float)
     log_norm = -0.5 * mean.size * np.log(2 * np.pi * variance)
 
-    def ll_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        r = theta - mean
-        return float(log_norm - 0.5 * np.dot(r, r) / variance), -r / variance
+    def ll_and_grad(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        r = thetas - mean
+        return log_norm - 0.5 * row_dots(r) / variance, -r / variance
 
-    return lambda theta: ll_and_grad(theta)[0], ll_and_grad
+    return lambda thetas: ll_and_grad(thetas)[0], ll_and_grad

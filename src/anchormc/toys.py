@@ -8,25 +8,23 @@ from .targets import GaussianPrior, TargetDensity, make_anchored, make_cold
 
 
 def bimodal_loglik(centers=(-2.0, 2.0), sigma: float = 0.35, weights=(0.5, 0.5)):
-    """1-d two-Gaussian-mixture log-likelihood, as the (loglik,
-    loglik_and_grad) pair."""
+    """1-d Gaussian-mixture log-likelihood, as the (loglik, loglik_and_grad)
+    pair in the bank form of TargetDensity: an (N, 1) bank in, (N,) values
+    and (N, 1) gradients out."""
     centers = np.asarray(centers, dtype=float)
     weights = np.asarray(weights, dtype=float)
     log_w = np.log(weights / weights.sum())
     inv_var = 1.0 / sigma**2
 
-    def components(theta: np.ndarray) -> np.ndarray:
-        return log_w - 0.5 * inv_var * (theta[0] - centers) ** 2
-
-    def ll_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        c = components(theta)
-        m = c.max()
+    def ll_and_grad(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        c = log_w - 0.5 * inv_var * (thetas[:, :1] - centers) ** 2  # (N, components)
+        m = c.max(axis=1, keepdims=True)
         r = np.exp(c - m)
-        total = r.sum()
-        grad = np.sum(r / total * (centers - theta[0])) * inv_var
-        return float(m + np.log(total)), np.array([grad])
+        total = r.sum(axis=1, keepdims=True)
+        grad = np.sum(r / total * (centers - thetas[:, :1]), axis=1, keepdims=True) * inv_var
+        return (m + np.log(total))[:, 0], grad
 
-    return lambda theta: ll_and_grad(theta)[0], ll_and_grad
+    return lambda thetas: ll_and_grad(thetas)[0], ll_and_grad
 
 
 def bimodal_toy(

@@ -23,20 +23,21 @@ def labeled(spec, n=12, seed=0):
 
 
 class Counted:
-    """A likelihood pair that counts the calls made into it."""
+    """A likelihood pair that counts the rows evaluated through each of its
+    two functions, one per row of every bank it is called on."""
 
     def __init__(self, pair):
         self._ll, self._ll_and_grad = pair
         self.loglik_calls = 0
         self.pair_calls = 0
 
-    def loglik(self, theta):
-        self.loglik_calls += 1
-        return self._ll(theta)
+    def loglik(self, thetas):
+        self.loglik_calls += len(thetas)
+        return self._ll(thetas)
 
-    def loglik_and_grad(self, theta):
-        self.pair_calls += 1
-        return self._ll_and_grad(theta)
+    def loglik_and_grad(self, thetas):
+        self.pair_calls += len(thetas)
+        return self._ll_and_grad(thetas)
 
     @property
     def calls(self):
@@ -174,11 +175,11 @@ class TestFusedLikelihood:
         rng = np.random.default_rng(5)
         for theta in rng.normal(size=(2, spec.n_params)) * 0.5:
             exact, grad = nets.log_likelihood_and_grad(spec, theta, data)
-            assert ll(theta) == exact  # forward-only pass
-            value, g = ll_and_grad(theta)
+            assert ll(theta[None])[0] == exact  # forward-only pass
+            (value,), (g,) = ll_and_grad(theta[None])
             assert value == exact
             assert np.array_equal(g, grad)
-            assert ll(theta) == exact  # nothing kept from the call before
+            assert ll(theta[None])[0] == exact  # nothing kept from the call before
 
     @pytest.mark.parametrize("spec", [MLP, CNN], ids=["mlp", "cnn"])
     def test_forward_equals_backprop_path(self, spec):

@@ -241,6 +241,46 @@ class TestPipeline:
         with open(os.path.join(out, "island_001.samples.bin"), "rb") as f:
             assert f.read() == runs[1][1][0]
 
+    @staticmethod
+    def with_map(workspace, path):
+        """A new output directory holding the workspace's MAP artifact, and
+        the common arguments without ``output_dir``."""
+        out, common = workspace
+        os.makedirs(path)
+        for suffix in (".manifest.json", ".samples.bin"):
+            shutil.copy(os.path.join(out, "map" + suffix), path)
+        return [a for a in common if not a.startswith("output_dir=")]
+
+    MCMC = ["sample", "method=mcmc", "kernel=pcn", "n=4", "mcmc_steps=5"]
+
+    def test_sample_removes_the_islands_of_an_earlier_run(self, workspace, tmp_path):
+        # three s=0.1 islands, then two s=1 islands in the same directory:
+        # combine pools the second run's two islands alone
+        alt = str(tmp_path / "rerun")
+        args = self.with_map(workspace, alt) + [f"output_dir={alt}"]
+        assert main(self.MCMC + ["p=3", "s=0.1", "seed=1"] + args) == 0
+        assert main(self.MCMC + ["p=2", "s=1.0", "seed=2"] + args) == 0
+        assert main(["combine"] + args) == 0
+        assert len(load_artifact(os.path.join(alt, "combined")).manifest["island_weights"]) == 2
+
+    def test_evaluate_reads_no_combined_of_an_earlier_run(self, workspace, tmp_path):
+        # sample, combine, sample again, evaluate: the outputs are those of
+        # the second sample alone, as in a directory that never held the first
+        outputs = {}
+        for name, runs in (("rerun", [("1", True), ("2", False)]), ("fresh", [("2", False)])):
+            alt = str(tmp_path / name)
+            args = self.with_map(workspace, alt) + [f"output_dir={alt}"]
+            for seed, combine in runs:
+                assert main(self.MCMC + ["p=2", f"seed={seed}"] + args) == 0
+                if combine:
+                    assert main(["combine"] + args) == 0
+            assert main(["evaluate"] + args) == 0
+            outputs[name] = []
+            for csv in ("metrics.csv", "entropy.csv"):
+                with open(os.path.join(alt, csv), "rb") as f:
+                    outputs[name].append(f.read())
+        assert outputs["rerun"] == outputs["fresh"]
+
     def test_pilot_tuned_hmc_refuses_more_leapfrog_steps(self, workspace, tmp_path, capsys):
         # the pilot tunes the step size at one leapfrog step, so leapfrog=5
         # would silently run L = 1

@@ -71,8 +71,8 @@ class TestIact:
 class TestHmcChain:
     def test_shapes_and_rate(self):
         target = TargetDensity(
-            loglik=lambda th: 0.0,
-            loglik_and_grad=lambda th: (0.0, np.zeros_like(th)),
+            loglik=lambda th: np.zeros(len(th)),
+            loglik_and_grad=lambda th: (np.zeros(len(th)), np.zeros_like(th)),
             prior=GaussianPrior(1.0, 2),
             lam=0.0,
         )

@@ -20,6 +20,7 @@ from anchormc.targets import (
     TargetDensity,
     gaussian_loglik,
     make_cold,
+    per_row,
 )
 from anchormc.toys import conjugate_posterior
 
@@ -28,8 +29,8 @@ from conftest import finite_difference_grad
 
 def prior_only_target(prior):
     return TargetDensity(
-        loglik=lambda th: 0.0,
-        loglik_and_grad=lambda th: (0.0, np.zeros_like(th)),
+        loglik=lambda th: np.zeros(len(th)),
+        loglik_and_grad=lambda th: (np.zeros(len(th)), np.zeros_like(th)),
         prior=prior,
         lam=0.0,
     )
@@ -127,8 +128,10 @@ class TestLeapfrog:
     def test_divergent_gradient_flagged(self):
         # a NaN gradient in row 1 marks that row only
         t = TargetDensity(
-            loglik=lambda th: float(th[0]),
-            loglik_and_grad=lambda th: (float(th[0]), np.array([np.nan if th[0] > 0 else 1.0])),
+            *per_row(
+                lambda th: float(th[0]),
+                lambda th: (float(th[0]), np.array([np.nan if th[0] > 0 else 1.0])),
+            ),
             prior=GaussianPrior(1.0, 1),
         )
         _, _, ok, _ = leapfrog(t, np.array([[-5.0], [0.0]]), np.ones((2, 1)), 0.1, 1, np.zeros((2, 1)))
@@ -163,8 +166,7 @@ class TestHmc:
         # as for pCN at a NaN value: a non-finite value or gradient at the
         # chain's current state is an error, not a rejection
         t = TargetDensity(
-            loglik=lambda th: float(th[0]),
-            loglik_and_grad=lambda th: (float(th[0]), np.array([np.nan])),
+            *per_row(lambda th: float(th[0]), lambda th: (float(th[0]), np.array([np.nan]))),
             prior=GaussianPrior(1.0, 1),
         )
         with pytest.raises(NonFiniteDensityError):
@@ -211,8 +213,10 @@ class TestPcn:
     def test_non_finite_likelihood(self):
         # a NaN at the proposal is a rejection; at the current state an error
         target = TargetDensity(
-            loglik=lambda th: np.nan if th[0] > 0 else 0.0,
-            loglik_and_grad=lambda th: (np.nan if th[0] > 0 else 0.0, np.zeros_like(th)),
+            *per_row(
+                lambda th: np.nan if th[0] > 0 else 0.0,
+                lambda th: (np.nan if th[0] > 0 else 0.0, np.zeros_like(th)),
+            ),
             prior=GaussianPrior(1.0, 1),
         )
         rngs = [np.random.default_rng(7), np.random.default_rng(8)]
@@ -253,29 +257,29 @@ class TestTuning:
 
 
 class Counted:
-    """The conjugate likelihood pair with its calls counted, and optionally one
-    call (by index, from 0) poisoned: its value NaN or +inf, or its gradient
-    NaN."""
+    """The conjugate likelihood pair with the rows it evaluates counted (in
+    ``calls``), and optionally one row evaluation (by index, from 0, in call
+    order) poisoned: its value NaN or +inf, or its gradient NaN."""
 
     def __init__(self, a, sl, poison_at=None, kind="nan"):
-        self._ll, self._pair = gaussian_loglik(np.asarray(a, dtype=float), sl)
+        self._pair = gaussian_loglik(np.asarray(a, dtype=float), sl)[1]
         self.calls, self.poison_at, self.kind = 0, poison_at, kind
+        self.banks = []  # a copy of the bank of every call
 
-    def _call(self, theta):
-        value, grad = self._pair(theta)
-        if self.calls == self.poison_at:
+    def loglik_and_grad(self, thetas):
+        self.banks.append(np.array(thetas))
+        values, grads = self._pair(thetas)
+        row = -1 if self.poison_at is None else self.poison_at - self.calls
+        if 0 <= row < len(thetas):
             if self.kind == "grad":
-                grad = np.full_like(grad, np.nan)
+                grads[row] = np.nan
             else:
-                value = np.nan if self.kind == "nan" else np.inf
-        self.calls += 1
-        return value, grad
+                values[row] = np.nan if self.kind == "nan" else np.inf
+        self.calls += len(thetas)
+        return values, grads
 
-    def loglik(self, theta):
-        return self._call(theta)[0]
-
-    def loglik_and_grad(self, theta):
-        return self._call(theta)
+    def loglik(self, thetas):
+        return self.loglik_and_grad(thetas)[0]
 
     def target(self, v=1.0, lam=1.0):
         return TargetDensity(self.loglik, self.loglik_and_grad, GaussianPrior(v, 2), lam=lam)
@@ -318,7 +322,8 @@ def reference_pcn_chain(target, theta, cfg, rng, n_steps):
     for _ in range(n_steps):
         xi = rng.normal(0.0, sd, size=theta.shape[0])
         prop = target.prior.mean + np.sqrt(1.0 - cfg.beta**2) * (theta - target.prior.mean) + cfg.beta * xi
-        if lam == 0.0 or np.log(rng.uniform()) < lam * (target.log_likelihood(prop) - target.log_likelihood(theta)):
+        ll_prop, ll = target.log_likelihood(np.stack([prop, theta]))
+        if lam == 0.0 or np.log(rng.uniform()) < lam * (ll_prop - ll):
             theta, accepted = prop, accepted + 1
     return theta, accepted
 
@@ -373,8 +378,7 @@ class TestSweep:
 
 def hmc_state(target, thetas):
     """The full HMC state of a bank, from the one-vector references."""
-    pairs = [target.log_likelihood_and_grad(t) for t in thetas]
-    ll, gl = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+    ll, gl = target.log_likelihood_and_grad(thetas)
     return BankState(ll, gl, *target.temper(thetas, ll, gl))
 
 
@@ -395,7 +399,7 @@ class TestFailureIsolation:
         cfg = HmcConfig(0.3, self.N_LEAPFROG) if hmc else PcnConfig(0.5)
         reference = conjugate_target([1.0, -0.5], 0.3, 1.0).with_lam(0.6)
         state = hmc_state(reference, self.START) if hmc else BankState(
-            np.array([reference.log_likelihood(t) for t in self.START])
+            reference.log_likelihood(self.START)
         )
         rngs = [np.random.default_rng(s) for s in range(4)]
         step = hmc_step if hmc else pcn_step
@@ -424,8 +428,10 @@ class TestFailureIsolation:
     @pytest.mark.parametrize("kernel", ["hmc", "pcn"])
     def test_non_finite_current_state_raises(self, kernel):
         nan_right = TargetDensity(
-            loglik=lambda th: np.nan if th[0] > 0 else 0.0,
-            loglik_and_grad=lambda th: (np.nan if th[0] > 0 else 0.0, np.zeros_like(th)),
+            *per_row(
+                lambda th: np.nan if th[0] > 0 else 0.0,
+                lambda th: (np.nan if th[0] > 0 else 0.0, np.zeros_like(th)),
+            ),
             prior=GaussianPrior(1.0, 2),
         )
         cfg = HmcConfig(0.1) if kernel == "hmc" else PcnConfig(0.5)
@@ -439,7 +445,7 @@ class TestFailureIsolation:
 
         def cut_and_grad(th):
             value, grad = ll_and_grad(th)
-            return (value if th[0] >= 0 else -np.inf), grad
+            return np.where(th[:, 0] >= 0, value, -np.inf), grad
 
         target = TargetDensity(lambda th: cut_and_grad(th)[0], cut_and_grad, GaussianPrior(1.0, 2))
         cfg = HmcConfig(0.3, 2)
@@ -468,3 +474,49 @@ class TestFailureIsolation:
         for _ in range(30):
             alone, _, one_state = hmc_step(target, alone, cfg, one_rng, one_state)
         assert np.array_equal(thetas[1], alone[0])
+
+
+class TestOneCallPerEvaluation:
+    """Each evaluation in a sweep is one call into the likelihood pair, on the
+    bank's live rows."""
+
+    START = TestFailureIsolation.START
+    CONFIGS = [HmcConfig(0.3, 3), PcnConfig(0.5)]
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["hmc", "pcn"])
+    def test_calls_per_sweep(self, cfg):
+        # the first sweep evaluates the start once, then L calls per HMC sweep
+        # and one per pCN sweep, each on all four rows
+        lik = Counted([1.0, -0.5], 0.3)
+        run_bank(lik.target(lam=0.6), self.START, cfg, range(4), 3)
+        per_sweep = cfg.n_leapfrog if isinstance(cfg, HmcConfig) else 1
+        assert [len(bank) for bank in lik.banks] == [4] * (1 + 3 * per_sweep)
+        assert np.array_equal(lik.banks[0], self.START)
+
+    def test_a_row_that_fails_drops_out_of_the_next_call(self):
+        # row evaluation 6 is row 2 at the second leapfrog step: its value
+        # is NaN there, and the third step's call leaves it out
+        reference = conjugate_target([1.0, -0.5], 0.3, 1.0).with_lam(0.6)
+        banks = {}
+        for poison_at in (None, 6):
+            lik = Counted([1.0, -0.5], 0.3, poison_at=poison_at)
+            rngs = [np.random.default_rng(s) for s in range(4)]
+            state = hmc_state(reference, self.START)
+            hmc_step(lik.target(lam=0.6), self.START, HmcConfig(0.3, 3), rngs, state)
+            banks[poison_at] = lik.banks
+        assert [len(bank) for bank in banks[None]] == [4, 4, 4]
+        assert [len(bank) for bank in banks[6]] == [4, 4, 3]
+        for bank, clean in zip(banks[6][:2], banks[None][:2]):
+            assert np.array_equal(bank, clean)
+        assert np.array_equal(banks[6][2], banks[None][2][[0, 1, 3]])
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["hmc", "pcn"])
+    @pytest.mark.parametrize("kind", ["nan", "inf"])
+    def test_a_non_finite_row_at_the_current_state_raises(self, cfg, kind):
+        # row 2 of the start bank is NaN or +inf: an error, raised at the
+        # one call that evaluates the start, before any step
+        lik = Counted([1.0, -0.5], 0.3, poison_at=2, kind=kind)
+        rngs = [np.random.default_rng(s) for s in range(4)]
+        with pytest.raises(NonFiniteDensityError, match="at row 2"):
+            sweep(lik.target(lam=0.6), self.START, cfg, rngs, None)
+        assert len(lik.banks) == 1

@@ -97,6 +97,28 @@ class TestRunParallel:
         forked = run_parallel(target, cfg, 4, base_seed=1, workers=4)
         assert_same_islands(serial, forked)
 
+    def test_many_small_islands_go_out_in_chunks(self, monkeypatch):
+        # 50 islands on 2 workers: chunks of ceil(50 / (4 * 2)) = 7 islands
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        chunks, real_map = [], ProcessPoolExecutor.map
+
+        def spy(self, fn, *iterables, chunksize=1, **kwargs):
+            chunks.append(chunksize)
+            return real_map(self, fn, *iterables, chunksize=chunksize, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "map", spy)
+        target = conjugate_target((2.0, -1.0), 0.1, 1.5)
+        cfg = SmcConfig(
+            n_particles=8, kernel="pcn", pcn=PcnConfig(0.5), fixed_schedule=(0.0, 0.3, 1.0),
+            max_mutation_steps=2,
+        )
+        serial = run_parallel(target, cfg, 50, base_seed=11, workers=1)
+        forked = run_parallel(target, cfg, 50, base_seed=11, workers=2)
+        assert chunks == [7]
+        assert_same_islands(serial, forked)
+        assert [r.p for r in forked] == list(range(50))
+
     @pytest.mark.parametrize(
         "cfg",
         [
@@ -149,8 +171,8 @@ class TestRunParallel:
 
     def test_failed_island_reported_not_raised(self):
         bad = TargetDensity(
-            loglik=lambda th: np.nan,
-            loglik_and_grad=lambda th: (np.nan, th),
+            loglik=lambda th: np.full(len(th), np.nan),
+            loglik_and_grad=lambda th: (np.full(len(th), np.nan), th),
             prior=GaussianPrior(1.0, 1),
         )
         results = run_parallel(bad, SmcConfig(n_particles=4, kernel="pcn"), 2, 0)
@@ -162,8 +184,8 @@ class TestRunParallel:
         # a finite likelihood whose gradient is NaN: HMC cannot start a chain
         # there, with or without the pilot, just as pCN cannot at a NaN value
         bad = TargetDensity(
-            loglik=lambda th: -0.5 * float(th @ th),
-            loglik_and_grad=lambda th: (-0.5 * float(th @ th), np.full_like(th, np.nan)),
+            loglik=lambda th: -0.5 * np.sum(th * th, axis=1),
+            loglik_and_grad=lambda th: (-0.5 * np.sum(th * th, axis=1), np.full_like(th, np.nan)),
             prior=GaussianPrior(1.0, 2),
         )
         cfg = SmcConfig(n_particles=4, kernel="hmc", hmc=hmc)

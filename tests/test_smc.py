@@ -31,8 +31,8 @@ BOTH_KERNELS = pytest.mark.parametrize(
 
 def constant_target(c, d=1, v=1.0):
     return TargetDensity(
-        loglik=lambda th: c,
-        loglik_and_grad=lambda th: (c, np.zeros_like(th)),
+        loglik=lambda th: np.full(len(th), c),
+        loglik_and_grad=lambda th: (np.full(len(th), c), np.zeros_like(th)),
         prior=GaussianPrior(v, d),
     )
 
@@ -50,7 +50,7 @@ def truncated_target(a, sl, v):
 
     def cut_and_grad(th):
         value, grad = ll_and_grad(th)
-        return (value if th[0] >= 0 else -np.inf), grad
+        return np.where(th[:, 0] >= 0, value, -np.inf), grad
 
     return TargetDensity(
         loglik=lambda th: cut_and_grad(th)[0],
@@ -251,8 +251,7 @@ class TestMutate:
 class TestCaches:
     @staticmethod
     def assert_current(ens, target):
-        for i, theta in enumerate(ens.particles):
-            ll, gl = target.log_likelihood_and_grad(theta)
+        for i, (ll, gl) in enumerate(zip(*target.log_likelihood_and_grad(ens.particles))):
             assert ens.state.ll[i] == ll
             assert ens.state.gl is None or np.array_equal(ens.state.gl[i], gl)
 
@@ -262,7 +261,7 @@ class TestCaches:
         rng = np.random.default_rng(11)
         rngs = [np.random.default_rng(s) for s in range(16)]
         particles = target.prior.sample(rng, 16)
-        ens = ParticleEnsemble(particles, value_state(map(target.log_likelihood, particles)))
+        ens = ParticleEnsemble(particles, value_state(target.log_likelihood(particles)))
         schedule = TemperSchedule()
         for lam in (0.3, 0.6, 1.0):
             ens = reweight_and_resample(ens, lam, rng, schedule)

@@ -8,6 +8,7 @@ from anchormc.targets import (
     gaussian_loglik,
     make_anchored,
     make_cold,
+    per_row,
     row_dots,
 )
 
@@ -17,11 +18,11 @@ from conftest import finite_difference_grad
 def quadratic_loglik():
     # l(theta) = -|theta|^2 / 2
     ll = lambda th: -0.5 * float(np.dot(th, th))
-    return ll, lambda th: (ll(th), -th)
+    return per_row(ll, lambda th: (ll(th), -th))
 
 
 def constant_loglik(c):
-    return (lambda th: c, lambda th: (c, np.zeros_like(th)))
+    return per_row(lambda th: c, lambda th: (c, np.zeros_like(th)))
 
 
 def posterior(d=2, v=0.1, loglik=None):
@@ -53,7 +54,7 @@ class TestLogDensity:
             posterior(d=2).log_density(np.zeros(3))
 
     def test_nan_likelihood_raises(self):
-        t = posterior(d=2, loglik=(lambda th: np.nan, lambda th: (np.nan, th)))
+        t = posterior(d=2, loglik=per_row(lambda th: np.nan, lambda th: (np.nan, th)))
         with pytest.raises(NonFiniteDensityError):
             t.log_density(np.zeros(2))
 
@@ -76,6 +77,73 @@ def test_row_dots_sum_as_np_dot(rng):
         assert row_dots(x[3]) == np.dot(x[3], x[3])
 
 
+def test_gaussian_loglik_rows_have_the_one_vector_bits(rng):
+    # each row of a bank gets the bits of the per-vector formula
+    for d in (1, 2, 7, 20, 560):
+        mean, v = rng.normal(size=d), 0.37
+        ll, ll_and_grad = gaussian_loglik(mean, v)
+        thetas = rng.normal(size=(16, d))
+        values, grads = ll_and_grad(thetas)
+        log_norm = -0.5 * d * np.log(2 * np.pi * v)
+        for theta, value, grad in zip(thetas, values, grads):
+            r = theta - mean
+            assert value == float(log_norm - 0.5 * np.dot(r, r) / v)
+            assert np.array_equal(grad, -r / v)
+        assert np.array_equal(ll(thetas), values)
+
+
+class TestBankContract:
+    BANK = np.array([[-1.0, 0.0], [1.0, 0.0], [-2.0, 0.5]])
+
+    @staticmethod
+    def nan_right(value=np.nan):
+        return posterior(
+            d=2,
+            loglik=per_row(
+                lambda th: value if th[0] > 0 else 0.0,
+                lambda th: (value if th[0] > 0 else 0.0, np.zeros_like(th)),
+            ),
+        )
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_non_finite_row_raises_naming_it(self, value):
+        t = self.nan_right(value)
+        with pytest.raises(NonFiniteDensityError, match="at row 1"):
+            t.log_likelihood(self.BANK)
+        with pytest.raises(NonFiniteDensityError, match="at row 1"):
+            t.log_likelihood_and_grad(self.BANK)
+        assert np.array_equal(t.log_likelihood(self.BANK[[0, 2]]), [0.0, 0.0])
+
+    def test_minus_inf_row_is_a_value(self):
+        values = self.nan_right(-np.inf).log_likelihood(self.BANK)
+        assert np.array_equal(values, [0.0, -np.inf, 0.0])
+
+    def test_a_non_finite_gradient_row_raises_naming_it(self):
+        pair = lambda th: (0.0, np.full(2, np.inf if th[0] < 0 else 0.0))  # rows 0 and 2
+        t = posterior(d=2, loglik=per_row(lambda th: 0.0, pair))
+        with pytest.raises(NonFiniteDensityError, match="gradient is non-finite at row 0"):
+            t.log_likelihood_and_grad(self.BANK)
+
+    def test_bank_shape_checked(self):
+        t = posterior(d=2)
+        for bad in (np.zeros(2), np.zeros((3, 3))):
+            with pytest.raises(ValueError, match="shape"):
+                t.log_likelihood(bad)
+        # a per-vector function given where the bank form is expected
+        scalar = TargetDensity(lambda th: 0.0, lambda th: (0.0, th), GaussianPrior(1.0, 2))
+        with pytest.raises(ValueError, match=r"expected \(3,\)"):
+            scalar.log_likelihood(self.BANK)
+
+    def test_rows_are_independent(self, rng):
+        # a row's value does not depend on the other rows of its bank
+        t = posterior(d=3, loglik=gaussian_loglik(rng.normal(size=3), 0.4))
+        bank = rng.normal(size=(6, 3))
+        ll, gl = t.log_likelihood_and_grad(bank)
+        for i in range(6):
+            (one,), (g,) = t.log_likelihood_and_grad(bank[i : i + 1])
+            assert one == ll[i] and np.array_equal(g, gl[i])
+
+
 class TestGradient:
     def test_zero_at_anchored_prior_mode(self):
         anchor = np.array([1.0, -2.0])
@@ -85,7 +153,7 @@ class TestGradient:
     def test_matches_finite_differences(self, rng):
         ll = lambda th: float(np.sin(th).sum() - 0.1 * np.dot(th, th))
         ll_and_grad = lambda th: (ll(th), np.cos(th) - 0.2 * th)
-        base = TargetDensity(loglik=ll, loglik_and_grad=ll_and_grad, prior=GaussianPrior(0.4, 6))
+        base = TargetDensity(*per_row(ll, ll_and_grad), prior=GaussianPrior(0.4, 6))
         for target in [
             base.with_lam(0.7),
             make_anchored(base, rng.normal(size=6), 0.2).with_lam(0.7),
@@ -110,8 +178,8 @@ class TestGradient:
         anchored = make_anchored(base, rng.normal(size=3), 0.2)
         for target in [base, base.with_lam(0.0), anchored.with_lam(0.3), make_cold(anchored, 0.5)]:
             th = rng.normal(size=3)
-            ll, gl = target.log_likelihood_and_grad(th)
-            assert ll == target.log_likelihood(th)
+            (ll,), (gl,) = target.log_likelihood_and_grad(th[None])
+            assert ll == target.log_likelihood(th[None])[0]
             value, grad = target.temper(th, ll, gl)
             assert value == target.log_density(th)
             assert np.array_equal(grad, target.grad_log_density(th))
@@ -123,10 +191,10 @@ class TestGradient:
     @pytest.mark.parametrize("value, grad", [(np.nan, 0.0), (0.0, np.inf)], ids=["value", "grad"])
     def test_value_and_gradient_checked(self, value, grad):
         # the pair holds for every lam, so it is checked at lam = 0 too
-        t = posterior(d=2, loglik=(lambda th: value, lambda th: (value, np.full(2, grad))))
+        t = posterior(d=2, loglik=per_row(lambda th: value, lambda th: (value, np.full(2, grad))))
         for target in (t, t.with_lam(0.0)):
             with pytest.raises(NonFiniteDensityError):
-                target.log_likelihood_and_grad(np.zeros(2))
+                target.log_likelihood_and_grad(np.zeros((1, 2)))
 
 
 class TestMakeAnchored:
