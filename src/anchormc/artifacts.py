@@ -41,7 +41,7 @@ CONFIG_DEFAULTS: dict[str, object] = {
     "eta": 0.05,
     "max_mutation_steps": 20,
     "kernel": "hmc",
-    "step_size": 0.0,  # 0: adapted after every sweep (smc) or pilot-tuned (mcmc)
+    "step_size": 0.0,  # 0: adapted after every sweep (smc) or over the first half (mcmc)
     "leapfrog": 1,
     "mcmc_steps": 80,
     # optimizer
@@ -124,6 +124,12 @@ def _samples_bytes(samples: np.ndarray) -> bytes:
     return np.ascontiguousarray(samples, dtype="<f8").tobytes()
 
 
+MANIFEST_KEYS = (
+    "kind", "config", "seed", "log_z", "epochs_used", "schedule",
+    "n_samples", "dim", "timestamp", "samples_sha256",
+)  # what make_artifact writes and load_artifact requires
+
+
 def make_artifact(
     config: dict,
     samples: np.ndarray,
@@ -179,6 +185,9 @@ def save_artifact(prefix: str, artifact: RunArtifact) -> None:
 
 
 def load_artifact(prefix: str) -> RunArtifact:
+    """Read the artifact ``save_artifact`` wrote at ``prefix``, refusing a
+    manifest that lacks a key ``make_artifact`` writes and a samples block
+    that does not match the manifest."""
     try:
         with open(prefix + ".manifest.json") as f:
             manifest = json.load(f)
@@ -186,6 +195,9 @@ def load_artifact(prefix: str) -> RunArtifact:
         raise FileNotFoundError(
             f"no artifact at {prefix!r}; run the producing command first"
         ) from None
+    missing = [key for key in MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise ValueError(f"{prefix}: manifest has no {', '.join(map(repr, missing))}")
     with open(prefix + ".samples.bin", "rb") as f:
         blob = f.read()
     digest = hashlib.sha256(blob).hexdigest()

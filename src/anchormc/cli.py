@@ -165,8 +165,8 @@ def cmd_sample(cfg: dict) -> None:
     out = cfg["output_dir"]
     if cfg["kernel"] == "hmc" and cfg["step_size"] <= 0 and cfg["leapfrog"] != 1:
         raise ConfigError(
-            f"leapfrog={cfg['leapfrog']} needs a fixed step_size > 0: the adapted or "
-            "pilot-tuned step size (step_size=0) runs one leapfrog step"
+            f"leapfrog={cfg['leapfrog']} needs a fixed step_size > 0: the adapted "
+            "step size (step_size=0) runs one leapfrog step"
         )
     train, _, _, spec = _load_datasets(cfg)
     target = _build_target(cfg, spec, train)

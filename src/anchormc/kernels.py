@@ -2,18 +2,17 @@
 array whose rows are chains: HMC with leapfrog and preconditioned
 Crank-Nicolson. Both steps share one shape, ``step(target, thetas, cfg,
 rngs, state) -> (thetas, accepted, state)``, and ``sweep`` is the one entry
-the samplers, the MCMC pilot and the diagnostic chains drive. Row i draws
-only from ``rngs[i]``. Each evaluation is one call into the likelihood pair
-(the bank contract of ``TargetDensity``) on the bank's live rows; the rest
-is array work over the rows that sums as one chain does, so a bank steps
-each row exactly as a one-row bank would.
+the samplers and the diagnostic chains drive. Row i draws only from
+``rngs[i]``. Each evaluation is one call into the likelihood pair (the bank
+contract of ``TargetDensity``) on the bank's live rows; the rest is array
+work over the rows that sums as one chain does, so a bank steps each row
+exactly as a one-row bank would.
 
-An HMC step size left unset is adapted inside SMC after every sweep from
-the acceptance count the sweep returns (``adapt_step_size``, no extra
-likelihood call); ``run_mcmc`` runs the ``tune_step_size`` pilot. Adapted
-from the island's own particles, it makes log Z consistent in N but not
-exactly unbiased, as the pilot did; a fixed step size or pCN on a fixed
-ladder keeps log Z unbiased."""
+An HMC step size left unset is adapted from the acceptance count a sweep
+returns (``tune_step_size``, no extra likelihood call): by SMC after every
+sweep, by ``run_mcmc`` after each sweep of its first half. Adapted from the
+island's own particles, it makes log Z consistent in N but not exactly
+unbiased; a fixed step size or pCN on a fixed ladder keeps log Z unbiased."""
 
 from __future__ import annotations
 
@@ -180,43 +179,12 @@ def sweep(
     return step(target, thetas, cfg, rngs, state)
 
 
-ADAPT_TARGET_RATE = 0.75  # the acceptance rate adapt_step_size steers towards
+ADAPT_TARGET_RATE = 0.75  # the acceptance rate tune_step_size steers towards
 
 
-def adapt_step_size(cfg: HmcConfig, accepted: int, n: int) -> HmcConfig:
+def tune_step_size(cfg: HmcConfig, accepted: int, n: int) -> HmcConfig:
     """The step size after a sweep of ``n`` rows that accepted ``accepted``:
     eps * exp(rate - ADAPT_TARGET_RATE), so it grows while the bank accepts
     more often than the target rate and shrinks otherwise, by at most a
     factor exp(0.75) per sweep."""
     return HmcConfig(cfg.step_size * math.exp(accepted / n - ADAPT_TARGET_RATE), cfg.n_leapfrog)
-
-
-PILOT_RATE_BAND = (0.6, 0.9)  # tune_step_size stops once the acceptance rate is in here
-PILOT_STEPS = 25  # HMC steps per pilot round
-PILOT_MAX_ROUNDS = 12
-
-
-def tune_step_size(
-    target: TargetDensity,
-    theta0: np.ndarray,
-    cfg: HmcConfig,
-    rng: np.random.Generator,
-) -> float:
-    """Short pilot on a one-row bank: double/halve the step size until the
-    empirical acceptance rate lands in ``PILOT_RATE_BAND``. ``run_mcmc``
-    uses it once per run; the step size then stays fixed."""
-    eps = cfg.step_size
-    lo, hi = PILOT_RATE_BAND
-    for _ in range(PILOT_MAX_ROUNDS):
-        bank, state, accepted = np.array(theta0, dtype=float)[None], None, 0
-        pilot = HmcConfig(eps, cfg.n_leapfrog)
-        for _ in range(PILOT_STEPS):
-            bank, n, state = sweep(target, bank, pilot, [rng], state)
-            accepted += n
-        if accepted / PILOT_STEPS > hi:
-            eps *= 2.0
-        elif accepted / PILOT_STEPS < lo:
-            eps *= 0.5
-        else:
-            return eps
-    return eps

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kernels import BankState, HmcConfig, PcnConfig, adapt_step_size, sweep, tune_step_size
+from .kernels import BankState, HmcConfig, PcnConfig, sweep, tune_step_size
 from .targets import TargetDensity
 
 
@@ -240,7 +240,7 @@ def mutate(
     |dist_M - dist_{M-1}| / dist_{M-1} <= tol, capped at max_steps.
 
     ``cfg`` selects the kernel; with ``adapt`` its HMC step size is adapted
-    after every sweep (``kernels.adapt_step_size``). The kernel state drops
+    after every sweep (``kernels.tune_step_size``). The kernel state drops
     its tempered part, which held for the previous target, and the sweeps
     keep it current. A zero previous displacement counts as converged (an
     immobile ensemble cannot improve). Records M and, for HMC, the first
@@ -256,7 +256,7 @@ def mutate(
     for m in range(1, max_steps + 1):
         particles, accepted, state = sweep(target, particles, cfg, rngs, state)
         if adapt:
-            cfg = adapt_step_size(cfg, accepted, len(particles))
+            cfg = tune_step_size(cfg, accepted, len(particles))
         if accepted == 0:
             zero_accept_streak += 1
             if zero_accept_streak == 3:
@@ -283,24 +283,16 @@ def _spawn_rngs(seed_seq: np.random.SeedSequence, n: int) -> list[np.random.Gene
     return [np.random.default_rng(s) for s in seed_seq.spawn(n)]
 
 
-def _kernel_config(
-    cfg: SmcConfig | McmcConfig,
-    target: TargetDensity,
-    theta0: np.ndarray,
-    rng: np.random.Generator,
-) -> HmcConfig | PcnConfig:
+def _kernel_config(cfg: SmcConfig | McmcConfig, target: TargetDensity) -> HmcConfig | PcnConfig:
     """The run's kernel: pCN, or HMC with the configured step size. With
-    none configured, SMC starts the step size it adapts at the prior's
+    none configured, the step size the sampler adapts starts at the prior's
     marginal sd times d^(-1/4), the rate at which an HMC step must shrink
-    with dimension to keep its acceptance, and MCMC runs a pilot from
-    ``theta0`` on ``target`` (drawing from ``rng``)."""
+    with dimension to keep its acceptance."""
     if cfg.kernel == "pcn":
         return cfg.pcn
     if cfg.hmc is not None:
         return cfg.hmc
-    if isinstance(cfg, SmcConfig):
-        return HmcConfig(target.prior.marginal_std * target.dim**-0.25)
-    return HmcConfig(tune_step_size(target, theta0, HmcConfig(0.01), rng))
+    return HmcConfig(target.prior.marginal_std * target.dim**-0.25)
 
 
 def run_smc(target: TargetDensity, cfg: SmcConfig) -> SamplerResult:
@@ -324,7 +316,7 @@ def run_smc(target: TargetDensity, cfg: SmcConfig) -> SamplerResult:
     particles = target.prior.sample(island_rng, cfg.n_particles)
     ensemble = ParticleEnsemble(particles, BankState(target.log_likelihood(particles)))
     schedule = TemperSchedule()
-    kernel = _kernel_config(cfg, target, ensemble.particles[0], island_rng)
+    kernel = _kernel_config(cfg, target)
     adapt = cfg.kernel == "hmc" and cfg.hmc is None
 
     fixed = iter(cfg.fixed_schedule[1:]) if cfg.fixed_schedule is not None else None
@@ -358,7 +350,7 @@ class McmcConfig:
     n_chains: int = 10
     n_steps: int = 80
     kernel: str = "hmc"
-    hmc: HmcConfig | None = None
+    hmc: HmcConfig | None = None  # None: one leapfrog step, its size adapted over the first half
     pcn: PcnConfig = PcnConfig()
     seed: int = 0
 
@@ -370,21 +362,29 @@ class McmcConfig:
 
 
 def run_mcmc(target: TargetDensity, cfg: McmcConfig) -> SamplerResult:
-    """Bank of independent chains at lam = 1, initialized from the prior,
-    advanced by ``n_steps`` sweeps. Each chain draws only from its own rng and
-    carries its own row of the kernel state, so the bank is the same as the
-    chains run one by one. The returned particles are the final chain
-    states. Chains carry no evidence estimate."""
+    """Bank of chains at lam = 1, initialized from the prior, advanced by
+    ``n_steps`` sweeps. Each chain draws only from its own rng and carries
+    its own row of the kernel state. With a fixed kernel the chains are
+    independent, so the bank is the same as the chains run one by one. With
+    ``hmc=None`` the chains share one step size, adapted from the bank's
+    acceptance (``kernels.tune_step_size``) after each of the first
+    ``n_steps // 2`` sweeps and then fixed, so that the later sweeps run one
+    fixed kernel; a chain then depends on the bank it ran in. The returned
+    particles are the final chain states. Chains carry no evidence
+    estimate."""
     root = np.random.SeedSequence(cfg.seed)
     init_rng = np.random.default_rng(root.spawn(1)[0])
     chain_rngs = _spawn_rngs(root, cfg.n_chains)
     target, calls = _counting(target.with_lam(1.0))
 
     particles = target.prior.sample(init_rng, cfg.n_chains)
-    kernel = _kernel_config(cfg, target, particles[0], init_rng)
+    kernel = _kernel_config(cfg, target)
+    warmup = cfg.n_steps // 2 if cfg.kernel == "hmc" and cfg.hmc is None else 0
     state = None
-    for _ in range(cfg.n_steps):
-        particles, _, state = sweep(target, particles, kernel, chain_rngs, state)
+    for step in range(cfg.n_steps):
+        particles, accepted, state = sweep(target, particles, kernel, chain_rngs, state)
+        if step < warmup:
+            kernel = tune_step_size(kernel, accepted, len(particles))
     return SamplerResult(
         particles=particles,
         log_z=0.0,

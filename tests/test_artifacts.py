@@ -151,6 +151,20 @@ class TestArtifacts:
         assert load_artifact(prefix) == old
         assert sorted(os.listdir(tmp_path)) == ["a.manifest.json", "a.samples.bin"]
 
+    def test_manifest_keys_are_what_make_artifact_writes(self, rng):
+        assert sorted(self.make(rng).manifest) == sorted(artifacts.MANIFEST_KEYS)
+
+    @pytest.mark.parametrize("key", ["log_z", "samples_sha256"])
+    def test_manifest_missing_a_key_names_the_prefix_and_key(self, tmp_path, rng, key):
+        prefix = str(tmp_path / "a")
+        save_artifact(prefix, self.make(rng))
+        manifest = json.loads(open(prefix + ".manifest.json").read())
+        del manifest[key]
+        with open(prefix + ".manifest.json", "w") as f:
+            json.dump(manifest, f)
+        with pytest.raises(ValueError, match=f"{prefix}: manifest has no '{key}'"):
+            load_artifact(prefix)
+
     def test_one_dim_samples_promoted(self):
         art = make_artifact(dict(CONFIG_DEFAULTS), np.arange(4.0), kind="map")
         assert art.samples.shape == (1, 4)

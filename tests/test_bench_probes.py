@@ -1,9 +1,9 @@
 """The benchmark's probes (``bench/probes.py``) wrap public names of the
 package and fail on any that is missing, so these names are part of the
 package's surface: ``TargetDensity.log_density`` and ``grad_log_density``,
-``kernels.tune_step_size``, ``parallel.island_weights``, ``nets.forward``,
-and the likelihood pairs from ``nets.make_loglik`` and
-``targets.gaussian_loglik``."""
+``kernels.tune_step_size`` (the step-size rule both samplers apply after an
+adapted sweep), ``parallel.island_weights``, ``nets.forward``, and the
+likelihood pairs from ``nets.make_loglik`` and ``targets.gaussian_loglik``."""
 
 import sys
 from pathlib import Path
@@ -46,14 +46,14 @@ def test_probes_wrap_the_package_and_undo_on_exit():
 def test_traced_samplers_complete_and_count_bank_sweeps():
     # the probes wrap the kernels by name and read element [1] of a step's
     # result as an int count; a traced run that crashes fails the benchmark
-    d, n = 3, 4
+    d, n, n_steps = 3, 4, 5
     runs = [
         ("smc", dict(kernel="hmc", hmc=kernels.HmcConfig(0.3, 2)), False),
-        ("smc", dict(kernel="hmc"), False),  # step size adapted from the sweeps, no pilot
-        ("mcmc", dict(kernel="hmc"), True),  # pilot-tuned step size
+        ("smc", dict(kernel="hmc"), True),  # step size adapted after every sweep
+        ("mcmc", dict(kernel="hmc"), True),  # adapted over the first n_steps // 2 sweeps
         ("mcmc", dict(kernel="pcn"), False),
     ]
-    for method, kernel, pilot in runs:
+    for method, kernel, adapted in runs:
         tracer = probes.new_tracer()
         with probes.instrument(tracer):
             target = targets.TargetDensity(
@@ -62,16 +62,19 @@ def test_traced_samplers_complete_and_count_bank_sweeps():
             if method == "smc":
                 result = smc.run_smc(target, smc.SmcConfig(n_particles=n, seed=1, **kernel))
                 row_sweeps = n * sum(result.schedule.mutation_steps)
+                adapted_sweeps = sum(result.schedule.mutation_steps) if adapted else 0
             else:
-                result = smc.run_mcmc(target, smc.McmcConfig(n_chains=n, n_steps=5, seed=1, **kernel))
-                row_sweeps = n * 5
+                result = smc.run_mcmc(
+                    target, smc.McmcConfig(n_chains=n, n_steps=n_steps, seed=1, **kernel)
+                )
+                row_sweeps = n * n_steps
+                adapted_sweeps = n_steps // 2 if adapted else 0
         assert np.isfinite(result.particles).all()
         sweeps = tracer.get("kernels.hmc_step").count + tracer.get("kernels.pcn_step").count
         step = "kernels.pcn_step" if kernel["kernel"] == "pcn" else "kernels.hmc_step"
         assert tracer.get(step).count > 0
-        pilot_sweeps = sweeps - row_sweeps // n  # one-row banks
-        assert tracer.get("kernels.tune_step_size").count == pilot
-        assert (pilot_sweeps > 0) == pilot
+        assert sweeps * n == row_sweeps  # every sweep steps the whole bank, none one row
+        assert tracer.get("kernels.tune_step_size").count == adapted_sweeps
         accepted = tracer.counters.get("kernels.accepted", 0)
         assert isinstance(accepted, int)
-        assert 0 < accepted <= row_sweeps + pilot_sweeps
+        assert 0 < accepted <= row_sweeps

@@ -117,19 +117,18 @@ class TestHmcStepCost:
                     assert np.array_equal(carried, evaluated)
 
 
-# hmc=None: SMC adapts the step size from its sweeps at no extra call, and
-# MCMC runs a pilot whose calls the run reports too
+# hmc=None: both samplers adapt the step size from their sweeps at no extra call
 KERNELS = [dict(kernel="hmc", hmc=HmcConfig(0.1, 3)), dict(kernel="pcn"), dict(kernel="hmc")]
 
 
 class TestReportedEvaluations:
-    @pytest.mark.parametrize("kernel", KERNELS, ids=["hmc", "pcn", "hmc-pilot"])
+    @pytest.mark.parametrize("kernel", KERNELS, ids=["hmc", "pcn", "hmc-adapted"])
     def test_run_smc_reports_counted_calls(self, kernel):
         counted, target = gaussian_counted()
         result = smc.run_smc(target, smc.SmcConfig(n_particles=8, seed=4, **kernel))
         assert result.epochs_per_particle == counted.total / 8
 
-    @pytest.mark.parametrize("kernel", KERNELS, ids=["hmc", "pcn", "hmc-pilot"])
+    @pytest.mark.parametrize("kernel", KERNELS, ids=["hmc", "pcn", "hmc-adapted"])
     def test_run_mcmc_reports_counted_calls(self, kernel):
         counted, target = gaussian_counted()
         result = smc.run_mcmc(target, smc.McmcConfig(n_chains=3, n_steps=12, seed=4, **kernel))
@@ -152,12 +151,21 @@ class TestReportedEvaluations:
         assert counted.calls == (n * (1 + n_leapfrog * steps), n)
 
     def test_run_smc_budget_with_adapted_hmc(self):
-        # hmc=None: one leapfrog step per sweep, and no pilot call anywhere
+        # hmc=None: one leapfrog step per sweep, and no other call
         counted, target = gaussian_counted()
         n = 8
         cfg = smc.SmcConfig(n_particles=n, seed=4, fixed_schedule=self.LADDER)
         steps = sum(smc.run_smc(target, cfg).schedule.mutation_steps)
         assert counted.calls == (n * (1 + steps), n)
+
+    def test_run_mcmc_budget_with_adapted_hmc(self):
+        # each chain's pair at its start, then one leapfrog step per sweep,
+        # and no value-only call
+        counted, target = gaussian_counted()
+        n, n_steps = 3, 12
+        result = smc.run_mcmc(target, smc.McmcConfig(n_chains=n, n_steps=n_steps, seed=4))
+        assert counted.calls == (n * (1 + n_steps), 0)
+        assert result.epochs_per_particle == 1 + n_steps
 
     def test_run_smc_budget_with_pcn(self):
         counted, target = gaussian_counted()

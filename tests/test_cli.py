@@ -281,9 +281,9 @@ class TestPipeline:
                     outputs[name].append(f.read())
         assert outputs["rerun"] == outputs["fresh"]
 
-    def test_pilot_tuned_hmc_refuses_more_leapfrog_steps(self, workspace, tmp_path, capsys):
-        # the pilot tunes the step size at one leapfrog step, so leapfrog=5
-        # would silently run L = 1
+    def test_adapted_hmc_refuses_more_leapfrog_steps(self, workspace, tmp_path, capsys):
+        # the step size is adapted at one leapfrog step, so leapfrog=5 would
+        # silently run L = 1
         out, common = workspace
         alt = str(tmp_path / "leapfrog")
         os.makedirs(alt)
@@ -501,6 +501,20 @@ class TestCombine:
         manifest = load_artifact(os.path.join(out, "combined")).manifest
         assert manifest["excluded_islands"] == [2]
         assert manifest["island_weights"] == [1.0]
+
+    @pytest.mark.parametrize("key", ["log_z", "samples_sha256"])
+    def test_island_manifest_missing_a_key_is_an_error(self, tmp_path, capsys, key):
+        prefix = os.path.join(str(tmp_path), "island_000")
+        save_artifact(prefix, make_artifact(dict(CONFIG_DEFAULTS), np.zeros((2, 3)), kind="smc"))
+        with open(prefix + ".manifest.json") as f:
+            manifest = json.load(f)
+        del manifest[key]
+        with open(prefix + ".manifest.json", "w") as f:
+            json.dump(manifest, f)
+        capsys.readouterr()
+        assert main(["combine", f"output_dir={tmp_path}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and prefix in err and key in err
 
 
 class TestDiag:

@@ -179,10 +179,10 @@ class TestRunParallel:
         assert all(r.failed for r in results)
         assert all(r.error for r in results)
 
-    @pytest.mark.parametrize("hmc", [HmcConfig(0.1, 2), None], ids=["fixed", "pilot"])
+    @pytest.mark.parametrize("hmc", [HmcConfig(0.1, 2), None], ids=["fixed", "adapted"])
     def test_nan_gradient_fails_the_island(self, hmc):
         # a finite likelihood whose gradient is NaN: HMC cannot start a chain
-        # there, with or without the pilot, just as pCN cannot at a NaN value
+        # there, with a fixed or an adapted step size, just as pCN cannot at a NaN value
         bad = TargetDensity(
             loglik=lambda th: -0.5 * np.sum(th * th, axis=1),
             loglik_and_grad=lambda th: (-0.5 * np.sum(th * th, axis=1), np.full_like(th, np.nan)),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from anchormc import smc
+from anchormc import kernels, smc
 from anchormc.kernels import BankState, HmcConfig, PcnConfig, sweep
 from anchormc.smc import (
     McmcConfig,
@@ -348,8 +348,9 @@ class TestRunSmc:
 
 
 class TestAdaptedStepSize:
-    """hmc=None: SMC adapts the HMC step size after every sweep from the
-    bank's acceptance, with no pilot."""
+    """hmc=None: both samplers adapt the HMC step size from the bank's
+    acceptance (``kernels.tune_step_size``), SMC after every sweep and MCMC
+    over the first half of its sweeps."""
 
     # the gauss-smc-hmc benchmark target: a 20-d conjugate Gaussian whose
     # data sit at the typical radius of a draw from the evidence
@@ -373,16 +374,48 @@ class TestAdaptedStepSize:
         assert eps[0] == self.D**-0.25
         assert eps[-1] < eps[0]
 
-    def test_smc_runs_no_pilot_and_mcmc_still_does(self, monkeypatch):
-        def pilot(*args):
-            raise AssertionError("tune_step_size called")
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        """The bank size and kernel of every HMC step, made through
+        ``kernels.sweep`` by any caller."""
+        made, step = [], kernels.hmc_step
 
-        monkeypatch.setattr(smc, "tune_step_size", pilot)
+        def recorded(target, thetas, cfg, rngs, state):
+            made.append((len(thetas), cfg))
+            return step(target, thetas, cfg, rngs, state)
+
+        monkeypatch.setattr(kernels, "hmc_step", recorded)
+        return made
+
+    def test_neither_sampler_makes_a_one_row_sweep(self, sweeps):
         target = conjugate_target(np.array([1.0, -0.5]), 0.5, 1.0)
         r = run_smc(target, SmcConfig(n_particles=8, kernel="hmc", seed=3))
         assert np.isfinite(r.log_z)
-        with pytest.raises(AssertionError, match="tune_step_size called"):
-            run_mcmc(target, McmcConfig(n_chains=2, n_steps=3, kernel="hmc", seed=3))
+        assert [rows for rows, _ in sweeps] == [8] * sum(r.schedule.mutation_steps)
+        sweeps.clear()
+        run_mcmc(target, McmcConfig(n_chains=2, n_steps=3, kernel="hmc", seed=3))
+        assert [rows for rows, _ in sweeps] == [2] * 3
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_mcmc_final_states_on_the_20d_conjugate_target(self, seed):
+        target, (post_mean, post_var, _) = self.target_and_oracle(seed)
+        n = 64
+        r = run_mcmc(target, McmcConfig(n_chains=n, n_steps=80, kernel="hmc", seed=100 + seed))
+        assert np.all(np.abs(r.particles.mean(axis=0) - post_mean) <= 4 * np.sqrt(post_var / n))
+        assert 0.8 <= np.mean(r.particles.var(axis=0) / post_var) <= 1.2
+
+    def test_mcmc_step_size_is_fixed_after_the_first_half(self, sweeps):
+        target, _ = self.target_and_oracle(0)
+        n_steps = 21
+        # 15 chains: no sweep accepts exactly the target rate 0.75, so every
+        # adaptation moves the step size
+        run_mcmc(target, McmcConfig(n_chains=15, n_steps=n_steps, kernel="hmc", seed=5))
+        eps = [cfg.step_size for _, cfg in sweeps]
+        warmup = n_steps // 2
+        assert len(eps) == n_steps and eps[0] == self.D**-0.25
+        # sweep k runs with the step size adapted after sweeps 0 .. k-1
+        assert all(a != b for a, b in zip(eps[:warmup], eps[1 : warmup + 1]))
+        assert set(eps[warmup:]) == {eps[warmup]}
 
     @pytest.mark.parametrize(
         "kernel, per_stage",
