@@ -3,7 +3,7 @@ classifiers, with entropy-based uncertainty quantification and abstention."""
 
 from .data import Dataset, load_csv_features, load_idx, make_ood
 from .diagnostics import acf, iact
-from .kernels import BankState, HmcConfig, PcnConfig, hmc_step, leapfrog, pcn_step, sweep
+from .kernels import BankState, HmcConfig, PcnConfig, RowStreams, hmc_step, leapfrog, pcn_step, sweep
 from .nets import (
     NetworkSpec,
     OptConfig,

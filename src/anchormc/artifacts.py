@@ -185,8 +185,9 @@ def save_artifact(prefix: str, artifact: RunArtifact) -> None:
 
 
 def load_artifact(prefix: str) -> RunArtifact:
-    """Read the artifact ``save_artifact`` wrote at ``prefix``, refusing a
-    manifest that lacks a key ``make_artifact`` writes and a samples block
+    """Read the artifact ``save_artifact`` wrote at ``prefix``, refusing,
+    with a ``ValueError`` that names the prefix, a manifest that is not a
+    JSON object or lacks a key ``make_artifact`` writes, and a samples block
     that does not match the manifest."""
     try:
         with open(prefix + ".manifest.json") as f:
@@ -195,6 +196,10 @@ def load_artifact(prefix: str) -> RunArtifact:
         raise FileNotFoundError(
             f"no artifact at {prefix!r}; run the producing command first"
         ) from None
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise ValueError(f"{prefix}: manifest is not valid JSON: {e}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{prefix}: manifest is not a JSON object")
     missing = [key for key in MANIFEST_KEYS if key not in manifest]
     if missing:
         raise ValueError(f"{prefix}: manifest has no {', '.join(map(repr, missing))}")

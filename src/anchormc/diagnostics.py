@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import HmcConfig, sweep
+from .kernels import HmcConfig, RowStreams, sweep
 from .targets import TargetDensity
 
 
@@ -49,13 +49,13 @@ def hmc_chain(
     n_steps: int,
     seed: int = 0,
 ) -> tuple[np.ndarray, float]:
-    """One long chain, stepped as a one-row bank; returns (states,
-    acceptance rate)."""
-    rngs = [np.random.default_rng(seed)]
+    """One long chain, stepped as a one-row bank with the stream keyed
+    ``mix64(seed, 0)``; returns (states, acceptance rate)."""
+    streams = RowStreams.seeded(seed, 1)
     bank, state, accepted = np.array(theta0, dtype=float)[None], None, 0
     states = np.empty((n_steps, bank.shape[1]))
     for t in range(n_steps):
-        bank, n, state = sweep(target, bank, cfg, rngs, state)
+        bank, n, state = sweep(target, bank, cfg, streams, state)
         accepted += n
         states[t] = bank[0]
     return states, accepted / n_steps

@@ -1,12 +1,16 @@
 """Target-invariant MCMC transition kernels on a bank of chains, an (N, d)
 array whose rows are chains: HMC with leapfrog and preconditioned
 Crank-Nicolson. Both steps share one shape, ``step(target, thetas, cfg,
-rngs, state) -> (thetas, accepted, state)``, and ``sweep`` is the one entry
-the samplers and the diagnostic chains drive. Row i draws only from
-``rngs[i]``. Each evaluation is one call into the likelihood pair (the bank
-contract of ``TargetDensity``) on the bank's live rows; the rest is array
-work over the rows that sums as one chain does, so a bank steps each row
-exactly as a one-row bank would.
+streams, state) -> (thetas, accepted, state)``, and ``sweep`` is the one entry
+the samplers and the diagnostic chains drive. Each evaluation is one call
+into the likelihood pair (the bank contract of ``TargetDensity``) on the
+bank's live rows; the rest is array work over the rows that sums as one
+chain does, so a bank steps each row exactly as a one-row bank would.
+
+Row i draws from its own counter-based stream (``RowStreams``), drawn for
+the whole bank as one array operation. Every sweep uses the same block of
+every row's stream, d normals and then one uniform, whether or not the row
+reaches the accept test, so a row's draws do not depend on its bank.
 
 An HMC step size left unset is adapted from the acceptance count a sweep
 returns (``tune_step_size``, no extra likelihood call): by SMC after every
@@ -25,6 +29,66 @@ import numpy as np
 from .targets import TargetDensity, row_dots
 
 DIVERGENCE_THRESHOLD = 1000.0  # |energy error| above this marks a trajectory divergent
+
+_GAMMA, _MASK64 = 0x9E3779B97F4A7C15, (1 << 64) - 1  # SplitMix64's increment; 2^64 - 1
+_U53 = 2.0**-53 - 2.0**-106  # (k + 1) * _U53 lies in (0, 1) for every 53-bit k
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function on a uint64 array, elementwise, in place."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
+
+
+def splitmix64(*words: int | np.ndarray) -> np.ndarray:
+    """SplitMix64 (Steele, Lea & Flood 2014) over integer words, elementwise
+    on broadcast uint64 arrays: from z = 0, z = mix(z + word + gamma) for
+    each word, modulo 2^64. ``parallel.mix64`` is its one-value form."""
+    z = np.zeros(1, dtype=np.uint64)
+    for w in words:
+        z = _mix(z + np.asarray(w & _MASK64 if isinstance(w, int) else w, dtype=np.uint64) + _GAMMA)
+    return z
+
+
+class RowStreams:
+    """Counter-based random streams (Salmon et al. 2011), one per row of a
+    bank: row i's n-th word is mix(keys[i] + n * gamma), SplitMix64 seeded at
+    keys[i], and ``counter`` words of every row are used. Each draw is one
+    array computation; the streams stay with the row positions."""
+
+    def __init__(self, keys: np.ndarray):
+        self.keys, self.counter = np.asarray(keys, dtype=np.uint64), 0
+
+    @classmethod
+    def seeded(cls, seed: int, n: int) -> "RowStreams":
+        """Streams for ``n`` rows, keyed ``mix64(seed, i)`` for row i."""
+        return cls(splitmix64(seed, np.arange(n, dtype=np.uint64)))
+
+    def _words(self, k: int) -> np.ndarray:
+        # (N, k): the top 53 bits of the next k words of every row
+        n = np.arange(self.counter, self.counter + k, dtype=np.uint64)
+        self.counter += k
+        return _mix(np.add.outer(self.keys, n * _GAMMA)) >> 11
+
+    def uniform(self) -> np.ndarray:
+        """One uniform in (0, 1) per row, (N,), from the next word."""
+        return (self._words(1)[:, 0] + 1) * _U53
+
+    def normal(self, d: int) -> np.ndarray:
+        """``d`` standard normals per row, (N, d), by Box-Muller on the next
+        2 * ceil(d / 2) words: radii from the first half, angles from the
+        second, with cosine and sine from t = tan(angle / 2), as one tangent
+        costs less than a cosine and a sine."""
+        m = (d + 1) // 2
+        k = self._words(2 * m)
+        r = np.sqrt(-2.0 * np.log((k[:, :m] + 1) * _U53))
+        t = np.tan(k[:, m:] * (np.pi * 2.0**-53))
+        q = r / (1.0 + t * t)
+        return np.concatenate([(1.0 - t * t) * q, 2.0 * t * q], axis=1)[:, :d]
 
 
 @dataclass(frozen=True)
@@ -106,7 +170,7 @@ def hmc_step(
     target: TargetDensity,
     thetas: np.ndarray,
     cfg: HmcConfig,
-    rngs: list[np.random.Generator],
+    streams: RowStreams,
     state: BankState | None = None,
 ) -> tuple[np.ndarray, int, BankState]:
     """One Metropolis-corrected HMC step with identity mass for every row.
@@ -115,21 +179,22 @@ def hmc_step(
     calls, each on the live rows. A non-finite value or gradient at a row's
     current state raises ``NonFiniteDensityError``; a row whose trajectory
     diverges is rejected. A row at zero density (log-likelihood -inf) takes any proposal
-    of positive density. A row draws a uniform only if it reaches the accept
-    test. Returns (thetas_next, the number accepted, state_next)."""
+    of positive density. Every row draws d momenta and one uniform from its
+    own stream, whether or not it reaches the accept test. Returns
+    (thetas_next, the number accepted, state_next)."""
     if state is None or state.gl is None:
         state = BankState(*target.log_likelihood_and_grad(thetas))
     if state.grad is None:
         state = BankState(state.ll, state.gl, *target.temper(thetas, state.ll, state.gl))
-    p0 = np.array([rng.standard_normal(thetas.shape[1]) for rng in rngs])
+    p0 = streams.normal(thetas.shape[1])
+    log_u = np.log(streams.uniform())
     h0 = -state.logp + 0.5 * row_dots(p0)
     prop, p1, ok, new = leapfrog(target, thetas, p0, cfg.step_size, cfg.n_leapfrog, state.grad)
     h1 = -new.logp + 0.5 * row_dots(p1)
     with np.errstate(invalid="ignore"):  # inf - inf where both ends have zero density
         from_zero = h0 == np.inf
-        accepted = ok & from_zero & np.isfinite(h1)
-        rows = np.flatnonzero(ok & ~from_zero & (np.abs(h1 - h0) <= DIVERGENCE_THRESHOLD))
-        accepted[rows] = np.log([rngs[i].uniform() for i in rows]) < h0[rows] - h1[rows]
+        tested = ~from_zero & (np.abs(h1 - h0) <= DIVERGENCE_THRESHOLD) & (log_u < h0 - h1)
+        accepted = ok & ((from_zero & np.isfinite(h1)) | tested)
     return np.where(accepted[:, None], prop, thetas), int(accepted.sum()), state.update(new, accepted)
 
 
@@ -137,7 +202,7 @@ def pcn_step(
     target: TargetDensity,
     thetas: np.ndarray,
     cfg: PcnConfig,
-    rngs: list[np.random.Generator],
+    streams: RowStreams,
     state: BankState | None = None,
 ) -> tuple[np.ndarray, int, BankState]:
     """One preconditioned Crank-Nicolson step for the target
@@ -146,22 +211,21 @@ def pcn_step(
     to it, so the acceptance ratio is (lam / T) * (ll_prop - ll) and of
     ``state`` a step reads ``ll`` alone: one ``loglik`` call on the bank of
     proposals. A proposal whose log-likelihood is NaN or +inf is rejected;
-    at a row's current state it raises ``NonFiniteDensityError``. At lam = 0
-    no uniform is drawn. Returns (thetas_next, the number accepted,
-    state_next)."""
+    at a row's current state it raises ``NonFiniteDensityError``. Every row
+    draws d normals and one uniform from its own stream, the uniform unused
+    at lam = 0. Returns (thetas_next, the number accepted, state_next)."""
     if state is None:
         state = BankState(target.log_likelihood(thetas))
     mean, sd = target.prior.mean, target.prior.marginal_std * np.sqrt(target.temperature)
-    xi = np.array([rng.normal(0.0, sd, size=thetas.shape[1]) for rng in rngs])
+    xi = sd * streams.normal(thetas.shape[1])
+    log_u = np.log(streams.uniform())
     prop = mean + np.sqrt(1.0 - cfg.beta**2) * (thetas - mean) + cfg.beta * xi
     ll_prop = np.asarray(target.loglik(prop), dtype=float)
     accepted = ll_prop < np.inf  # -inf is zero density, a value
     lam = target.lam / target.temperature  # the likelihood's exponent in the target
     if lam != 0.0:
-        rows = np.flatnonzero(accepted)
-        log_u = np.log([rngs[i].uniform() for i in rows])
         with np.errstate(invalid="ignore"):  # -inf - -inf where both have zero density
-            accepted[rows] = log_u < lam * (ll_prop[rows] - state.ll[rows])
+            accepted &= log_u < lam * (ll_prop - state.ll)
     new = state.update(BankState(ll_prop), accepted)
     return np.where(accepted[:, None], prop, thetas), int(accepted.sum()), new
 
@@ -170,13 +234,13 @@ def sweep(
     target: TargetDensity,
     thetas: np.ndarray,
     cfg: HmcConfig | PcnConfig,
-    rngs: list[np.random.Generator],
+    streams: RowStreams,
     state: BankState | None,
 ) -> tuple[np.ndarray, int, BankState]:
     """One step of the kernel ``cfg`` picks, looked up by module-global name
     at call time so that a rebound ``hmc_step``/``pcn_step`` is the one used."""
     step = hmc_step if isinstance(cfg, HmcConfig) else pcn_step
-    return step(target, thetas, cfg, rngs, state)
+    return step(target, thetas, cfg, streams, state)
 
 
 ADAPT_TARGET_RATE = 0.75  # the acceptance rate tune_step_size steers towards

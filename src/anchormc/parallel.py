@@ -13,23 +13,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .kernels import splitmix64
 from .smc import McmcConfig, SmcConfig, normalize_log_weights, run_mcmc, run_smc
 from .targets import TargetDensity
 
-_MIX_GAMMA = 0x9E3779B97F4A7C15
-_MASK64 = (1 << 64) - 1
-
 
 def mix64(*words: int) -> int:
-    """splitmix64-style 64-bit mix of integer words; used to derive
-    non-overlapping per-island seed streams without coordination."""
-    z = 0
-    for w in words:
-        z = (z + (w & _MASK64) + _MIX_GAMMA) & _MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        z = z ^ (z >> 31)
-    return z
+    """SplitMix64 of integer words (``kernels.splitmix64``, one value); used
+    to derive non-overlapping per-island seeds without coordination."""
+    return int(splitmix64(*words)[0])
 
 
 @dataclass(frozen=True)

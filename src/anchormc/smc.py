@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kernels import BankState, HmcConfig, PcnConfig, sweep, tune_step_size
+from .kernels import BankState, HmcConfig, PcnConfig, RowStreams, sweep, tune_step_size
 from .targets import TargetDensity
 
 
@@ -231,7 +231,7 @@ def mutate(
     cfg: HmcConfig | PcnConfig,
     tol: float,
     max_steps: int,
-    rngs: list[np.random.Generator],
+    streams: RowStreams,
     schedule: TemperSchedule,
     adapt: bool = False,
 ) -> HmcConfig | PcnConfig:
@@ -254,7 +254,7 @@ def mutate(
     m_used = max_steps
     zero_accept_streak = 0
     for m in range(1, max_steps + 1):
-        particles, accepted, state = sweep(target, particles, cfg, rngs, state)
+        particles, accepted, state = sweep(target, particles, cfg, streams, state)
         if adapt:
             cfg = tune_step_size(cfg, accepted, len(particles))
         if accepted == 0:
@@ -279,10 +279,6 @@ def mutate(
     return cfg
 
 
-def _spawn_rngs(seed_seq: np.random.SeedSequence, n: int) -> list[np.random.Generator]:
-    return [np.random.default_rng(s) for s in seed_seq.spawn(n)]
-
-
 def _kernel_config(cfg: SmcConfig | McmcConfig, target: TargetDensity) -> HmcConfig | PcnConfig:
     """The run's kernel: pCN, or HMC with the configured step size. With
     none configured, the step size the sampler adapts starts at the prior's
@@ -301,7 +297,9 @@ def run_smc(target: TargetDensity, cfg: SmcConfig) -> SamplerResult:
     ``target.lam`` is ignored; the run owns the tempering exponent. The path
     starts from the untempered prior, so only T = 1 targets are accepted;
     cold posteriors are sampled by ``run_mcmc``. The whole run is a pure
-    function of (seed, config, target)."""
+    function of (seed, config, target): the island's own generator draws
+    the first cloud and the resampling offsets, and particle row i steps
+    with the stream keyed ``mix64(seed, i)`` (``kernels.RowStreams``)."""
     if target.temperature != 1.0:
         raise ValueError(
             f"SMC samples only T = 1 posteriors, got T = {target.temperature}: its "
@@ -309,9 +307,8 @@ def run_smc(target: TargetDensity, cfg: SmcConfig) -> SamplerResult:
             "(run_mcmc) for cold posteriors"
         )
     target, calls = _counting(target)
-    root = np.random.SeedSequence(cfg.seed)
-    island_rng = np.random.default_rng(root.spawn(1)[0])
-    particle_rngs = _spawn_rngs(root, cfg.n_particles)
+    island_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    streams = RowStreams.seeded(cfg.seed, cfg.n_particles)
 
     particles = target.prior.sample(island_rng, cfg.n_particles)
     ensemble = ParticleEnsemble(particles, BankState(target.log_likelihood(particles)))
@@ -333,7 +330,7 @@ def run_smc(target: TargetDensity, cfg: SmcConfig) -> SamplerResult:
             kernel,
             cfg.mutation_tol,
             cfg.max_mutation_steps,
-            particle_rngs,
+            streams,
             schedule,
             adapt,
         )
@@ -363,8 +360,9 @@ class McmcConfig:
 
 def run_mcmc(target: TargetDensity, cfg: McmcConfig) -> SamplerResult:
     """Bank of chains at lam = 1, initialized from the prior, advanced by
-    ``n_steps`` sweeps. Each chain draws only from its own rng and carries
-    its own row of the kernel state. With a fixed kernel the chains are
+    ``n_steps`` sweeps. Chain i draws only from its own stream, keyed
+    ``mix64(seed, i)`` (``kernels.RowStreams``), and carries its own row of
+    the kernel state. With a fixed kernel the chains are
     independent, so the bank is the same as the chains run one by one. With
     ``hmc=None`` the chains share one step size, adapted from the bank's
     acceptance (``kernels.tune_step_size``) after each of the first
@@ -372,9 +370,8 @@ def run_mcmc(target: TargetDensity, cfg: McmcConfig) -> SamplerResult:
     fixed kernel; a chain then depends on the bank it ran in. The returned
     particles are the final chain states. Chains carry no evidence
     estimate."""
-    root = np.random.SeedSequence(cfg.seed)
-    init_rng = np.random.default_rng(root.spawn(1)[0])
-    chain_rngs = _spawn_rngs(root, cfg.n_chains)
+    init_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    streams = RowStreams.seeded(cfg.seed, cfg.n_chains)
     target, calls = _counting(target.with_lam(1.0))
 
     particles = target.prior.sample(init_rng, cfg.n_chains)
@@ -382,7 +379,7 @@ def run_mcmc(target: TargetDensity, cfg: McmcConfig) -> SamplerResult:
     warmup = cfg.n_steps // 2 if cfg.kernel == "hmc" and cfg.hmc is None else 0
     state = None
     for step in range(cfg.n_steps):
-        particles, accepted, state = sweep(target, particles, kernel, chain_rngs, state)
+        particles, accepted, state = sweep(target, particles, kernel, streams, state)
         if step < warmup:
             kernel = tune_step_size(kernel, accepted, len(particles))
     return SamplerResult(

@@ -15,7 +15,7 @@ import pytest
 
 from anchormc.data import load_idx, make_ood, Dataset
 from anchormc.diagnostics import hmc_chain, iact
-from anchormc.kernels import HmcConfig, PcnConfig, hmc_step, pcn_step
+from anchormc.kernels import HmcConfig, PcnConfig, RowStreams, hmc_step, pcn_step
 from anchormc.nets import (
     NetworkSpec,
     OptConfig,
@@ -120,12 +120,12 @@ def test_criterion_03_kernel_correctness(rng):
     n, chains = 40_000, 8
 
     def bank_draws(step, cfg, seed):
-        # a bank of chains started at zero, each with its own rng
-        gens = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(chains)]
+        # a bank of chains started at zero, each with its own stream
+        streams = RowStreams.seeded(seed, chains)
         th, state = np.zeros((chains, 1)), None
         draws = np.empty((n // chains, chains))
         for i in range(n // chains):
-            th, _, state = step(target, th, cfg, gens, state)
+            th, _, state = step(target, th, cfg, streams, state)
             draws[i] = th[:, 0]
         return draws.ravel()
 

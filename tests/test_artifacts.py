@@ -165,6 +165,20 @@ class TestArtifacts:
         with pytest.raises(ValueError, match=f"{prefix}: manifest has no '{key}'"):
             load_artifact(prefix)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [('{"kind": "smc", ', "is not valid JSON"), ("[1, 2]", "is not a JSON object"),
+         ("5", "is not a JSON object")],
+        ids=["cut", "list", "number"],
+    )
+    def test_manifest_that_is_not_a_json_object_names_the_prefix(self, tmp_path, rng, text, message):
+        prefix = str(tmp_path / "a")
+        save_artifact(prefix, self.make(rng))
+        with open(prefix + ".manifest.json", "w") as f:
+            f.write(text)
+        with pytest.raises(ValueError, match=f"^{prefix}: manifest {message}"):
+            load_artifact(prefix)
+
     def test_one_dim_samples_promoted(self):
         art = make_artifact(dict(CONFIG_DEFAULTS), np.arange(4.0), kind="map")
         assert art.samples.shape == (1, 4)

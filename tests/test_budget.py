@@ -8,7 +8,7 @@ import pytest
 
 from anchormc import nets, smc
 from anchormc.data import Dataset
-from anchormc.kernels import HmcConfig, hmc_step
+from anchormc.kernels import HmcConfig, RowStreams, hmc_step
 from anchormc.targets import GaussianPrior, TargetDensity, gaussian_loglik, make_anchored
 
 CNN = nets.NetworkSpec(kind="cnn", image_shape=(6, 6), conv_channels=2, n_classes=3)
@@ -84,14 +84,14 @@ class TestHmcStepCost:
         counted, target = make()
         cfg = HmcConfig(0.01, n_leapfrog)
         n = 3
-        rngs = [np.random.default_rng(s) for s in range(1, n + 1)]
+        streams = RowStreams.seeded(1, n)
         thetas = target.prior.sample(np.random.default_rng(1), n)
-        thetas, accepted, state = hmc_step(target, thetas, cfg, rngs)
+        thetas, accepted, state = hmc_step(target, thetas, cfg, streams)
         # the first sweep also evaluates value and gradient at each row's start
         assert counted.calls == (n * (n_leapfrog + 1), 0)
         for _ in range(10):
             before = counted.pair_calls
-            thetas, acc, state = hmc_step(target, thetas, cfg, rngs, state)
+            thetas, acc, state = hmc_step(target, thetas, cfg, streams, state)
             accepted += acc
             # the value at the trajectory's end comes with its last gradient
             assert counted.calls == (before + n * n_leapfrog, 0)
@@ -105,12 +105,11 @@ class TestHmcStepCost:
             _, target = make()
             cfg = HmcConfig(0.05, 2)
             theta0 = target.prior.sample(np.random.default_rng(2), 3)
-            rngs_a = [np.random.default_rng(s) for s in (3, 4, 5)]
-            rngs_b = [np.random.default_rng(s) for s in (3, 4, 5)]
+            streams_a, streams_b = RowStreams.seeded(3, 3), RowStreams.seeded(3, 3)
             a, b, state = theta0, theta0, None
             for _ in range(20):
-                a, acc_a, state = hmc_step(target, a, cfg, rngs_a, state)
-                b, acc_b, fresh = hmc_step(target, b, cfg, rngs_b, None)
+                a, acc_a, state = hmc_step(target, a, cfg, streams_a, state)
+                b, acc_b, fresh = hmc_step(target, b, cfg, streams_b, None)
                 assert acc_a == acc_b
                 assert np.array_equal(a, b)
                 for carried, evaluated in zip(state, fresh):

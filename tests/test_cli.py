@@ -516,6 +516,20 @@ class TestCombine:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and prefix in err and key in err
 
+    def test_island_manifest_cut_short_is_an_error_naming_it(self, tmp_path, capsys):
+        for p in range(2):
+            save_artifact(
+                os.path.join(str(tmp_path), f"island_00{p}"),
+                make_artifact(dict(CONFIG_DEFAULTS), np.zeros((2, 3)), kind="smc"),
+            )
+        prefix = os.path.join(str(tmp_path), "island_001")
+        with open(prefix + ".manifest.json", "w") as f:
+            f.write('{"kind": "smc", ')
+        capsys.readouterr()
+        assert main(["combine", f"output_dir={tmp_path}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {prefix}: manifest is not valid JSON")
+
 
 class TestDiag:
     def test_writes_acf_and_iact(self, tmp_path, capsys):

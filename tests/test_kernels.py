@@ -1,18 +1,19 @@
-import copy
-
 import numpy as np
 import pytest
+from scipy import stats
 
 from anchormc.kernels import (
     BankState,
     HmcConfig,
     PcnConfig,
+    RowStreams,
     hmc_step,
     leapfrog,
     pcn_step,
     sweep,
     tune_step_size,
 )
+from anchormc.parallel import mix64
 from anchormc.targets import (
     GaussianPrior,
     NonFiniteDensityError,
@@ -23,7 +24,9 @@ from anchormc.targets import (
 )
 from anchormc.toys import conjugate_posterior
 
-from conftest import finite_difference_grad
+from conftest import GAMMA, MASK64, finite_difference_grad, mix_reference
+
+KEYS = RowStreams.seeded(0, 8).keys  # stream keys that tests give their rows
 
 
 def prior_only_target(prior):
@@ -57,13 +60,13 @@ def rows_equal(a: BankState, b: BankState, i, j) -> bool:
     )
 
 
-def run_bank(target, thetas, cfg, seeds, n_sweeps):
-    """``n_sweeps`` sweeps of the bank ``thetas``, row i drawing from
-    default_rng(seeds[i]); returns (thetas, accepted per sweep, state)."""
-    rngs = [np.random.default_rng(s) for s in seeds]
+def run_bank(target, thetas, cfg, keys, n_sweeps):
+    """``n_sweeps`` sweeps of the bank ``thetas``, row i drawing from the
+    stream keyed keys[i]; returns (thetas, accepted per sweep, state)."""
+    streams = RowStreams(keys)
     state, counts = None, []
     for _ in range(n_sweeps):
-        thetas, n, state = sweep(target, thetas, cfg, rngs, state)
+        thetas, n, state = sweep(target, thetas, cfg, streams, state)
         counts.append(n)
     return thetas, counts, state
 
@@ -71,12 +74,12 @@ def run_bank(target, thetas, cfg, seeds, n_sweeps):
 def chain_draws(target, cfg, n_chains, n_steps, d=1, seed=0):
     """Draws of a bank of chains started at zero: an (n_steps, n_chains, d)
     array."""
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_chains)]
+    streams = RowStreams.seeded(seed, n_chains)
     thetas, state = np.zeros((n_chains, d)), None
     draws = np.empty((n_steps, n_chains, d))
     accepted = 0
     for t in range(n_steps):
-        thetas, n, state = sweep(target, thetas, cfg, rngs, state)
+        thetas, n, state = sweep(target, thetas, cfg, streams, state)
         draws[t] = thetas
         accepted += n
     return draws, accepted
@@ -157,7 +160,7 @@ class TestHmc:
     def test_huge_step_rejects(self):
         t = std_gaussian_target(2)
         th0 = np.tile([0.3, -0.2], (20, 1))
-        th, counts, _ = run_bank(t, th0, HmcConfig(100.0), range(20), 10)
+        th, counts, _ = run_bank(t, th0, HmcConfig(100.0), RowStreams.seeded(0, 20).keys, 10)
         assert sum(counts) / 200 < 0.02
         assert np.sum(np.any(th != th0, axis=1)) <= sum(counts)
 
@@ -169,7 +172,7 @@ class TestHmc:
             prior=GaussianPrior(1.0, 1),
         )
         with pytest.raises(NonFiniteDensityError):
-            hmc_step(t, np.zeros((1, 1)), HmcConfig(0.1), [np.random.default_rng(4)])
+            hmc_step(t, np.zeros((1, 1)), HmcConfig(0.1), RowStreams.seeded(4, 1))
 
 
 class TestPcn:
@@ -186,7 +189,7 @@ class TestPcn:
     def test_beta_one_is_independent_prior_draw(self):
         target = prior_only_target(GaussianPrior(1.0, 3))
         th = np.full((2, 3), 100.0)  # far from the prior: beta=1 must forget it
-        th2, _, _ = pcn_step(target, th, PcnConfig(1.0), [np.random.default_rng(s) for s in (5, 6)])
+        th2, _, _ = pcn_step(target, th, PcnConfig(1.0), RowStreams.seeded(5, 2))
         assert np.all(np.abs(th2) < 10)
 
     def test_conjugate_posterior_moments(self):
@@ -218,13 +221,13 @@ class TestPcn:
             ),
             prior=GaussianPrior(1.0, 1),
         )
-        rngs = [np.random.default_rng(7), np.random.default_rng(8)]
+        streams = RowStreams.seeded(7, 2)
         th, state = np.array([[-1.0], [-2.0]]), None
         for _ in range(50):
-            th, _, state = pcn_step(target, th, PcnConfig(1.0), rngs, state)
+            th, _, state = pcn_step(target, th, PcnConfig(1.0), streams, state)
             assert np.all(th <= 0) and np.all(state.ll == 0.0)
         with pytest.raises(NonFiniteDensityError):
-            pcn_step(target, np.array([[-1.0], [1.0]]), PcnConfig(1.0), rngs)
+            pcn_step(target, np.array([[-1.0], [1.0]]), PcnConfig(1.0), streams)
 
 
 class TestTuning:
@@ -237,11 +240,11 @@ class TestTuning:
     @pytest.mark.parametrize("eps0", [1e-3, 5.0])
     def test_adapted_step_size_settles_near_the_target_rate(self, eps0):
         t = std_gaussian_target(5)
-        rngs = [np.random.default_rng(s) for s in range(32)]
+        streams = RowStreams.seeded(0, 32)
         thetas, state, cfg = t.prior.sample(np.random.default_rng(0), 32), None, HmcConfig(eps0)
         rates = []
         for _ in range(150):
-            thetas, accepted, state = sweep(t, thetas, cfg, rngs, state)
+            thetas, accepted, state = sweep(t, thetas, cfg, streams, state)
             cfg = tune_step_size(cfg, accepted, len(thetas))
             rates.append(accepted / len(thetas))
         assert 0.65 <= np.mean(rates[50:]) <= 0.85
@@ -286,13 +289,14 @@ BANK_CASES = {
 }
 
 
-def reference_hmc_chain(target, theta, cfg, rng, n_steps):
-    """One chain stepped alone with ``np.dot`` energies and the one-vector
-    target methods: the per-chain form that a bank row must equal bit for bit."""
+def reference_hmc_chain(target, theta, cfg, stream, n_steps):
+    """One chain stepped alone, drawing from the one-row ``stream``, with
+    ``np.dot`` energies and the one-vector target methods: the per-chain form
+    that a bank row must equal bit for bit."""
     accepted = 0
     for _ in range(n_steps):
         g = target.grad_log_density(theta)
-        p0 = rng.standard_normal(theta.shape[0])
+        p0, u = stream.normal(theta.shape[0])[0], stream.uniform()[0]
         h0 = -target.log_density(theta) + 0.5 * np.dot(p0, p0)
         th, p = theta, p0
         for _ in range(cfg.n_leapfrog):
@@ -301,20 +305,21 @@ def reference_hmc_chain(target, theta, cfg, rng, n_steps):
             g = target.grad_log_density(th)
             p = p + 0.5 * cfg.step_size * g
         h1 = -target.log_density(th) + 0.5 * np.dot(p, p)
-        if abs(h1 - h0) <= 1000.0 and np.log(rng.uniform()) < h0 - h1:
+        if abs(h1 - h0) <= 1000.0 and np.log(u) < h0 - h1:
             theta, accepted = th, accepted + 1
     return theta, accepted
 
 
-def reference_pcn_chain(target, theta, cfg, rng, n_steps):
-    """One pCN chain stepped alone with the one-vector target methods."""
+def reference_pcn_chain(target, theta, cfg, stream, n_steps):
+    """One pCN chain stepped alone, drawing from the one-row ``stream``, with
+    the one-vector target methods."""
     accepted, lam = 0, target.lam / target.temperature
     sd = target.prior.marginal_std * np.sqrt(target.temperature)
     for _ in range(n_steps):
-        xi = rng.normal(0.0, sd, size=theta.shape[0])
+        xi, u = sd * stream.normal(theta.shape[0])[0], stream.uniform()[0]
         prop = target.prior.mean + np.sqrt(1.0 - cfg.beta**2) * (theta - target.prior.mean) + cfg.beta * xi
         ll_prop, ll = target.log_likelihood(np.stack([prop, theta]))
-        if lam == 0.0 or np.log(rng.uniform()) < lam * (ll_prop - ll):
+        if lam == 0.0 or np.log(u) < lam * (ll_prop - ll):
             theta, accepted = prop, accepted + 1
     return theta, accepted
 
@@ -322,16 +327,16 @@ def reference_pcn_chain(target, theta, cfg, rng, n_steps):
 class TestReferenceChains:
     @pytest.mark.parametrize("case", BANK_CASES)
     def test_bank_rows_equal_chains_stepped_alone(self, case):
-        # the reference draws the same numbers in the same order per chain;
-        # its energies use np.dot and its tempering the one-vector methods
+        # the reference draws from a one-row stream with the row's key; its
+        # energies use np.dot and its tempering the one-vector methods
         cfg, lam = BANK_CASES[case]
         target = make_cold(conjugate_target([1.0, -0.5, 0.3], 0.3, 1.0), 0.8).with_lam(lam)
         start = np.random.default_rng(10).normal(size=(5, 3))
-        bank, counts, _ = run_bank(target, start, cfg, range(5), 6)
+        bank, counts, _ = run_bank(target, start, cfg, KEYS[:5], 6)
         reference = reference_hmc_chain if isinstance(cfg, HmcConfig) else reference_pcn_chain
         accepted = 0
         for i in range(5):
-            theta, n = reference(target, start[i], cfg, np.random.default_rng(i), 6)
+            theta, n = reference(target, start[i], cfg, RowStreams(KEYS[i : i + 1]), 6)
             assert np.array_equal(bank[i], theta)
             accepted += n
         assert sum(counts) == accepted
@@ -346,12 +351,14 @@ class TestSweep:
         n, n_sweeps = 6, 4
         start = np.random.default_rng(9).normal(size=(n, 2))
         bank_lik = Counted([1.0, -0.5], 0.3)
-        bank, counts, state = run_bank(bank_lik.target(lam=lam), start, cfg, range(n), n_sweeps)
+        bank, counts, state = run_bank(bank_lik.target(lam=lam), start, cfg, KEYS[:n], n_sweeps)
 
         accepted = calls = 0
         for i in range(n):
             row_lik = Counted([1.0, -0.5], 0.3)
-            row, row_counts, row_state = run_bank(row_lik.target(lam=lam), start[i : i + 1], cfg, [i], n_sweeps)
+            row, row_counts, row_state = run_bank(
+                row_lik.target(lam=lam), start[i : i + 1], cfg, KEYS[i : i + 1], n_sweeps
+            )
             assert np.array_equal(bank[i], row[0])
             assert rows_equal(state, row_state, i, 0)
             accepted += sum(row_counts)
@@ -392,24 +399,22 @@ class TestFailureIsolation:
         state = hmc_state(reference, self.START) if hmc else BankState(
             reference.log_likelihood(self.START)
         )
-        rngs = [np.random.default_rng(s) for s in range(4)]
+        streams = RowStreams(KEYS[:4])
         step = hmc_step if hmc else pcn_step
-        thetas, n, out = step(target, self.START, cfg, rngs, state)
+        thetas, n, out = step(target, self.START, cfg, streams, state)
 
-        # row 2 is rejected, keeps its state and drew no uniform
+        # row 2 is rejected and keeps its state
         assert np.array_equal(thetas[2], self.START[2])
         assert rows_equal(out, state, 2, 2)
-        fresh = np.random.default_rng(2)
-        fresh.standard_normal(2) if hmc else fresh.normal(size=2)
-        assert rngs[2].uniform() == fresh.uniform()
+        # every row used the sweep's fixed block: 2 normals (2 words), 1 uniform
+        assert streams.counter == 3
         # and made no call after the failed one
         assert poisoned.calls == (4 * self.N_LEAPFROG - 1 if hmc else 4)
 
         # the other rows equal a bank run without row 2
         keep = [0, 1, 3]
         others, n_others, out_others = step(
-            reference, self.START[keep], cfg,
-            [np.random.default_rng(s) for s in keep],
+            reference, self.START[keep], cfg, RowStreams(KEYS[keep]),
             BankState(*(None if a is None else a[keep] for a in state)),
         )
         assert np.array_equal(thetas[keep], others)
@@ -426,9 +431,8 @@ class TestFailureIsolation:
             prior=GaussianPrior(1.0, 2),
         )
         cfg = HmcConfig(0.1) if kernel == "hmc" else PcnConfig(0.5)
-        rngs = [np.random.default_rng(s) for s in range(2)]
         with pytest.raises(NonFiniteDensityError):
-            sweep(nan_right, np.array([[-1.0, 0.0], [1.0, 0.0]]), cfg, rngs, None)
+            sweep(nan_right, np.array([[-1.0, 0.0], [1.0, 0.0]]), cfg, RowStreams(KEYS[:2]), None)
 
     def test_row_at_zero_likelihood_takes_its_first_finite_proposal(self):
         # theta_0 < 0 has log-likelihood -inf; row 0 starts there, row 1 not
@@ -441,29 +445,29 @@ class TestFailureIsolation:
         target = TargetDensity(lambda th: cut_and_grad(th)[0], cut_and_grad, GaussianPrior(1.0, 2))
         cfg = HmcConfig(0.3, 2)
         thetas = np.array([[-0.6, 0.0], [0.4, 0.1]])
-        rngs = [np.random.default_rng(s) for s in (5, 6)]
+        streams = RowStreams(KEYS[:2])
         state = hmc_state(target, thetas)
         left = False
         for _ in range(30):
-            probe = copy.deepcopy(rngs[0])
-            p0 = probe.standard_normal(2)[None]
-            prop, _, ok, end = leapfrog(target, thetas[:1], p0, 0.3, 2, state.grad[:1])
+            # row 0's momenta, from a one-row stream at the bank's counter
+            probe = RowStreams(KEYS[:1])
+            probe.counter = streams.counter
+            prop, _, ok, end = leapfrog(target, thetas[:1], probe.normal(2), 0.3, 2, state.grad[:1])
             at_zero = state.ll[0] == -np.inf
-            thetas, _, state = hmc_step(target, thetas, cfg, rngs, state)
+            thetas, _, state = hmc_step(target, thetas, cfg, streams, state)
             if at_zero:
-                # taken if and only if it has positive density, with no uniform drawn
+                # taken if and only if it has positive density
                 taken = bool(ok[0] and end.ll[0] > -np.inf)
                 assert np.array_equal(thetas[0], prop[0]) == taken
-                assert rngs[0].bit_generator.state == probe.bit_generator.state
                 left |= taken
             else:
                 assert state.ll[0] > -np.inf  # never back into the cut
         assert left
         # row 1 is the same as alone
         alone = np.array([[0.4, 0.1]])
-        one_rng, one_state = [np.random.default_rng(6)], hmc_state(target, alone)
+        one_stream, one_state = RowStreams(KEYS[1:2]), hmc_state(target, alone)
         for _ in range(30):
-            alone, _, one_state = hmc_step(target, alone, cfg, one_rng, one_state)
+            alone, _, one_state = hmc_step(target, alone, cfg, one_stream, one_state)
         assert np.array_equal(thetas[1], alone[0])
 
 
@@ -479,7 +483,7 @@ class TestOneCallPerEvaluation:
         # the first sweep evaluates the start once, then L calls per HMC sweep
         # and one per pCN sweep, each on all four rows
         lik = Counted([1.0, -0.5], 0.3)
-        run_bank(lik.target(lam=0.6), self.START, cfg, range(4), 3)
+        run_bank(lik.target(lam=0.6), self.START, cfg, KEYS[:4], 3)
         per_sweep = cfg.n_leapfrog if isinstance(cfg, HmcConfig) else 1
         assert [len(bank) for bank in lik.banks] == [4] * (1 + 3 * per_sweep)
         assert np.array_equal(lik.banks[0], self.START)
@@ -491,9 +495,8 @@ class TestOneCallPerEvaluation:
         banks = {}
         for poison_at in (None, 6):
             lik = Counted([1.0, -0.5], 0.3, poison_at=poison_at)
-            rngs = [np.random.default_rng(s) for s in range(4)]
             state = hmc_state(reference, self.START)
-            hmc_step(lik.target(lam=0.6), self.START, HmcConfig(0.3, 3), rngs, state)
+            hmc_step(lik.target(lam=0.6), self.START, HmcConfig(0.3, 3), RowStreams(KEYS[:4]), state)
             banks[poison_at] = lik.banks
         assert [len(bank) for bank in banks[None]] == [4, 4, 4]
         assert [len(bank) for bank in banks[6]] == [4, 4, 3]
@@ -507,7 +510,99 @@ class TestOneCallPerEvaluation:
         # row 2 of the start bank is NaN or +inf: an error, raised at the
         # one call that evaluates the start, before any step
         lik = Counted([1.0, -0.5], 0.3, poison_at=2, kind=kind)
-        rngs = [np.random.default_rng(s) for s in range(4)]
         with pytest.raises(NonFiniteDensityError, match="at row 2"):
-            sweep(lik.target(lam=0.6), self.START, cfg, rngs, None)
+            sweep(lik.target(lam=0.6), self.START, cfg, RowStreams(KEYS[:4]), None)
         assert len(lik.banks) == 1
+
+
+def unmix(w: int) -> int:
+    """The z with mix_reference(z) == w: SplitMix64's output function inverted."""
+
+    def unshift(y, s):  # the z with z ^ (z >> s) == y
+        z = y
+        for _ in range(64 // s):
+            z = y ^ (z >> s)
+        return z
+
+    z = unshift(w, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & MASK64, 27)
+    return unshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & MASK64, 30)
+
+
+U53 = 2.0**-53 - 2.0**-106  # the smallest uniform; (k + 1) * U53 for the top 53 bits k
+
+
+class TestRowStreams:
+    def test_keys_are_mix64_of_seed_and_row(self):
+        assert RowStreams.seeded(11, 6).keys.tolist() == [mix64(11, i) for i in range(6)]
+
+    def test_words_are_splitmix64_from_each_key(self):
+        # row i's n-th word is mix(keys[i] + n * gamma); the sixth (n = 5)
+        # follows one uniform and the four words of three normals
+        streams = RowStreams(KEYS)
+        streams.uniform()
+        streams.normal(3)
+        u = streams.uniform()
+        assert streams.counter == 6
+        for i, key in enumerate(KEYS.tolist()):
+            assert u[i] == ((mix_reference(key + 5 * GAMMA) >> 11) + 1) * U53
+
+    def test_uniforms_lie_strictly_inside_the_unit_interval(self):
+        # the keys whose first word is 0 and 2^64 - 1 give the extremes
+        assert mix_reference(unmix(0)) == 0 and mix_reference(unmix(MASK64)) == MASK64
+        extremes = RowStreams(np.array([unmix(0), unmix(MASK64)], dtype=np.uint64)).uniform()
+        assert extremes.tolist() == [U53, 1.0 - 2.0**-53]
+        streams = RowStreams.seeded(1, 1000)
+        u = np.concatenate([streams.uniform() for _ in range(50)])
+        assert np.all((0.0 < u) & (u < 1.0))
+        assert stats.kstest(u, "uniform").pvalue > 1e-3
+
+    def test_normals_match_standard_normal_moments(self):
+        # odd and even d: Box-Muller's pairs, with the last sine dropped for odd d
+        streams = RowStreams.seeded(2, 1000)
+        z = np.concatenate([streams.normal(d).ravel() for d in (1, 2, 7, 50)])
+        n = z.size
+        mean, var, skew, kurt = stats.norm.stats(moments="mvsk")
+        found = stats.describe(z)
+        assert abs(found.mean - mean) < 4 * np.sqrt(1 / n)
+        assert abs(found.variance - var) < 4 * np.sqrt(2 / n)
+        assert abs(found.skewness - skew) < 4 * np.sqrt(6 / n)
+        assert abs(found.kurtosis - kurt) < 4 * np.sqrt(24 / n)
+        assert stats.kstest(z, "norm").pvalue > 1e-3
+
+    def test_a_rows_draws_do_not_depend_on_the_bank(self):
+        draws = {}
+        for n in (1, 2, 5):
+            streams = RowStreams.seeded(3, n)
+            draws[n] = [streams.normal(3), streams.uniform(), streams.normal(4), streams.uniform()]
+        for n in (1, 2):
+            for small, large in zip(draws[n], draws[5]):
+                assert np.array_equal(small, large[:n])
+
+    def test_adjacent_rows_draws_and_sweeps_are_uncorrelated(self):
+        # 16 sweeps' blocks of 6 normals and a uniform over 4096 rows, the
+        # uniforms standardised; no correlation beyond 4 standard errors
+        streams = RowStreams.seeded(4, 4096)
+        x = np.stack([
+            np.column_stack([streams.normal(6), (streams.uniform() - 0.5) * np.sqrt(12.0)])
+            for _ in range(16)
+        ])  # (sweeps, rows, draws)
+
+        def assert_uncorrelated(a, b):
+            assert abs(np.corrcoef(a.ravel(), b.ravel())[0, 1]) < 4 / np.sqrt(a.size)
+
+        assert_uncorrelated(x[:, :-1], x[:, 1:])  # adjacent rows
+        assert_uncorrelated(x[:-1], x[1:])  # adjacent sweeps
+        assert_uncorrelated(x[..., :-1], x[..., 1:])  # adjacent draws of a row
+
+    @pytest.mark.parametrize("case", BANK_CASES)
+    def test_every_sweep_uses_the_same_block_of_every_stream(self, case):
+        # d = 3 normals (4 words) and one uniform, at lam = 0 too and whether
+        # or not a row reaches the accept test
+        cfg, lam = BANK_CASES[case]
+        streams = RowStreams(KEYS[:4])
+        thetas, state = np.zeros((4, 3)), None
+        target = conjugate_target([1.0, -0.5, 0.3], 0.3, 1.0).with_lam(lam)
+        for sweeps in range(1, 4):
+            thetas, _, state = sweep(target, thetas, cfg, streams, state)
+            assert streams.counter == 5 * sweeps

@@ -7,7 +7,7 @@ import pytest
 
 from anchormc import nets, parallel
 from anchormc.data import Dataset
-from anchormc.kernels import HmcConfig, PcnConfig
+from anchormc.kernels import HmcConfig, PcnConfig, splitmix64
 from anchormc.parallel import (
     RunResult,
     island_weights,
@@ -18,6 +18,8 @@ from anchormc.parallel import (
 )
 from anchormc.smc import McmcConfig, SmcConfig, ess, run_smc
 from anchormc.targets import GaussianPrior, TargetDensity, gaussian_loglik, make_anchored
+
+from conftest import GAMMA, MASK64, mix_reference
 
 
 def conjugate_target(a=(1.0,), sl=0.5, v=1.0):
@@ -77,6 +79,24 @@ class TestSeedDerivation:
 
     def test_word_order_matters(self):
         assert mix64(1, 2) != mix64(2, 1)
+
+    def test_splitmix64_reference_value(self):
+        # SplitMix64's first output from seed 0
+        assert mix64(0) == 0xE220A8397B1DCDAF
+
+    def test_scalar_and_array_forms_agree_with_the_loop_reference(self):
+        def reference(*words):
+            z = 0
+            for w in words:
+                z = mix_reference(z + (w & MASK64) + GAMMA)
+            return z
+
+        words = np.random.default_rng(0).integers(0, 2**64, size=(3, 500), dtype=np.uint64)
+        found = splitmix64(words[0], words[1], words[2]).tolist()
+        for (a, b, c), z in zip(words.T.tolist(), found):
+            assert z == mix64(a, b, c) == reference(a, b, c)
+        assert mix64(-1, 7) == reference(-1, 7)
+        assert mix64() == 0
 
 
 class TestRunParallel:

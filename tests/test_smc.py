@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import norm
 
 from anchormc import kernels, smc
-from anchormc.kernels import BankState, HmcConfig, PcnConfig, sweep
+from anchormc.kernels import BankState, HmcConfig, PcnConfig, RowStreams, sweep
 from anchormc.smc import (
     McmcConfig,
     ParticleEnsemble,
@@ -221,11 +221,9 @@ class TestReweightAndResample:
 class TestMutate:
     def run_mutate(self, tol, max_steps=20, beta=1.0, seed=0):
         target = constant_target(0.0, d=2, v=1.0).with_lam(0.0)
-        root = np.random.SeedSequence(seed)
-        rngs = [np.random.default_rng(s) for s in root.spawn(16)]
         ens = ParticleEnsemble(particles=np.zeros((16, 2)), state=value_state(np.zeros(16)))
         schedule = TemperSchedule()
-        mutate(ens, target, PcnConfig(beta), tol, max_steps, rngs, schedule)
+        mutate(ens, target, PcnConfig(beta), tol, max_steps, RowStreams.seeded(seed, 16), schedule)
         return ens, schedule.mutation_steps[-1]
 
     def test_infinite_tolerance_stops_at_two(self):
@@ -235,10 +233,9 @@ class TestMutate:
     def test_frozen_kernel_converges_immediately(self):
         # beta -> 0 is disallowed, so freeze via an HMC kernel with eps ~ 0
         target = constant_target(0.0, d=2, v=1.0).with_lam(0.0)
-        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(0).spawn(8)]
         ens = ParticleEnsemble(particles=np.ones((8, 2)), state=value_state(np.zeros(8)))
         schedule = TemperSchedule()
-        mutate(ens, target, HmcConfig(1e-300), 0.01, 20, rngs, schedule)
+        mutate(ens, target, HmcConfig(1e-300), 0.01, 20, RowStreams.seeded(0, 8), schedule)
         assert schedule.mutation_steps == [2]
         assert np.allclose(ens.particles, 1.0)
 
@@ -259,7 +256,7 @@ class TestCaches:
     def test_cached_pair_equals_a_fresh_call(self, cfg):
         target = conjugate_target([1.0, -0.5], 0.3, 1.0)
         rng = np.random.default_rng(11)
-        rngs = [np.random.default_rng(s) for s in range(16)]
+        streams = RowStreams.seeded(0, 16)
         particles = target.prior.sample(rng, 16)
         ens = ParticleEnsemble(particles, value_state(target.log_likelihood(particles)))
         schedule = TemperSchedule()
@@ -268,7 +265,7 @@ class TestCaches:
             # resampling dropped some particles and duplicated others
             assert len(np.unique(ens.particles, axis=0)) < len(particles)
             self.assert_current(ens, target)
-            mutate(ens, target.with_lam(lam), cfg, 0.05, 4, rngs, schedule)
+            mutate(ens, target.with_lam(lam), cfg, 0.05, 4, streams, schedule)
             self.assert_current(ens, target)
             if isinstance(cfg, HmcConfig):
                 assert ens.state.gl is not None
@@ -380,9 +377,9 @@ class TestAdaptedStepSize:
         ``kernels.sweep`` by any caller."""
         made, step = [], kernels.hmc_step
 
-        def recorded(target, thetas, cfg, rngs, state):
+        def recorded(target, thetas, cfg, streams, state):
             made.append((len(thetas), cfg))
-            return step(target, thetas, cfg, rngs, state)
+            return step(target, thetas, cfg, streams, state)
 
         monkeypatch.setattr(kernels, "hmc_step", recorded)
         return made
@@ -460,12 +457,12 @@ class TestRunMcmc:
         # positive density is accepted, silently, and none back into the cut
         target = truncated_target(np.array([0.5, -0.3]), 0.5, 1.0)
         cfg = kernel.get("hmc", PcnConfig(0.5))
-        thetas, state, rngs = np.array([[-0.5, 0.0]]), None, [np.random.default_rng(5)]
+        thetas, state, streams = np.array([[-0.5, 0.0]]), None, RowStreams.seeded(5, 1)
         accepted = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(50):
-                thetas, n, state = sweep(target, thetas, cfg, rngs, state)
+                thetas, n, state = sweep(target, thetas, cfg, streams, state)
                 accepted += n
         assert accepted > 0
         assert thetas[0, 0] >= 0

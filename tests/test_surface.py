@@ -11,7 +11,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "anchormc"
 CEILING = 73
-LINE_CEILING = 2662
+LINE_CEILING = 2720
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
