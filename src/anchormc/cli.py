@@ -186,9 +186,9 @@ def cmd_sample(cfg: dict) -> None:
         )
     else:
         raise ConfigError(f"unknown sampling method {cfg['method']!r}")
-    _remove_run_artifacts(out)
     # results do not depend on the worker count, so it is not a config key
     results = run_parallel(target, run_cfg, cfg["p"], cfg["seed"], workers=_cores())
+    _remove_run_artifacts(out)  # only now, so a refused run leaves the last one's
     for r in results:
         if r.failed:
             print(f"island {r.p} FAILED: {r.error}", file=sys.stderr)

@@ -5,7 +5,9 @@ streams, state) -> (thetas, accepted, state)``, and ``sweep`` is the one entry
 the samplers and the diagnostic chains drive. Each evaluation is one call
 into the likelihood pair (the bank contract of ``TargetDensity``) on the
 bank's live rows; the rest is array work over the rows that sums as one
-chain does, so a bank steps each row exactly as a one-row bank would.
+chain does, so a bank steps each row exactly as a one-row bank would. A
+bank carries only that pair between steps (``BankState``), which holds for
+every target; HMC tempers it where it reads it, with no likelihood call.
 
 Row i draws from its own counter-based stream (``RowStreams``), drawn for
 the whole bank as one array operation. Every sweep uses the same block of
@@ -113,16 +115,13 @@ class PcnConfig:
 
 
 class BankState(NamedTuple):
-    """What a bank carries between steps, for both kernels, one entry per row.
-    The checked likelihood pair (ll (N,), gl (N, d)) holds for every lam and
-    T; the log-density pair (logp, grad) tempered from it only for its
-    target, so a caller that changes the target drops it. Steps fill in None
-    entries."""
+    """What a bank carries between steps, for both kernels, one entry per
+    row: the checked likelihood pair, ll (N,) and, for HMC, gl (N, d). It
+    holds for every lam and T, so it may be passed to a step at any target.
+    A step fills in a missing gl."""
 
     ll: np.ndarray
     gl: np.ndarray | None = None
-    logp: np.ndarray | None = None
-    grad: np.ndarray | None = None
 
     def update(self, new: "BankState", accepted: np.ndarray) -> "BankState":
         # rows in ``accepted`` from ``new``, the others kept; what ``new`` lacks is dropped
@@ -143,10 +142,10 @@ def leapfrog(
     """Symplectic leapfrog for H(theta, p) = -log_density(theta) + |p|^2/2 on
     every row of ``thetas`` (N, d), from momenta ``p`` and ``g``, the tempered
     gradient at ``thetas``. Each step costs one pair call on the live rows
-    (at lam = 0 only the last does). A row whose value or gradient is NaN or
-    +inf dies and is left out of every later call. Returns (thetas_end,
-    p_end, ok, the state at thetas_end); ``ok`` marks the live rows that end
-    on finite theta and p.
+    (at lam = 0 only the last does) and tempers the gradient it reads. A row
+    whose value or gradient is NaN or +inf dies and is left out of every
+    later call. Returns (thetas_end, p_end, ok, the likelihood pair at
+    thetas_end); ``ok`` marks the live rows that end on finite theta and p.
     """
     ok = np.ones(len(thetas), dtype=bool)
     ll, gl = np.zeros(len(thetas)), np.zeros(thetas.shape)
@@ -160,10 +159,10 @@ def leapfrog(
                 ll[live], gl[live] = target.loglik_and_grad(thetas[live])
             ok &= (ll < np.inf) & np.isfinite(gl).all(axis=1)  # -inf is zero density, a value
             ll[~ok], gl[~ok] = 0.0, 0.0  # a dead row's values are never read
-        logp, g = target.temper(thetas, ll, gl)
+        g = target.tempered_grad(thetas, gl)
         p = p + half * g
     ok &= np.isfinite(thetas).all(axis=1) & np.isfinite(p).all(axis=1)
-    return thetas, p, ok, BankState(ll, gl, logp, g)
+    return thetas, p, ok, BankState(ll, gl)
 
 
 def hmc_step(
@@ -171,26 +170,27 @@ def hmc_step(
     thetas: np.ndarray,
     cfg: HmcConfig,
     streams: RowStreams,
-    state: BankState | None = None,
+    state: BankState | None,
 ) -> tuple[np.ndarray, int, BankState]:
     """One Metropolis-corrected HMC step with identity mass for every row.
-    ``state`` is what the previous step returned, or None; its missing
-    entries are evaluated here, so with it carried a step costs L pair
-    calls, each on the live rows. A non-finite value or gradient at a row's
-    current state raises ``NonFiniteDensityError``; a row whose trajectory
-    diverges is rejected. A row at zero density (log-likelihood -inf) takes any proposal
-    of positive density. Every row draws d momenta and one uniform from its
+    ``state`` is the likelihood pair at ``thetas`` that a step at any target
+    returned, or None; without a gradient the pair is evaluated here, so
+    with it carried a step costs L pair calls, each on the live rows. The
+    value is tempered at the trajectory's start and end, the gradient at its
+    start. A non-finite value or gradient at a row's current state raises
+    ``NonFiniteDensityError``; a row whose trajectory diverges is rejected.
+    A row at zero density (log-likelihood -inf) takes any proposal of
+    positive density. Every row draws d momenta and one uniform from its
     own stream, whether or not it reaches the accept test. Returns
     (thetas_next, the number accepted, state_next)."""
     if state is None or state.gl is None:
         state = BankState(*target.log_likelihood_and_grad(thetas))
-    if state.grad is None:
-        state = BankState(state.ll, state.gl, *target.temper(thetas, state.ll, state.gl))
     p0 = streams.normal(thetas.shape[1])
     log_u = np.log(streams.uniform())
-    h0 = -state.logp + 0.5 * row_dots(p0)
-    prop, p1, ok, new = leapfrog(target, thetas, p0, cfg.step_size, cfg.n_leapfrog, state.grad)
-    h1 = -new.logp + 0.5 * row_dots(p1)
+    h0 = -target.tempered_log_density(thetas, state.ll) + 0.5 * row_dots(p0)
+    g0 = target.tempered_grad(thetas, state.gl)
+    prop, p1, ok, new = leapfrog(target, thetas, p0, cfg.step_size, cfg.n_leapfrog, g0)
+    h1 = -target.tempered_log_density(prop, new.ll) + 0.5 * row_dots(p1)
     with np.errstate(invalid="ignore"):  # inf - inf where both ends have zero density
         from_zero = h0 == np.inf
         tested = ~from_zero & (np.abs(h1 - h0) <= DIVERGENCE_THRESHOLD) & (log_u < h0 - h1)
@@ -203,7 +203,7 @@ def pcn_step(
     thetas: np.ndarray,
     cfg: PcnConfig,
     streams: RowStreams,
-    state: BankState | None = None,
+    state: BankState | None,
 ) -> tuple[np.ndarray, int, BankState]:
     """One preconditioned Crank-Nicolson step for the target
     exp((lam * loglik + logprior) / T), for every row. The prior raised to

@@ -4,7 +4,8 @@ the matching bank of short parallel MCMC chains.
 One SMC run alternates: pick the next tempering exponent by ESS root-finding,
 reweight (accumulating log Z in log space), systematic resampling, then
 adaptive-length MCMC mutation at the new exponent. Resampling and mutation
-act on the whole particle bank and its ``kernels.BankState`` arrays at once.
+act on the whole particle bank and its ``kernels.BankState`` arrays at once,
+and each returns new arrays and leaves its inputs as they were.
 
 All log-weights (tempering increments here, island evidences in
 ``parallel``) are normalised by one max-shift rule, ``normalize_log_weights``.
@@ -18,14 +19,6 @@ import numpy as np
 
 from .kernels import BankState, HmcConfig, PcnConfig, RowStreams, sweep, tune_step_size
 from .targets import TargetDensity
-
-
-@dataclass
-class ParticleEnsemble:
-    particles: np.ndarray  # (N, d)
-    state: BankState  # the particles' kernel state, kept current by mutation
-    lam: float = 0.0
-    log_z: float = 0.0
 
 
 @dataclass
@@ -175,24 +168,24 @@ def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nda
 
 
 def reweight_and_resample(
-    ensemble: ParticleEnsemble,
+    particles: np.ndarray,
+    state: BankState,
+    lam: float,
     lam_next: float,
     rng: np.random.Generator,
     schedule: TemperSchedule,
-) -> ParticleEnsemble:
-    """Advance the tempering exponent: accumulate log Z by log-mean-exp of the
-    incremental log-weights, then systematic-resample to uniform weights.
-    Each particle's row of the kernel state goes with it.
+) -> tuple[np.ndarray, BankState, float]:
+    """Advance the tempering exponent from ``lam`` to ``lam_next``: the log Z
+    increment is the log-mean-exp of the incremental log-weights, then
+    systematic resampling to uniform weights takes each particle's row of
+    the kernel state with it. Returns (particles, state, log Z increment).
 
     Weights are max-shifted (``normalize_log_weights``): a particle whose
     incremental weight is below exp(-745) of the best one gets weight exactly
     0, and no floating-point exception is raised for finite log-likelihoods."""
-    if lam_next <= ensemble.lam:
-        raise ValueError(f"lam must increase: {ensemble.lam} -> {lam_next}")
-    dl = lam_next - ensemble.lam
-    logw = dl * ensemble.state.ll
-    log_norm, weights = normalize_log_weights(logw)
-    log_increment = log_norm - np.log(len(weights))
+    if lam_next <= lam:
+        raise ValueError(f"lam must increase: {lam} -> {lam_next}")
+    log_norm, weights = normalize_log_weights((lam_next - lam) * state.ll)
     e = ess(weights)
     schedule.ess_values.append(e)
     if e < 1.5:
@@ -200,12 +193,8 @@ def reweight_and_resample(
             f"degenerate weights before resampling at lam={lam_next:.6g} (ESS={e:.3g})"
         )
     idx = systematic_resample(weights, rng)
-    return ParticleEnsemble(
-        particles=ensemble.particles[idx],
-        state=BankState(*(None if a is None else a[idx] for a in ensemble.state)),
-        lam=lam_next,
-        log_z=ensemble.log_z + log_increment,
-    )
+    resampled = BankState(*(None if a is None else a[idx] for a in state))
+    return particles[idx], resampled, log_norm - np.log(len(weights))
 
 
 def _counting(target: TargetDensity) -> tuple[TargetDensity, list[int]]:
@@ -226,57 +215,46 @@ def _counting(target: TargetDensity) -> tuple[TargetDensity, list[int]]:
 
 
 def mutate(
-    ensemble: ParticleEnsemble,
+    particles: np.ndarray,
+    state: BankState,
     target: TargetDensity,
-    cfg: HmcConfig | PcnConfig,
-    tol: float,
-    max_steps: int,
+    kernel: HmcConfig | PcnConfig,
+    cfg: SmcConfig,
     streams: RowStreams,
     schedule: TemperSchedule,
-    adapt: bool = False,
-) -> HmcConfig | PcnConfig:
-    """Apply kernel sweeps until the mean displacement from the
-    post-resampling state stabilizes: smallest M >= 2 with
-    |dist_M - dist_{M-1}| / dist_{M-1} <= tol, capped at max_steps.
-
-    ``cfg`` selects the kernel; with ``adapt`` its HMC step size is adapted
-    after every sweep (``kernels.tune_step_size``). The kernel state drops
-    its tempered part, which held for the previous target, and the sweeps
-    keep it current. A zero previous displacement counts as converged (an
-    immobile ensemble cannot improve). Records M and, for HMC, the first
-    sweep's step size in ``schedule``. Returns the kernel the next stage
-    starts from: ``cfg``, or the adapted one.
+) -> tuple[np.ndarray, BankState, HmcConfig | PcnConfig]:
+    """Apply sweeps of ``kernel`` until the mean displacement from
+    ``particles`` stabilizes: smallest M >= 2 with
+    |dist_M - dist_{M-1}| / dist_{M-1} <= cfg.mutation_tol, capped at
+    cfg.max_mutation_steps. With ``cfg.hmc`` unset the HMC step size is
+    adapted after every sweep (``kernels.tune_step_size``). ``state`` holds
+    for every target, so the sweeps take it as it is. A zero previous
+    displacement counts as converged (an immobile ensemble cannot improve).
+    Records M and, for HMC, the first sweep's step size in ``schedule``.
+    Returns (particles, state, the kernel the next stage starts from).
     """
-    particles, state = ensemble.particles, ensemble.state._replace(logp=None, grad=None)
-    if isinstance(cfg, HmcConfig):
-        schedule.step_sizes.append(cfg.step_size)
+    start, adapt = particles, cfg.kernel == "hmc" and cfg.hmc is None
+    if isinstance(kernel, HmcConfig):
+        schedule.step_sizes.append(kernel.step_size)
     dist_prev = None
-    m_used = max_steps
+    m_used = cfg.max_mutation_steps
     zero_accept_streak = 0
-    for m in range(1, max_steps + 1):
-        particles, accepted, state = sweep(target, particles, cfg, streams, state)
+    for m in range(1, cfg.max_mutation_steps + 1):
+        particles, accepted, state = sweep(target, particles, kernel, streams, state)
         if adapt:
-            cfg = tune_step_size(cfg, accepted, len(particles))
-        if accepted == 0:
-            zero_accept_streak += 1
-            if zero_accept_streak == 3:
-                schedule.warnings.append(
-                    f"no acceptances for 3 consecutive sweeps at lam={target.lam:.6g}"
-                )
-        else:
-            zero_accept_streak = 0
-        dist = float(np.mean(np.linalg.norm(particles - ensemble.particles, axis=1)))
-        if m >= 2:
-            if dist_prev == 0.0:
-                m_used = m
-                break
-            if abs(dist - dist_prev) / dist_prev <= tol:
-                m_used = m
-                break
+            kernel = tune_step_size(kernel, accepted, len(particles))
+        zero_accept_streak = zero_accept_streak + 1 if accepted == 0 else 0
+        if zero_accept_streak == 3:
+            schedule.warnings.append(
+                f"no acceptances for 3 consecutive sweeps at lam={target.lam:.6g}"
+            )
+        dist = float(np.mean(np.linalg.norm(particles - start, axis=1)))
+        if m >= 2 and (dist_prev == 0.0 or abs(dist - dist_prev) / dist_prev <= cfg.mutation_tol):
+            m_used = m
+            break
         dist_prev = dist
-    ensemble.particles, ensemble.state = particles, state
     schedule.mutation_steps.append(m_used)
-    return cfg
+    return particles, state, kernel
 
 
 def _kernel_config(cfg: SmcConfig | McmcConfig, target: TargetDensity) -> HmcConfig | PcnConfig:
@@ -311,32 +289,24 @@ def run_smc(target: TargetDensity, cfg: SmcConfig) -> SamplerResult:
     streams = RowStreams.seeded(cfg.seed, cfg.n_particles)
 
     particles = target.prior.sample(island_rng, cfg.n_particles)
-    ensemble = ParticleEnsemble(particles, BankState(target.log_likelihood(particles)))
+    state, lam, log_z = BankState(target.log_likelihood(particles)), 0.0, 0.0
     schedule = TemperSchedule()
     kernel = _kernel_config(cfg, target)
-    adapt = cfg.kernel == "hmc" and cfg.hmc is None
 
     fixed = iter(cfg.fixed_schedule[1:]) if cfg.fixed_schedule is not None else None
-    while ensemble.lam < 1.0:
-        if fixed is not None:
-            lam_next = next(fixed)
-        else:
-            lam_next = next_lambda(ensemble.state.ll, ensemble.lam, cfg.ess_fraction)
-        ensemble = reweight_and_resample(ensemble, lam_next, island_rng, schedule)
-        schedule.lambdas.append(lam_next)
-        kernel = mutate(
-            ensemble,
-            target.with_lam(lam_next),
-            kernel,
-            cfg.mutation_tol,
-            cfg.max_mutation_steps,
-            streams,
-            schedule,
-            adapt,
+    while lam < 1.0:
+        lam_next = next(fixed) if fixed else next_lambda(state.ll, lam, cfg.ess_fraction)
+        particles, state, log_increment = reweight_and_resample(
+            particles, state, lam, lam_next, island_rng, schedule
+        )
+        log_z, lam = log_z + log_increment, lam_next
+        schedule.lambdas.append(lam)
+        particles, state, kernel = mutate(
+            particles, state, target.with_lam(lam), kernel, cfg, streams, schedule
         )
     return SamplerResult(
-        particles=ensemble.particles,
-        log_z=ensemble.log_z,
+        particles=particles,
+        log_z=log_z,
         schedule=schedule,
         epochs_per_particle=calls[0] / cfg.n_particles,
     )

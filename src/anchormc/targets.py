@@ -175,17 +175,23 @@ class TargetDensity:
             g = g + self.lam * self.log_likelihood_and_grad(thetas)[1]
         return g[0] / self.temperature
 
-    def temper(self, thetas: np.ndarray, ll: np.ndarray, gl: np.ndarray) -> tuple:
-        """``log_density`` and ``grad_log_density`` at each row of the bank
-        ``thetas`` (N, d), or at one vector, from the likelihood pair there,
-        with no likelihood call and no check; at lam = 0 the pair is not
-        read. A row gets the bits of the one-vector methods."""
+    def tempered_log_density(self, thetas: np.ndarray, ll: np.ndarray) -> np.ndarray:
+        """``log_density`` at each row of the bank ``thetas`` (N, d), or at
+        one vector, from the log-likelihood ``ll`` there, with no likelihood
+        call and no check; at lam = 0 ``ll`` is not read. A row gets the
+        bits of the one-vector method."""
         lp = self.prior.log_density(thetas)
-        g = self.prior.grad_log_density(thetas)
         if self.lam != 0.0:
             lp = self.lam * ll + lp
+        return lp / self.temperature
+
+    def tempered_grad(self, thetas: np.ndarray, gl: np.ndarray) -> np.ndarray:
+        """``grad_log_density`` likewise, from the log-likelihood gradient
+        ``gl`` at ``thetas``."""
+        g = self.prior.grad_log_density(thetas)
+        if self.lam != 0.0:
             g = g + self.lam * gl
-        return lp / self.temperature, g / self.temperature
+        return g / self.temperature
 
     def with_lam(self, lam: float) -> "TargetDensity":
         return replace(self, lam=lam)

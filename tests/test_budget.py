@@ -86,7 +86,7 @@ class TestHmcStepCost:
         n = 3
         streams = RowStreams.seeded(1, n)
         thetas = target.prior.sample(np.random.default_rng(1), n)
-        thetas, accepted, state = hmc_step(target, thetas, cfg, streams)
+        thetas, accepted, state = hmc_step(target, thetas, cfg, streams, None)
         # the first sweep also evaluates value and gradient at each row's start
         assert counted.calls == (n * (n_leapfrog + 1), 0)
         for _ in range(10):

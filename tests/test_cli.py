@@ -263,6 +263,18 @@ class TestPipeline:
         assert main(["combine"] + args) == 0
         assert len(load_artifact(os.path.join(alt, "combined")).manifest["island_weights"]) == 2
 
+    def test_refused_sample_keeps_the_islands_of_an_earlier_run(self, workspace, tmp_path, capsys):
+        # p=0 is refused by run_parallel; the last run's artifacts stay
+        alt = str(tmp_path / "refused")
+        args = self.with_map(workspace, alt) + [f"output_dir={alt}"]
+        assert main(self.MCMC + ["p=2", "seed=1"] + args) == 0
+        assert main(["combine"] + args) == 0
+        capsys.readouterr()
+        assert main(self.MCMC + ["p=0", "seed=2"] + args) == 1
+        assert "need at least one island" in capsys.readouterr().err
+        for name in ("island_000", "island_001", "combined"):
+            load_artifact(os.path.join(alt, name))
+
     def test_evaluate_reads_no_combined_of_an_earlier_run(self, workspace, tmp_path):
         # sample, combine, sample again, evaluate: the outputs are those of
         # the second sample alone, as in a directory that never held the first

@@ -102,14 +102,16 @@ class TestLeapfrog:
         h1 = [-t.log_density(a) + 0.5 * b @ b for a, b in zip(th2, p2)]
         assert ok.all()
         assert np.max(np.abs(np.subtract(h1, h0))) < 1e-2
-        # the state at the end is the reference log-density there
-        assert np.array_equal(end.logp, [t.log_density(a) for a in th2])
+        # the state at the end is the likelihood pair there, and tempered
+        # it gives the reference log-density
+        assert np.array_equal(end.ll, t.log_likelihood(th2))
+        assert np.array_equal(t.tempered_log_density(th2, end.ll), [t.log_density(a) for a in th2])
 
     def test_reversibility(self, rng):
         t = conjugate_target(rng.normal(size=6), 0.7, 1.3)
         th, p = rng.normal(size=(3, 6)), rng.normal(size=(3, 6))
         th2, p2, _, end = leapfrog(t, th, p, 0.05, 8, grads(t, th))
-        th3, p3, _, _ = leapfrog(t, th2, -p2, 0.05, 8, end.grad)
+        th3, p3, _, _ = leapfrog(t, th2, -p2, 0.05, 8, t.tempered_grad(th2, end.gl))
         assert np.allclose(th3, th, atol=1e-10)
         assert np.allclose(-p3, p, atol=1e-10)
 
@@ -172,7 +174,7 @@ class TestHmc:
             prior=GaussianPrior(1.0, 1),
         )
         with pytest.raises(NonFiniteDensityError):
-            hmc_step(t, np.zeros((1, 1)), HmcConfig(0.1), RowStreams.seeded(4, 1))
+            hmc_step(t, np.zeros((1, 1)), HmcConfig(0.1), RowStreams.seeded(4, 1), None)
 
 
 class TestPcn:
@@ -189,7 +191,7 @@ class TestPcn:
     def test_beta_one_is_independent_prior_draw(self):
         target = prior_only_target(GaussianPrior(1.0, 3))
         th = np.full((2, 3), 100.0)  # far from the prior: beta=1 must forget it
-        th2, _, _ = pcn_step(target, th, PcnConfig(1.0), RowStreams.seeded(5, 2))
+        th2, _, _ = pcn_step(target, th, PcnConfig(1.0), RowStreams.seeded(5, 2), None)
         assert np.all(np.abs(th2) < 10)
 
     def test_conjugate_posterior_moments(self):
@@ -227,7 +229,7 @@ class TestPcn:
             th, _, state = pcn_step(target, th, PcnConfig(1.0), streams, state)
             assert np.all(th <= 0) and np.all(state.ll == 0.0)
         with pytest.raises(NonFiniteDensityError):
-            pcn_step(target, np.array([[-1.0], [1.0]]), PcnConfig(1.0), streams)
+            pcn_step(target, np.array([[-1.0], [1.0]]), PcnConfig(1.0), streams, None)
 
 
 class TestTuning:
@@ -375,9 +377,8 @@ class TestSweep:
 
 
 def hmc_state(target, thetas):
-    """The full HMC state of a bank, from the one-vector references."""
-    ll, gl = target.log_likelihood_and_grad(thetas)
-    return BankState(ll, gl, *target.temper(thetas, ll, gl))
+    """The HMC state of a bank: its checked likelihood pair."""
+    return BankState(*target.log_likelihood_and_grad(thetas))
 
 
 class TestFailureIsolation:
@@ -452,7 +453,8 @@ class TestFailureIsolation:
             # row 0's momenta, from a one-row stream at the bank's counter
             probe = RowStreams(KEYS[:1])
             probe.counter = streams.counter
-            prop, _, ok, end = leapfrog(target, thetas[:1], probe.normal(2), 0.3, 2, state.grad[:1])
+            g = target.tempered_grad(thetas[:1], state.gl[:1])
+            prop, _, ok, end = leapfrog(target, thetas[:1], probe.normal(2), 0.3, 2, g)
             at_zero = state.ll[0] == -np.inf
             thetas, _, state = hmc_step(target, thetas, cfg, streams, state)
             if at_zero:
@@ -469,6 +471,23 @@ class TestFailureIsolation:
         for _ in range(30):
             alone, _, one_state = hmc_step(target, alone, cfg, one_stream, one_state)
         assert np.array_equal(thetas[1], alone[0])
+
+
+class TestStateHoldsForEveryTarget:
+    def test_a_state_from_one_target_steps_another_as_a_fresh_one(self):
+        # the state an HMC step returns at lam = 0.6 is the likelihood pair,
+        # which holds at lam = 0.3 and at T = 0.5 too: a step from it equals
+        # a step from a freshly evaluated state, bit for bit
+        base = conjugate_target([1.0, -0.5], 0.3, 1.0)
+        cfg = HmcConfig(0.3, 3)
+        start = TestFailureIsolation.START
+        thetas, _, state = hmc_step(base.with_lam(0.6), start, cfg, RowStreams(KEYS[:4]), None)
+        for other in (base.with_lam(0.3), make_cold(base.with_lam(0.6), 0.5)):
+            carried = hmc_step(other, thetas, cfg, RowStreams(KEYS[:4]), state)
+            fresh = hmc_step(other, thetas, cfg, RowStreams(KEYS[:4]), None)
+            assert np.array_equal(carried[0], fresh[0])
+            assert carried[1] == fresh[1]
+            assert rows_equal(carried[2], fresh[2], slice(None), slice(None))
 
 
 class TestOneCallPerEvaluation:

@@ -8,7 +8,6 @@ from anchormc import kernels, smc
 from anchormc.kernels import BankState, HmcConfig, PcnConfig, RowStreams, sweep
 from anchormc.smc import (
     McmcConfig,
-    ParticleEnsemble,
     SmcConfig,
     TemperSchedule,
     ess,
@@ -131,12 +130,13 @@ class TestNextLambda:
     @pytest.mark.parametrize("spread", [0.0, 5.0, 1e3, 1e6])
     def test_wide_spreads_raise_no_floating_point_error(self, rng, spread):
         ll = -1e4 + spread * rng.uniform(-1.0, 0.0, size=32)
-        ens = ParticleEnsemble(particles=np.zeros((32, 1)), state=value_state(ll))
         with np.errstate(all="raise"):
             lam_next = next_lambda(ll, 0.0, 0.5)
-            out = reweight_and_resample(ens, lam_next, rng, TemperSchedule())
+            _, _, log_increment = reweight_and_resample(
+                np.zeros((32, 1)), value_state(ll), 0.0, lam_next, rng, TemperSchedule()
+            )
         assert 0 < lam_next <= 1
-        assert np.isfinite(out.log_z)
+        assert np.isfinite(log_increment)
 
     def test_nonfinite_loglik_names_particle(self):
         ll = np.array([0.0, np.nan, 1.0])
@@ -168,33 +168,44 @@ class TestSystematicResample:
 
 
 class TestReweightAndResample:
-    def make_ensemble(self, loglik, v=1.0, seed=0):
-        rng = np.random.default_rng(seed)
-        n = len(loglik)
-        return ParticleEnsemble(
-            particles=rng.normal(size=(n, 1)),
-            state=value_state(loglik),
-        )
+    @staticmethod
+    def make_bank(loglik, seed=0):
+        """Particles with the given log-likelihoods, and their state."""
+        particles = np.random.default_rng(seed).normal(size=(len(loglik), 1))
+        return particles, value_state(loglik)
 
     def test_constant_likelihood_increment(self, rng):
-        ens = self.make_ensemble(np.full(8, -2.5))
-        out = reweight_and_resample(ens, 0.4, rng, TemperSchedule())
-        assert out.log_z == pytest.approx(0.4 * -2.5, abs=1e-12)
+        particles, state = self.make_bank(np.full(8, -2.5))
+        out, _, log_increment = reweight_and_resample(
+            particles, state, 0.0, 0.4, rng, TemperSchedule()
+        )
+        assert log_increment == pytest.approx(0.4 * -2.5, abs=1e-12)
         # constant weights: each particle survives exactly once
-        assert sorted(map(tuple, out.particles)) == sorted(map(tuple, ens.particles))
+        assert sorted(map(tuple, out)) == sorted(map(tuple, particles))
 
     def test_extreme_log_weights_stay_finite(self, rng):
-        ens = self.make_ensemble([-1e4, -1e4 + 3.0, -1e4 - 2.0])
+        particles, state = self.make_bank([-1e4, -1e4 + 3.0, -1e4 - 2.0])
         with np.errstate(all="raise"):
-            out = reweight_and_resample(ens, 1.0, rng, TemperSchedule())
+            _, _, log_increment = reweight_and_resample(
+                particles, state, 0.0, 1.0, rng, TemperSchedule()
+            )
         expected = -1e4 + np.log((1.0 + np.exp(3.0) + np.exp(-2.0)) / 3.0)
-        assert abs(out.log_z - expected) < 1e-9
+        assert abs(log_increment - expected) < 1e-9
 
     def test_degenerate_weights_warn_in_schedule(self, rng):
         sched = TemperSchedule()
-        ens = self.make_ensemble([0.0, -1e6, -1e6, -1e6])
-        reweight_and_resample(ens, 1.0, rng, sched)
+        reweight_and_resample(*self.make_bank([0.0, -1e6, -1e6, -1e6]), 0.0, 1.0, rng, sched)
         assert any("degenerate" in w for w in sched.warnings)
+
+    def test_increment_is_taken_from_lam(self, rng):
+        # the increment scales with lam_next - lam; lam must increase
+        particles, state = self.make_bank(np.full(4, -2.0))
+        _, _, log_increment = reweight_and_resample(
+            particles, state, 0.25, 0.75, rng, TemperSchedule()
+        )
+        assert log_increment == pytest.approx(0.5 * -2.0, abs=1e-12)
+        with pytest.raises(ValueError, match="lam must increase"):
+            reweight_and_resample(particles, state, 0.5, 0.5, rng, TemperSchedule())
 
     def test_evidence_unbiased_on_conjugate_toy(self):
         # fixed two-step schedule keeps the estimator unbiased
@@ -221,10 +232,15 @@ class TestReweightAndResample:
 class TestMutate:
     def run_mutate(self, tol, max_steps=20, beta=1.0, seed=0):
         target = constant_target(0.0, d=2, v=1.0).with_lam(0.0)
-        ens = ParticleEnsemble(particles=np.zeros((16, 2)), state=value_state(np.zeros(16)))
+        cfg = SmcConfig(
+            mutation_tol=tol, max_mutation_steps=max_steps, kernel="pcn", pcn=PcnConfig(beta)
+        )
         schedule = TemperSchedule()
-        mutate(ens, target, PcnConfig(beta), tol, max_steps, RowStreams.seeded(seed, 16), schedule)
-        return ens, schedule.mutation_steps[-1]
+        particles, _, _ = mutate(
+            np.zeros((16, 2)), value_state(np.zeros(16)), target, cfg.pcn, cfg,
+            RowStreams.seeded(seed, 16), schedule,
+        )
+        return particles, schedule.mutation_steps[-1]
 
     def test_infinite_tolerance_stops_at_two(self):
         _, m = self.run_mutate(np.inf)
@@ -233,42 +249,94 @@ class TestMutate:
     def test_frozen_kernel_converges_immediately(self):
         # beta -> 0 is disallowed, so freeze via an HMC kernel with eps ~ 0
         target = constant_target(0.0, d=2, v=1.0).with_lam(0.0)
-        ens = ParticleEnsemble(particles=np.ones((8, 2)), state=value_state(np.zeros(8)))
+        cfg = SmcConfig(mutation_tol=0.01, max_mutation_steps=20, hmc=HmcConfig(1e-300))
         schedule = TemperSchedule()
-        mutate(ens, target, HmcConfig(1e-300), 0.01, 20, RowStreams.seeded(0, 8), schedule)
+        particles, _, kernel = mutate(
+            np.ones((8, 2)), value_state(np.zeros(8)), target, cfg.hmc, cfg,
+            RowStreams.seeded(0, 8), schedule,
+        )
         assert schedule.mutation_steps == [2]
-        assert np.allclose(ens.particles, 1.0)
+        assert np.allclose(particles, 1.0)
+        assert kernel == cfg.hmc  # a configured step size is not adapted
 
     def test_prior_draws_stabilize_at_prior_variance(self):
-        ens, m = self.run_mutate(0.05, max_steps=50, beta=1.0, seed=3)
+        particles, m = self.run_mutate(0.05, max_steps=50, beta=1.0, seed=3)
         assert m <= 50
-        assert ens.particles.var() == pytest.approx(1.0, rel=0.35)
+        assert particles.var() == pytest.approx(1.0, rel=0.35)
+
+
+SMC_KERNELS = pytest.mark.parametrize(
+    "cfg",
+    [
+        SmcConfig(max_mutation_steps=4, kernel="pcn", pcn=PcnConfig(0.5)),
+        SmcConfig(max_mutation_steps=4, hmc=HmcConfig(0.2, 3)),
+    ],
+    ids=["pcn", "hmc"],
+)
 
 
 class TestCaches:
     @staticmethod
-    def assert_current(ens, target):
-        for i, (ll, gl) in enumerate(zip(*target.log_likelihood_and_grad(ens.particles))):
-            assert ens.state.ll[i] == ll
-            assert ens.state.gl is None or np.array_equal(ens.state.gl[i], gl)
+    def assert_current(particles, state, target):
+        for i, (ll, gl) in enumerate(zip(*target.log_likelihood_and_grad(particles))):
+            assert state.ll[i] == ll
+            assert state.gl is None or np.array_equal(state.gl[i], gl)
 
-    @pytest.mark.parametrize("cfg", [PcnConfig(0.5), HmcConfig(0.2, 3)], ids=["pcn", "hmc"])
+    @SMC_KERNELS
     def test_cached_pair_equals_a_fresh_call(self, cfg):
         target = conjugate_target([1.0, -0.5], 0.3, 1.0)
         rng = np.random.default_rng(11)
         streams = RowStreams.seeded(0, 16)
-        particles = target.prior.sample(rng, 16)
-        ens = ParticleEnsemble(particles, value_state(target.log_likelihood(particles)))
+        start = target.prior.sample(rng, 16)
+        particles, state, lam = start, value_state(target.log_likelihood(start)), 0.0
+        kernel = cfg.pcn if cfg.kernel == "pcn" else cfg.hmc
         schedule = TemperSchedule()
-        for lam in (0.3, 0.6, 1.0):
-            ens = reweight_and_resample(ens, lam, rng, schedule)
+        for lam_next in (0.3, 0.6, 1.0):
+            particles, state, _ = reweight_and_resample(
+                particles, state, lam, lam_next, rng, schedule
+            )
+            lam = lam_next
             # resampling dropped some particles and duplicated others
-            assert len(np.unique(ens.particles, axis=0)) < len(particles)
-            self.assert_current(ens, target)
-            mutate(ens, target.with_lam(lam), cfg, 0.05, 4, streams, schedule)
-            self.assert_current(ens, target)
-            if isinstance(cfg, HmcConfig):
-                assert ens.state.gl is not None
+            assert len(np.unique(particles, axis=0)) < len(start)
+            self.assert_current(particles, state, target)
+            particles, state, _ = mutate(
+                particles, state, target.with_lam(lam), kernel, cfg, streams, schedule
+            )
+            self.assert_current(particles, state, target)
+            if cfg.kernel == "hmc":
+                assert state.gl is not None
+
+    @SMC_KERNELS
+    def test_stages_leave_their_inputs_unchanged(self, cfg):
+        target = conjugate_target([1.0, -0.5], 0.3, 1.0)
+        rng = np.random.default_rng(12)
+        particles = target.prior.sample(rng, 16)
+        state = BankState(*target.log_likelihood_and_grad(particles))
+        if cfg.kernel == "pcn":
+            state = BankState(state.ll)
+
+        def copies(particles, state):
+            return [particles.copy()] + [None if a is None else a.copy() for a in state]
+
+        def unchanged(particles, state, before):
+            return all(
+                (a is None and b is None) or np.array_equal(a, b)
+                for a, b in zip([particles, *state], before)
+            )
+
+        before = copies(particles, state)
+        resampled, resampled_state, _ = reweight_and_resample(
+            particles, state, 0.0, 0.3, rng, TemperSchedule()
+        )
+        assert unchanged(particles, state, before)
+        before = copies(resampled, resampled_state)
+        kernel = cfg.pcn if cfg.kernel == "pcn" else cfg.hmc
+        moved, _, _ = mutate(
+            resampled, resampled_state, target.with_lam(0.3), kernel, cfg,
+            RowStreams.seeded(0, 16), TemperSchedule(),
+        )
+        assert unchanged(resampled, resampled_state, before)
+        assert not np.array_equal(moved, resampled)
 
 
 class TestRunSmc:

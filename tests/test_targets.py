@@ -180,12 +180,13 @@ class TestGradient:
             th = rng.normal(size=3)
             (ll,), (gl,) = target.log_likelihood_and_grad(th[None])
             assert ll == target.log_likelihood(th[None])[0]
-            value, grad = target.temper(th, ll, gl)
+            value, grad = target.tempered_log_density(th, ll), target.tempered_grad(th, gl)
             assert value == target.log_density(th)
             assert np.array_equal(grad, target.grad_log_density(th))
             # and on a bank, row by row
             bank = np.stack([th, -th])
-            values, grads = target.temper(bank, np.array([ll, ll]), np.stack([gl, gl]))
+            values = target.tempered_log_density(bank, np.array([ll, ll]))
+            grads = target.tempered_grad(bank, np.stack([gl, gl]))
             assert values[0] == value and np.array_equal(grads[0], grad)
 
     @pytest.mark.parametrize("value, grad", [(np.nan, 0.0), (0.0, np.inf)], ids=["value", "grad"])
