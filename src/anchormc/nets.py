@@ -269,6 +269,11 @@ class OptConfig:
     max_epochs: int = 160
     patience: int = 10
 
+    def __post_init__(self):
+        for name in ("learning_rate", "batch_size", "max_epochs", "patience"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class MapResult:

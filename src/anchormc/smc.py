@@ -50,6 +50,8 @@ class SmcConfig:
             raise ValueError(f"ESS fraction must lie in (0, 1), got {self.ess_fraction}")
         if self.mutation_tol <= 0:
             raise ValueError(f"mutation tolerance must be positive, got {self.mutation_tol}")
+        if self.max_mutation_steps < 1:
+            raise ValueError(f"max_mutation_steps must be at least 1, got {self.max_mutation_steps}")
         if self.kernel not in ("hmc", "pcn"):
             raise ValueError(f"unknown kernel {self.kernel!r}")
         lams = self.fixed_schedule

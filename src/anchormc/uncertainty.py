@@ -4,12 +4,12 @@ abstaining 2-level predictor."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
-from .nets import MapResult, NetworkSpec, OptConfig, forward, map_estimate
+from .nets import NetworkSpec, TrainingDivergedError, _log_likelihood_and_grad, forward, init_params
 from .targets import GaussianPrior
 
 FEATURE_NAMES = (
@@ -165,8 +165,8 @@ class Standardizer:
 @dataclass(frozen=True)
 class MetaClassifier:
     """Binary incorrect/OOD classifier over the 7 features: 7 -> META_HIDDEN -> 2
-    MLP trained with the same MAP machinery as the base networks.
-    Standardization statistics are frozen from the meta-training set."""
+    MLP at the MAP of a Gaussian prior, fitted by full-batch L-BFGS on every
+    meta-training row. Standardization statistics are frozen from that set."""
 
     spec: NetworkSpec
     theta: np.ndarray
@@ -178,14 +178,60 @@ class MetaClassifier:
         return np.atleast_2d(probs)[:, 1]
 
 
-META_OPT = OptConfig(learning_rate=0.05, max_epochs=200, patience=20)
 META_HIDDEN = 50  # width of the meta-classifier's one hidden layer
 META_PRIOR_VARIANCE = 1.0
-META_VAL_FRACTION = 0.2  # share of the meta-training rows held out for early stopping
+LBFGS_HISTORY = 10  # (s, y) pairs kept
+LBFGS_ARMIJO = 1e-4  # sufficient-decrease constant c1
+LBFGS_MAX_TRIALS = 20  # per line search: step 1, then halved
+LBFGS_GTOL = 1e-5  # stop when max|g| is at most this
+LBFGS_FTOL = 1e-7  # stop when (f - f+) / max(|f|, |f+|, 1) is at most this
+LBFGS_MAX_ITER = 200
+
+
+def _lbfgs(objective, theta: np.ndarray) -> tuple[np.ndarray, int, str]:
+    """Minimize ``objective(theta) -> (value, gradient)`` from ``theta`` by
+    L-BFGS with Armijo backtracking (Nocedal & Wright 2006, algorithms 7.4
+    and 3.1). Returns the last accepted iterate, the iterations run and why
+    it stopped: "gradient", "decrease", "iterations", or "line search" when
+    no trial step passes (a non-finite value fails)."""
+    f, g = objective(theta)
+    if not np.isfinite(f):
+        raise TrainingDivergedError("objective is not finite at the initial parameters")
+    pairs: deque = deque(maxlen=LBFGS_HISTORY)  # (s, y, 1 / s'y), oldest first
+    for it in range(LBFGS_MAX_ITER):
+        if np.abs(g).max() <= LBFGS_GTOL:
+            return theta, it, "gradient"
+        d = -g / max(1.0, np.linalg.norm(g))  # with no history
+        if pairs:  # two-loop recursion, scaled by s'y / y'y of the newest pair
+            d, alphas = -g, []
+            for s, y, rho in reversed(pairs):
+                alphas.append(rho * (s @ d))
+                d -= alphas[-1] * y
+            d /= pairs[-1][2] * (pairs[-1][1] @ pairs[-1][1])
+            for (s, y, rho), a in zip(pairs, reversed(alphas)):
+                d += (a - rho * (y @ d)) * s
+            if not g @ d < 0:  # not downhill: start the history again
+                pairs.clear()
+                d = -g
+        for k in range(LBFGS_MAX_TRIALS):
+            f_new, g_new = objective(theta + 0.5**k * d)
+            if np.isfinite(f_new) and f_new <= f + LBFGS_ARMIJO * 0.5**k * (g @ d):
+                break
+        else:
+            return theta, it, "line search"
+        s, y = 0.5**k * d, g_new - g
+        if s @ y > 0:
+            pairs.append((s, y, 1.0 / (s @ y)))
+        decrease = (f - f_new) / max(abs(f), abs(f_new), 1.0)
+        theta, f, g = theta + s, f_new, g_new
+        if decrease <= LBFGS_FTOL:
+            return theta, it + 1, "decrease"
+    return theta, LBFGS_MAX_ITER, "iterations"
 
 
 def train_meta(raw_features: np.ndarray, labels: np.ndarray, seed: int = 0) -> MetaClassifier:
-    """Fit the meta-classifier. ``labels``: 1 for incorrect/OOD, 0 for correct."""
+    """Fit the meta-classifier on all rows, from an initial θ drawn from the
+    prior with ``seed``. ``labels``: 1 for incorrect/OOD, 0 for correct."""
     labels = np.asarray(labels, dtype=np.int64)
     if set(np.unique(labels)) - {0, 1}:
         raise ValueError("meta labels must be 0/1")
@@ -193,18 +239,16 @@ def train_meta(raw_features: np.ndarray, labels: np.ndarray, seed: int = 0) -> M
         raise ValueError("meta training set contains a single class")
     std = Standardizer.fit(raw_features)
     x = std.apply(raw_features)
+    n = len(x)
     spec = NetworkSpec(kind="mlp", widths=(x.shape[1], META_HIDDEN, 2))
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(x))
-    n_val = max(1, int(META_VAL_FRACTION * len(x)))
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
-    train = Dataset(x=x[train_idx], y=labels[train_idx])
-    val = Dataset(x=x[val_idx], y=labels[val_idx], split="validation")
-    if len(np.unique(train.y)) < 2:
-        raise ValueError("meta training split contains a single class")
     prior = GaussianPrior(variance=META_PRIOR_VARIANCE, dim=spec.n_params)
-    result: MapResult = map_estimate(spec, prior, train, val, META_OPT, seed=seed)
-    return MetaClassifier(spec=spec, theta=result.theta, standardizer=std)
+
+    def objective(theta):  # the mean negative log posterior and its gradient
+        ll, g = _log_likelihood_and_grad(spec, theta, x, labels)
+        return -(ll + prior.log_density(theta)) / n, -(g + prior.grad_log_density(theta)) / n
+
+    theta, _, _ = _lbfgs(objective, init_params(spec, prior, np.random.default_rng(seed)))
+    return MetaClassifier(spec=spec, theta=theta, standardizer=std)
 
 
 @dataclass(frozen=True)

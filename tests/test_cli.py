@@ -463,6 +463,41 @@ class TestErrors:
         assert not os.path.exists(out / "sample.config")
 
 
+    @pytest.mark.parametrize(
+        "command, override, key",
+        [
+            ("map", "max_epochs=0", "max_epochs"),
+            ("map", "batch=0", "batch_size"),
+            ("map", "lr=-0.1", "learning_rate"),
+            ("map", "patience=0", "patience"),
+            ("sample", "max_mutation_steps=0", "max_mutation_steps"),
+        ],
+    )
+    def test_out_of_range_setting_is_an_error_naming_it(self, tmp_path, capsys, command, override, key):
+        tri, trl, tei, tel = synthetic_idx(str(tmp_path), 40, 40)
+        out = tmp_path / "o"
+        rc = main(
+            [
+                command,
+                "method=smc",
+                "s=1",
+                override,
+                f"train_images={tri}",
+                f"train_labels={trl}",
+                f"test_images={tei}",
+                f"test_labels={tel}",
+                "arch=mlp",
+                "n_train=20",
+                "n_val=10",
+                f"output_dir={out}",
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert not os.path.exists(out / f"{command}.manifest.json")
+        assert not glob.glob(str(out / "island_*"))
+
     def test_too_few_training_items_is_a_config_error(self, tmp_path, capsys):
         tri, trl, tei, tel = synthetic_idx(str(tmp_path), 40, 40)
         rc = main(

@@ -350,6 +350,23 @@ class TestMapEstimate:
             map_estimate(spec, GaussianPrior(1.0, spec.n_params), splits["train"], splits["val"])
 
 
+class TestOptConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learning_rate", 0.0),
+            ("learning_rate", -0.1),
+            ("learning_rate", float("nan")),
+            ("batch_size", 0),
+            ("max_epochs", 0),
+            ("patience", 0),
+        ],
+    )
+    def test_out_of_range_value_is_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            OptConfig(**{field: value})
+
+
 class TestDeepEnsemble:
     def test_single_member_equals_map(self, rng):
         spec = NetworkSpec(kind="mlp", widths=(2, 2))

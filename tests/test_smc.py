@@ -406,6 +406,12 @@ class TestRunSmc:
         with pytest.raises(ValueError, match="fixed schedule"):
             SmcConfig(fixed_schedule=ladder)
 
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_mutation_step_cap_below_one_is_refused(self, steps):
+        # a cap of 0 would resample at every stage and never move a particle
+        with pytest.raises(ValueError, match="max_mutation_steps"):
+            SmcConfig(max_mutation_steps=steps)
+
     def test_cold_target_is_refused(self):
         target = make_cold(conjugate_target(np.array([1.0]), 0.5, 1.0), 0.25)
         with pytest.raises(ValueError, match="method=mcmc"):

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from anchormc.nets import NetworkSpec, forward
+from anchormc import uncertainty
+from anchormc.nets import NetworkSpec, TrainingDivergedError, _log_likelihood_and_grad, forward
+from anchormc.targets import GaussianPrior
 from anchormc.uncertainty import (
+    LBFGS_GTOL,
+    LBFGS_MAX_ITER,
+    LBFGS_MAX_TRIALS,
     FEATURE_NAMES,
     THRESHOLD_GRID_STEP,
     PredictiveMatrix,
@@ -14,6 +20,7 @@ from anchormc.uncertainty import (
     features,
     metrics,
     predictive,
+    _lbfgs,
     threshold_metrics,
     train_meta,
 )
@@ -180,6 +187,85 @@ class TestMeta:
         f = rng.normal(size=(10, 7))
         with pytest.raises(ValueError):
             train_meta(f, np.full(10, 2))
+
+    def test_bit_identical_at_one_seed(self, rng):
+        f, y = self.separable_features(rng)
+        a, b = train_meta(f, y, seed=3), train_meta(f, y, seed=3)
+        assert np.array_equal(a.theta, b.theta)
+
+    def test_perfectly_separable_set_finishes_within_the_cap(self, rng, monkeypatch):
+        f = rng.normal(size=(400, 7))
+        y = (f[:, 0] > 0).astype(int)
+        f[:, 0] += np.where(y == 1, 5.0, -5.0)  # a wide margin along one feature
+        runs = []
+
+        def spy(objective, theta):
+            points = []
+            out = _lbfgs(counted(objective, points), theta)
+            runs.append((len(points), *out[1:]))
+            return out
+
+        monkeypatch.setattr(uncertainty, "_lbfgs", spy)
+        meta = train_meta(f, y, seed=0)
+        [(evaluations, iterations, reason)] = runs
+        assert iterations <= LBFGS_MAX_ITER and evaluations <= 1 + iterations * LBFGS_MAX_TRIALS
+        assert reason in ("gradient", "decrease", "iterations")
+        assert np.array_equal(meta.predict_incorrect(f) >= 0.5, y == 1)
+
+
+def counted(objective, points):
+    """``objective``, recording each point it is asked for."""
+
+    def wrapped(theta):
+        points.append(np.array(theta))
+        return objective(theta)
+
+    return wrapped
+
+
+class TestLbfgs:
+    def test_reaches_the_scipy_optimum_of_a_convex_problem(self, rng):
+        # a linear-softmax model under a Gaussian prior: strictly convex
+        spec = NetworkSpec(kind="mlp", widths=(7, 2))
+        x = rng.normal(size=(300, 7))
+        y = (x @ rng.normal(size=7) + rng.normal(size=300) > 0).astype(int)
+        prior = GaussianPrior(variance=1.0, dim=spec.n_params)
+
+        def objective(theta):
+            ll, g = _log_likelihood_and_grad(spec, theta, x, y)
+            n = len(x)
+            return -(ll + prior.log_density(theta)) / n, -(g + prior.grad_log_density(theta)) / n
+
+        theta0 = rng.normal(size=spec.n_params)
+        theta, _, _ = _lbfgs(objective, theta0)
+        tight = dict(gtol=1e-12, ftol=1e-15)
+        reference = minimize(objective, theta0, jac=True, method="L-BFGS-B", options=tight)
+        f, g = objective(theta)
+        assert abs(f - reference.fun) <= 1e-8 * abs(reference.fun)
+        assert np.abs(g).max() <= LBFGS_GTOL
+
+    def test_non_finite_trial_is_halved_not_accepted(self):
+        # finite only at theta >= 0.5; the first trial step lands at 0.2
+        def objective(theta):
+            f = 5.0 * (theta[0] - 0.6) ** 2 if theta[0] >= 0.5 else np.nan
+            return f, 10.0 * (theta - 0.6)
+
+        points = []
+        theta, _, reason = _lbfgs(counted(objective, points), np.array([1.2]))
+        assert points[1][0] == pytest.approx(0.2) and points[2][0] == pytest.approx(0.7)
+        assert reason == "gradient" and theta[0] == pytest.approx(0.6, abs=1e-6)
+
+    def test_no_passing_trial_keeps_the_last_iterate(self):
+        points = []
+        start = np.array([1.0, -2.0])
+        objective = counted(lambda t: (0.0, t) if np.array_equal(t, start) else (np.inf, t), points)
+        theta, iterations, reason = _lbfgs(objective, start)
+        assert (reason, iterations) == ("line search", 0)
+        assert np.array_equal(theta, start) and len(points) == 1 + LBFGS_MAX_TRIALS
+
+    def test_non_finite_start_raises(self):
+        with pytest.raises(TrainingDivergedError):
+            _lbfgs(lambda t: (np.nan, t), np.zeros(3))
 
 
 class TestAbstention:
