@@ -137,15 +137,15 @@ def make_artifact(
     log_z: float = 0.0,
     epochs_used: float = 0.0,
     schedule: dict | None = None,
-    seed: int = 0,
     timestamp: str | None = None,
 ) -> RunArtifact:
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     blob = _samples_bytes(samples)
+    resolved = {k: config.get(k, v) for k, v in CONFIG_DEFAULTS.items()}
     manifest = {
         "kind": kind,
-        "config": {k: config.get(k, v) for k, v in CONFIG_DEFAULTS.items()},
-        "seed": seed,
+        "config": resolved,
+        "seed": resolved["seed"],
         "log_z": log_z,
         "epochs_used": epochs_used,
         "schedule": schedule or {},

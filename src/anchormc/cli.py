@@ -96,10 +96,15 @@ def _load_datasets(cfg: dict):
             raise ConfigError("cnn architecture needs image input")
         spec = NetworkSpec(kind="cnn", image_shape=train.image_shape, n_classes=k)
     else:
+        widths = (train.x.shape[1], k)
         if cfg["mlp_widths"]:
-            widths = tuple(int(t) for t in str(cfg["mlp_widths"]).split(","))
-        else:
-            widths = (train.x.shape[1], k)
+            given = tuple(int(t) for t in str(cfg["mlp_widths"]).split(","))
+            if (given[0], given[-1]) != widths:
+                raise ConfigError(
+                    f"mlp_widths={cfg['mlp_widths']} must start at the {widths[0]} features "
+                    f"and end at the {k} classes"
+                )
+            widths = given
         spec = NetworkSpec(kind="mlp", widths=widths)
     return train, val, test, spec
 
@@ -118,9 +123,7 @@ def cmd_map(cfg: dict) -> None:
     train, val, _, spec = _load_datasets(cfg)
     prior = GaussianPrior(variance=cfg["v"], dim=spec.n_params)
     result = map_estimate(spec, prior, train, val, _opt_config(cfg), seed=cfg["seed"])
-    artifact = make_artifact(
-        cfg, result.theta, kind="map", epochs_used=result.epochs_used, seed=cfg["seed"]
-    )
+    artifact = make_artifact(cfg, result.theta, kind="map", epochs_used=result.epochs_used)
     save_artifact(os.path.join(out, "map"), artifact)
     _write_resolved_config(cfg, out, "map")
     print(f"map: {result.epochs_used} epochs, val NLL {result.val_nll:.4f} -> {out}/map")
@@ -209,7 +212,6 @@ def cmd_sample(cfg: dict) -> None:
             log_z=r.log_z,
             epochs_used=r.epochs_per_particle,
             schedule=schedule,
-            seed=cfg["seed"],
         )
         save_artifact(os.path.join(out, f"island_{r.p:03d}"), artifact)
     done = sum(not r.failed for r in results)
@@ -250,7 +252,7 @@ def _island_results(out: str) -> list[RunResult]:
 def cmd_combine(cfg: dict) -> None:
     out = cfg["output_dir"]
     samples, weights, w, excluded = pool(_island_results(out))
-    artifact = make_artifact(cfg, samples, kind="combined", seed=cfg["seed"])
+    artifact = make_artifact(cfg, samples, kind="combined")
     artifact.manifest["particle_weights"] = [float(x) for x in weights]
     artifact.manifest["island_weights"] = [float(x) for x in w]
     artifact.manifest["excluded_islands"] = excluded
@@ -316,7 +318,7 @@ def cmd_evaluate(cfg: dict) -> None:
         ent = entropy_decomposition(matrix)
         ents.append((name, ent))
         feature_rows.append(np.column_stack([features(matrix, ent), correct]))
-    artifact = make_artifact(cfg, np.concatenate(feature_rows), kind="features", seed=cfg["seed"])
+    artifact = make_artifact(cfg, np.concatenate(feature_rows), kind="features")
     artifact.manifest["n_test"] = len(test)
     save_artifact(os.path.join(out, "features"), artifact)
     with open(os.path.join(out, "metrics.csv"), "w") as f:

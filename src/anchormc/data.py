@@ -131,13 +131,18 @@ def load_csv_features(path: str, split: str = "train") -> Dataset:
                 f"{path}:{lineno}: expected {ncol} columns, got {len(cells)}"
             )
         try:
-            labels.append(int(float(cells[0])))
+            label = float(cells[0])
             rows.append([float(c) for c in cells[1:]])
         except ValueError as e:
             bad = next(
                 (j for j, c in enumerate(cells) if not _is_float(c)), 0
             )
             raise CsvParseError(f"{path}:{lineno}: column {bad + 1}: {e}") from None
+        if not (label >= 0 and label.is_integer()):
+            raise CsvParseError(
+                f"{path}:{lineno}: column 1: label {cells[0]!r} is not a non-negative integer"
+            )
+        labels.append(int(label))
     if not rows:
         raise CsvParseError(f"{path}: no data rows")
     return Dataset(x=np.array(rows, dtype=float), y=np.array(labels), split=split)

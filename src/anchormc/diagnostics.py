@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import HmcConfig, RowStreams, sweep
+from .kernels import HmcConfig, RowStreams, start_state, sweep
 from .targets import TargetDensity
 
 
@@ -50,9 +50,11 @@ def hmc_chain(
     seed: int = 0,
 ) -> tuple[np.ndarray, float]:
     """One long chain, stepped as a one-row bank with the stream keyed
-    ``mix64(seed, 0)``; returns (states, acceptance rate)."""
+    ``mix64(seed, 0)`` from the pair at ``theta0`` (``start_state``);
+    returns (states, acceptance rate)."""
     streams = RowStreams.seeded(seed, 1)
-    bank, state, accepted = np.array(theta0, dtype=float)[None], None, 0
+    bank, accepted = np.array(theta0, dtype=float)[None], 0
+    state = start_state(target, bank, cfg)
     states = np.empty((n_steps, bank.shape[1]))
     for t in range(n_steps):
         bank, n, state = sweep(target, bank, cfg, streams, state)

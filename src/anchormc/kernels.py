@@ -7,7 +7,8 @@ into the likelihood pair (the bank contract of ``TargetDensity``) on the
 bank's live rows; the rest is array work over the rows that sums as one
 chain does, so a bank steps each row exactly as a one-row bank would. A
 bank carries only that pair between steps (``BankState``), which holds for
-every target; HMC tempers it where it reads it, with no likelihood call.
+every target and is evaluated once, by ``start_state``; HMC tempers it where
+it reads it, and a step never evaluates the state it is given.
 
 Row i draws from its own counter-based stream (``RowStreams``), drawn for
 the whole bank as one array operation. Every sweep uses the same block of
@@ -118,7 +119,7 @@ class BankState(NamedTuple):
     """What a bank carries between steps, for both kernels, one entry per
     row: the checked likelihood pair, ll (N,) and, for HMC, gl (N, d). It
     holds for every lam and T, so it may be passed to a step at any target.
-    A step fills in a missing gl."""
+    ``start_state`` makes the first; a rejected row keeps its checked pair."""
 
     ll: np.ndarray
     gl: np.ndarray | None = None
@@ -129,6 +130,16 @@ class BankState(NamedTuple):
             None if b is None else np.where(accepted if b.ndim == 1 else accepted[:, None], b, a)
             for a, b in zip(self, new)
         ))
+
+
+def start_state(target: TargetDensity, thetas: np.ndarray, kernel: HmcConfig | PcnConfig) -> BankState:
+    """The checked likelihood pair at the rows of ``thetas``, as much of it
+    as ``kernel`` reads: the value and gradient for HMC, the value for pCN.
+    A NaN or +inf value, or a non-finite gradient, at any row raises
+    ``NonFiniteDensityError``, also at a row of zero likelihood (-inf)."""
+    if isinstance(kernel, HmcConfig):
+        return BankState(*target.log_likelihood_and_grad(thetas))
+    return BankState(target.log_likelihood(thetas))
 
 
 def leapfrog(
@@ -170,21 +181,17 @@ def hmc_step(
     thetas: np.ndarray,
     cfg: HmcConfig,
     streams: RowStreams,
-    state: BankState | None,
+    state: BankState,
 ) -> tuple[np.ndarray, int, BankState]:
     """One Metropolis-corrected HMC step with identity mass for every row.
-    ``state`` is the likelihood pair at ``thetas`` that a step at any target
-    returned, or None; without a gradient the pair is evaluated here, so
-    with it carried a step costs L pair calls, each on the live rows. The
-    value is tempered at the trajectory's start and end, the gradient at its
-    start. A non-finite value or gradient at a row's current state raises
-    ``NonFiniteDensityError``; a row whose trajectory diverges is rejected.
+    ``state`` is the likelihood pair at ``thetas`` (``start_state``, or what
+    a step at any target returned), so a step costs L pair calls, each on
+    the live rows. The value is tempered at the trajectory's start and end,
+    the gradient at its start. A row whose trajectory diverges is rejected.
     A row at zero density (log-likelihood -inf) takes any proposal of
     positive density. Every row draws d momenta and one uniform from its
     own stream, whether or not it reaches the accept test. Returns
     (thetas_next, the number accepted, state_next)."""
-    if state is None or state.gl is None:
-        state = BankState(*target.log_likelihood_and_grad(thetas))
     p0 = streams.normal(thetas.shape[1])
     log_u = np.log(streams.uniform())
     h0 = -target.tempered_log_density(thetas, state.ll) + 0.5 * row_dots(p0)
@@ -203,19 +210,17 @@ def pcn_step(
     thetas: np.ndarray,
     cfg: PcnConfig,
     streams: RowStreams,
-    state: BankState | None,
+    state: BankState,
 ) -> tuple[np.ndarray, int, BankState]:
     """One preconditioned Crank-Nicolson step for the target
     exp((lam * loglik + logprior) / T), for every row. The prior raised to
     the power 1/T is N(mean, T*v) and the proposal is reversible with respect
     to it, so the acceptance ratio is (lam / T) * (ll_prop - ll) and of
     ``state`` a step reads ``ll`` alone: one ``loglik`` call on the bank of
-    proposals. A proposal whose log-likelihood is NaN or +inf is rejected;
-    at a row's current state it raises ``NonFiniteDensityError``. Every row
-    draws d normals and one uniform from its own stream, the uniform unused
-    at lam = 0. Returns (thetas_next, the number accepted, state_next)."""
-    if state is None:
-        state = BankState(target.log_likelihood(thetas))
+    proposals. A proposal whose log-likelihood is NaN or +inf is rejected.
+    Every row draws d normals and one uniform from its own stream, the
+    uniform unused at lam = 0. Returns (thetas_next, the number accepted,
+    state_next)."""
     mean, sd = target.prior.mean, target.prior.marginal_std * np.sqrt(target.temperature)
     xi = sd * streams.normal(thetas.shape[1])
     log_u = np.log(streams.uniform())
@@ -235,10 +240,11 @@ def sweep(
     thetas: np.ndarray,
     cfg: HmcConfig | PcnConfig,
     streams: RowStreams,
-    state: BankState | None,
+    state: BankState,
 ) -> tuple[np.ndarray, int, BankState]:
     """One step of the kernel ``cfg`` picks, looked up by module-global name
-    at call time so that a rebound ``hmc_step``/``pcn_step`` is the one used."""
+    at call time so that a rebound ``hmc_step``/``pcn_step`` is the one used.
+    ``state`` is what ``start_state`` or the last step returned."""
     step = hmc_step if isinstance(cfg, HmcConfig) else pcn_step
     return step(target, thetas, cfg, streams, state)
 

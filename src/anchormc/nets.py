@@ -287,11 +287,6 @@ def init_params(spec: NetworkSpec, prior: GaussianPrior, rng: np.random.Generato
     return rng.normal(0.0, np.sqrt(prior.variance), size=spec.n_params)
 
 
-def _mean_nll(spec: NetworkSpec, theta: np.ndarray, inputs: np.ndarray, y: np.ndarray) -> float:
-    logp, _ = _forward_internal(spec, theta, inputs)
-    return float(-logp[np.arange(len(y)), y].mean())
-
-
 def map_estimate(
     spec: NetworkSpec,
     prior: GaussianPrior,
@@ -333,7 +328,7 @@ def map_estimate(
             g = g_ll / len(batch) + prior.grad_log_density(theta) / m
             theta = theta + lr * g
         epochs_used += 1
-        val_nll = _mean_nll(spec, theta, val_inputs, val.y)
+        val_nll = -_label_log_prob(_forward_internal(spec, theta, val_inputs)[0], val.y) / len(val)
         if not np.isfinite(val_nll):
             raise TrainingDivergedError(f"validation loss non-finite at epoch {epoch}")
         if val_nll < best_nll:
@@ -360,17 +355,12 @@ def deep_ensemble(
     train: Dataset,
     val: Dataset,
     cfg: OptConfig = OptConfig(),
-    n_members: int = 10,
-    seeds: list[int] | None = None,
+    seeds: range | list[int] = range(10),
 ) -> list[MapResult]:
-    """Independent MAP estimates with distinct seeds (distinct inits and
-    batch orders)."""
-    if n_members < 1:
+    """Independent MAP estimates, one per seed (distinct inits and batch
+    orders)."""
+    if len(seeds) < 1:
         raise ValueError("ensemble needs at least one member")
-    if seeds is None:
-        seeds = list(range(n_members))
-    if len(seeds) != n_members:
-        raise ValueError(f"expected {n_members} seeds, got {len(seeds)}")
     members = []
     for seed in seeds:
         try:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kernels import BankState, HmcConfig, PcnConfig, RowStreams, sweep, tune_step_size
+from .kernels import BankState, HmcConfig, PcnConfig, RowStreams, start_state, sweep, tune_step_size
 from .targets import TargetDensity
 
 
@@ -279,7 +279,8 @@ def run_smc(target: TargetDensity, cfg: SmcConfig) -> SamplerResult:
     cold posteriors are sampled by ``run_mcmc``. The whole run is a pure
     function of (seed, config, target): the island's own generator draws
     the first cloud and the resampling offsets, and particle row i steps
-    with the stream keyed ``mix64(seed, i)`` (``kernels.RowStreams``)."""
+    with the stream keyed ``mix64(seed, i)`` (``kernels.RowStreams``) from
+    the state ``kernels.start_state`` evaluates once at the first cloud."""
     if target.temperature != 1.0:
         raise ValueError(
             f"SMC samples only T = 1 posteriors, got T = {target.temperature}: its "
@@ -290,10 +291,10 @@ def run_smc(target: TargetDensity, cfg: SmcConfig) -> SamplerResult:
     island_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     streams = RowStreams.seeded(cfg.seed, cfg.n_particles)
 
-    particles = target.prior.sample(island_rng, cfg.n_particles)
-    state, lam, log_z = BankState(target.log_likelihood(particles)), 0.0, 0.0
-    schedule = TemperSchedule()
     kernel = _kernel_config(cfg, target)
+    particles = target.prior.sample(island_rng, cfg.n_particles)
+    state, lam, log_z = start_state(target, particles, kernel), 0.0, 0.0
+    schedule = TemperSchedule()
 
     fixed = iter(cfg.fixed_schedule[1:]) if cfg.fixed_schedule is not None else None
     while lam < 1.0:
@@ -334,14 +335,14 @@ def run_mcmc(target: TargetDensity, cfg: McmcConfig) -> SamplerResult:
     """Bank of chains at lam = 1, initialized from the prior, advanced by
     ``n_steps`` sweeps. Chain i draws only from its own stream, keyed
     ``mix64(seed, i)`` (``kernels.RowStreams``), and carries its own row of
-    the kernel state. With a fixed kernel the chains are
-    independent, so the bank is the same as the chains run one by one. With
-    ``hmc=None`` the chains share one step size, adapted from the bank's
-    acceptance (``kernels.tune_step_size``) after each of the first
-    ``n_steps // 2`` sweeps and then fixed, so that the later sweeps run one
-    fixed kernel; a chain then depends on the bank it ran in. The returned
-    particles are the final chain states. Chains carry no evidence
-    estimate."""
+    the kernel state, from ``kernels.start_state`` at the prior draw. With a
+    fixed kernel the chains are independent, so the bank is the same as the
+    chains run one by one. With ``hmc=None`` the chains share one step size,
+    adapted from the bank's acceptance (``kernels.tune_step_size``) after
+    each of the first ``n_steps // 2`` sweeps and then fixed, so that the
+    later sweeps run one fixed kernel; a chain then depends on the bank it
+    ran in. The returned particles are the final chain states. Chains carry
+    no evidence estimate."""
     init_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     streams = RowStreams.seeded(cfg.seed, cfg.n_chains)
     target, calls = _counting(target.with_lam(1.0))
@@ -349,7 +350,7 @@ def run_mcmc(target: TargetDensity, cfg: McmcConfig) -> SamplerResult:
     particles = target.prior.sample(init_rng, cfg.n_chains)
     kernel = _kernel_config(cfg, target)
     warmup = cfg.n_steps // 2 if cfg.kernel == "hmc" and cfg.hmc is None else 0
-    state = None
+    state = start_state(target, particles, kernel)
     for step in range(cfg.n_steps):
         particles, accepted, state = sweep(target, particles, kernel, streams, state)
         if step < warmup:

@@ -15,7 +15,7 @@ import pytest
 
 from anchormc.data import load_idx, make_ood, Dataset
 from anchormc.diagnostics import hmc_chain, iact
-from anchormc.kernels import HmcConfig, PcnConfig, RowStreams, hmc_step, pcn_step
+from anchormc.kernels import HmcConfig, PcnConfig, RowStreams, hmc_step, pcn_step, start_state
 from anchormc.nets import (
     NetworkSpec,
     OptConfig,
@@ -122,7 +122,8 @@ def test_criterion_03_kernel_correctness(rng):
     def bank_draws(step, cfg, seed):
         # a bank of chains started at zero, each with its own stream
         streams = RowStreams.seeded(seed, chains)
-        th, state = np.zeros((chains, 1)), None
+        th = np.zeros((chains, 1))
+        state = start_state(target, th, cfg)
         draws = np.empty((n // chains, chains))
         for i in range(n // chains):
             th, _, state = step(target, th, cfg, streams, state)
@@ -310,7 +311,7 @@ def _mnist7(seed_count=5):
             SmcConfig(n_particles=10, kernel="hmc", hmc=None, seed=seed),
         )
         members = deep_ensemble(
-            spec, prior, train, val, opt, n_members=10, seeds=range(100 + 10 * seed, 110 + 10 * seed)
+            spec, prior, train, val, opt, seeds=range(100 + 10 * seed, 110 + 10 * seed)
         )
         runs.append((map_result, smc, np.array([m.theta for m in members])))
     ood = make_ood(test_full, "heldout", 2000, seed=0)

@@ -73,7 +73,7 @@ class TestArtifacts:
     def make(self, rng, **kw):
         samples = rng.normal(size=(5, 3))
         cfg = dict(CONFIG_DEFAULTS, seed=9)
-        return make_artifact(cfg, samples, kind="sample", log_z=-1.5, seed=9, **kw)
+        return make_artifact(cfg, samples, kind="sample", log_z=-1.5, **kw)
 
     def test_manifest_fields(self, rng):
         art = self.make(rng, timestamp="2026-01-01T00:00:00")
@@ -81,6 +81,7 @@ class TestArtifacts:
         assert m["kind"] == "sample"
         assert m["n_samples"] == 5 and m["dim"] == 3
         assert m["log_z"] == -1.5
+        assert m["seed"] == m["config"]["seed"] == 9
         assert m["samples_sha256"] == hashlib.sha256(
             art.samples.astype("<f8").tobytes()
         ).hexdigest()

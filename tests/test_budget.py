@@ -8,7 +8,7 @@ import pytest
 
 from anchormc import nets, smc
 from anchormc.data import Dataset
-from anchormc.kernels import HmcConfig, RowStreams, hmc_step
+from anchormc.kernels import HmcConfig, RowStreams, hmc_step, start_state
 from anchormc.targets import GaussianPrior, TargetDensity, gaussian_loglik, make_anchored
 
 CNN = nets.NetworkSpec(kind="cnn", image_shape=(6, 6), conv_channels=2, n_classes=3)
@@ -86,10 +86,10 @@ class TestHmcStepCost:
         n = 3
         streams = RowStreams.seeded(1, n)
         thetas = target.prior.sample(np.random.default_rng(1), n)
-        thetas, accepted, state = hmc_step(target, thetas, cfg, streams, None)
-        # the first sweep also evaluates value and gradient at each row's start
-        assert counted.calls == (n * (n_leapfrog + 1), 0)
-        for _ in range(10):
+        state, accepted = start_state(target, thetas, cfg), 0
+        # the start state is value and gradient at each row, from one pair call
+        assert counted.calls == (n, 0)
+        for _ in range(11):
             before = counted.pair_calls
             thetas, acc, state = hmc_step(target, thetas, cfg, streams, state)
             accepted += acc
@@ -106,13 +106,13 @@ class TestHmcStepCost:
             cfg = HmcConfig(0.05, 2)
             theta0 = target.prior.sample(np.random.default_rng(2), 3)
             streams_a, streams_b = RowStreams.seeded(3, 3), RowStreams.seeded(3, 3)
-            a, b, state = theta0, theta0, None
+            a, b, state = theta0, theta0, start_state(target, theta0, cfg)
             for _ in range(20):
                 a, acc_a, state = hmc_step(target, a, cfg, streams_a, state)
-                b, acc_b, fresh = hmc_step(target, b, cfg, streams_b, None)
+                b, acc_b, _ = hmc_step(target, b, cfg, streams_b, start_state(target, b, cfg))
                 assert acc_a == acc_b
                 assert np.array_equal(a, b)
-                for carried, evaluated in zip(state, fresh):
+                for carried, evaluated in zip(state, start_state(target, a, cfg)):
                     assert np.array_equal(carried, evaluated)
 
 
@@ -145,17 +145,18 @@ class TestReportedEvaluations:
             n_particles=n, seed=4, hmc=HmcConfig(0.1, n_leapfrog), fixed_schedule=self.LADDER
         )
         steps = sum(smc.run_smc(target, cfg).schedule.mutation_steps)
-        # one value per particle at lam = 0, the first step's pair at its
-        # start, then one pair per leapfrog step
-        assert counted.calls == (n * (1 + n_leapfrog * steps), n)
+        # one pair per particle for the first cloud's state, then one pair
+        # per leapfrog step, and no value-only call
+        assert counted.calls == (n * (1 + n_leapfrog * steps), 0)
 
     def test_run_smc_budget_with_adapted_hmc(self):
-        # hmc=None: one leapfrog step per sweep, and no other call
+        # hmc=None: the first cloud's pair, one leapfrog step per sweep, and
+        # no other call
         counted, target = gaussian_counted()
         n = 8
         cfg = smc.SmcConfig(n_particles=n, seed=4, fixed_schedule=self.LADDER)
         steps = sum(smc.run_smc(target, cfg).schedule.mutation_steps)
-        assert counted.calls == (n * (1 + steps), n)
+        assert counted.calls == (n * (1 + steps), 0)
 
     def test_run_mcmc_budget_with_adapted_hmc(self):
         # each chain's pair at its start, then one leapfrog step per sweep,

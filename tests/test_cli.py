@@ -517,6 +517,27 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "n_train + n_val = 30 + 20" in err and "labels_keep=0,1,2,3,4,5,6,7" in err
 
+    @pytest.mark.parametrize("widths", ["3,2", "2,5", "4,8,4"])
+    def test_mlp_widths_that_do_not_fit_the_data_are_a_config_error(self, tmp_path, capsys, widths):
+        # 2 features and 4 classes: the widths must run from 2 to 4
+        path = tmp_path / "features.csv"
+        path.write_text("label,f1,f2\n" + "".join(f"{i % 4},{i},1\n" for i in range(40)))
+        rc = main(
+            [
+                "map",
+                f"features_csv={path}",
+                "arch=mlp",
+                f"mlp_widths={widths}",
+                "n_train=20",
+                "n_val=10",
+                "max_epochs=2",
+                f"output_dir={tmp_path / 'o'}",
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"mlp_widths={widths}" in err
+
     def test_too_few_csv_rows_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "features.csv"
         path.write_text("label,f1,f2\n" + "".join(f"{i % 2},{i},1\n" for i in range(10)))

@@ -114,6 +114,14 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError, match=r":2: column 3"):
             load_csv_features(str(p))
 
+    @pytest.mark.parametrize("label", ["-1", "1.7"])
+    def test_label_that_is_not_a_non_negative_integer_names_line_and_column(self, tmp_path, label):
+        # -1 would train as class K-1 by negative indexing, 1.7 as class 1
+        p = tmp_path / "f.csv"
+        p.write_text(f"label,f1\n1,0.5\n{label},1.5\n2.0,0.0\n")
+        with pytest.raises(CsvParseError, match=rf":3: column 1: label '{label}'"):
+            load_csv_features(str(p))
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "f.csv"
         p.write_text("")

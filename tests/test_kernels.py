@@ -10,6 +10,7 @@ from anchormc.kernels import (
     hmc_step,
     leapfrog,
     pcn_step,
+    start_state,
     sweep,
     tune_step_size,
 )
@@ -64,7 +65,7 @@ def run_bank(target, thetas, cfg, keys, n_sweeps):
     """``n_sweeps`` sweeps of the bank ``thetas``, row i drawing from the
     stream keyed keys[i]; returns (thetas, accepted per sweep, state)."""
     streams = RowStreams(keys)
-    state, counts = None, []
+    state, counts = start_state(target, thetas, cfg), []
     for _ in range(n_sweeps):
         thetas, n, state = sweep(target, thetas, cfg, streams, state)
         counts.append(n)
@@ -75,7 +76,8 @@ def chain_draws(target, cfg, n_chains, n_steps, d=1, seed=0):
     """Draws of a bank of chains started at zero: an (n_steps, n_chains, d)
     array."""
     streams = RowStreams.seeded(seed, n_chains)
-    thetas, state = np.zeros((n_chains, d)), None
+    thetas = np.zeros((n_chains, d))
+    state = start_state(target, thetas, cfg)
     draws = np.empty((n_steps, n_chains, d))
     accepted = 0
     for t in range(n_steps):
@@ -168,13 +170,13 @@ class TestHmc:
 
     def test_non_finite_gradient_at_start_raises(self):
         # as for pCN at a NaN value: a non-finite value or gradient at the
-        # chain's current state is an error, not a rejection
+        # chain's start is an error, not a rejection
         t = TargetDensity(
             *per_row(lambda th: float(th[0]), lambda th: (float(th[0]), np.array([np.nan]))),
             prior=GaussianPrior(1.0, 1),
         )
         with pytest.raises(NonFiniteDensityError):
-            hmc_step(t, np.zeros((1, 1)), HmcConfig(0.1), RowStreams.seeded(4, 1), None)
+            start_state(t, np.zeros((1, 1)), HmcConfig(0.1))
 
 
 class TestPcn:
@@ -191,7 +193,8 @@ class TestPcn:
     def test_beta_one_is_independent_prior_draw(self):
         target = prior_only_target(GaussianPrior(1.0, 3))
         th = np.full((2, 3), 100.0)  # far from the prior: beta=1 must forget it
-        th2, _, _ = pcn_step(target, th, PcnConfig(1.0), RowStreams.seeded(5, 2), None)
+        state = start_state(target, th, PcnConfig(1.0))
+        th2, _, _ = pcn_step(target, th, PcnConfig(1.0), RowStreams.seeded(5, 2), state)
         assert np.all(np.abs(th2) < 10)
 
     def test_conjugate_posterior_moments(self):
@@ -215,7 +218,7 @@ class TestPcn:
         assert samples.var() == pytest.approx(post_var, rel=0.1)
 
     def test_non_finite_likelihood(self):
-        # a NaN at the proposal is a rejection; at the current state an error
+        # a NaN at the proposal is a rejection; at the start an error
         target = TargetDensity(
             *per_row(
                 lambda th: np.nan if th[0] > 0 else 0.0,
@@ -224,12 +227,13 @@ class TestPcn:
             prior=GaussianPrior(1.0, 1),
         )
         streams = RowStreams.seeded(7, 2)
-        th, state = np.array([[-1.0], [-2.0]]), None
+        th = np.array([[-1.0], [-2.0]])
+        state = start_state(target, th, PcnConfig(1.0))
         for _ in range(50):
             th, _, state = pcn_step(target, th, PcnConfig(1.0), streams, state)
             assert np.all(th <= 0) and np.all(state.ll == 0.0)
         with pytest.raises(NonFiniteDensityError):
-            pcn_step(target, np.array([[-1.0], [1.0]]), PcnConfig(1.0), streams, None)
+            start_state(target, np.array([[-1.0], [1.0]]), PcnConfig(1.0))
 
 
 class TestTuning:
@@ -243,7 +247,8 @@ class TestTuning:
     def test_adapted_step_size_settles_near_the_target_rate(self, eps0):
         t = std_gaussian_target(5)
         streams = RowStreams.seeded(0, 32)
-        thetas, state, cfg = t.prior.sample(np.random.default_rng(0), 32), None, HmcConfig(eps0)
+        thetas, cfg = t.prior.sample(np.random.default_rng(0), 32), HmcConfig(eps0)
+        state = start_state(t, thetas, cfg)
         rates = []
         for _ in range(150):
             thetas, accepted, state = sweep(t, thetas, cfg, streams, state)
@@ -367,18 +372,13 @@ class TestSweep:
             calls += row_lik.calls
         assert sum(counts) == accepted
         assert bank_lik.calls == calls
-        # one call per row at its first step, then L per row per sweep (HMC
-        # at lam = 0 calls only at the trajectory's end), one for pCN
+        # one call per row for the start state, then L per row per sweep
+        # (HMC at lam = 0 calls only at the trajectory's end), one for pCN
         per_sweep = cfg.n_leapfrog if isinstance(cfg, HmcConfig) and lam > 0 else 1
         assert calls == n * (1 + per_sweep * n_sweeps)
         assert 0 < accepted
         if lam > 0:
             assert accepted < n * n_sweeps
-
-
-def hmc_state(target, thetas):
-    """The HMC state of a bank: its checked likelihood pair."""
-    return BankState(*target.log_likelihood_and_grad(thetas))
 
 
 class TestFailureIsolation:
@@ -397,9 +397,7 @@ class TestFailureIsolation:
         target = poisoned.target(lam=0.6)
         cfg = HmcConfig(0.3, self.N_LEAPFROG) if hmc else PcnConfig(0.5)
         reference = conjugate_target([1.0, -0.5], 0.3, 1.0).with_lam(0.6)
-        state = hmc_state(reference, self.START) if hmc else BankState(
-            reference.log_likelihood(self.START)
-        )
+        state = start_state(reference, self.START, cfg)
         streams = RowStreams(KEYS[:4])
         step = hmc_step if hmc else pcn_step
         thetas, n, out = step(target, self.START, cfg, streams, state)
@@ -433,7 +431,7 @@ class TestFailureIsolation:
         )
         cfg = HmcConfig(0.1) if kernel == "hmc" else PcnConfig(0.5)
         with pytest.raises(NonFiniteDensityError):
-            sweep(nan_right, np.array([[-1.0, 0.0], [1.0, 0.0]]), cfg, RowStreams(KEYS[:2]), None)
+            start_state(nan_right, np.array([[-1.0, 0.0], [1.0, 0.0]]), cfg)
 
     def test_row_at_zero_likelihood_takes_its_first_finite_proposal(self):
         # theta_0 < 0 has log-likelihood -inf; row 0 starts there, row 1 not
@@ -447,7 +445,7 @@ class TestFailureIsolation:
         cfg = HmcConfig(0.3, 2)
         thetas = np.array([[-0.6, 0.0], [0.4, 0.1]])
         streams = RowStreams(KEYS[:2])
-        state = hmc_state(target, thetas)
+        state = start_state(target, thetas, cfg)
         left = False
         for _ in range(30):
             # row 0's momenta, from a one-row stream at the bank's counter
@@ -467,7 +465,7 @@ class TestFailureIsolation:
         assert left
         # row 1 is the same as alone
         alone = np.array([[0.4, 0.1]])
-        one_stream, one_state = RowStreams(KEYS[1:2]), hmc_state(target, alone)
+        one_stream, one_state = RowStreams(KEYS[1:2]), start_state(target, alone, cfg)
         for _ in range(30):
             alone, _, one_state = hmc_step(target, alone, cfg, one_stream, one_state)
         assert np.array_equal(thetas[1], alone[0])
@@ -481,10 +479,12 @@ class TestStateHoldsForEveryTarget:
         base = conjugate_target([1.0, -0.5], 0.3, 1.0)
         cfg = HmcConfig(0.3, 3)
         start = TestFailureIsolation.START
-        thetas, _, state = hmc_step(base.with_lam(0.6), start, cfg, RowStreams(KEYS[:4]), None)
+        first = start_state(base, start, cfg)
+        thetas, _, state = hmc_step(base.with_lam(0.6), start, cfg, RowStreams(KEYS[:4]), first)
         for other in (base.with_lam(0.3), make_cold(base.with_lam(0.6), 0.5)):
             carried = hmc_step(other, thetas, cfg, RowStreams(KEYS[:4]), state)
-            fresh = hmc_step(other, thetas, cfg, RowStreams(KEYS[:4]), None)
+            fresh_state = start_state(other, thetas, cfg)
+            fresh = hmc_step(other, thetas, cfg, RowStreams(KEYS[:4]), fresh_state)
             assert np.array_equal(carried[0], fresh[0])
             assert carried[1] == fresh[1]
             assert rows_equal(carried[2], fresh[2], slice(None), slice(None))
@@ -499,7 +499,7 @@ class TestOneCallPerEvaluation:
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=["hmc", "pcn"])
     def test_calls_per_sweep(self, cfg):
-        # the first sweep evaluates the start once, then L calls per HMC sweep
+        # start_state evaluates the start once, then L calls per HMC sweep
         # and one per pCN sweep, each on all four rows
         lik = Counted([1.0, -0.5], 0.3)
         run_bank(lik.target(lam=0.6), self.START, cfg, KEYS[:4], 3)
@@ -514,7 +514,7 @@ class TestOneCallPerEvaluation:
         banks = {}
         for poison_at in (None, 6):
             lik = Counted([1.0, -0.5], 0.3, poison_at=poison_at)
-            state = hmc_state(reference, self.START)
+            state = start_state(reference, self.START, HmcConfig(0.3, 3))
             hmc_step(lik.target(lam=0.6), self.START, HmcConfig(0.3, 3), RowStreams(KEYS[:4]), state)
             banks[poison_at] = lik.banks
         assert [len(bank) for bank in banks[None]] == [4, 4, 4]
@@ -530,7 +530,7 @@ class TestOneCallPerEvaluation:
         # one call that evaluates the start, before any step
         lik = Counted([1.0, -0.5], 0.3, poison_at=2, kind=kind)
         with pytest.raises(NonFiniteDensityError, match="at row 2"):
-            sweep(lik.target(lam=0.6), self.START, cfg, RowStreams(KEYS[:4]), None)
+            start_state(lik.target(lam=0.6), self.START, cfg)
         assert len(lik.banks) == 1
 
 
@@ -620,8 +620,9 @@ class TestRowStreams:
         # or not a row reaches the accept test
         cfg, lam = BANK_CASES[case]
         streams = RowStreams(KEYS[:4])
-        thetas, state = np.zeros((4, 3)), None
+        thetas = np.zeros((4, 3))
         target = conjugate_target([1.0, -0.5, 0.3], 0.3, 1.0).with_lam(lam)
+        state = start_state(target, thetas, cfg)
         for sweeps in range(1, 4):
             thetas, _, state = sweep(target, thetas, cfg, streams, state)
             assert streams.counter == 5 * sweeps

@@ -373,7 +373,7 @@ class TestDeepEnsemble:
         train, val = separable_toy(rng), separable_toy(rng)
         prior = GaussianPrior(variance=1.0, dim=spec.n_params)
         cfg = OptConfig(max_epochs=10)
-        members = deep_ensemble(spec, prior, train, val, cfg, n_members=1, seeds=[3])
+        members = deep_ensemble(spec, prior, train, val, cfg, seeds=[3])
         direct = map_estimate(spec, prior, train, val, cfg, seed=3)
         assert np.array_equal(members[0].theta, direct.theta)
 
@@ -382,8 +382,8 @@ class TestDeepEnsemble:
         train, val = separable_toy(rng), separable_toy(rng)
         prior = GaussianPrior(variance=1.0, dim=spec.n_params)
         cfg = OptConfig(max_epochs=5)
-        a = deep_ensemble(spec, prior, train, val, cfg, n_members=3)
-        b = deep_ensemble(spec, prior, train, val, cfg, n_members=3)
+        a = deep_ensemble(spec, prior, train, val, cfg, seeds=range(3))
+        b = deep_ensemble(spec, prior, train, val, cfg, seeds=range(3))
         for ma, mb in zip(a, b):
             assert np.array_equal(ma.theta, mb.theta)
 
@@ -391,8 +391,15 @@ class TestDeepEnsemble:
         spec = NetworkSpec(kind="mlp", widths=(2, 2))
         train, val = separable_toy(rng), separable_toy(rng)
         prior = GaussianPrior(variance=1.0, dim=spec.n_params)
-        members = deep_ensemble(spec, prior, train, val, OptConfig(max_epochs=5), n_members=2)
+        members = deep_ensemble(spec, prior, train, val, OptConfig(max_epochs=5), seeds=range(2))
         assert not np.array_equal(members[0].theta, members[1].theta)
+
+    def test_needs_a_seed(self, rng):
+        spec = NetworkSpec(kind="mlp", widths=(2, 2))
+        train, val = separable_toy(rng), separable_toy(rng)
+        prior = GaussianPrior(variance=1.0, dim=spec.n_params)
+        with pytest.raises(ValueError, match="at least one member"):
+            deep_ensemble(spec, prior, train, val, OptConfig(max_epochs=5), seeds=[])
 
     def test_failure_names_seed(self, rng):
         spec = NetworkSpec(kind="mlp", widths=(2, 2))
@@ -401,5 +408,5 @@ class TestDeepEnsemble:
         # absurd learning rate forces divergence
         cfg = OptConfig(learning_rate=1e12, max_epochs=60, patience=60)
         with pytest.raises(EnsembleMemberError) as err:
-            deep_ensemble(spec, prior, train, val, cfg, n_members=1, seeds=[42])
+            deep_ensemble(spec, prior, train, val, cfg, seeds=[42])
         assert err.value.seed == 42

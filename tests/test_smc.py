@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import norm
 
 from anchormc import kernels, smc
-from anchormc.kernels import BankState, HmcConfig, PcnConfig, RowStreams, sweep
+from anchormc.kernels import BankState, HmcConfig, PcnConfig, RowStreams, start_state, sweep
 from anchormc.smc import (
     McmcConfig,
     SmcConfig,
@@ -19,7 +19,13 @@ from anchormc.smc import (
     run_smc,
     systematic_resample,
 )
-from anchormc.targets import GaussianPrior, TargetDensity, gaussian_loglik, make_cold
+from anchormc.targets import (
+    GaussianPrior,
+    NonFiniteDensityError,
+    TargetDensity,
+    gaussian_loglik,
+    make_cold,
+)
 from anchormc.toys import conjugate_posterior
 
 
@@ -252,7 +258,7 @@ class TestMutate:
         cfg = SmcConfig(mutation_tol=0.01, max_mutation_steps=20, hmc=HmcConfig(1e-300))
         schedule = TemperSchedule()
         particles, _, kernel = mutate(
-            np.ones((8, 2)), value_state(np.zeros(8)), target, cfg.hmc, cfg,
+            np.ones((8, 2)), start_state(target, np.ones((8, 2)), cfg.hmc), target, cfg.hmc, cfg,
             RowStreams.seeded(0, 8), schedule,
         )
         assert schedule.mutation_steps == [2]
@@ -288,8 +294,8 @@ class TestCaches:
         rng = np.random.default_rng(11)
         streams = RowStreams.seeded(0, 16)
         start = target.prior.sample(rng, 16)
-        particles, state, lam = start, value_state(target.log_likelihood(start)), 0.0
         kernel = cfg.pcn if cfg.kernel == "pcn" else cfg.hmc
+        particles, state, lam = start, start_state(target, start, kernel), 0.0
         schedule = TemperSchedule()
         for lam_next in (0.3, 0.6, 1.0):
             particles, state, _ = reweight_and_resample(
@@ -311,9 +317,8 @@ class TestCaches:
         target = conjugate_target([1.0, -0.5], 0.3, 1.0)
         rng = np.random.default_rng(12)
         particles = target.prior.sample(rng, 16)
-        state = BankState(*target.log_likelihood_and_grad(particles))
-        if cfg.kernel == "pcn":
-            state = BankState(state.ll)
+        kernel = cfg.pcn if cfg.kernel == "pcn" else cfg.hmc
+        state = start_state(target, particles, kernel)
 
         def copies(particles, state):
             return [particles.copy()] + [None if a is None else a.copy() for a in state]
@@ -330,7 +335,6 @@ class TestCaches:
         )
         assert unchanged(particles, state, before)
         before = copies(resampled, resampled_state)
-        kernel = cfg.pcn if cfg.kernel == "pcn" else cfg.hmc
         moved, _, _ = mutate(
             resampled, resampled_state, target.with_lam(0.3), kernel, cfg,
             RowStreams.seeded(0, 16), TemperSchedule(),
@@ -393,6 +397,24 @@ class TestRunSmc:
         for seed in range(5):
             r = run_smc(truncated_target(a, sl, v), SmcConfig(n_particles=200, seed=seed, **kernel))
             assert r.schedule.lambdas[1] > 1e-3
+
+    def test_a_draw_at_zero_likelihood_with_a_non_finite_gradient_is_an_error(self):
+        # the first cloud's state is checked at every draw, as every current
+        # state is: HMC raises at a prior draw whose log-likelihood is -inf
+        # and whose gradient is NaN, before resampling could drop it, as
+        # MCMC does; pCN reads no gradient and runs
+        def cut_and_grad(th):
+            inside = th[:, 0] >= 0
+            return np.where(inside, 0.0, -np.inf), np.where(inside[:, None], 0.0, np.nan) + th * 0
+
+        target = TargetDensity(lambda th: cut_and_grad(th)[0], cut_and_grad, GaussianPrior(1.0, 2))
+        hmc = dict(kernel="hmc", hmc=HmcConfig(0.3, 3))
+        with pytest.raises(NonFiniteDensityError, match="gradient is non-finite"):
+            run_smc(target, SmcConfig(n_particles=16, **hmc))
+        with pytest.raises(NonFiniteDensityError, match="gradient is non-finite"):
+            run_mcmc(target, McmcConfig(n_chains=16, n_steps=2, **hmc))
+        r = run_smc(target, SmcConfig(n_particles=16, kernel="pcn"))
+        assert np.all(r.particles[:, 0] >= 0)
 
     def test_fixed_schedule_is_run_as_given(self):
         target = conjugate_target(np.array([1.0]), 0.5, 1.0)
@@ -531,7 +553,9 @@ class TestRunMcmc:
         # positive density is accepted, silently, and none back into the cut
         target = truncated_target(np.array([0.5, -0.3]), 0.5, 1.0)
         cfg = kernel.get("hmc", PcnConfig(0.5))
-        thetas, state, streams = np.array([[-0.5, 0.0]]), None, RowStreams.seeded(5, 1)
+        thetas, streams = np.array([[-0.5, 0.0]]), RowStreams.seeded(5, 1)
+        state = start_state(target, thetas, cfg)
+        assert state.ll[0] == -np.inf
         accepted = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -10,8 +10,8 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "anchormc"
-CEILING = 68
-LINE_CEILING = 2747
+CEILING = 66
+LINE_CEILING = 2753
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
