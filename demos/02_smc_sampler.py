@@ -27,7 +27,7 @@ result = run_smc(
 # effective sample size of the incremental weights hits rho * N.
 print("adaptive tempering ladder:")
 for lam, ess, m in zip(
-    result.schedule.lambdas[1:], result.schedule.ess_values, result.schedule.mutation_steps
+    result.schedule.lambdas[1:], result.schedule.ess, result.schedule.mutation_steps
 ):
     print(f"  lambda={lam:.4f}  ESS={ess:7.2f}  mutation sweeps={m}")
 

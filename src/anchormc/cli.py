@@ -10,6 +10,7 @@ artifact that ``evaluate`` writes, and of the config only ``output_dir``,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
 import os
 import re
@@ -27,7 +28,7 @@ from .artifacts import (
 )
 from .diagnostics import acf_table_csv, hmc_chain, iact
 from .kernels import HmcConfig
-from .nets import NetworkSpec, OptConfig, make_loglik, map_estimate
+from .nets import NetworkSpec, OptConfig, TrainingDivergedError, make_loglik, map_estimate
 from .parallel import RunResult, pool, run_parallel
 from .smc import McmcConfig, SmcConfig, ess
 from .targets import GaussianPrior, TargetDensity, make_anchored, make_cold
@@ -58,38 +59,46 @@ def _check_split_sizes(n_train: int, n_val: int, available: int, which: str) -> 
         )
 
 
+def _int_list(cfg: dict, key: str) -> list[int]:
+    """The comma-separated integers of config key ``key``."""
+    try:
+        return [int(t) for t in str(cfg[key]).split(",")]
+    except ValueError:
+        raise ConfigError(f"{key}={cfg[key]} is not a comma-separated list of integers") from None
+
+
 def _load_datasets(cfg: dict):
     """Returns (train, val, test, spec). Labels are remapped to
     0..K-1 in the order of ``labels_keep``."""
+    n_tr, n_va = cfg["n_train"], cfg["n_val"]
     if cfg["features_csv"]:
-        full = data_mod.load_csv_features(cfg["features_csv"])
-        n_tr, n_va = cfg["n_train"], cfg["n_val"]
-        _check_split_sizes(n_tr, n_va, len(full), f"in {cfg['features_csv']}")
-        train = full.subset(np.arange(0, n_tr))
-        val = full.subset(np.arange(n_tr, n_tr + n_va), split="validation")
-        test = full.subset(np.arange(n_tr + n_va, len(full)), split="test")
-        k = int(max(full.y)) + 1
+        pool = data_mod.load_csv_features(cfg["features_csv"])
+        test = pool.subset(np.arange(n_tr + n_va, len(pool)), split="test")
+        which = f"in {cfg['features_csv']}"
+        k = int(max(pool.y)) + 1
     else:
         for key in ("train_images", "train_labels", "test_images", "test_labels"):
             if not cfg[key]:
                 raise ConfigError(f"config key {key!r} is required for IDX input")
-        keep = [int(t) for t in str(cfg["labels_keep"]).split(",")]
-        remap = {lab: i for i, lab in enumerate(keep)}
-        raw_train = data_mod.load_idx(cfg["train_images"], cfg["train_labels"]).filter_labels(keep)
-        raw_test = data_mod.load_idx(cfg["test_images"], cfg["test_labels"]).filter_labels(keep)
+        keep = _int_list(cfg, "labels_keep")
+        if len(set(keep)) < len(keep) or not all(0 <= lab <= 255 for lab in keep):
+            raise ConfigError(
+                f"labels_keep={cfg['labels_keep']} must list distinct IDX labels in 0..255"
+            )
+        remap = np.full(256, -1)
+        remap[keep] = np.arange(len(keep))
 
-        def remapped(ds, split):
-            y = np.array([remap[int(v)] for v in ds.y])
-            return data_mod.Dataset(x=ds.x, y=y, split=split, image_shape=ds.image_shape)
+        def remapped(images, labels):
+            ds = data_mod.load_idx(cfg[images], cfg[labels]).filter_labels(keep)
+            return data_mod.Dataset(x=ds.x, y=remap[ds.y], image_shape=ds.image_shape)
 
-        n_tr, n_va = cfg["n_train"], cfg["n_val"]
-        _check_split_sizes(
-            n_tr, n_va, len(raw_train), f"with labels in labels_keep={cfg['labels_keep']}"
-        )
-        train = remapped(raw_train.take(n_tr), "train")
-        val = remapped(raw_train.subset(np.arange(n_tr, n_tr + n_va)), "validation")
-        test = remapped(raw_test.take(cfg["n_test"]), "test")
+        pool = remapped("train_images", "train_labels")
+        test = remapped("test_images", "test_labels").take(cfg["n_test"], split="test")
+        which = f"with labels in labels_keep={cfg['labels_keep']}"
         k = len(keep)
+    _check_split_sizes(n_tr, n_va, len(pool), which)
+    train = pool.take(n_tr)
+    val = pool.subset(np.arange(n_tr, n_tr + n_va), split="validation")
 
     if cfg["arch"] == "cnn":
         if train.image_shape is None:
@@ -98,7 +107,7 @@ def _load_datasets(cfg: dict):
     else:
         widths = (train.x.shape[1], k)
         if cfg["mlp_widths"]:
-            given = tuple(int(t) for t in str(cfg["mlp_widths"]).split(","))
+            given = tuple(_int_list(cfg, "mlp_widths"))
             if (given[0], given[-1]) != widths:
                 raise ConfigError(
                     f"mlp_widths={cfg['mlp_widths']} must start at the {widths[0]} features "
@@ -196,22 +205,13 @@ def cmd_sample(cfg: dict) -> None:
         if r.failed:
             print(f"island {r.p} FAILED: {r.error}", file=sys.stderr)
             continue
-        schedule = {}
-        if r.schedule is not None:
-            schedule = {
-                "lambdas": list(r.schedule.lambdas),
-                "ess": list(r.schedule.ess_values),
-                "mutation_steps": list(r.schedule.mutation_steps),
-                "step_sizes": list(r.schedule.step_sizes),
-                "warnings": list(r.schedule.warnings),
-            }
         artifact = make_artifact(
             cfg,
             r.samples,
             kind=cfg["method"],
             log_z=r.log_z,
             epochs_used=r.epochs_per_particle,
-            schedule=schedule,
+            schedule=None if r.schedule is None else dataclasses.asdict(r.schedule),
         )
         save_artifact(os.path.join(out, f"island_{r.p:03d}"), artifact)
     done = sum(not r.failed for r in results)
@@ -283,8 +283,7 @@ def _ood_sets(cfg: dict, test) -> dict[str, np.ndarray]:
     without image input."""
     if test.image_shape is None:
         return {}
-    keep = {int(t) for t in str(cfg["labels_keep"]).split(",")}
-    overlap = sorted(keep & set(data_mod.OOD_HELDOUT_LABELS))
+    overlap = sorted(set(_int_list(cfg, "labels_keep")) & set(data_mod.OOD_HELDOUT_LABELS))
     if overlap:
         raise ConfigError(
             f"labels_keep={cfg['labels_keep']} keeps labels {overlap}, which the heldout "
@@ -436,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, args.overrides)
         COMMANDS[args.command](cfg)
-    except (ConfigError, FileNotFoundError, ValueError) as e:
+    except (ConfigError, FileNotFoundError, ValueError, TrainingDivergedError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

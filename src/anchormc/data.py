@@ -3,6 +3,7 @@ and synthetic out-of-distribution sets."""
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -114,7 +115,9 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
 
 
 def load_csv_features(path: str, split: str = "train") -> Dataset:
-    """Parse a feature CSV with header row ``label,f1,...,fk``."""
+    """Parse a feature CSV with header row ``label,f1,...,fk``. Every cell
+    must be a finite number and every label a non-negative integer; the
+    first cell that is not is refused, naming its line and column."""
     with open(path) as f:
         lines = [ln.rstrip("\n") for ln in f if ln.strip()]
     if not lines:
@@ -130,30 +133,25 @@ def load_csv_features(path: str, split: str = "train") -> Dataset:
             raise CsvParseError(
                 f"{path}:{lineno}: expected {ncol} columns, got {len(cells)}"
             )
-        try:
-            label = float(cells[0])
-            rows.append([float(c) for c in cells[1:]])
-        except ValueError as e:
-            bad = next(
-                (j for j, c in enumerate(cells) if not _is_float(c)), 0
-            )
-            raise CsvParseError(f"{path}:{lineno}: column {bad + 1}: {e}") from None
+        row = []
+        for col, cell in enumerate(cells, start=1):
+            try:
+                value = float(cell)
+            except ValueError as e:
+                raise CsvParseError(f"{path}:{lineno}: column {col}: {e}") from None
+            if not math.isfinite(value):
+                raise CsvParseError(f"{path}:{lineno}: column {col}: {cell!r} is not finite")
+            row.append(value)
+        label = row.pop(0)
         if not (label >= 0 and label.is_integer()):
             raise CsvParseError(
                 f"{path}:{lineno}: column 1: label {cells[0]!r} is not a non-negative integer"
             )
         labels.append(int(label))
+        rows.append(row)
     if not rows:
         raise CsvParseError(f"{path}: no data rows")
     return Dataset(x=np.array(rows, dtype=float), y=np.array(labels), split=split)
-
-
-def _is_float(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
 
 
 OOD_HELDOUT_LABELS = (8, 9)  # labels held out of training for "heldout" OOD sets

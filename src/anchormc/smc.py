@@ -24,7 +24,7 @@ from .targets import TargetDensity
 @dataclass
 class TemperSchedule:
     lambdas: list[float] = field(default_factory=lambda: [0.0])
-    ess_values: list[float] = field(default_factory=list)
+    ess: list[float] = field(default_factory=list)
     mutation_steps: list[int] = field(default_factory=list)
     # HMC only: the step size of each stage's first sweep
     step_sizes: list[float] = field(default_factory=list)
@@ -189,7 +189,7 @@ def reweight_and_resample(
         raise ValueError(f"lam must increase: {lam} -> {lam_next}")
     log_norm, weights = normalize_log_weights((lam_next - lam) * state.ll)
     e = ess(weights)
-    schedule.ess_values.append(e)
+    schedule.ess.append(e)
     if e < 1.5:
         schedule.warnings.append(
             f"degenerate weights before resampling at lam={lam_next:.6g} (ESS={e:.3g})"
@@ -232,7 +232,8 @@ def mutate(
     adapted after every sweep (``kernels.tune_step_size``). ``state`` holds
     for every target, so the sweeps take it as it is. A zero previous
     displacement counts as converged (an immobile ensemble cannot improve).
-    Records M and, for HMC, the first sweep's step size in ``schedule``.
+    Records M and, for HMC, the first sweep's step size in ``schedule``, and
+    a warning when the stage ends with no particle moved from ``particles``.
     Returns (particles, state, the kernel the next stage starts from).
     """
     start, adapt = particles, cfg.kernel == "hmc" and cfg.hmc is None
@@ -240,22 +241,18 @@ def mutate(
         schedule.step_sizes.append(kernel.step_size)
     dist_prev = None
     m_used = cfg.max_mutation_steps
-    zero_accept_streak = 0
     for m in range(1, cfg.max_mutation_steps + 1):
         particles, accepted, state = sweep(target, particles, kernel, streams, state)
         if adapt:
             kernel = tune_step_size(kernel, accepted, len(particles))
-        zero_accept_streak = zero_accept_streak + 1 if accepted == 0 else 0
-        if zero_accept_streak == 3:
-            schedule.warnings.append(
-                f"no acceptances for 3 consecutive sweeps at lam={target.lam:.6g}"
-            )
         dist = float(np.mean(np.linalg.norm(particles - start, axis=1)))
         if m >= 2 and (dist_prev == 0.0 or abs(dist - dist_prev) / dist_prev <= cfg.mutation_tol):
             m_used = m
             break
         dist_prev = dist
     schedule.mutation_steps.append(m_used)
+    if dist == 0.0:
+        schedule.warnings.append(f"mutation moved no particle at lam={target.lam:.6g}")
     return particles, state, kernel
 
 

@@ -538,6 +538,43 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"mlp_widths={widths}" in err
 
+    @pytest.mark.parametrize(
+        "override", ["labels_keep=0,x", "labels_keep=-1,0", "labels_keep=0,1,0", "mlp_widths=64,x"]
+    )
+    def test_bad_integer_list_is_a_config_error_naming_it(self, tmp_path, capsys, override):
+        tri, trl, tei, tel = synthetic_idx(str(tmp_path), 40, 40)
+        rc = main(
+            [
+                "map",
+                override,
+                f"train_images={tri}",
+                f"train_labels={trl}",
+                f"test_images={tei}",
+                f"test_labels={tel}",
+                "arch=mlp",
+                "n_train=10",
+                "n_val=5",
+                f"output_dir={tmp_path / 'o'}",
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {override} ") and err.count("\n") == 1
+
+    def test_diverging_map_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "features.csv"
+        rng = np.random.default_rng(0)
+        path.write_text(
+            "label,f1,f2\n" + "".join(f"{i % 4},{rng.normal():.4f},{rng.normal():.4f}\n" for i in range(40))
+        )
+        args = [f"features_csv={path}", "arch=mlp", "lr=1e30", "n_train=20", "n_val=10", "max_epochs=20"]
+        with np.errstate(all="ignore"):
+            rc = main(["map", *args, f"output_dir={tmp_path / 'o'}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite" in err
+        assert not os.path.exists(tmp_path / "o" / "map.manifest.json")
+
     def test_too_few_csv_rows_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "features.csv"
         path.write_text("label,f1,f2\n" + "".join(f"{i % 2},{i},1\n" for i in range(10)))

@@ -114,6 +114,13 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError, match=r":2: column 3"):
             load_csv_features(str(p))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):
+        p = tmp_path / "f.csv"
+        p.write_text(f"label,f1,f2\n1,0.5,2.0\n0,{cell},1.0\n")
+        with pytest.raises(CsvParseError, match=rf":3: column 2: '{cell}' is not finite"):
+            load_csv_features(str(p))
+
     @pytest.mark.parametrize("label", ["-1", "1.7"])
     def test_label_that_is_not_a_non_negative_integer_names_line_and_column(self, tmp_path, label):
         # -1 would train as class K-1 by negative indexing, 1.7 as class 1

@@ -50,7 +50,7 @@ def assert_same_islands(a, b):
             assert y.schedule is None
         else:
             assert x.schedule.lambdas == y.schedule.lambdas
-            assert x.schedule.ess_values == y.schedule.ess_values
+            assert x.schedule.ess == y.schedule.ess
             assert x.schedule.mutation_steps == y.schedule.mutation_steps
 
 

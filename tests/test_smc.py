@@ -264,6 +264,28 @@ class TestMutate:
         assert schedule.mutation_steps == [2]
         assert np.allclose(particles, 1.0)
         assert kernel == cfg.hmc  # a configured step size is not adapted
+        assert schedule.warnings == ["mutation moved no particle at lam=0"]
+
+    def test_a_stage_that_moves_no_particle_is_recorded(self):
+        # a step of 1e6 is rejected for every particle: each stage ends at its
+        # second sweep, with the ensemble where resampling left it
+        cfg = SmcConfig(n_particles=16, hmc=HmcConfig(1e6), seed=0)
+        schedule = run_smc(conjugate_target([1.0, -0.5, 0.3], 0.8, 1.5), cfg).schedule
+        assert set(schedule.mutation_steps) == {2}
+        moved_none = [w for w in schedule.warnings if w.startswith("mutation moved no particle")]
+        assert moved_none == [
+            f"mutation moved no particle at lam={lam:.6g}" for lam in schedule.lambdas[1:]
+        ]
+
+    def test_a_stage_that_moves_particles_records_no_warning(self):
+        target = constant_target(0.0, d=2, v=1.0).with_lam(0.0)
+        cfg = SmcConfig(kernel="pcn", pcn=PcnConfig(0.5))
+        schedule = TemperSchedule()
+        mutate(
+            np.zeros((16, 2)), value_state(np.zeros(16)), target, cfg.pcn, cfg,
+            RowStreams.seeded(0, 16), schedule,
+        )
+        assert schedule.warnings == []
 
     def test_prior_draws_stabilize_at_prior_variance(self):
         particles, m = self.run_mutate(0.05, max_steps=50, beta=1.0, seed=3)
