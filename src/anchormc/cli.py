@@ -214,6 +214,8 @@ def cmd_sample(cfg: dict) -> None:
             schedule=None if r.schedule is None else dataclasses.asdict(r.schedule),
         )
         save_artifact(os.path.join(out, f"island_{r.p:03d}"), artifact)
+        for warning in [] if r.schedule is None else r.schedule.warnings:
+            print(f"island {r.p}: warning: {warning}", file=sys.stderr)
     done = sum(not r.failed for r in results)
     if not done:
         raise ValueError(f"no island succeeded; island 0 failed with {results[0].error}")

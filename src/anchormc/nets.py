@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import Dataset
-from .targets import GaussianPrior, per_row
+from .targets import GaussianPrior
 
 
 @dataclass(frozen=True)
@@ -73,29 +73,33 @@ class NetworkSpec:
 
 
 def unpack(spec: NetworkSpec, theta: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split a flat parameter vector into per-layer (W, b), layer-major with
-    weights before biases. Views, not copies."""
+    """Split a flat parameter vector, or each row of an (N, n_params) bank,
+    into per-layer (W, b), layer-major with weights before biases. Views,
+    not copies; a bank's carry a leading N axis."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (spec.n_params,):
+    if theta.ndim not in (1, 2) or theta.shape[-1] != spec.n_params:
         raise ValueError(
-            f"parameter vector has shape {theta.shape}, spec needs ({spec.n_params},)"
+            f"parameters have shape {theta.shape}, spec needs ({spec.n_params},) or (N, {spec.n_params})"
         )
+    lead = theta.shape[:-1]
     out = []
     pos = 0
     for ws, bs in spec.layer_shapes:
         nw, nb = math.prod(ws), math.prod(bs)
-        out.append((theta[pos : pos + nw].reshape(ws), theta[pos + nw : pos + nw + nb]))
+        out.append((theta[..., pos : pos + nw].reshape(*lead, *ws), theta[..., pos + nw : pos + nw + nb]))
         pos += nw + nb
     return out
 
 
 def pack(spec: NetworkSpec, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    return np.concatenate([np.concatenate([w.ravel(), b.ravel()]) for w, b in layers])
+    """``unpack``'s inverse, for a vector's layers or a bank's."""
+    lead = layers[0][1].shape[:-1]
+    return np.concatenate([np.concatenate([w.reshape(*lead, -1), b], -1) for w, b in layers], -1)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def _im2col(x: np.ndarray) -> np.ndarray:
@@ -131,95 +135,146 @@ def _network_input(spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
     return _im2col(x.reshape(x.shape[0], h, w_))
 
 
-def _forward_internal(spec: NetworkSpec, theta: np.ndarray, inputs: np.ndarray):
-    """Returns (log-probabilities, cache for backprop) from ``_network_input``'s
-    output. The CNN conv is one matmul of the patches with the kernels over
-    the bias, (n, 4, P, c); the pool is the maximum of its 4 corner blocks,
-    then the ReLU, (n, P, c) in (n, h/2, w/2, c) order. The cache keeps both."""
-    layers = unpack(spec, theta)
+# A pass takes its data rows in blocks of as many rows as keep the bank's
+# activations within this many floats: N times a row's per particle, the
+# conv output (h*w*c) of a CNN or the summed widths of an MLP. Chosen by a
+# timing sweep of 2**15 to 2**19. A one-row bank takes 512 rows of an 8x8 CNN
+# and 2520 of the meta-classifier's MLP per block, so map_estimate's batches
+# and train_meta's rows are one block, with the bits of one full pass.
+BLOCK_FLOATS = 2**17
+
+
+def _forward(spec: NetworkSpec, layers, inputs: np.ndarray, work: np.ndarray | None):
+    """Log-probabilities (N, rows, K) of a bank's ``layers`` (``unpack`` of an
+    (N, n_params) bank) at a block of ``_network_input`` rows, and the cache
+    for backprop.
+
+    The CNN conv is one matmul of the patches with the N particles' kernels
+    side by side over their biases, (rows, 4, W, N, c) for the W pool
+    windows; the pool is the maximum of its 4 corner blocks, then the ReLU,
+    (rows, W, N, c); the linear layer is one batched matmul of the pooled
+    features as (N, rows, W*c). These large arrays, and the backward pass's
+    pool gradient, live in ``work``: 7 pool-sized arrays, allocated once
+    per pass. Arrays made fresh for each block page-fault on every call."""
     if spec.kind == "mlp":
         activations = [inputs]
-        pre = None
         for i, (w, b) in enumerate(layers):
-            pre = activations[-1] @ w.T + b
+            pre = activations[-1] @ w.swapaxes(1, 2)
+            pre += b[:, None]
             if i < len(layers) - 1:
-                activations.append(np.maximum(pre, 0.0))
-        return _log_softmax(pre), {"layers": layers, "activations": activations}
+                activations.append(np.maximum(pre, 0.0, out=pre))
+        return _log_softmax(pre), {"activations": activations}
 
-    c = spec.conv_channels
     (wc, bc), (wl, bl) = layers
-    n = inputs.shape[0]
-    kernel = np.concatenate([wc.reshape(c, 9).T, bc[None]])  # (10, c)
-    conv = (inputs.reshape(-1, 10) @ kernel).reshape(*inputs.shape[:3], c)
-    pooled = np.maximum(conv.max(axis=1), 0.0)  # max commutes with the ReLU
-    cache = {"layers": layers, "cols": inputs, "conv": conv, "pooled": pooled}
-    return _log_softmax(pooled.reshape(n, -1) @ wl.T + bl), cache
+    n_bank, c = bc.shape
+    rows, _, n_windows, _ = inputs.shape
+    size = rows * n_windows * n_bank * c
+    conv, (pooled, hidden, dpool) = work[: 4 * size], work[4 * size : 7 * size].reshape(3, size)
+    kernels = np.concatenate([wc.reshape(n_bank, c, 9), bc[..., None]], axis=2)
+    kernels = kernels.transpose(2, 0, 1).reshape(10, n_bank * c)
+    np.matmul(inputs.reshape(-1, 10), kernels, out=conv.reshape(-1, n_bank * c))
+    conv = conv.reshape(rows, 4, n_windows, n_bank, c)
+    pooled = conv.max(axis=1, out=pooled.reshape(rows, n_windows, n_bank, c))
+    np.maximum(pooled, 0.0, out=pooled)  # max commutes with the ReLU
+    hidden = hidden.reshape(n_bank, rows, n_windows * c)
+    np.copyto(hidden.reshape(n_bank, rows, n_windows, c), pooled.transpose(2, 0, 1, 3))
+    cache = {"cols": inputs, "conv": conv, "pooled": pooled, "hidden": hidden, "dpool": dpool}
+    return _log_softmax(hidden @ wl.swapaxes(1, 2) + bl[:, None]), cache
 
 
-def forward(spec: NetworkSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Class probabilities, shape (n, K) (or (K,) for a single input).
-
-    ``theta`` may be a (S, n_params) stack of parameter vectors: the result
-    is then stacked (S, ...), one array per vector, and the network input of
-    ``x`` is computed once for all of them."""
-    single = np.asarray(x).ndim == 1
-    stacked = np.asarray(theta).ndim == 2
-    inputs = _network_input(spec, x)
-    p = np.stack(
-        [
-            np.exp(_forward_internal(spec, t, inputs)[0])
-            for t in (theta if stacked else [theta])
-        ]
-    )
-    if single:
-        p = p[:, 0]
-    return p if stacked else p[0]
-
-
-def _label_log_prob(logp: np.ndarray, y: np.ndarray) -> float:
-    return float(logp[np.arange(logp.shape[0]), y].sum())
-
-
-def _log_likelihood_and_grad(
-    spec: NetworkSpec, theta: np.ndarray, inputs: np.ndarray, y: np.ndarray
-) -> tuple[float, np.ndarray]:
-    logp, cache = _forward_internal(spec, theta, inputs)
-    n = logp.shape[0]
-    idx = np.arange(n)
-    ll = _label_log_prob(logp, y)
-
-    probs = np.exp(logp)
-    dlogits = -probs
-    dlogits[idx, y] += 1.0  # d ll / d logits = onehot - p
-
-    layers = cache["layers"]
+def _backward(spec: NetworkSpec, layers, cache: dict, dlogits: np.ndarray):
+    """Per-layer (dW, db), each with the bank axis first, of one block from
+    d ll / d logits (N, rows, K) and ``_forward``'s cache, whose arrays it
+    overwrites."""
     if spec.kind == "mlp":
         activations = cache["activations"]
         grads = [None] * len(layers)
         delta = dlogits
         for i in range(len(layers) - 1, -1, -1):
-            w, _ = layers[i]
-            grads[i] = (delta.T @ activations[i], delta.sum(axis=0))
+            grads[i] = (delta.swapaxes(1, 2) @ activations[i], delta.sum(axis=1))
             if i > 0:
-                delta = (delta @ w) * (activations[i] > 0)
-        return ll, pack(spec, grads)
+                delta = delta @ layers[i][0]
+                delta *= activations[i] > 0
+        return grads
 
-    conv, pooled = cache["conv"], cache["pooled"]
-    dpool = (dlogits @ layers[1][0]).reshape(pooled.shape)
+    conv, pooled, hidden = cache["conv"], cache["pooled"], cache["hidden"]
+    rows, n_windows, n_bank, c = pooled.shape
+    dwl = dlogits.swapaxes(1, 2) @ hidden
+    dpool = cache["dpool"].reshape(pooled.shape)
+    np.matmul(dlogits, layers[1][0], out=hidden)  # hidden is read no more
+    np.copyto(dpool, hidden.reshape(n_bank, rows, n_windows, c).transpose(1, 2, 0, 3))
     # each window's gradient goes to the first of its corners, in row-major
-    # order, that equals the maximum, and only through a live ReLU
-    route = conv == pooled[:, None]
+    # order, that equals the maximum, and only through a live ReLU, into
+    # conv's buffer, each corner's once compared
     taken = pooled <= 0  # a dead window routes to no corner
     for k in range(4):
-        route[:, k] &= ~taken
-        taken |= route[:, k]
-    # into conv's buffer, dead from here: a fresh array of this size
-    # page-faults on every call at large n
-    dconv = np.multiply(route, dpool[:, None], out=conv)
-    # rows 0-8: the kernel gradient; row 9, the ones column: the bias gradient
-    dkernel = cache["cols"].reshape(-1, 10).T @ dconv.reshape(-1, spec.conv_channels)
-    dwl = dlogits.T @ pooled.reshape(n, -1)
-    return ll, pack(spec, [(dkernel[:9].T, dkernel[9]), (dwl, dlogits.sum(axis=0))])
+        hit = conv[:, k] == pooled
+        hit &= ~taken
+        taken |= hit
+        np.multiply(hit, dpool, out=conv[:, k])
+    # rows 0-8: the kernel gradients; row 9, the ones column: the bias gradients
+    dkernels = cache["cols"].reshape(-1, 10).T @ conv.reshape(-1, n_bank * c)
+    dkernels = dkernels.reshape(10, n_bank, c)
+    return [(dkernels[:9].transpose(1, 2, 0), dkernels[9]), (dwl, dlogits.sum(axis=1))]
+
+
+def _network_pass(
+    spec: NetworkSpec, thetas: np.ndarray, inputs: np.ndarray, y: np.ndarray | None, grad: bool
+):
+    """The network at each row of the bank ``thetas`` (N, n_params), over the
+    ``_network_input`` rows ``inputs`` in blocks of ``BLOCK_FLOATS``.
+
+    With no labels ``y`` it returns the class probabilities (N, n, K);
+    with labels, the (N,) sums of log-probabilities at the labels, and with
+    ``grad`` also their (N, n_params) gradients, each summed over the
+    blocks. Row i of an output depends on row i of ``thetas`` alone."""
+    layers = unpack(spec, thetas)
+    n_bank, n = len(thetas), len(inputs)
+    cnn = spec.kind == "cnn"
+    row_floats = math.prod(spec.image_shape) * spec.conv_channels if cnn else sum(spec.widths[1:])
+    step = max(1, BLOCK_FLOATS // (n_bank * row_floats))
+    work = np.empty(7 * min(step, n) * n_bank * row_floats // 4) if cnn else None
+    probs = np.empty((n_bank, n, spec.n_outputs)) if y is None else None
+    ll, total = np.zeros(n_bank), None
+    for start in range(0, max(n, 1), step):  # no rows: one empty block
+        block = slice(start, start + step)
+        logp, cache = _forward(spec, layers, inputs[block], work)
+        if y is None:
+            np.exp(logp, out=probs[:, block])
+            continue
+        idx, labels = np.arange(logp.shape[1]), y[block]
+        ll += logp[:, idx, labels].sum(axis=1)
+        if grad:
+            dlogits = -np.exp(logp)
+            dlogits[:, idx, labels] += 1.0  # d ll / d logits = onehot - p
+            grads = _backward(spec, layers, cache, dlogits)
+            if total is not None:
+                grads = [(gw + dw, gb + db) for (gw, gb), (dw, db) in zip(total, grads)]
+            total = grads
+    if y is None:
+        return probs
+    return (ll, pack(spec, total)) if grad else ll
+
+
+def forward(spec: NetworkSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Class probabilities, shape (n, K) (or (K,) for a single input).
+
+    ``theta`` may be an (S, n_params) stack of parameter vectors: the result
+    is then stacked (S, ...), one array per vector, from one bank pass over
+    the network input of ``x``."""
+    stacked = np.asarray(theta).ndim == 2
+    p = _network_pass(spec, np.atleast_2d(theta), _network_input(spec, x), None, False)
+    if np.asarray(x).ndim == 1:
+        p = p[:, 0]
+    return p if stacked else p[0]
+
+
+def _log_likelihood_and_grad(
+    spec: NetworkSpec, theta: np.ndarray, inputs: np.ndarray, y: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """The pass of a one-row bank, at one parameter vector."""
+    ll, g = _network_pass(spec, np.asarray(theta, dtype=float)[None], inputs, y, True)
+    return float(ll[0]), g[0]
 
 
 def log_likelihood_and_grad(
@@ -234,25 +289,25 @@ def log_likelihood_and_grad(
 def make_loglik(spec: NetworkSpec, data: Dataset):
     """Bind a dataset into the (loglik, loglik_and_grad) pair TargetDensity
     expects, in its bank form: each takes an (N, n_params) bank and runs
-    the network once per row, so every row has the bits of a one-vector
-    call.
+    one network pass for the whole bank, over blocks of data rows.
 
     The network input (the CNN's im2col) is computed once, here. ``loglik``
     runs the forward pass only; ``loglik_and_grad`` runs forward and
-    backward and returns the value with the gradient. Neither keeps state
-    between calls."""
+    backward and returns the values with the gradients. Neither keeps state
+    between calls. A row's bits can depend on the bank's size, since the
+    block size and the matmul shapes do; a one-row bank's equal those of
+    ``log_likelihood_and_grad`` where its rows fit one block."""
     if data.y is None:
         raise ValueError("log-likelihood needs labeled data")
     inputs, y = _network_input(spec, data.x), data.y
 
-    def ll(theta: np.ndarray) -> float:
-        logp, _ = _forward_internal(spec, theta, inputs)
-        return _label_log_prob(logp, y)
+    def ll(thetas: np.ndarray) -> np.ndarray:
+        return _network_pass(spec, thetas, inputs, y, False)
 
-    def ll_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        return _log_likelihood_and_grad(spec, theta, inputs, y)
+    def ll_and_grad(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _network_pass(spec, thetas, inputs, y, True)
 
-    return per_row(ll, ll_and_grad)
+    return ll, ll_and_grad
 
 
 class TrainingDivergedError(RuntimeError):
@@ -312,33 +367,40 @@ def map_estimate(
     train_inputs = _network_input(spec, train.x)
     val_inputs = _network_input(spec, val.x)
     m = len(train)
+    # minibatches are gathered into one buffer per fit: a fresh copy per
+    # batch, with the pass's own buffer, made the heap shrink and regrow
+    # (page faults) on every batch
+    batch_inputs = np.empty((min(cfg.batch_size, m), *train_inputs.shape[1:]))
     best_nll = np.inf
     best_theta = theta.copy()
     since_best = 0
     epochs_used = 0
     drop_at = int(np.ceil(LR_DROP_FRAC * cfg.max_epochs))
-    for epoch in range(cfg.max_epochs):
-        lr = cfg.learning_rate * (0.1 if epoch >= drop_at else 1.0)
-        order = rng.permutation(m)
-        for start in range(0, m, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            ll, g_ll = _log_likelihood_and_grad(spec, theta, train_inputs[batch], train.y[batch])
-            if not np.isfinite(ll):
-                raise TrainingDivergedError(f"loss became non-finite at epoch {epoch}")
-            g = g_ll / len(batch) + prior.grad_log_density(theta) / m
-            theta = theta + lr * g
-        epochs_used += 1
-        val_nll = -_label_log_prob(_forward_internal(spec, theta, val_inputs)[0], val.y) / len(val)
-        if not np.isfinite(val_nll):
-            raise TrainingDivergedError(f"validation loss non-finite at epoch {epoch}")
-        if val_nll < best_nll:
-            best_nll = val_nll
-            best_theta = theta.copy()
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                break
+    # a diverging fit ends in TrainingDivergedError, not in numpy warnings first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.max_epochs):
+            lr = cfg.learning_rate * (0.1 if epoch >= drop_at else 1.0)
+            order = rng.permutation(m)
+            for start in range(0, m, cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                inputs = np.take(train_inputs, batch, axis=0, out=batch_inputs[: len(batch)])
+                ll, g_ll = _log_likelihood_and_grad(spec, theta, inputs, train.y[batch])
+                if not np.isfinite(ll):
+                    raise TrainingDivergedError(f"loss became non-finite at epoch {epoch}")
+                g = g_ll / len(batch) + prior.grad_log_density(theta) / m
+                theta = theta + lr * g
+            epochs_used += 1
+            val_nll = -_network_pass(spec, theta[None], val_inputs, val.y, False)[0] / len(val)
+            if not np.isfinite(val_nll):
+                raise TrainingDivergedError(f"validation loss non-finite at epoch {epoch}")
+            if val_nll < best_nll:
+                best_nll = val_nll
+                best_theta = theta.copy()
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best >= cfg.patience:
+                    break
     return MapResult(theta=best_theta, epochs_used=epochs_used, val_nll=float(best_nll))
 
 

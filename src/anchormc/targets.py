@@ -84,23 +84,6 @@ LogLik = Callable[[np.ndarray], np.ndarray]
 LogLikAndGrad = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def per_row(loglik, loglik_and_grad) -> tuple[LogLik, LogLikAndGrad]:
-    """Lift a per-vector pair, ``loglik(theta) -> float`` and
-    ``loglik_and_grad(theta) -> (float, (d,))``, to the bank form
-    ``TargetDensity`` takes, by calling it on each row in turn."""
-
-    def bank_loglik(thetas: np.ndarray) -> np.ndarray:
-        return np.array([loglik(theta) for theta in thetas], dtype=float)
-
-    def bank_loglik_and_grad(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ll, gl = np.empty(len(thetas)), np.empty(np.shape(thetas))
-        for i, theta in enumerate(thetas):
-            ll[i], gl[i] = loglik_and_grad(theta)
-        return ll, gl
-
-    return bank_loglik, bank_loglik_and_grad
-
-
 @dataclass(frozen=True)
 class TargetDensity:
     """Tempered product of a likelihood and a Gaussian prior.
@@ -111,8 +94,9 @@ class TargetDensity:
     ``loglik_and_grad(thetas)`` the (N,) values with their (N, d) gradients
     from one pass. Row i of an output depends on row i of the input alone,
     so the samplers make one call per evaluation for a whole bank, and the
-    same machinery serves neural-network and synthetic Gaussian
-    likelihoods (``per_row`` lifts a per-vector pair to this form).
+    same machinery serves neural-network likelihoods (``nets.make_loglik``,
+    one network pass per bank) and synthetic Gaussian ones
+    (``gaussian_loglik``).
     """
 
     loglik: LogLik

@@ -11,6 +11,8 @@ from anchormc.data import Dataset
 from anchormc.kernels import HmcConfig, RowStreams, hmc_step, start_state
 from anchormc.targets import GaussianPrior, TargetDensity, gaussian_loglik, make_anchored
 
+from conftest import one_vector_log_probs
+
 CNN = nets.NetworkSpec(kind="cnn", image_shape=(6, 6), conv_channels=2, n_classes=3)
 MLP = nets.NetworkSpec(kind="mlp", widths=(5, 4, 3))
 
@@ -50,15 +52,17 @@ class Counted:
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Counts forward network passes, with or without a backward pass after."""
-    counts = {"forward": 0}
-    real = nets._forward_internal
+    """Counts network passes, with or without a backward pass after, and
+    the bank rows they take."""
+    counts = {"passes": 0, "rows": 0}
+    real = nets._network_pass
 
-    def counting(spec, theta, inputs):
-        counts["forward"] += 1
-        return real(spec, theta, inputs)
+    def counting(spec, thetas, inputs, y, grad):
+        counts["passes"] += 1
+        counts["rows"] += len(thetas)
+        return real(spec, thetas, inputs, y, grad)
 
-    monkeypatch.setattr(nets, "_forward_internal", counting)
+    monkeypatch.setattr(nets, "_network_pass", counting)
     return counts
 
 
@@ -97,8 +101,9 @@ class TestHmcStepCost:
             assert counted.calls == (before + n * n_leapfrog, 0)
         assert accepted > 0
         if target.dim == CNN.n_params:
-            # one pass per call into loglik_and_grad and none besides
-            assert passes["forward"] == n * (11 * n_leapfrog + 1)
+            # one pass for the bank per call into loglik_and_grad and none besides
+            assert passes["passes"] == 11 * n_leapfrog + 1
+            assert passes["rows"] == n * (11 * n_leapfrog + 1)
 
     def test_cached_chain_equals_uncached_chain(self):
         for make in (gaussian_counted, cnn_counted):
@@ -191,7 +196,9 @@ class TestFusedLikelihood:
 
     @pytest.mark.parametrize("spec", [MLP, CNN], ids=["mlp", "cnn"])
     def test_forward_equals_backprop_path(self, spec):
+        # forward's probabilities are those of the pass that backprop
+        # follows, bit for bit those of the one-vector pass
         x = labeled(spec, n=40, seed=6).x
         theta = np.random.default_rng(7).normal(size=spec.n_params)
-        logp, _ = nets._forward_internal(spec, theta, nets._network_input(spec, x))
+        logp, _ = one_vector_log_probs(spec, theta, nets._network_input(spec, x))
         assert np.array_equal(nets.forward(spec, theta, x), np.exp(logp))

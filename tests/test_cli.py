@@ -3,6 +3,7 @@ import json
 import os
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -574,6 +575,48 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "non-finite" in err
         assert not os.path.exists(tmp_path / "o" / "map.manifest.json")
+
+    def test_diverging_map_prints_only_the_error_line(self, tmp_path, capfd):
+        # numpy's overflow and invalid-value warnings are not printed before
+        # the error line: here a warning raises, so one that escapes
+        # map_estimate fails the command
+        path = tmp_path / "features.csv"
+        rng = np.random.default_rng(0)
+        path.write_text(
+            "label,f1,f2\n" + "".join(f"{i % 4},{rng.normal():.4f},{rng.normal():.4f}\n" for i in range(40))
+        )
+        args = [f"features_csv={path}", "arch=mlp", "lr=1e30", "n_train=20", "n_val=10", "max_epochs=20"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["map", *args, f"output_dir={tmp_path / 'o'}"])
+        assert rc == 1
+        err = capfd.readouterr().err
+        assert err.startswith("error: validation loss non-finite") and err.count("\n") == 1
+
+    def test_island_warnings_are_printed(self, tmp_path, capfd):
+        # a step size of 1e6 rejects every proposal: the island's schedule
+        # records that its particles never moved, and so does the console
+        path = tmp_path / "features.csv"
+        rng = np.random.default_rng(0)
+        path.write_text(
+            "label,f1,f2\n" + "".join(f"{i % 2},{rng.normal():.4f},{rng.normal():.4f}\n" for i in range(40))
+        )
+        common = [
+            f"features_csv={path}",
+            "arch=mlp",
+            "n_train=20",
+            "n_val=10",
+            "max_epochs=5",
+            f"output_dir={tmp_path / 'o'}",
+        ]
+        assert main(["map", *common]) == 0
+        sample = ["s=1", "method=smc", "kernel=hmc", "step_size=1e6", "n=8", "p=1"]
+        capfd.readouterr()
+        assert main(["sample", *common, *sample]) == 0
+        err = capfd.readouterr().err
+        manifest = load_artifact(str(tmp_path / "o" / "island_000")).manifest
+        assert "mutation moved no particle at lam=1" in manifest["schedule"]["warnings"]
+        assert "island 0: warning: mutation moved no particle at lam=1\n" in err
 
     def test_too_few_csv_rows_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "features.csv"

@@ -21,11 +21,10 @@ from anchormc.targets import (
     TargetDensity,
     gaussian_loglik,
     make_cold,
-    per_row,
 )
 from anchormc.toys import conjugate_posterior
 
-from conftest import GAMMA, MASK64, finite_difference_grad, mix_reference
+from conftest import GAMMA, MASK64, finite_difference_grad, mix_reference, per_row
 
 KEYS = RowStreams.seeded(0, 8).keys  # stream keys that tests give their rows
 

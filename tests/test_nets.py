@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,13 @@ from anchormc.nets import (
 )
 from anchormc.targets import GaussianPrior
 
-from conftest import finite_difference_grad, mnist7_cnn_spec
+from conftest import (
+    finite_difference_grad,
+    mnist7_cnn_spec,
+    one_vector_log_probs,
+    one_vector_loglik_and_grad,
+    per_row,
+)
 
 
 def small_mlp():
@@ -75,14 +83,18 @@ class TestForward:
             forward(spec, np.zeros(spec.n_params), np.zeros(5))
 
     def test_stack_of_parameter_vectors_equals_one_call_each(self, rng):
+        # one bank pass for the stack: its rows' bits may depend on the
+        # stack's size, so they match one call each to a tolerance
         for spec in (small_mlp(), tiny_cnn()):
             thetas = rng.normal(size=(3, spec.n_params))
             x = rng.normal(size=(7, spec.widths[0] if spec.kind == "mlp" else 16))
             p = forward(spec, thetas, x)
             assert p.shape == (3, 7, spec.n_outputs)
             for t, theta in enumerate(thetas):
-                assert np.array_equal(p[t], forward(spec, theta, x))
-                assert np.array_equal(forward(spec, thetas, x[0])[t], forward(spec, theta, x[0]))
+                assert np.allclose(p[t], forward(spec, theta, x), rtol=1e-12, atol=0)
+                assert np.allclose(
+                    forward(spec, thetas, x[0])[t], forward(spec, theta, x[0]), rtol=1e-12, atol=0
+                )
 
 
 class TestLikelihood:
@@ -229,6 +241,136 @@ def pooled_gradient_reference(spec, theta, x, y, corner):
     return pack(spec, [(dwc, dconv.sum(axis=(0, 1, 2))), (dlogits.T @ flat, dlogits.sum(axis=0))])
 
 
+def image_data(rng, shape, n, n_classes=8):
+    x = rng.random((n, shape[0] * shape[1]))
+    return Dataset(x=x, y=rng.integers(0, n_classes, n), image_shape=shape)
+
+
+def assert_bank_matches_per_row(spec, data, thetas):
+    """The bank pass (the likelihood pair and ``forward``) against the
+    one-vector pass run row by row: values and probabilities at rtol 1e-12,
+    gradients at rtol 1e-12 of their largest entry, since entries near 0 are
+    sums that cancel."""
+    inputs = nets._network_input(spec, data.x)
+    pair = lambda theta: one_vector_loglik_and_grad(spec, theta, inputs, data.y)  # noqa: E731
+    ref_values, ref_grads = per_row(lambda theta: pair(theta)[0], pair)[1](thetas)
+    ll, ll_and_grad = nets.make_loglik(spec, data)
+    np.testing.assert_allclose(ll(thetas), ref_values, rtol=1e-12, atol=0)
+    values, grads = ll_and_grad(thetas)
+    np.testing.assert_allclose(values, ref_values, rtol=1e-12, atol=0)
+    for g, ref in zip(grads, ref_grads):
+        np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    probs = np.exp([one_vector_log_probs(spec, theta, inputs)[0] for theta in thetas])
+    np.testing.assert_allclose(forward(spec, thetas, data.x), probs, rtol=1e-12, atol=0)
+
+
+class TestBankPass:
+    """One network pass for a bank of parameter vectors, over blocks of
+    data rows, against the one-vector pass."""
+
+    @pytest.mark.parametrize(
+        "shape, n", [((8, 8), 64), ((8, 8), 2000), ((28, 28), 300)], ids=["8x8-64", "8x8-2000", "28x28-300"]
+    )
+    def test_cnn_matches_per_row_reference(self, shape, n, rng):
+        spec = NetworkSpec(kind="cnn", image_shape=shape, n_classes=8)
+        thetas = rng.normal(size=(8, spec.n_params)) * 0.3
+        assert_bank_matches_per_row(spec, image_data(rng, shape, n), thetas)
+
+    @pytest.mark.parametrize("widths", [(7, 50, 2), (4, 6, 5, 3)])
+    def test_mlp_matches_per_row_reference(self, widths, rng):
+        spec = NetworkSpec(kind="mlp", widths=widths)
+        n = 2000  # several blocks at 8 particles, the last one short
+        data = Dataset(x=rng.normal(size=(n, widths[0])), y=rng.integers(0, widths[-1], n))
+        assert_bank_matches_per_row(spec, data, rng.normal(size=(8, spec.n_params)) * 0.5)
+
+    @pytest.mark.parametrize("spec", [small_mlp(), tiny_cnn()], ids=["mlp", "cnn"])
+    def test_short_final_block(self, spec, rng, monkeypatch):
+        # blocks of 5 rows over 23 rows: four full blocks and one of 3
+        n_bank = 4
+        row_floats = sum(spec.widths[1:]) if spec.kind == "mlp" else 16 * spec.conv_channels
+        monkeypatch.setattr(nets, "BLOCK_FLOATS", 5 * n_bank * row_floats)
+        blocks = []
+        real = nets._forward
+
+        def spy(spec, layers, inputs, work):
+            blocks.append(len(inputs))
+            return real(spec, layers, inputs, work)
+
+        monkeypatch.setattr(nets, "_forward", spy)
+        n_in = spec.widths[0] if spec.kind == "mlp" else 16
+        data = Dataset(x=rng.normal(size=(23, n_in)), y=rng.integers(0, spec.n_outputs, 23))
+        assert_bank_matches_per_row(spec, data, rng.normal(size=(n_bank, spec.n_params)))
+        assert blocks[:5] == [5, 5, 5, 5, 3]
+
+    @pytest.mark.parametrize(
+        "spec, n",
+        [
+            (NetworkSpec(kind="cnn", image_shape=(8, 8), n_classes=8), 64),
+            (NetworkSpec(kind="cnn", image_shape=(8, 8), n_classes=8), 128),
+            (NetworkSpec(kind="cnn", image_shape=(6, 6), conv_channels=2, n_classes=3), 40),
+            (NetworkSpec(kind="mlp", widths=(7, 50, 2)), 2000),
+            (NetworkSpec(kind="mlp", widths=(4, 6, 5, 3)), 300),
+        ],
+        ids=["cnn8-64", "cnn8-128", "cnn6-40", "mlp-meta-2000", "mlp-deep-300"],
+    )
+    def test_one_row_bank_equals_one_vector_pass_bit_for_bit(self, spec, n, rng):
+        # rows that fit one block, as map_estimate's batches and validation
+        # sets and train_meta's rows do: the same products in the same order
+        n_in = spec.widths[0] if spec.kind == "mlp" else math.prod(spec.image_shape)
+        x, y = rng.normal(size=(n, n_in)), rng.integers(0, spec.n_outputs, n)
+        inputs = nets._network_input(spec, x)
+        for theta in rng.normal(size=(3, spec.n_params)) * 0.5:
+            ref_ll, ref_grad = one_vector_loglik_and_grad(spec, theta, inputs, y)
+            ll, grad = nets._log_likelihood_and_grad(spec, theta, inputs, y)
+            assert ll == ref_ll
+            assert grad.tobytes() == ref_grad.tobytes()
+            probs = np.exp(one_vector_log_probs(spec, theta, inputs)[0])
+            assert forward(spec, theta, x).tobytes() == probs.tobytes()
+            pair = nets.make_loglik(spec, Dataset(x=x, y=y, image_shape=spec.image_shape))
+            assert pair[0](theta[None])[0] == ref_ll
+
+    def test_every_tie_pattern_in_a_bank_of_short_blocks(self, rng, monkeypatch):
+        # the tie patterns of TestMaxPoolTies, for 4 particles whose conv
+        # values stay exact (centre taps and biases scaled by powers of 2),
+        # in blocks of 2 rows over 3
+        spec, x, y, wc, bc = tie_pattern_case(rng)
+        monkeypatch.setattr(nets, "BLOCK_FLOATS", 2 * 4 * 64 * spec.conv_channels)
+        thetas = np.stack(
+            [
+                pack(spec, [(wc * scale, bc * scale), (rng.normal(size=(4, 48)), rng.normal(size=4))])
+                for scale in (1.0, 0.5, 2.0, 0.25)
+            ]
+        )
+        _, grads = nets.make_loglik(spec, Dataset(x=x, y=y, image_shape=(8, 8)))[1](thetas)
+        for grad, theta in zip(grads, thetas):
+            first = pooled_gradient_reference(spec, theta, x, y, first_corner)
+            last = pooled_gradient_reference(spec, theta, x, y, last_corner)
+            assert np.allclose(grad, first, rtol=1e-12, atol=1e-12)
+            assert not np.allclose(grad, last, rtol=1e-6, atol=1e-6)
+
+
+def tie_pattern_case(rng):
+    """One 2x2 window per subset of corners holding the bright pixel: 2-,
+    3- and 4-way ties with the first tied corner in every position.
+    Centre taps only and values exact in binary, so every conv value is
+    exactly x * w + b and the reference sees the network's ties. Channel 0
+    peaks at the bright corners (live), channel 1 at the dim ones (live, or
+    a dead 4-way tie when all four are bright), channel 2 at the bright
+    ones (live, dead when none is bright)."""
+    spec = NetworkSpec(kind="cnn", image_shape=(8, 8), conv_channels=3, n_classes=4)
+    n = 3
+    x = np.full((n, 8, 8), 0.25)
+    for i in range(n):
+        for cell, subset in enumerate(rng.permutation(16)):
+            r, s = divmod(cell, 4)
+            for corner in range(4):
+                if subset >> corner & 1:
+                    x[i, 2 * r + corner // 2, 2 * s + corner % 2] = 1.0
+    wc = np.zeros((3, 1, 3, 3))
+    wc[:, 0, 1, 1] = (1.5, -1.5, 1.0)
+    return spec, x.reshape(n, 64), rng.integers(0, 4, n), wc, np.array([0.5, 0.5, -0.5])
+
+
 class TestMaxPoolTies:
     def test_gradient_goes_to_first_maximal_corner(self, rng):
         spec = NetworkSpec(kind="cnn", image_shape=(6, 6), conv_channels=2, n_classes=3)
@@ -252,27 +394,7 @@ class TestMaxPoolTies:
         assert not np.allclose(first, last, rtol=1e-6, atol=1e-6)
 
     def test_every_tie_pattern_goes_to_its_first_corner(self, rng):
-        # one 2x2 window per subset of corners holding the bright pixel: 2-,
-        # 3- and 4-way ties with the first tied corner in every position.
-        # Centre taps only and values exact in binary, so every conv value
-        # is exactly x * w + b and the reference sees the network's ties.
-        # Channel 0 peaks at the bright corners (live), channel 1 at the dim
-        # ones (live, or a dead 4-way tie when all four are bright),
-        # channel 2 at the bright ones (live, dead when none is bright).
-        spec = NetworkSpec(kind="cnn", image_shape=(8, 8), conv_channels=3, n_classes=4)
-        n = 3
-        x = np.full((n, 8, 8), 0.25)
-        for i in range(n):
-            for cell, subset in enumerate(rng.permutation(16)):
-                r, s = divmod(cell, 4)
-                for corner in range(4):
-                    if subset >> corner & 1:
-                        x[i, 2 * r + corner // 2, 2 * s + corner % 2] = 1.0
-        x = x.reshape(n, 64)
-        y = rng.integers(0, 4, n)
-        wc = np.zeros((3, 1, 3, 3))
-        wc[:, 0, 1, 1] = (1.5, -1.5, 1.0)
-        bc = np.array([0.5, 0.5, -0.5])
+        spec, x, y, wc, bc = tie_pattern_case(rng)
         theta = pack(spec, [(wc, bc), (rng.normal(size=(4, 48)), rng.normal(size=4))])
         _, grad = log_likelihood_and_grad(spec, theta, Dataset(x=x, y=y, image_shape=(8, 8)))
         first = pooled_gradient_reference(spec, theta, x, y, first_corner)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "anchormc"
 CEILING = 66
-LINE_CEILING = 2747
+LINE_CEILING = 2795
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:

@@ -8,11 +8,10 @@ from anchormc.targets import (
     gaussian_loglik,
     make_anchored,
     make_cold,
-    per_row,
     row_dots,
 )
 
-from conftest import finite_difference_grad
+from conftest import finite_difference_grad, per_row
 
 
 def quadratic_loglik():
