@@ -3,17 +3,18 @@ array whose rows are chains: HMC with leapfrog and preconditioned
 Crank-Nicolson. Both steps share one shape, ``step(target, thetas, cfg,
 streams, state) -> (thetas, accepted, state)``, and ``sweep`` is the one entry
 the samplers and the diagnostic chains drive. Each evaluation is one call
-into the likelihood pair (the bank contract of ``TargetDensity``) on the
-bank's live rows; the rest is array work over the rows that sums as one
-chain does, so a bank steps each row exactly as a one-row bank would. A
-bank carries only that pair between steps (``BankState``), which holds for
-every target and is evaluated once, by ``start_state``; HMC tempers it where
-it reads it, and a step never evaluates the state it is given.
+into the likelihood pair (the bank contract of ``TargetDensity``): the whole
+bank while every row lives, the live rows once one has died. The rest is
+array work that sums as one chain does, so a bank steps each row exactly as
+a one-row bank would. A bank carries only that pair between steps
+(``BankState``), which holds for every target and is evaluated once, by
+``start_state``; HMC tempers it where it reads it, and a step never
+evaluates the state it is given.
 
-Row i draws from its own counter-based stream (``RowStreams``), drawn for
-the whole bank as one array operation. Every sweep uses the same block of
-every row's stream, d normals and then one uniform, whether or not the row
-reaches the accept test, so a row's draws do not depend on its bank.
+Row i draws from its own counter-based stream (``RowStreams``). A sweep draws
+one block of every row's stream, d normals and then one uniform, as one array
+operation (``RowStreams.block``), whether or not the row reaches the accept
+test, so a row's draws do not depend on its bank.
 
 An HMC step size left unset is adapted from the acceptance count a sweep
 returns (``tune_step_size``, no extra likelihood call): by SMC after every
@@ -77,21 +78,18 @@ class RowStreams:
         self.counter += k
         return _mix(np.add.outer(self.keys, n * _GAMMA)) >> 11
 
-    def uniform(self) -> np.ndarray:
-        """One uniform in (0, 1) per row, (N,), from the next word."""
-        return (self._words(1)[:, 0] + 1) * _U53
-
-    def normal(self, d: int) -> np.ndarray:
-        """``d`` standard normals per row, (N, d), by Box-Muller on the next
-        2 * ceil(d / 2) words: radii from the first half, angles from the
-        second, with cosine and sine from t = tan(angle / 2), as one tangent
-        costs less than a cosine and a sine."""
+    def block(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """A sweep's draws for every row from its next 2 * ceil(d / 2) + 1 words:
+        ``d`` standard normals (N, d) by Box-Muller on all but the last (radii
+        from the first half, angles from the second, cosine and sine from one
+        tangent of the half angle), then one uniform in (0, 1) (N,) from the last."""
         m = (d + 1) // 2
-        k = self._words(2 * m)
+        k = self._words(2 * m + 1)
         r = np.sqrt(-2.0 * np.log((k[:, :m] + 1) * _U53))
-        t = np.tan(k[:, m:] * (np.pi * 2.0**-53))
-        q = r / (1.0 + t * t)
-        return np.concatenate([(1.0 - t * t) * q, 2.0 * t * q], axis=1)[:, :d]
+        t = np.tan(k[:, m : 2 * m] * (np.pi * 2.0**-53))
+        tt = t * t
+        q = r / (1.0 + tt)
+        return np.concatenate([(1.0 - tt) * q, 2.0 * t * q], axis=1)[:, :d], (k[:, 2 * m] + 1) * _U53
 
 
 @dataclass(frozen=True)
@@ -158,18 +156,18 @@ def leapfrog(
     later call. Returns (thetas_end, p_end, ok, the likelihood pair at
     thetas_end); ``ok`` marks the live rows that end on finite theta and p.
     """
-    ok = np.ones(len(thetas), dtype=bool)
-    ll, gl = np.zeros(len(thetas)), np.zeros(thetas.shape)
-    half = 0.5 * step_size
+    ok, live = np.ones(len(thetas), dtype=bool), slice(None)  # every row, until one dies
+    ll, gl, half = np.zeros(len(thetas)), np.zeros(thetas.shape), 0.5 * step_size
     for i in range(1, n_steps + 1):
         p = p + half * g
         thetas = thetas + step_size * p
         if target.lam != 0.0 or i == n_steps:
-            live = np.flatnonzero(ok)
-            if live.size:
-                ll[live], gl[live] = target.loglik_and_grad(thetas[live])
-            ok &= (ll < np.inf) & np.isfinite(gl).all(axis=1)  # -inf is zero density, a value
-            ll[~ok], gl[~ok] = 0.0, 0.0  # a dead row's values are never read
+            bank = thetas[live]
+            if len(bank):
+                ll[live], gl[live] = target.loglik_and_grad(bank)
+            if not ((ll < np.inf).all() and np.isfinite(gl).all()):  # a row died; -inf is a value
+                ok &= (ll < np.inf) & np.isfinite(gl).all(axis=1)
+                ll[~ok], gl[~ok], live = 0.0, 0.0, np.flatnonzero(ok)  # never read again
         g = target.tempered_grad(thetas, gl)
         p = p + half * g
     ok &= np.isfinite(thetas).all(axis=1) & np.isfinite(p).all(axis=1)
@@ -192,15 +190,14 @@ def hmc_step(
     positive density. Every row draws d momenta and one uniform from its
     own stream, whether or not it reaches the accept test. Returns
     (thetas_next, the number accepted, state_next)."""
-    p0 = streams.normal(thetas.shape[1])
-    log_u = np.log(streams.uniform())
+    p0, u = streams.block(thetas.shape[1])
     h0 = -target.tempered_log_density(thetas, state.ll) + 0.5 * row_dots(p0)
     g0 = target.tempered_grad(thetas, state.gl)
     prop, p1, ok, new = leapfrog(target, thetas, p0, cfg.step_size, cfg.n_leapfrog, g0)
     h1 = -target.tempered_log_density(prop, new.ll) + 0.5 * row_dots(p1)
     with np.errstate(invalid="ignore"):  # inf - inf where both ends have zero density
         from_zero = h0 == np.inf
-        tested = ~from_zero & (np.abs(h1 - h0) <= DIVERGENCE_THRESHOLD) & (log_u < h0 - h1)
+        tested = ~from_zero & (np.abs(h1 - h0) <= DIVERGENCE_THRESHOLD) & (np.log(u) < h0 - h1)
         accepted = ok & ((from_zero & np.isfinite(h1)) | tested)
     return np.where(accepted[:, None], prop, thetas), int(accepted.sum()), state.update(new, accepted)
 
@@ -222,15 +219,14 @@ def pcn_step(
     uniform unused at lam = 0. Returns (thetas_next, the number accepted,
     state_next)."""
     mean, sd = target.prior.mean, target.prior.marginal_std * np.sqrt(target.temperature)
-    xi = sd * streams.normal(thetas.shape[1])
-    log_u = np.log(streams.uniform())
-    prop = mean + np.sqrt(1.0 - cfg.beta**2) * (thetas - mean) + cfg.beta * xi
+    xi, u = streams.block(thetas.shape[1])
+    prop = mean + np.sqrt(1.0 - cfg.beta**2) * (thetas - mean) + cfg.beta * (sd * xi)
     ll_prop = np.asarray(target.loglik(prop), dtype=float)
     accepted = ll_prop < np.inf  # -inf is zero density, a value
     lam = target.lam / target.temperature  # the likelihood's exponent in the target
     if lam != 0.0:
         with np.errstate(invalid="ignore"):  # -inf - -inf where both have zero density
-            accepted &= log_u < lam * (ll_prop - state.ll)
+            accepted &= np.log(u) < lam * (ll_prop - state.ll)
     new = state.update(BankState(ll_prop), accepted)
     return np.where(accepted[:, None], prop, thetas), int(accepted.sum()), new
 

@@ -114,7 +114,11 @@ _MAX_BISECTIONS = 60
 
 
 def _ess_at(loglik: np.ndarray, h: float) -> float:
-    return ess(normalize_log_weights(h * loglik)[1])
+    # ess(normalize_log_weights(h * loglik)[1]), bit for bit: the same operations, no checks
+    log_w = h * loglik
+    w = np.exp(log_w - log_w.max())
+    w /= w.sum()
+    return float(1.0 / np.sum(w**2))
 
 
 def next_lambda(loglik: np.ndarray, lam: float, ess_fraction: float) -> float:
@@ -137,22 +141,22 @@ def next_lambda(loglik: np.ndarray, lam: float, ess_fraction: float) -> float:
     if np.all(loglik == -np.inf):
         raise ValueError("every particle has log-likelihood -inf: no weight is positive")
     n = np.count_nonzero(loglik > -np.inf)
-    target = ess_fraction * n
-    h_max = 1.0 - lam
-    if _ess_at(loglik, h_max) >= target:
-        return 1.0
-    lo, hi = 0.0, h_max
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        e = _ess_at(loglik, mid)
-        if abs(e - target) <= 0.005 * n or hi - lo < 1e-12:
-            break
-        if e > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-6 and abs(_ess_at(loglik, 0.5 * (lo + hi)) - target) <= 0.01 * n:
-            break
+    target, h_max = ess_fraction * n, 1.0 - lam
+    with np.errstate(under="ignore"):  # a weight below exp(-745) of the best one is 0
+        if _ess_at(loglik, h_max) >= target:
+            return 1.0
+        lo, hi = 0.0, h_max
+        for _ in range(_MAX_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            e = _ess_at(loglik, mid)
+            if abs(e - target) <= 0.005 * n or hi - lo < 1e-12:
+                break
+            if e > target:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo < 1e-6 and abs(_ess_at(loglik, 0.5 * (lo + hi)) - target) <= 0.01 * n:
+                break
     return lam + 0.5 * (lo + hi)
 
 

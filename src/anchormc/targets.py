@@ -27,9 +27,9 @@ class NonFiniteDensityError(ValueError):
 
 
 def _check_rows(values, n: int, what: str) -> np.ndarray:
-    """``values`` as an (n,) array, one per row of a bank; a NaN or +inf row
-    raises ``NonFiniteDensityError`` naming it."""
-    values = np.asarray(values, dtype=float)
+    """``values`` as an (n,) array of the caller's own, one per row of a
+    bank; a NaN or +inf row raises ``NonFiniteDensityError`` naming it."""
+    values = np.array(values, dtype=float)
     if values.shape != (n,):
         raise ValueError(f"{what} of {n} rows has shape {values.shape}, expected ({n},)")
     bad = np.flatnonzero(np.isnan(values) | (values == np.inf))
@@ -126,7 +126,7 @@ class TargetDensity:
     def log_likelihood(self, thetas: np.ndarray) -> np.ndarray:
         """The checked log-likelihood of each row of the bank ``thetas``: a
         NaN or +inf row raises ``NonFiniteDensityError``; -inf (zero
-        likelihood) is a value."""
+        likelihood) is a value. The array is a copy."""
         thetas = self._check_bank(thetas)
         return _check_rows(self.loglik(thetas), len(thetas), "log-likelihood")
 
@@ -134,10 +134,10 @@ class TargetDensity:
         """The checked log-likelihood and its gradient at each row of the
         bank ``thetas``, from one call; a non-finite gradient entry raises
         too. Like the likelihood itself they hold for every ``lam`` and
-        ``T``."""
+        ``T``. Both are copies, so a pair may reuse its output buffers."""
         thetas = self._check_bank(thetas)
         ll, gl = self.loglik_and_grad(thetas)
-        ll, gl = _check_rows(ll, len(thetas), "log-likelihood"), np.asarray(gl, dtype=float)
+        ll, gl = _check_rows(ll, len(thetas), "log-likelihood"), np.array(gl, dtype=float)
         bad = np.flatnonzero(~np.isfinite(gl).all(axis=1))
         if bad.size:
             raise NonFiniteDensityError(f"log-likelihood gradient is non-finite at row {bad[0]}")
@@ -163,19 +163,19 @@ class TargetDensity:
         """``log_density`` at each row of the bank ``thetas`` (N, d), or at
         one vector, from the log-likelihood ``ll`` there, with no likelihood
         call and no check; at lam = 0 ``ll`` is not read. A row gets the
-        bits of the one-vector method."""
+        bits of the one-vector method; a product or quotient by 1 is exact, so skipped."""
         lp = self.prior.log_density(thetas)
         if self.lam != 0.0:
-            lp = self.lam * ll + lp
-        return lp / self.temperature
+            lp = (ll if self.lam == 1.0 else self.lam * ll) + lp
+        return lp if self.temperature == 1.0 else lp / self.temperature
 
     def tempered_grad(self, thetas: np.ndarray, gl: np.ndarray) -> np.ndarray:
         """``grad_log_density`` likewise, from the log-likelihood gradient
-        ``gl`` at ``thetas``."""
+        ``gl`` at ``thetas``, added into the prior gradient in place."""
         g = self.prior.grad_log_density(thetas)
         if self.lam != 0.0:
-            g = g + self.lam * gl
-        return g / self.temperature
+            g += gl if self.lam == 1.0 else self.lam * gl
+        return g if self.temperature == 1.0 else g / self.temperature
 
     def with_lam(self, lam: float) -> "TargetDensity":
         return replace(self, lam=lam)

@@ -35,6 +35,28 @@ def mix_reference(z: int) -> int:
     return z ^ (z >> 31)
 
 
+U53 = 2.0**-53 - 2.0**-106  # the smallest uniform; (k + 1) * U53 for the top 53 bits k
+
+
+def stream_normal(streams, d: int) -> np.ndarray:
+    """``d`` standard normals per row of ``streams`` (a ``kernels.RowStreams``),
+    (N, d), by Box-Muller on its next 2 * ceil(d / 2) words: radii from the
+    first half, angles from the second, with cosine and sine from
+    t = tan(angle / 2). With ``stream_uniform`` after it, the reference that
+    a sweep's block of draws must equal."""
+    m = (d + 1) // 2
+    k = streams._words(2 * m)
+    r = np.sqrt(-2.0 * np.log((k[:, :m] + 1) * U53))
+    t = np.tan(k[:, m:] * (np.pi * 2.0**-53))
+    q = r / (1.0 + t * t)
+    return np.concatenate([(1.0 - t * t) * q, 2.0 * t * q], axis=1)[:, :d]
+
+
+def stream_uniform(streams) -> np.ndarray:
+    """One uniform in (0, 1) per row of ``streams``, (N,), from its next word."""
+    return (streams._words(1)[:, 0] + 1) * U53
+
+
 def mnist7_cnn_spec():
     """The 28x28 8-class CNN of criteria 08 and 10: 4 channels of 3x3
     kernels, unit stride and padding, 2x2 max-pool, linear head; 6320

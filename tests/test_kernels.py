@@ -24,7 +24,9 @@ from anchormc.targets import (
 )
 from anchormc.toys import conjugate_posterior
 
-from conftest import GAMMA, MASK64, finite_difference_grad, mix_reference, per_row
+from conftest import (
+    GAMMA, MASK64, U53, finite_difference_grad, mix_reference, per_row, stream_normal, stream_uniform,
+)
 
 KEYS = RowStreams.seeded(0, 8).keys  # stream keys that tests give their rows
 
@@ -302,7 +304,7 @@ def reference_hmc_chain(target, theta, cfg, stream, n_steps):
     accepted = 0
     for _ in range(n_steps):
         g = target.grad_log_density(theta)
-        p0, u = stream.normal(theta.shape[0])[0], stream.uniform()[0]
+        p0, u = stream_normal(stream, theta.shape[0])[0], stream_uniform(stream)[0]
         h0 = -target.log_density(theta) + 0.5 * np.dot(p0, p0)
         th, p = theta, p0
         for _ in range(cfg.n_leapfrog):
@@ -322,7 +324,7 @@ def reference_pcn_chain(target, theta, cfg, stream, n_steps):
     accepted, lam = 0, target.lam / target.temperature
     sd = target.prior.marginal_std * np.sqrt(target.temperature)
     for _ in range(n_steps):
-        xi, u = sd * stream.normal(theta.shape[0])[0], stream.uniform()[0]
+        xi, u = sd * stream_normal(stream, theta.shape[0])[0], stream_uniform(stream)[0]
         prop = target.prior.mean + np.sqrt(1.0 - cfg.beta**2) * (theta - target.prior.mean) + cfg.beta * xi
         ll_prop, ll = target.log_likelihood(np.stack([prop, theta]))
         if lam == 0.0 or np.log(u) < lam * (ll_prop - ll):
@@ -380,26 +382,41 @@ class TestSweep:
             assert accepted < n * n_sweeps
 
 
+# Where row 2 of a four-row bank dies in an HMC sweep of L = 3 at lam = 0.6,
+# where each leapfrog step evaluates, or at lam = 0, where only the last does:
+# (lam, the poisoned row evaluation, by index from 0 in call order, the
+# evaluated step it falls in).
+DEATHS = {
+    "first": (0.6, 2, 1),
+    "middle": (0.6, 6, 2),
+    "last": (0.6, 10, 3),
+    "lam0": (0.0, 2, 1),
+}
+
+
 class TestFailureIsolation:
     START = np.array([[0.2, -0.1], [0.9, 0.4], [-0.3, 0.5], [0.6, -0.8]])
     N_LEAPFROG = 3
 
     @pytest.mark.parametrize(
         "kernel, kind",
-        [("hmc", "nan"), ("hmc", "inf"), ("hmc", "grad"), ("pcn", "nan"), ("pcn", "inf")],
+        [("hmc", "nan"), ("hmc", "inf"), ("hmc", "grad"), ("pcn", "nan"), ("pcn", "inf")]
+        + [(f"hmc-{death}", kind) for death in ("first", "last", "lam0") for kind in ("nan", "grad")],
     )
     def test_a_row_that_fails_mid_trajectory_is_rejected_alone(self, kernel, kind):
-        # HMC calls rows 0-3 at each leapfrog step: call 6 is row 2 at the
-        # second step. pCN makes one call per row: call 2 is row 2's proposal.
-        hmc = kernel == "hmc"
-        poisoned = Counted([1.0, -0.5], 0.3, poison_at=6 if hmc else 2, kind=kind)
-        target = poisoned.target(lam=0.6)
+        # HMC calls rows 0-3 at each evaluated leapfrog step (DEATHS; plain
+        # "hmc" is the middle one): call 6 is row 2 at the second step. pCN
+        # makes one call per row: call 2 is row 2's proposal.
+        hmc = kernel.startswith("hmc")
+        lam, poison_at, step = DEATHS[kernel[4:] or "middle"] if hmc else (0.6, 2, 1)
+        poisoned = Counted([1.0, -0.5], 0.3, poison_at=poison_at, kind=kind)
+        target = poisoned.target(lam=lam)
         cfg = HmcConfig(0.3, self.N_LEAPFROG) if hmc else PcnConfig(0.5)
-        reference = conjugate_target([1.0, -0.5], 0.3, 1.0).with_lam(0.6)
+        reference = conjugate_target([1.0, -0.5], 0.3, 1.0).with_lam(lam)
         state = start_state(reference, self.START, cfg)
         streams = RowStreams(KEYS[:4])
-        step = hmc_step if hmc else pcn_step
-        thetas, n, out = step(target, self.START, cfg, streams, state)
+        step_fn = hmc_step if hmc else pcn_step
+        thetas, n, out = step_fn(target, self.START, cfg, streams, state)
 
         # row 2 is rejected and keeps its state
         assert np.array_equal(thetas[2], self.START[2])
@@ -407,11 +424,12 @@ class TestFailureIsolation:
         # every row used the sweep's fixed block: 2 normals (2 words), 1 uniform
         assert streams.counter == 3
         # and made no call after the failed one
-        assert poisoned.calls == (4 * self.N_LEAPFROG - 1 if hmc else 4)
+        evaluated = (self.N_LEAPFROG if lam > 0 else 1) if hmc else 1
+        assert poisoned.calls == 4 * step + 3 * (evaluated - step)
 
         # the other rows equal a bank run without row 2
         keep = [0, 1, 3]
-        others, n_others, out_others = step(
+        others, n_others, out_others = step_fn(
             reference, self.START[keep], cfg, RowStreams(KEYS[keep]),
             BankState(*(None if a is None else a[keep] for a in state)),
         )
@@ -451,7 +469,7 @@ class TestFailureIsolation:
             probe = RowStreams(KEYS[:1])
             probe.counter = streams.counter
             g = target.tempered_grad(thetas[:1], state.gl[:1])
-            prop, _, ok, end = leapfrog(target, thetas[:1], probe.normal(2), 0.3, 2, g)
+            prop, _, ok, end = leapfrog(target, thetas[:1], probe.block(2)[0], 0.3, 2, g)
             at_zero = state.ll[0] == -np.inf
             thetas, _, state = hmc_step(target, thetas, cfg, streams, state)
             if at_zero:
@@ -506,21 +524,26 @@ class TestOneCallPerEvaluation:
         assert [len(bank) for bank in lik.banks] == [4] * (1 + 3 * per_sweep)
         assert np.array_equal(lik.banks[0], self.START)
 
-    def test_a_row_that_fails_drops_out_of_the_next_call(self):
-        # row evaluation 6 is row 2 at the second leapfrog step: its value
-        # is NaN there, and the third step's call leaves it out
-        reference = conjugate_target([1.0, -0.5], 0.3, 1.0).with_lam(0.6)
+    @pytest.mark.parametrize("death", DEATHS)
+    def test_a_row_that_fails_drops_out_of_the_next_call(self, death):
+        # row 2's value is NaN at one evaluated leapfrog step (DEATHS): the
+        # calls up to that one take all four rows, every later call leaves it
+        # out, and the rows they take are the clean run's
+        lam, poison_at, step = DEATHS[death]
+        reference = conjugate_target([1.0, -0.5], 0.3, 1.0).with_lam(lam)
         banks = {}
-        for poison_at in (None, 6):
-            lik = Counted([1.0, -0.5], 0.3, poison_at=poison_at)
+        for poison in (None, poison_at):
+            lik = Counted([1.0, -0.5], 0.3, poison_at=poison)
             state = start_state(reference, self.START, HmcConfig(0.3, 3))
-            hmc_step(lik.target(lam=0.6), self.START, HmcConfig(0.3, 3), RowStreams(KEYS[:4]), state)
-            banks[poison_at] = lik.banks
-        assert [len(bank) for bank in banks[None]] == [4, 4, 4]
-        assert [len(bank) for bank in banks[6]] == [4, 4, 3]
-        for bank, clean in zip(banks[6][:2], banks[None][:2]):
+            hmc_step(lik.target(lam=lam), self.START, HmcConfig(0.3, 3), RowStreams(KEYS[:4]), state)
+            banks[poison] = lik.banks
+        evaluated = 3 if lam > 0 else 1
+        assert [len(bank) for bank in banks[None]] == [4] * evaluated
+        assert [len(bank) for bank in banks[poison_at]] == [4] * step + [3] * (evaluated - step)
+        for bank, clean in zip(banks[poison_at][:step], banks[None][:step]):
             assert np.array_equal(bank, clean)
-        assert np.array_equal(banks[6][2], banks[None][2][[0, 1, 3]])
+        for bank, clean in zip(banks[poison_at][step:], banks[None][step:]):
+            assert np.array_equal(bank, clean[[0, 1, 3]])
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=["hmc", "pcn"])
     @pytest.mark.parametrize("kind", ["nan", "inf"])
@@ -547,38 +570,49 @@ def unmix(w: int) -> int:
     return unshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & MASK64, 30)
 
 
-U53 = 2.0**-53 - 2.0**-106  # the smallest uniform; (k + 1) * U53 for the top 53 bits k
-
-
 class TestRowStreams:
     def test_keys_are_mix64_of_seed_and_row(self):
         assert RowStreams.seeded(11, 6).keys.tolist() == [mix64(11, i) for i in range(6)]
 
     def test_words_are_splitmix64_from_each_key(self):
-        # row i's n-th word is mix(keys[i] + n * gamma); the sixth (n = 5)
-        # follows one uniform and the four words of three normals
+        # row i's n-th word is mix(keys[i] + n * gamma); a block of d = 3
+        # normals takes four words, so the second block's uniform is the
+        # tenth word (n = 9)
         streams = RowStreams(KEYS)
-        streams.uniform()
-        streams.normal(3)
-        u = streams.uniform()
-        assert streams.counter == 6
+        streams.block(3)
+        u = streams.block(3)[1]
+        assert streams.counter == 10
         for i, key in enumerate(KEYS.tolist()):
-            assert u[i] == ((mix_reference(key + 5 * GAMMA) >> 11) + 1) * U53
+            assert u[i] == ((mix_reference(key + 9 * GAMMA) >> 11) + 1) * U53
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 20, 560])
+    def test_a_sweeps_block_is_normals_then_a_uniform_from_one_draw(self, d):
+        # one draw of 2 * ceil(d / 2) + 1 words gives the bits of d normals
+        # and then one uniform drawn apart, at the same counter
+        streams, reference = RowStreams(KEYS), RowStreams(KEYS)
+        streams.counter = reference.counter = 5
+        z, u = streams.block(d)
+        assert np.array_equal(z, stream_normal(reference, d))
+        assert np.array_equal(u, stream_uniform(reference))
+        assert z.shape == (len(KEYS), d) and u.shape == (len(KEYS),)
+        assert streams.counter == reference.counter == 5 + 2 * ((d + 1) // 2) + 1
 
     def test_uniforms_lie_strictly_inside_the_unit_interval(self):
-        # the keys whose first word is 0 and 2^64 - 1 give the extremes
+        # a block of one normal draws its uniform from the third word (n = 2):
+        # the keys whose third word is 0 and 2^64 - 1 give the extremes
         assert mix_reference(unmix(0)) == 0 and mix_reference(unmix(MASK64)) == MASK64
-        extremes = RowStreams(np.array([unmix(0), unmix(MASK64)], dtype=np.uint64)).uniform()
+        keys = [(unmix(w) - 2 * GAMMA) & MASK64 for w in (0, MASK64)]
+        extremes = RowStreams(np.array(keys, dtype=np.uint64)).block(1)[1]
         assert extremes.tolist() == [U53, 1.0 - 2.0**-53]
         streams = RowStreams.seeded(1, 1000)
-        u = np.concatenate([streams.uniform() for _ in range(50)])
+        u = np.concatenate([streams.block(1)[1] for _ in range(50)])
         assert np.all((0.0 < u) & (u < 1.0))
         assert stats.kstest(u, "uniform").pvalue > 1e-3
 
     def test_normals_match_standard_normal_moments(self):
         # odd and even d: Box-Muller's pairs, with the last sine dropped for odd d
         streams = RowStreams.seeded(2, 1000)
-        z = np.concatenate([streams.normal(d).ravel() for d in (1, 2, 7, 50)])
+        z = np.concatenate([streams.block(d)[0].ravel() for d in (1, 2, 7, 50)])
         n = z.size
         mean, var, skew, kurt = stats.norm.stats(moments="mvsk")
         found = stats.describe(z)
@@ -592,7 +626,7 @@ class TestRowStreams:
         draws = {}
         for n in (1, 2, 5):
             streams = RowStreams.seeded(3, n)
-            draws[n] = [streams.normal(3), streams.uniform(), streams.normal(4), streams.uniform()]
+            draws[n] = [*streams.block(3), *streams.block(4)]
         for n in (1, 2):
             for small, large in zip(draws[n], draws[5]):
                 assert np.array_equal(small, large[:n])
@@ -602,8 +636,8 @@ class TestRowStreams:
         # uniforms standardised; no correlation beyond 4 standard errors
         streams = RowStreams.seeded(4, 4096)
         x = np.stack([
-            np.column_stack([streams.normal(6), (streams.uniform() - 0.5) * np.sqrt(12.0)])
-            for _ in range(16)
+            np.column_stack([z, (u - 0.5) * np.sqrt(12.0)])
+            for z, u in (streams.block(6) for _ in range(16))
         ])  # (sweeps, rows, draws)
 
         def assert_uncorrelated(a, b):

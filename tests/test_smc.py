@@ -157,6 +157,50 @@ class TestNextLambda:
         with pytest.raises(ValueError, match="every particle"):
             next_lambda(np.full(4, -np.inf), 0.0, 0.5)
 
+    @pytest.mark.parametrize("cloud", ["spread", "minus-inf-rows", "few-finite-rows"])
+    def test_equals_a_bisection_over_the_public_ess(self, cloud):
+        # bit for bit, over random clouds: spreads up to 1e3 nats, rows at
+        # -inf, and fewer finite rows than the ESS target taken over all rows
+        rng = np.random.default_rng(27)
+        with np.errstate(all="raise"):
+            for _ in range(40):
+                n, fraction = int(rng.integers(2, 200)), float(rng.uniform(0.1, 0.95))
+                ll = rng.uniform(-1e3, 1e3) - 10.0 ** rng.uniform(0, 3) * rng.uniform(size=n)
+                if cloud != "spread":
+                    few = int(rng.integers(1, max(2, int(fraction * n))))
+                    ll[rng.permutation(n)[few if cloud == "few-finite-rows" else n - n // 4 :]] = -np.inf
+                lam = float(rng.uniform(0.0, 0.9))
+                assert next_lambda(ll, lam, fraction) == reference_next_lambda(ll, lam, fraction)
+                for h in rng.uniform(0.0, 1.0 - lam, size=5):  # and the ESS it bisects on
+                    with np.errstate(under="ignore"):  # as next_lambda runs it
+                        assert smc._ess_at(ll, h) == ess(normalize_log_weights(h * ll)[1])
+
+
+def reference_next_lambda(loglik, lam, ess_fraction):
+    """``next_lambda``'s bisection, its ESS at each increment h taken from
+    the public ``normalize_log_weights`` and ``ess``."""
+
+    def ess_at(h):
+        return ess(normalize_log_weights(h * loglik)[1])
+
+    n = np.count_nonzero(loglik > -np.inf)
+    target, h_max = ess_fraction * n, 1.0 - lam
+    if ess_at(h_max) >= target:
+        return 1.0
+    lo, hi = 0.0, h_max
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        e = ess_at(mid)
+        if abs(e - target) <= 0.005 * n or hi - lo < 1e-12:
+            break
+        if e > target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-6 and abs(ess_at(0.5 * (lo + hi)) - target) <= 0.01 * n:
+            break
+    return lam + 0.5 * (lo + hi)
+
 
 class TestSystematicResample:
     def test_uniform_weights_identity_offspring(self, rng):
@@ -541,6 +585,44 @@ class TestAdaptedStepSize:
         target = conjugate_target(np.array([1.0, -0.5]), 0.5, 1.0)
         schedule = run_smc(target, SmcConfig(n_particles=8, seed=3, **kernel)).schedule
         assert schedule.step_sizes == per_stage * (len(schedule.lambdas) - 1)
+
+
+class ReusingPair:
+    """The conjugate Gaussian likelihood pair, writing its outputs into one
+    pair of buffers per bank size that every later call of that size
+    overwrites, as a pair that keeps its work arrays may."""
+
+    def __init__(self, a, sl):
+        self._pair, self._buffers = gaussian_loglik(np.asarray(a, dtype=float), sl)[1], {}
+
+    def loglik_and_grad(self, thetas):
+        ll, gl = self._pair(thetas)
+        out = self._buffers.setdefault(len(thetas), (np.empty(len(thetas)), np.empty(thetas.shape)))
+        out[0][:], out[1][:] = ll, gl
+        return out
+
+    def loglik(self, thetas):
+        return self.loglik_and_grad(thetas)[0]
+
+
+class TestReusedOutputBuffers:
+    @pytest.mark.parametrize("kernel", ["hmc", "pcn"])
+    @pytest.mark.parametrize("sampler", ["smc", "mcmc"])
+    def test_a_pair_that_reuses_its_buffers_gives_the_same_run(self, sampler, kernel):
+        # the samplers hold only arrays of their own, so a pair's reused
+        # buffers change no bit of a run
+        a, prior = [0.5, -1.0, 0.25], GaussianPrior(1.0, 3)
+        pair = ReusingPair(a, 0.5)
+        fresh = conjugate_target(a, 0.5, 1.0)
+        reused = TargetDensity(pair.loglik, pair.loglik_and_grad, prior)
+        if sampler == "smc":
+            run, cfg = run_smc, SmcConfig(n_particles=8, kernel=kernel, seed=5)
+        else:
+            run, cfg = run_mcmc, McmcConfig(n_chains=8, n_steps=30, kernel=kernel, seed=5)
+        expected, found = run(fresh, cfg), run(reused, cfg)
+        assert np.array_equal(found.particles, expected.particles)
+        assert found.log_z == expected.log_z
+        assert found.epochs_per_particle == expected.epochs_per_particle
 
 
 class TestRunMcmc:
