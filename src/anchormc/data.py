@@ -114,7 +114,7 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     return Dataset(x=x, y=y, image_shape=(rows, cols))
 
 
-def load_csv_features(path: str, split: str = "train") -> Dataset:
+def load_csv_features(path: str) -> Dataset:
     """Parse a feature CSV with header row ``label,f1,...,fk``. Every cell
     must be a finite number and every label a non-negative integer; the
     first cell that is not is refused, naming its line and column."""
@@ -151,7 +151,7 @@ def load_csv_features(path: str, split: str = "train") -> Dataset:
         rows.append(row)
     if not rows:
         raise CsvParseError(f"{path}: no data rows")
-    return Dataset(x=np.array(rows, dtype=float), y=np.array(labels), split=split)
+    return Dataset(x=np.array(rows, dtype=float), y=np.array(labels))
 
 
 OOD_HELDOUT_LABELS = (8, 9)  # labels held out of training for "heldout" OOD sets

@@ -49,17 +49,16 @@ def hmc_chain(
     n_steps: int,
     seed: int = 0,
 ) -> tuple[np.ndarray, float]:
-    """One long chain, stepped as a one-row bank with the stream keyed
-    ``mix64(seed, 0)`` from the pair at ``theta0`` (``start_state``);
-    returns (states, acceptance rate)."""
-    streams = RowStreams.seeded(seed, 1)
-    bank, accepted = np.array(theta0, dtype=float)[None], 0
-    state = start_state(target, bank, cfg)
-    states = np.empty((n_steps, bank.shape[1]))
+    """One long chain, stepped as a one-row bank (``start_state`` at
+    ``theta0``) with the stream keyed ``mix64(seed, 0)``; returns (states,
+    acceptance rate)."""
+    streams, accepted = RowStreams.seeded(seed, 1), 0
+    state = start_state(target, np.asarray(theta0, dtype=float)[None], cfg)
+    states = np.empty((n_steps, target.dim))
     for t in range(n_steps):
-        bank, n, state = sweep(target, bank, cfg, streams, state)
+        state, n = sweep(target, state, cfg, streams)
         accepted += n
-        states[t] = bank[0]
+        states[t] = state.thetas[0]
     return states, accepted / n_steps
 
 

@@ -1,15 +1,16 @@
-"""Target-invariant MCMC transition kernels on a bank of chains, an (N, d)
-array whose rows are chains: HMC with leapfrog and preconditioned
-Crank-Nicolson. Both steps share one shape, ``step(target, thetas, cfg,
-streams, state) -> (thetas, accepted, state)``, and ``sweep`` is the one entry
-the samplers and the diagnostic chains drive. Each evaluation is one call
-into the likelihood pair (the bank contract of ``TargetDensity``): the whole
-bank while every row lives, the live rows once one has died. The rest is
-array work that sums as one chain does, so a bank steps each row exactly as
-a one-row bank would. A bank carries only that pair between steps
-(``BankState``), which holds for every target and is evaluated once, by
-``start_state``; HMC tempers it where it reads it, and a step never
-evaluates the state it is given.
+"""Target-invariant MCMC transition kernels on a bank of chains: HMC with
+leapfrog and preconditioned Crank-Nicolson. A bank is one value,
+``BankState``: its rows, an (N, d) array whose rows are chains, with the
+checked likelihood pair there. Both steps share one shape,
+``step(target, state, cfg, streams) -> (state, n_accepted)``, and ``sweep``
+is the one entry the samplers and the diagnostic chains drive. Each
+evaluation is one call into the likelihood pair (the bank contract of
+``TargetDensity``): the whole bank while every row lives, the live rows once
+one has died. The rest is array work that sums as one chain does, so a bank
+steps each row exactly as a one-row bank would. The pair holds for every
+target and is evaluated once, by ``start_state``, the one place a bank is
+made; HMC tempers it where it reads it, a step never evaluates the rows it
+is given, and ``BankState.update`` is the one accept-select.
 
 Row i draws from its own counter-based stream (``RowStreams``). A sweep draws
 one block of every row's stream, d normals and then one uniform, as one array
@@ -98,7 +99,7 @@ class HmcConfig:
     n_leapfrog: int = 1
 
     def __post_init__(self):
-        if self.step_size <= 0:
+        if not self.step_size > 0:
             raise ValueError(f"step size must be positive, got {self.step_size}")
         if self.n_leapfrog < 1:
             raise ValueError(f"leapfrog step count must be >= 1, got {self.n_leapfrog}")
@@ -114,11 +115,12 @@ class PcnConfig:
 
 
 class BankState(NamedTuple):
-    """What a bank carries between steps, for both kernels, one entry per
-    row: the checked likelihood pair, ll (N,) and, for HMC, gl (N, d). It
-    holds for every lam and T, so it may be passed to a step at any target.
-    ``start_state`` makes the first; a rejected row keeps its checked pair."""
+    """A bank, one entry per row: the rows ``thetas`` (N, d) and their
+    checked likelihood pair, ll (N,) and, for HMC, gl (N, d). The pair holds
+    for every lam and T, so a bank may be passed to a step at any target.
+    ``start_state`` makes the first; a rejected row keeps its entries."""
 
+    thetas: np.ndarray
     ll: np.ndarray
     gl: np.ndarray | None = None
 
@@ -131,37 +133,36 @@ class BankState(NamedTuple):
 
 
 def start_state(target: TargetDensity, thetas: np.ndarray, kernel: HmcConfig | PcnConfig) -> BankState:
-    """The checked likelihood pair at the rows of ``thetas``, as much of it
-    as ``kernel`` reads: the value and gradient for HMC, the value for pCN.
-    A NaN or +inf value, or a non-finite gradient, at any row raises
-    ``NonFiniteDensityError``, also at a row of zero likelihood (-inf)."""
+    """The bank of the rows ``thetas`` with the checked likelihood pair
+    there, as much of it as ``kernel`` reads: the value and gradient for
+    HMC, the value for pCN. A NaN or +inf value, or a non-finite gradient,
+    at any row raises ``NonFiniteDensityError``, also at a row of zero
+    likelihood (-inf). The bank holds a copy of ``thetas``."""
+    thetas = np.array(thetas, dtype=float)
     if isinstance(kernel, HmcConfig):
-        return BankState(*target.log_likelihood_and_grad(thetas))
-    return BankState(target.log_likelihood(thetas))
+        return BankState(thetas, *target.log_likelihood_and_grad(thetas))
+    return BankState(thetas, target.log_likelihood(thetas))
 
 
 def leapfrog(
-    target: TargetDensity,
-    thetas: np.ndarray,
-    p: np.ndarray,
-    step_size: float,
-    n_steps: int,
-    g: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, BankState]:
+    target: TargetDensity, state: BankState, p: np.ndarray, cfg: HmcConfig
+) -> tuple[BankState, np.ndarray, np.ndarray]:
     """Symplectic leapfrog for H(theta, p) = -log_density(theta) + |p|^2/2 on
-    every row of ``thetas`` (N, d), from momenta ``p`` and ``g``, the tempered
-    gradient at ``thetas``. Each step costs one pair call on the live rows
-    (at lam = 0 only the last does) and tempers the gradient it reads. A row
+    every row of the bank ``state``, from momenta ``p``, by ``cfg``'s step
+    size and step count. Each step costs one pair call on the live rows (at
+    lam = 0 only the last does) and tempers the gradient it reads. A row
     whose value or gradient is NaN or +inf dies and is left out of every
-    later call. Returns (thetas_end, p_end, ok, the likelihood pair at
-    thetas_end); ``ok`` marks the live rows that end on finite theta and p.
+    later call. Returns (the bank at the trajectory's end, p_end, ok); ``ok``
+    marks the live rows that end on finite theta and p.
     """
-    ok, live = np.ones(len(thetas), dtype=bool), slice(None)  # every row, until one dies
-    ll, gl, half = np.zeros(len(thetas)), np.zeros(thetas.shape), 0.5 * step_size
-    for i in range(1, n_steps + 1):
+    thetas, n, step_size = state.thetas, len(state.thetas), cfg.step_size
+    g = target.tempered_grad(thetas, state.gl)
+    ok, live = np.ones(n, dtype=bool), slice(None)  # every row, until one dies
+    ll, gl, half = np.zeros(n), np.zeros(thetas.shape), 0.5 * step_size
+    for i in range(1, cfg.n_leapfrog + 1):
         p = p + half * g
         thetas = thetas + step_size * p
-        if target.lam != 0.0 or i == n_steps:
+        if target.lam != 0.0 or i == cfg.n_leapfrog:
             bank = thetas[live]
             if len(bank):
                 ll[live], gl[live] = target.loglik_and_grad(bank)
@@ -171,78 +172,64 @@ def leapfrog(
         g = target.tempered_grad(thetas, gl)
         p = p + half * g
     ok &= np.isfinite(thetas).all(axis=1) & np.isfinite(p).all(axis=1)
-    return thetas, p, ok, BankState(ll, gl)
+    return BankState(thetas, ll, gl), p, ok
 
 
 def hmc_step(
-    target: TargetDensity,
-    thetas: np.ndarray,
-    cfg: HmcConfig,
-    streams: RowStreams,
-    state: BankState,
-) -> tuple[np.ndarray, int, BankState]:
-    """One Metropolis-corrected HMC step with identity mass for every row.
-    ``state`` is the likelihood pair at ``thetas`` (``start_state``, or what
-    a step at any target returned), so a step costs L pair calls, each on
-    the live rows. The value is tempered at the trajectory's start and end,
-    the gradient at its start. A row whose trajectory diverges is rejected.
-    A row at zero density (log-likelihood -inf) takes any proposal of
-    positive density. Every row draws d momenta and one uniform from its
-    own stream, whether or not it reaches the accept test. Returns
-    (thetas_next, the number accepted, state_next)."""
-    p0, u = streams.block(thetas.shape[1])
-    h0 = -target.tempered_log_density(thetas, state.ll) + 0.5 * row_dots(p0)
-    g0 = target.tempered_grad(thetas, state.gl)
-    prop, p1, ok, new = leapfrog(target, thetas, p0, cfg.step_size, cfg.n_leapfrog, g0)
-    h1 = -target.tempered_log_density(prop, new.ll) + 0.5 * row_dots(p1)
+    target: TargetDensity, state: BankState, cfg: HmcConfig, streams: RowStreams
+) -> tuple[BankState, int]:
+    """One Metropolis-corrected HMC step with identity mass for every row of
+    the bank ``state`` (``start_state``, or what a step at any target
+    returned), so a step costs L pair calls, each on the live rows. The
+    value is tempered at the trajectory's start and end, the gradient at its
+    start. A row whose trajectory diverges is rejected. A row at zero
+    density (log-likelihood -inf) takes any proposal of positive density.
+    Every row draws d momenta and one uniform from its own stream, whether
+    or not it reaches the accept test. Returns (the next bank, the number
+    accepted)."""
+    p0, u = streams.block(state.thetas.shape[1])
+    h0 = -target.tempered_log_density(state.thetas, state.ll) + 0.5 * row_dots(p0)
+    new, p1, ok = leapfrog(target, state, p0, cfg)
+    h1 = -target.tempered_log_density(new.thetas, new.ll) + 0.5 * row_dots(p1)
     with np.errstate(invalid="ignore"):  # inf - inf where both ends have zero density
         from_zero = h0 == np.inf
         tested = ~from_zero & (np.abs(h1 - h0) <= DIVERGENCE_THRESHOLD) & (np.log(u) < h0 - h1)
         accepted = ok & ((from_zero & np.isfinite(h1)) | tested)
-    return np.where(accepted[:, None], prop, thetas), int(accepted.sum()), state.update(new, accepted)
+    return state.update(new, accepted), int(accepted.sum())
 
 
 def pcn_step(
-    target: TargetDensity,
-    thetas: np.ndarray,
-    cfg: PcnConfig,
-    streams: RowStreams,
-    state: BankState,
-) -> tuple[np.ndarray, int, BankState]:
+    target: TargetDensity, state: BankState, cfg: PcnConfig, streams: RowStreams
+) -> tuple[BankState, int]:
     """One preconditioned Crank-Nicolson step for the target
-    exp((lam * loglik + logprior) / T), for every row. The prior raised to
-    the power 1/T is N(mean, T*v) and the proposal is reversible with respect
-    to it, so the acceptance ratio is (lam / T) * (ll_prop - ll) and of
-    ``state`` a step reads ``ll`` alone: one ``loglik`` call on the bank of
-    proposals. A proposal whose log-likelihood is NaN or +inf is rejected.
-    Every row draws d normals and one uniform from its own stream, the
-    uniform unused at lam = 0. Returns (thetas_next, the number accepted,
-    state_next)."""
+    exp((lam * loglik + logprior) / T), for every row of the bank ``state``.
+    The prior raised to the power 1/T is N(mean, T*v) and the proposal is
+    reversible with respect to it, so the acceptance ratio is
+    (lam / T) * (ll_prop - ll) and of the pair a step reads ``ll`` alone:
+    one ``loglik`` call on the bank of proposals. A proposal whose
+    log-likelihood is NaN or +inf is rejected. Every row draws d normals and
+    one uniform from its own stream, the uniform unused at lam = 0. Returns
+    (the next bank, the number accepted)."""
     mean, sd = target.prior.mean, target.prior.marginal_std * np.sqrt(target.temperature)
-    xi, u = streams.block(thetas.shape[1])
-    prop = mean + np.sqrt(1.0 - cfg.beta**2) * (thetas - mean) + cfg.beta * (sd * xi)
+    xi, u = streams.block(state.thetas.shape[1])
+    prop = mean + np.sqrt(1.0 - cfg.beta**2) * (state.thetas - mean) + cfg.beta * (sd * xi)
     ll_prop = np.asarray(target.loglik(prop), dtype=float)
     accepted = ll_prop < np.inf  # -inf is zero density, a value
     lam = target.lam / target.temperature  # the likelihood's exponent in the target
     if lam != 0.0:
         with np.errstate(invalid="ignore"):  # -inf - -inf where both have zero density
             accepted &= np.log(u) < lam * (ll_prop - state.ll)
-    new = state.update(BankState(ll_prop), accepted)
-    return np.where(accepted[:, None], prop, thetas), int(accepted.sum()), new
+    return state.update(BankState(prop, ll_prop), accepted), int(accepted.sum())
 
 
 def sweep(
-    target: TargetDensity,
-    thetas: np.ndarray,
-    cfg: HmcConfig | PcnConfig,
-    streams: RowStreams,
-    state: BankState,
-) -> tuple[np.ndarray, int, BankState]:
+    target: TargetDensity, state: BankState, cfg: HmcConfig | PcnConfig, streams: RowStreams
+) -> tuple[BankState, int]:
     """One step of the kernel ``cfg`` picks, looked up by module-global name
     at call time so that a rebound ``hmc_step``/``pcn_step`` is the one used.
     ``state`` is what ``start_state`` or the last step returned."""
     step = hmc_step if isinstance(cfg, HmcConfig) else pcn_step
-    return step(target, thetas, cfg, streams, state)
+    return step(target, state, cfg, streams)
 
 
 ADAPT_TARGET_RATE = 0.75  # the acceptance rate tune_step_size steers towards

@@ -3,9 +3,10 @@ the matching bank of short parallel MCMC chains.
 
 One SMC run alternates: pick the next tempering exponent by ESS root-finding,
 reweight (accumulating log Z in log space), systematic resampling, then
-adaptive-length MCMC mutation at the new exponent. Resampling and mutation
-act on the whole particle bank and its ``kernels.BankState`` arrays at once,
-and each returns new arrays and leaves its inputs as they were.
+adaptive-length MCMC mutation at the new exponent. The particle bank is one
+value, a ``kernels.BankState`` of the particles and their likelihood pair;
+resampling and mutation act on all of it at once, and each returns a new
+bank and leaves its input as it was.
 
 All log-weights (tempering increments here, island evidences in
 ``parallel``) are normalised by one max-shift rule, ``normalize_log_weights``.
@@ -48,7 +49,7 @@ class SmcConfig:
             raise ValueError("need at least 2 particles")
         if not (0 < self.ess_fraction < 1):
             raise ValueError(f"ESS fraction must lie in (0, 1), got {self.ess_fraction}")
-        if self.mutation_tol <= 0:
+        if not self.mutation_tol > 0:
             raise ValueError(f"mutation tolerance must be positive, got {self.mutation_tol}")
         if self.max_mutation_steps < 1:
             raise ValueError(f"max_mutation_steps must be at least 1, got {self.max_mutation_steps}")
@@ -98,6 +99,8 @@ def ess(weights: np.ndarray) -> float:
     Squares of weights below about 1e-154 underflow to 0, which is exact to
     double precision next to the largest weight (at least 1/N)."""
     weights = np.asarray(weights, dtype=float)
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite")
     if np.any(weights < 0):
         raise ValueError("weights must be nonnegative")
     total = weights.sum()
@@ -111,6 +114,11 @@ def ess(weights: np.ndarray) -> float:
 
 
 _MAX_BISECTIONS = 60
+
+
+def _check_some_positive(loglik: np.ndarray) -> None:
+    if np.all(loglik == -np.inf):
+        raise ValueError("every particle has log-likelihood -inf: no weight is positive")
 
 
 def _ess_at(loglik: np.ndarray, h: float) -> float:
@@ -138,8 +146,7 @@ def next_lambda(loglik: np.ndarray, lam: float, ess_fraction: float) -> float:
     bad = np.flatnonzero(np.isnan(loglik) | (loglik == np.inf))
     if bad.size:
         raise ValueError(f"non-finite log-likelihood for particle {bad[0]}")
-    if np.all(loglik == -np.inf):
-        raise ValueError("every particle has log-likelihood -inf: no weight is positive")
+    _check_some_positive(loglik)
     n = np.count_nonzero(loglik > -np.inf)
     target, h_max = ess_fraction * n, 1.0 - lam
     with np.errstate(under="ignore"):  # a weight below exp(-745) of the best one is 0
@@ -174,23 +181,26 @@ def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nda
 
 
 def reweight_and_resample(
-    particles: np.ndarray,
     state: BankState,
     lam: float,
     lam_next: float,
     rng: np.random.Generator,
     schedule: TemperSchedule,
-) -> tuple[np.ndarray, BankState, float]:
-    """Advance the tempering exponent from ``lam`` to ``lam_next``: the log Z
-    increment is the log-mean-exp of the incremental log-weights, then
-    systematic resampling to uniform weights takes each particle's row of
-    the kernel state with it. Returns (particles, state, log Z increment).
+) -> tuple[BankState, float]:
+    """Advance the tempering exponent of the particle bank ``state`` from
+    ``lam`` to ``lam_next``: the log Z increment is the log-mean-exp of the
+    incremental log-weights, then systematic resampling to uniform weights
+    takes each particle's whole row of the bank. Returns (the resampled
+    bank, log Z increment).
 
     Weights are max-shifted (``normalize_log_weights``): a particle whose
     incremental weight is below exp(-745) of the best one gets weight exactly
-    0, and no floating-point exception is raised for finite log-likelihoods."""
+    0, and no floating-point exception is raised for finite log-likelihoods.
+    A bank whose every particle is at log-likelihood -inf raises, as in
+    ``next_lambda``."""
     if lam_next <= lam:
         raise ValueError(f"lam must increase: {lam} -> {lam_next}")
+    _check_some_positive(state.ll)
     log_norm, weights = normalize_log_weights((lam_next - lam) * state.ll)
     e = ess(weights)
     schedule.ess.append(e)
@@ -200,7 +210,7 @@ def reweight_and_resample(
         )
     idx = systematic_resample(weights, rng)
     resampled = BankState(*(None if a is None else a[idx] for a in state))
-    return particles[idx], resampled, log_norm - np.log(len(weights))
+    return resampled, log_norm - np.log(len(weights))
 
 
 def _counting(target: TargetDensity) -> tuple[TargetDensity, list[int]]:
@@ -221,35 +231,34 @@ def _counting(target: TargetDensity) -> tuple[TargetDensity, list[int]]:
 
 
 def mutate(
-    particles: np.ndarray,
     state: BankState,
     target: TargetDensity,
     kernel: HmcConfig | PcnConfig,
     cfg: SmcConfig,
     streams: RowStreams,
     schedule: TemperSchedule,
-) -> tuple[np.ndarray, BankState, HmcConfig | PcnConfig]:
-    """Apply sweeps of ``kernel`` until the mean displacement from
-    ``particles`` stabilizes: smallest M >= 2 with
+) -> tuple[BankState, HmcConfig | PcnConfig]:
+    """Apply sweeps of ``kernel`` to the particle bank ``state`` until the
+    mean displacement from its particles stabilizes: smallest M >= 2 with
     |dist_M - dist_{M-1}| / dist_{M-1} <= cfg.mutation_tol, capped at
     cfg.max_mutation_steps. With ``cfg.hmc`` unset the HMC step size is
-    adapted after every sweep (``kernels.tune_step_size``). ``state`` holds
-    for every target, so the sweeps take it as it is. A zero previous
+    adapted after every sweep (``kernels.tune_step_size``). The bank's pair
+    holds for every target, so the sweeps take it as it is. A zero previous
     displacement counts as converged (an immobile ensemble cannot improve).
     Records M and, for HMC, the first sweep's step size in ``schedule``, and
-    a warning when the stage ends with no particle moved from ``particles``.
-    Returns (particles, state, the kernel the next stage starts from).
+    a warning when the stage ends with no particle moved. Returns (the moved
+    bank, the kernel the next stage starts from).
     """
-    start, adapt = particles, cfg.kernel == "hmc" and cfg.hmc is None
+    start, adapt = state.thetas, cfg.kernel == "hmc" and cfg.hmc is None
     if isinstance(kernel, HmcConfig):
         schedule.step_sizes.append(kernel.step_size)
     dist_prev = None
     m_used = cfg.max_mutation_steps
     for m in range(1, cfg.max_mutation_steps + 1):
-        particles, accepted, state = sweep(target, particles, kernel, streams, state)
+        state, accepted = sweep(target, state, kernel, streams)
         if adapt:
-            kernel = tune_step_size(kernel, accepted, len(particles))
-        dist = float(np.mean(np.linalg.norm(particles - start, axis=1)))
+            kernel = tune_step_size(kernel, accepted, len(start))
+        dist = float(np.mean(np.linalg.norm(state.thetas - start, axis=1)))
         if m >= 2 and (dist_prev == 0.0 or abs(dist - dist_prev) / dist_prev <= cfg.mutation_tol):
             m_used = m
             break
@@ -257,7 +266,7 @@ def mutate(
     schedule.mutation_steps.append(m_used)
     if dist == 0.0:
         schedule.warnings.append(f"mutation moved no particle at lam={target.lam:.6g}")
-    return particles, state, kernel
+    return state, kernel
 
 
 def _kernel_config(cfg: SmcConfig | McmcConfig, target: TargetDensity) -> HmcConfig | PcnConfig:
@@ -280,8 +289,8 @@ def run_smc(target: TargetDensity, cfg: SmcConfig) -> SamplerResult:
     cold posteriors are sampled by ``run_mcmc``. The whole run is a pure
     function of (seed, config, target): the island's own generator draws
     the first cloud and the resampling offsets, and particle row i steps
-    with the stream keyed ``mix64(seed, i)`` (``kernels.RowStreams``) from
-    the state ``kernels.start_state`` evaluates once at the first cloud."""
+    with the stream keyed ``mix64(seed, i)`` (``kernels.RowStreams``) in the
+    one bank ``kernels.start_state`` makes of the first cloud."""
     if target.temperature != 1.0:
         raise ValueError(
             f"SMC samples only T = 1 posteriors, got T = {target.temperature}: its "
@@ -293,23 +302,18 @@ def run_smc(target: TargetDensity, cfg: SmcConfig) -> SamplerResult:
     streams = RowStreams.seeded(cfg.seed, cfg.n_particles)
 
     kernel = _kernel_config(cfg, target)
-    particles = target.prior.sample(island_rng, cfg.n_particles)
-    state, lam, log_z = start_state(target, particles, kernel), 0.0, 0.0
-    schedule = TemperSchedule()
+    state = start_state(target, target.prior.sample(island_rng, cfg.n_particles), kernel)
+    lam, log_z, schedule = 0.0, 0.0, TemperSchedule()
 
     fixed = iter(cfg.fixed_schedule[1:]) if cfg.fixed_schedule is not None else None
     while lam < 1.0:
         lam_next = next(fixed) if fixed else next_lambda(state.ll, lam, cfg.ess_fraction)
-        particles, state, log_increment = reweight_and_resample(
-            particles, state, lam, lam_next, island_rng, schedule
-        )
+        state, log_increment = reweight_and_resample(state, lam, lam_next, island_rng, schedule)
         log_z, lam = log_z + log_increment, lam_next
         schedule.lambdas.append(lam)
-        particles, state, kernel = mutate(
-            particles, state, target.with_lam(lam), kernel, cfg, streams, schedule
-        )
+        state, kernel = mutate(state, target.with_lam(lam), kernel, cfg, streams, schedule)
     return SamplerResult(
-        particles=particles,
+        particles=state.thetas,
         log_z=log_z,
         schedule=schedule,
         epochs_per_particle=calls[0] / cfg.n_particles,
@@ -335,9 +339,9 @@ class McmcConfig:
 def run_mcmc(target: TargetDensity, cfg: McmcConfig) -> SamplerResult:
     """Bank of chains at lam = 1, initialized from the prior, advanced by
     ``n_steps`` sweeps. Chain i draws only from its own stream, keyed
-    ``mix64(seed, i)`` (``kernels.RowStreams``), and carries its own row of
-    the kernel state, from ``kernels.start_state`` at the prior draw. With a
-    fixed kernel the chains are independent, so the bank is the same as the
+    ``mix64(seed, i)`` (``kernels.RowStreams``), and is its own row of the
+    bank ``kernels.start_state`` makes of the prior draw. With a fixed
+    kernel the chains are independent, so the bank is the same as the
     chains run one by one. With ``hmc=None`` the chains share one step size,
     adapted from the bank's acceptance (``kernels.tune_step_size``) after
     each of the first ``n_steps // 2`` sweeps and then fixed, so that the
@@ -348,16 +352,15 @@ def run_mcmc(target: TargetDensity, cfg: McmcConfig) -> SamplerResult:
     streams = RowStreams.seeded(cfg.seed, cfg.n_chains)
     target, calls = _counting(target.with_lam(1.0))
 
-    particles = target.prior.sample(init_rng, cfg.n_chains)
     kernel = _kernel_config(cfg, target)
     warmup = cfg.n_steps // 2 if cfg.kernel == "hmc" and cfg.hmc is None else 0
-    state = start_state(target, particles, kernel)
+    state = start_state(target, target.prior.sample(init_rng, cfg.n_chains), kernel)
     for step in range(cfg.n_steps):
-        particles, accepted, state = sweep(target, particles, kernel, streams, state)
+        state, accepted = sweep(target, state, kernel, streams)
         if step < warmup:
-            kernel = tune_step_size(kernel, accepted, len(particles))
+            kernel = tune_step_size(kernel, accepted, cfg.n_chains)
     return SamplerResult(
-        particles=particles,
+        particles=state.thetas,
         log_z=0.0,
         schedule=None,
         epochs_per_particle=calls[0] / cfg.n_chains,

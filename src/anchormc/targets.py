@@ -54,7 +54,7 @@ class GaussianPrior:
     mean: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.variance <= 0:
+        if not self.variance > 0:
             raise ValueError(f"prior variance must be positive, got {self.variance}")
         if self.dim < 1:
             raise ValueError(f"dimension must be positive, got {self.dim}")
@@ -108,7 +108,7 @@ class TargetDensity:
     def __post_init__(self):
         if not (0 <= self.lam <= 1):
             raise ValueError(f"tempering exponent must lie in [0, 1], got {self.lam}")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
 
     @property

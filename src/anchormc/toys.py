@@ -6,22 +6,22 @@ import numpy as np
 
 from .targets import GaussianPrior, TargetDensity, make_anchored, make_cold
 
+CENTERS = np.array([-2.0, 2.0])  # the bimodal toy's two modes, equally weighted
+LOG_WEIGHTS = np.log([0.5, 0.5])
 
-def bimodal_loglik(centers=(-2.0, 2.0), sigma: float = 0.35, weights=(0.5, 0.5)):
-    """1-d Gaussian-mixture log-likelihood, as the (loglik, loglik_and_grad)
-    pair in the bank form of TargetDensity: an (N, 1) bank in, (N,) values
-    and (N, 1) gradients out."""
-    centers = np.asarray(centers, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    log_w = np.log(weights / weights.sum())
+
+def bimodal_loglik(sigma: float = 0.35):
+    """1-d Gaussian-mixture log-likelihood with components at ``CENTERS``, as
+    the (loglik, loglik_and_grad) pair in the bank form of TargetDensity: an
+    (N, 1) bank in, (N,) values and (N, 1) gradients out."""
     inv_var = 1.0 / sigma**2
 
     def ll_and_grad(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        c = log_w - 0.5 * inv_var * (thetas[:, :1] - centers) ** 2  # (N, components)
+        c = LOG_WEIGHTS - 0.5 * inv_var * (thetas[:, :1] - CENTERS) ** 2  # (N, components)
         m = c.max(axis=1, keepdims=True)
         r = np.exp(c - m)
         total = r.sum(axis=1, keepdims=True)
-        grad = np.sum(r / total * (centers - thetas[:, :1]), axis=1, keepdims=True) * inv_var
+        grad = np.sum(r / total * (CENTERS - thetas[:, :1]), axis=1, keepdims=True) * inv_var
         return (m + np.log(total))[:, 0], grad
 
     return lambda thetas: ll_and_grad(thetas)[0], ll_and_grad
@@ -31,17 +31,16 @@ def bimodal_toy(
     s: float | None = None,
     temperature: float = 1.0,
     prior_variance: float = 1.0,
-    anchor: float = 2.0,
     sigma: float = 0.35,
 ) -> TargetDensity:
-    """Bimodal posterior in 1-d; optionally anchored at one mode and/or
-    sharpened by a temperature below 1."""
+    """Bimodal posterior in 1-d; optionally anchored at the mode at +2
+    and/or sharpened by a temperature below 1."""
     ll, ll_and_grad = bimodal_loglik(sigma=sigma)
     target = TargetDensity(
         loglik=ll, loglik_and_grad=ll_and_grad, prior=GaussianPrior(prior_variance, 1)
     )
     if s is not None:
-        target = make_anchored(target, np.array([anchor]), s)
+        target = make_anchored(target, CENTERS[1:], s)
     if temperature != 1.0:
         target = make_cold(target, temperature)
     return target

@@ -122,12 +122,11 @@ def test_criterion_03_kernel_correctness(rng):
     def bank_draws(step, cfg, seed):
         # a bank of chains started at zero, each with its own stream
         streams = RowStreams.seeded(seed, chains)
-        th = np.zeros((chains, 1))
-        state = start_state(target, th, cfg)
+        state = start_state(target, np.zeros((chains, 1)), cfg)
         draws = np.empty((n // chains, chains))
         for i in range(n // chains):
-            th, _, state = step(target, th, cfg, streams, state)
-            draws[i] = th[:, 0]
+            state, _ = step(target, state, cfg, streams)
+            draws[i] = state.thetas[:, 0]
         return draws.ravel()
 
     hmc_draws = bank_draws(hmc_step, HmcConfig(0.5, 3), 0)
@@ -148,9 +147,10 @@ def test_criterion_03_kernel_correctness(rng):
     big = TargetDensity(*gaussian_loglik(rng.normal(size=4), 0.9), prior=GaussianPrior(1.0, 4))
     from anchormc.kernels import leapfrog
 
-    th1, p1, _, end = leapfrog(big, th0[None], p0[None], 0.05, 8, big.grad_log_density(th0)[None])
-    th2, p2, _, _ = leapfrog(big, th1, -p1, 0.05, 8, big.tempered_grad(th1, end.gl))
-    rev_ok = np.max(np.abs(th2[0] - th0)) < 1e-10 and np.max(np.abs(-p2[0] - p0)) < 1e-10
+    cfg = HmcConfig(0.05, 8)
+    end, p1, _ = leapfrog(big, start_state(big, th0[None], cfg), p0[None], cfg)
+    back, p2, _ = leapfrog(big, end, -p1, cfg)
+    rev_ok = np.max(np.abs(back.thetas[0] - th0)) < 1e-10 and np.max(np.abs(-p2[0] - p0)) < 1e-10
 
     grad_ok = True
     for spec in (

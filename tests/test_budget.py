@@ -95,7 +95,7 @@ class TestHmcStepCost:
         assert counted.calls == (n, 0)
         for _ in range(11):
             before = counted.pair_calls
-            thetas, acc, state = hmc_step(target, thetas, cfg, streams, state)
+            state, acc = hmc_step(target, state, cfg, streams)
             accepted += acc
             # the value at the trajectory's end comes with its last gradient
             assert counted.calls == (before + n * n_leapfrog, 0)
@@ -111,13 +111,13 @@ class TestHmcStepCost:
             cfg = HmcConfig(0.05, 2)
             theta0 = target.prior.sample(np.random.default_rng(2), 3)
             streams_a, streams_b = RowStreams.seeded(3, 3), RowStreams.seeded(3, 3)
-            a, b, state = theta0, theta0, start_state(target, theta0, cfg)
+            a = b = start_state(target, theta0, cfg)
             for _ in range(20):
-                a, acc_a, state = hmc_step(target, a, cfg, streams_a, state)
-                b, acc_b, _ = hmc_step(target, b, cfg, streams_b, start_state(target, b, cfg))
+                a, acc_a = hmc_step(target, a, cfg, streams_a)
+                b, acc_b = hmc_step(target, start_state(target, b.thetas, cfg), cfg, streams_b)
                 assert acc_a == acc_b
-                assert np.array_equal(a, b)
-                for carried, evaluated in zip(state, start_state(target, a, cfg)):
+                assert np.array_equal(a.thetas, b.thetas)
+                for carried, evaluated in zip(a, start_state(target, a.thetas, cfg)):
                     assert np.array_equal(carried, evaluated)
 
 
@@ -139,7 +139,7 @@ class TestReportedEvaluations:
         assert result.epochs_per_particle == counted.total / 3
 
     # Exact calls of an SMC run on a fixed ladder: each particle's row of the
-    # kernel state carries its likelihood pair across stages, so no stage
+    # bank carries its likelihood pair across stages, so no stage
     # re-evaluates it.
     LADDER = (0.0, 0.05, 0.3, 1.0)
 

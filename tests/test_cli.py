@@ -472,6 +472,11 @@ class TestErrors:
             ("map", "lr=-0.1", "learning_rate"),
             ("map", "patience=0", "patience"),
             ("sample", "max_mutation_steps=0", "max_mutation_steps"),
+            # NaN passes a "<= 0" check: each is refused before any island runs
+            ("sample", "v=nan", "prior variance"),
+            ("sample", "t=nan", "temperature"),
+            ("sample", "eta=nan", "mutation tolerance"),
+            ("sample", "step_size=nan", "step_size"),
         ],
     )
     def test_out_of_range_setting_is_an_error_naming_it(self, tmp_path, capsys, command, override, key):

@@ -50,11 +50,6 @@ def conjugate_target(a, sl, v):
     return TargetDensity(loglik=ll, loglik_and_grad=ll_and_grad, prior=GaussianPrior(v, len(a)))
 
 
-def grads(target, thetas):
-    """The tempered gradient at each row, from the one-vector reference."""
-    return np.array([target.grad_log_density(t) for t in thetas])
-
-
 def rows_equal(a: BankState, b: BankState, i, j) -> bool:
     """Whether rows ``i`` of ``a`` and ``j`` of ``b`` hold the same entries."""
     return all(
@@ -62,28 +57,32 @@ def rows_equal(a: BankState, b: BankState, i, j) -> bool:
     )
 
 
+def take(state: BankState, idx) -> BankState:
+    """The bank of rows ``idx`` of ``state``."""
+    return BankState(*(None if a is None else a[idx] for a in state))
+
+
 def run_bank(target, thetas, cfg, keys, n_sweeps):
-    """``n_sweeps`` sweeps of the bank ``thetas``, row i drawing from the
-    stream keyed keys[i]; returns (thetas, accepted per sweep, state)."""
+    """``n_sweeps`` sweeps of the bank started at ``thetas``, row i drawing
+    from the stream keyed keys[i]; returns (the bank, accepted per sweep)."""
     streams = RowStreams(keys)
     state, counts = start_state(target, thetas, cfg), []
     for _ in range(n_sweeps):
-        thetas, n, state = sweep(target, thetas, cfg, streams, state)
+        state, n = sweep(target, state, cfg, streams)
         counts.append(n)
-    return thetas, counts, state
+    return state, counts
 
 
 def chain_draws(target, cfg, n_chains, n_steps, d=1, seed=0):
     """Draws of a bank of chains started at zero: an (n_steps, n_chains, d)
     array."""
     streams = RowStreams.seeded(seed, n_chains)
-    thetas = np.zeros((n_chains, d))
-    state = start_state(target, thetas, cfg)
+    state = start_state(target, np.zeros((n_chains, d)), cfg)
     draws = np.empty((n_steps, n_chains, d))
     accepted = 0
     for t in range(n_steps):
-        thetas, n, state = sweep(target, thetas, cfg, streams, state)
-        draws[t] = thetas
+        state, n = sweep(target, state, cfg, streams)
+        draws[t] = state.thetas
         accepted += n
     return draws, accepted
 
@@ -91,17 +90,19 @@ def chain_draws(target, cfg, n_chains, n_steps, d=1, seed=0):
 class TestLeapfrog:
     def test_tiny_step_is_identity(self, rng):
         t = std_gaussian_target(3)
-        th, p = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-        th2, p2, ok, _ = leapfrog(t, th, p, 1e-12, 1, grads(t, th))
+        th, p, cfg = rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), HmcConfig(1e-12)
+        end, p2, ok = leapfrog(t, start_state(t, th, cfg), p, cfg)
         assert ok.all()
-        assert np.allclose(th2, th, atol=1e-9)
+        assert np.allclose(end.thetas, th, atol=1e-9)
         assert np.allclose(p2, p, atol=1e-9)
 
     def test_energy_error_small(self, rng):
         t = std_gaussian_target(1)
         th, p = rng.normal(size=(100, 1)), rng.normal(size=(100, 1))
         h0 = [-t.log_density(a) + 0.5 * b @ b for a, b in zip(th, p)]
-        th2, p2, ok, end = leapfrog(t, th, p, 0.1, 10, grads(t, th))
+        cfg = HmcConfig(0.1, 10)
+        end, p2, ok = leapfrog(t, start_state(t, th, cfg), p, cfg)
+        th2 = end.thetas
         h1 = [-t.log_density(a) + 0.5 * b @ b for a, b in zip(th2, p2)]
         assert ok.all()
         assert np.max(np.abs(np.subtract(h1, h0))) < 1e-2
@@ -112,19 +113,19 @@ class TestLeapfrog:
 
     def test_reversibility(self, rng):
         t = conjugate_target(rng.normal(size=6), 0.7, 1.3)
-        th, p = rng.normal(size=(3, 6)), rng.normal(size=(3, 6))
-        th2, p2, _, end = leapfrog(t, th, p, 0.05, 8, grads(t, th))
-        th3, p3, _, _ = leapfrog(t, th2, -p2, 0.05, 8, t.tempered_grad(th2, end.gl))
-        assert np.allclose(th3, th, atol=1e-10)
+        th, p, cfg = rng.normal(size=(3, 6)), rng.normal(size=(3, 6)), HmcConfig(0.05, 8)
+        end, p2, _ = leapfrog(t, start_state(t, th, cfg), p, cfg)
+        back, p3, _ = leapfrog(t, end, -p2, cfg)
+        assert np.allclose(back.thetas, th, atol=1e-10)
         assert np.allclose(-p3, p, atol=1e-10)
 
     def test_volume_preservation(self, rng):
         # Jacobian of one leapfrog step in (theta, p) has determinant 1
-        t = conjugate_target(rng.normal(size=2), 0.5, 1.0)
+        t, cfg = conjugate_target(rng.normal(size=2), 0.5, 1.0), HmcConfig(0.1)
 
         def step(z):
-            th, p, _, _ = leapfrog(t, z[None, :2], z[None, 2:], 0.1, 1, grads(t, z[None, :2]))
-            return np.concatenate([th[0], p[0]])
+            end, p, _ = leapfrog(t, start_state(t, z[None, :2], cfg), z[None, 2:], cfg)
+            return np.concatenate([end.thetas[0], p[0]])
 
         z0 = rng.normal(size=4)
         jac = np.column_stack(
@@ -141,14 +142,14 @@ class TestLeapfrog:
             ),
             prior=GaussianPrior(1.0, 1),
         )
-        _, _, ok, _ = leapfrog(t, np.array([[-5.0], [0.0]]), np.ones((2, 1)), 0.1, 1, np.zeros((2, 1)))
+        cfg = HmcConfig(0.1)
+        _, _, ok = leapfrog(t, start_state(t, np.array([[-5.0], [0.0]]), cfg), np.ones((2, 1)), cfg)
         assert ok.tolist() == [True, False]
         # and so is a row that leaves the finite reals with finite values
+        t, cfg = std_gaussian_target(1), HmcConfig(10.0)
+        p = np.array([[1.0], [1e308]])
         with np.errstate(over="ignore", invalid="ignore"):
-            _, _, ok, _ = leapfrog(
-                std_gaussian_target(1), np.zeros((2, 1)), np.array([[1.0], [1e308]]), 10.0, 1,
-                np.zeros((2, 1)),
-            )
+            _, _, ok = leapfrog(t, start_state(t, np.zeros((2, 1)), cfg), p, cfg)
         assert ok.tolist() == [True, False]
 
 
@@ -165,9 +166,9 @@ class TestHmc:
     def test_huge_step_rejects(self):
         t = std_gaussian_target(2)
         th0 = np.tile([0.3, -0.2], (20, 1))
-        th, counts, _ = run_bank(t, th0, HmcConfig(100.0), RowStreams.seeded(0, 20).keys, 10)
+        end, counts = run_bank(t, th0, HmcConfig(100.0), RowStreams.seeded(0, 20).keys, 10)
         assert sum(counts) / 200 < 0.02
-        assert np.sum(np.any(th != th0, axis=1)) <= sum(counts)
+        assert np.sum(np.any(end.thetas != th0, axis=1)) <= sum(counts)
 
     def test_non_finite_gradient_at_start_raises(self):
         # as for pCN at a NaN value: a non-finite value or gradient at the
@@ -195,8 +196,8 @@ class TestPcn:
         target = prior_only_target(GaussianPrior(1.0, 3))
         th = np.full((2, 3), 100.0)  # far from the prior: beta=1 must forget it
         state = start_state(target, th, PcnConfig(1.0))
-        th2, _, _ = pcn_step(target, th, PcnConfig(1.0), RowStreams.seeded(5, 2), state)
-        assert np.all(np.abs(th2) < 10)
+        end, _ = pcn_step(target, state, PcnConfig(1.0), RowStreams.seeded(5, 2))
+        assert np.all(np.abs(end.thetas) < 10)
 
     def test_conjugate_posterior_moments(self):
         # 1-d Gaussian likelihood N(theta; 2, 0.5), prior N(0, 1)
@@ -228,11 +229,10 @@ class TestPcn:
             prior=GaussianPrior(1.0, 1),
         )
         streams = RowStreams.seeded(7, 2)
-        th = np.array([[-1.0], [-2.0]])
-        state = start_state(target, th, PcnConfig(1.0))
+        state = start_state(target, np.array([[-1.0], [-2.0]]), PcnConfig(1.0))
         for _ in range(50):
-            th, _, state = pcn_step(target, th, PcnConfig(1.0), streams, state)
-            assert np.all(th <= 0) and np.all(state.ll == 0.0)
+            state, _ = pcn_step(target, state, PcnConfig(1.0), streams)
+            assert np.all(state.thetas <= 0) and np.all(state.ll == 0.0)
         with pytest.raises(NonFiniteDensityError):
             start_state(target, np.array([[-1.0], [1.0]]), PcnConfig(1.0))
 
@@ -248,13 +248,13 @@ class TestTuning:
     def test_adapted_step_size_settles_near_the_target_rate(self, eps0):
         t = std_gaussian_target(5)
         streams = RowStreams.seeded(0, 32)
-        thetas, cfg = t.prior.sample(np.random.default_rng(0), 32), HmcConfig(eps0)
-        state = start_state(t, thetas, cfg)
+        cfg = HmcConfig(eps0)
+        state = start_state(t, t.prior.sample(np.random.default_rng(0), 32), cfg)
         rates = []
         for _ in range(150):
-            thetas, accepted, state = sweep(t, thetas, cfg, streams, state)
-            cfg = tune_step_size(cfg, accepted, len(thetas))
-            rates.append(accepted / len(thetas))
+            state, accepted = sweep(t, state, cfg, streams)
+            cfg = tune_step_size(cfg, accepted, 32)
+            rates.append(accepted / 32)
         assert 0.65 <= np.mean(rates[50:]) <= 0.85
 
 
@@ -340,12 +340,12 @@ class TestReferenceChains:
         cfg, lam = BANK_CASES[case]
         target = make_cold(conjugate_target([1.0, -0.5, 0.3], 0.3, 1.0), 0.8).with_lam(lam)
         start = np.random.default_rng(10).normal(size=(5, 3))
-        bank, counts, _ = run_bank(target, start, cfg, KEYS[:5], 6)
+        bank, counts = run_bank(target, start, cfg, KEYS[:5], 6)
         reference = reference_hmc_chain if isinstance(cfg, HmcConfig) else reference_pcn_chain
         accepted = 0
         for i in range(5):
             theta, n = reference(target, start[i], cfg, RowStreams(KEYS[i : i + 1]), 6)
-            assert np.array_equal(bank[i], theta)
+            assert np.array_equal(bank.thetas[i], theta)
             accepted += n
         assert sum(counts) == accepted
 
@@ -359,16 +359,16 @@ class TestSweep:
         n, n_sweeps = 6, 4
         start = np.random.default_rng(9).normal(size=(n, 2))
         bank_lik = Counted([1.0, -0.5], 0.3)
-        bank, counts, state = run_bank(bank_lik.target(lam=lam), start, cfg, KEYS[:n], n_sweeps)
+        bank, counts = run_bank(bank_lik.target(lam=lam), start, cfg, KEYS[:n], n_sweeps)
 
         accepted = calls = 0
         for i in range(n):
             row_lik = Counted([1.0, -0.5], 0.3)
-            row, row_counts, row_state = run_bank(
+            row, row_counts = run_bank(
                 row_lik.target(lam=lam), start[i : i + 1], cfg, KEYS[i : i + 1], n_sweeps
             )
-            assert np.array_equal(bank[i], row[0])
-            assert rows_equal(state, row_state, i, 0)
+            assert np.array_equal(bank.thetas[i], row.thetas[0])
+            assert rows_equal(bank, row, i, 0)
             accepted += sum(row_counts)
             calls += row_lik.calls
         assert sum(counts) == accepted
@@ -416,10 +416,10 @@ class TestFailureIsolation:
         state = start_state(reference, self.START, cfg)
         streams = RowStreams(KEYS[:4])
         step_fn = hmc_step if hmc else pcn_step
-        thetas, n, out = step_fn(target, self.START, cfg, streams, state)
+        out, n = step_fn(target, state, cfg, streams)
 
-        # row 2 is rejected and keeps its state
-        assert np.array_equal(thetas[2], self.START[2])
+        # row 2 is rejected and keeps its row of the bank
+        assert np.array_equal(out.thetas[2], self.START[2])
         assert rows_equal(out, state, 2, 2)
         # every row used the sweep's fixed block: 2 normals (2 words), 1 uniform
         assert streams.counter == 3
@@ -429,13 +429,10 @@ class TestFailureIsolation:
 
         # the other rows equal a bank run without row 2
         keep = [0, 1, 3]
-        others, n_others, out_others = step_fn(
-            reference, self.START[keep], cfg, RowStreams(KEYS[keep]),
-            BankState(*(None if a is None else a[keep] for a in state)),
-        )
-        assert np.array_equal(thetas[keep], others)
+        others, n_others = step_fn(reference, take(state, keep), cfg, RowStreams(KEYS[keep]))
+        assert np.array_equal(out.thetas[keep], others.thetas)
         assert n == n_others
-        assert rows_equal(out, out_others, keep, slice(None))
+        assert rows_equal(out, others, keep, slice(None))
 
     @pytest.mark.parametrize("kernel", ["hmc", "pcn"])
     def test_non_finite_current_state_raises(self, kernel):
@@ -460,32 +457,29 @@ class TestFailureIsolation:
 
         target = TargetDensity(lambda th: cut_and_grad(th)[0], cut_and_grad, GaussianPrior(1.0, 2))
         cfg = HmcConfig(0.3, 2)
-        thetas = np.array([[-0.6, 0.0], [0.4, 0.1]])
         streams = RowStreams(KEYS[:2])
-        state = start_state(target, thetas, cfg)
+        state = start_state(target, np.array([[-0.6, 0.0], [0.4, 0.1]]), cfg)
         left = False
         for _ in range(30):
             # row 0's momenta, from a one-row stream at the bank's counter
             probe = RowStreams(KEYS[:1])
             probe.counter = streams.counter
-            g = target.tempered_grad(thetas[:1], state.gl[:1])
-            prop, _, ok, end = leapfrog(target, thetas[:1], probe.block(2)[0], 0.3, 2, g)
+            end, _, ok = leapfrog(target, take(state, slice(0, 1)), probe.block(2)[0], cfg)
             at_zero = state.ll[0] == -np.inf
-            thetas, _, state = hmc_step(target, thetas, cfg, streams, state)
+            state, _ = hmc_step(target, state, cfg, streams)
             if at_zero:
                 # taken if and only if it has positive density
                 taken = bool(ok[0] and end.ll[0] > -np.inf)
-                assert np.array_equal(thetas[0], prop[0]) == taken
+                assert np.array_equal(state.thetas[0], end.thetas[0]) == taken
                 left |= taken
             else:
                 assert state.ll[0] > -np.inf  # never back into the cut
         assert left
         # row 1 is the same as alone
-        alone = np.array([[0.4, 0.1]])
-        one_stream, one_state = RowStreams(KEYS[1:2]), start_state(target, alone, cfg)
+        one_stream, alone = RowStreams(KEYS[1:2]), start_state(target, np.array([[0.4, 0.1]]), cfg)
         for _ in range(30):
-            alone, _, one_state = hmc_step(target, alone, cfg, one_stream, one_state)
-        assert np.array_equal(thetas[1], alone[0])
+            alone, _ = hmc_step(target, alone, cfg, one_stream)
+        assert np.array_equal(state.thetas[1], alone.thetas[0])
 
 
 class TestStateHoldsForEveryTarget:
@@ -497,14 +491,14 @@ class TestStateHoldsForEveryTarget:
         cfg = HmcConfig(0.3, 3)
         start = TestFailureIsolation.START
         first = start_state(base, start, cfg)
-        thetas, _, state = hmc_step(base.with_lam(0.6), start, cfg, RowStreams(KEYS[:4]), first)
+        state, _ = hmc_step(base.with_lam(0.6), first, cfg, RowStreams(KEYS[:4]))
         for other in (base.with_lam(0.3), make_cold(base.with_lam(0.6), 0.5)):
-            carried = hmc_step(other, thetas, cfg, RowStreams(KEYS[:4]), state)
-            fresh_state = start_state(other, thetas, cfg)
-            fresh = hmc_step(other, thetas, cfg, RowStreams(KEYS[:4]), fresh_state)
-            assert np.array_equal(carried[0], fresh[0])
+            carried = hmc_step(other, state, cfg, RowStreams(KEYS[:4]))
+            fresh_state = start_state(other, state.thetas, cfg)
+            fresh = hmc_step(other, fresh_state, cfg, RowStreams(KEYS[:4]))
+            assert np.array_equal(carried[0].thetas, fresh[0].thetas)
             assert carried[1] == fresh[1]
-            assert rows_equal(carried[2], fresh[2], slice(None), slice(None))
+            assert rows_equal(carried[0], fresh[0], slice(None), slice(None))
 
 
 class TestOneCallPerEvaluation:
@@ -535,7 +529,7 @@ class TestOneCallPerEvaluation:
         for poison in (None, poison_at):
             lik = Counted([1.0, -0.5], 0.3, poison_at=poison)
             state = start_state(reference, self.START, HmcConfig(0.3, 3))
-            hmc_step(lik.target(lam=lam), self.START, HmcConfig(0.3, 3), RowStreams(KEYS[:4]), state)
+            hmc_step(lik.target(lam=lam), state, HmcConfig(0.3, 3), RowStreams(KEYS[:4]))
             banks[poison] = lik.banks
         evaluated = 3 if lam > 0 else 1
         assert [len(bank) for bank in banks[None]] == [4] * evaluated
@@ -653,9 +647,8 @@ class TestRowStreams:
         # or not a row reaches the accept test
         cfg, lam = BANK_CASES[case]
         streams = RowStreams(KEYS[:4])
-        thetas = np.zeros((4, 3))
         target = conjugate_target([1.0, -0.5, 0.3], 0.3, 1.0).with_lam(lam)
-        state = start_state(target, thetas, cfg)
+        state = start_state(target, np.zeros((4, 3)), cfg)
         for sweeps in range(1, 4):
-            thetas, _, state = sweep(target, thetas, cfg, streams, state)
+            state, _ = sweep(target, state, cfg, streams)
             assert streams.counter == 5 * sweeps

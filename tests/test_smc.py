@@ -6,6 +6,7 @@ from scipy.stats import norm
 
 from anchormc import kernels, smc
 from anchormc.kernels import BankState, HmcConfig, PcnConfig, RowStreams, start_state, sweep
+from anchormc.parallel import run_parallel
 from anchormc.smc import (
     McmcConfig,
     SmcConfig,
@@ -64,9 +65,9 @@ def truncated_target(a, sl, v):
     )
 
 
-def value_state(loglik):
-    """A kernel state that holds only each particle's log-likelihood."""
-    return BankState(np.array(list(loglik), dtype=float))
+def value_bank(particles, loglik):
+    """A bank of ``particles`` that holds only each one's log-likelihood."""
+    return BankState(np.asarray(particles, dtype=float), np.array(list(loglik), dtype=float))
 
 
 class TestEss:
@@ -92,6 +93,11 @@ class TestEss:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             ess(np.array([0.5, 0.6]))
+
+    @pytest.mark.parametrize("w", [[np.nan, np.nan], [0.5, np.nan], [np.inf, 0.0]])
+    def test_non_finite_weights_rejected(self, w):
+        with pytest.raises(ValueError, match="finite"):
+            ess(np.array(w))
 
 
 class TestNormalizeLogWeights:
@@ -138,8 +144,8 @@ class TestNextLambda:
         ll = -1e4 + spread * rng.uniform(-1.0, 0.0, size=32)
         with np.errstate(all="raise"):
             lam_next = next_lambda(ll, 0.0, 0.5)
-            _, _, log_increment = reweight_and_resample(
-                np.zeros((32, 1)), value_state(ll), 0.0, lam_next, rng, TemperSchedule()
+            _, log_increment = reweight_and_resample(
+                value_bank(np.zeros((32, 1)), ll), 0.0, lam_next, rng, TemperSchedule()
             )
         assert 0 < lam_next <= 1
         assert np.isfinite(log_increment)
@@ -220,42 +226,35 @@ class TestSystematicResample:
 class TestReweightAndResample:
     @staticmethod
     def make_bank(loglik, seed=0):
-        """Particles with the given log-likelihoods, and their state."""
-        particles = np.random.default_rng(seed).normal(size=(len(loglik), 1))
-        return particles, value_state(loglik)
+        """A bank of random particles with the given log-likelihoods."""
+        return value_bank(np.random.default_rng(seed).normal(size=(len(loglik), 1)), loglik)
 
     def test_constant_likelihood_increment(self, rng):
-        particles, state = self.make_bank(np.full(8, -2.5))
-        out, _, log_increment = reweight_and_resample(
-            particles, state, 0.0, 0.4, rng, TemperSchedule()
-        )
+        state = self.make_bank(np.full(8, -2.5))
+        out, log_increment = reweight_and_resample(state, 0.0, 0.4, rng, TemperSchedule())
         assert log_increment == pytest.approx(0.4 * -2.5, abs=1e-12)
         # constant weights: each particle survives exactly once
-        assert sorted(map(tuple, out)) == sorted(map(tuple, particles))
+        assert sorted(map(tuple, out.thetas)) == sorted(map(tuple, state.thetas))
 
     def test_extreme_log_weights_stay_finite(self, rng):
-        particles, state = self.make_bank([-1e4, -1e4 + 3.0, -1e4 - 2.0])
+        state = self.make_bank([-1e4, -1e4 + 3.0, -1e4 - 2.0])
         with np.errstate(all="raise"):
-            _, _, log_increment = reweight_and_resample(
-                particles, state, 0.0, 1.0, rng, TemperSchedule()
-            )
+            _, log_increment = reweight_and_resample(state, 0.0, 1.0, rng, TemperSchedule())
         expected = -1e4 + np.log((1.0 + np.exp(3.0) + np.exp(-2.0)) / 3.0)
         assert abs(log_increment - expected) < 1e-9
 
     def test_degenerate_weights_warn_in_schedule(self, rng):
         sched = TemperSchedule()
-        reweight_and_resample(*self.make_bank([0.0, -1e6, -1e6, -1e6]), 0.0, 1.0, rng, sched)
+        reweight_and_resample(self.make_bank([0.0, -1e6, -1e6, -1e6]), 0.0, 1.0, rng, sched)
         assert any("degenerate" in w for w in sched.warnings)
 
     def test_increment_is_taken_from_lam(self, rng):
         # the increment scales with lam_next - lam; lam must increase
-        particles, state = self.make_bank(np.full(4, -2.0))
-        _, _, log_increment = reweight_and_resample(
-            particles, state, 0.25, 0.75, rng, TemperSchedule()
-        )
+        state = self.make_bank(np.full(4, -2.0))
+        _, log_increment = reweight_and_resample(state, 0.25, 0.75, rng, TemperSchedule())
         assert log_increment == pytest.approx(0.5 * -2.0, abs=1e-12)
         with pytest.raises(ValueError, match="lam must increase"):
-            reweight_and_resample(particles, state, 0.5, 0.5, rng, TemperSchedule())
+            reweight_and_resample(state, 0.5, 0.5, rng, TemperSchedule())
 
     def test_evidence_unbiased_on_conjugate_toy(self):
         # fixed two-step schedule keeps the estimator unbiased
@@ -286,11 +285,11 @@ class TestMutate:
             mutation_tol=tol, max_mutation_steps=max_steps, kernel="pcn", pcn=PcnConfig(beta)
         )
         schedule = TemperSchedule()
-        particles, _, _ = mutate(
-            np.zeros((16, 2)), value_state(np.zeros(16)), target, cfg.pcn, cfg,
+        state, _ = mutate(
+            value_bank(np.zeros((16, 2)), np.zeros(16)), target, cfg.pcn, cfg,
             RowStreams.seeded(seed, 16), schedule,
         )
-        return particles, schedule.mutation_steps[-1]
+        return state.thetas, schedule.mutation_steps[-1]
 
     def test_infinite_tolerance_stops_at_two(self):
         _, m = self.run_mutate(np.inf)
@@ -301,12 +300,12 @@ class TestMutate:
         target = constant_target(0.0, d=2, v=1.0).with_lam(0.0)
         cfg = SmcConfig(mutation_tol=0.01, max_mutation_steps=20, hmc=HmcConfig(1e-300))
         schedule = TemperSchedule()
-        particles, _, kernel = mutate(
-            np.ones((8, 2)), start_state(target, np.ones((8, 2)), cfg.hmc), target, cfg.hmc, cfg,
+        state, kernel = mutate(
+            start_state(target, np.ones((8, 2)), cfg.hmc), target, cfg.hmc, cfg,
             RowStreams.seeded(0, 8), schedule,
         )
         assert schedule.mutation_steps == [2]
-        assert np.allclose(particles, 1.0)
+        assert np.allclose(state.thetas, 1.0)
         assert kernel == cfg.hmc  # a configured step size is not adapted
         assert schedule.warnings == ["mutation moved no particle at lam=0"]
 
@@ -326,7 +325,7 @@ class TestMutate:
         cfg = SmcConfig(kernel="pcn", pcn=PcnConfig(0.5))
         schedule = TemperSchedule()
         mutate(
-            np.zeros((16, 2)), value_state(np.zeros(16)), target, cfg.pcn, cfg,
+            value_bank(np.zeros((16, 2)), np.zeros(16)), target, cfg.pcn, cfg,
             RowStreams.seeded(0, 16), schedule,
         )
         assert schedule.warnings == []
@@ -349,8 +348,8 @@ SMC_KERNELS = pytest.mark.parametrize(
 
 class TestCaches:
     @staticmethod
-    def assert_current(particles, state, target):
-        for i, (ll, gl) in enumerate(zip(*target.log_likelihood_and_grad(particles))):
+    def assert_current(state, target):
+        for i, (ll, gl) in enumerate(zip(*target.log_likelihood_and_grad(state.thetas))):
             assert state.ll[i] == ll
             assert state.gl is None or np.array_equal(state.gl[i], gl)
 
@@ -361,20 +360,16 @@ class TestCaches:
         streams = RowStreams.seeded(0, 16)
         start = target.prior.sample(rng, 16)
         kernel = cfg.pcn if cfg.kernel == "pcn" else cfg.hmc
-        particles, state, lam = start, start_state(target, start, kernel), 0.0
+        state, lam = start_state(target, start, kernel), 0.0
         schedule = TemperSchedule()
         for lam_next in (0.3, 0.6, 1.0):
-            particles, state, _ = reweight_and_resample(
-                particles, state, lam, lam_next, rng, schedule
-            )
+            state, _ = reweight_and_resample(state, lam, lam_next, rng, schedule)
             lam = lam_next
             # resampling dropped some particles and duplicated others
-            assert len(np.unique(particles, axis=0)) < len(start)
-            self.assert_current(particles, state, target)
-            particles, state, _ = mutate(
-                particles, state, target.with_lam(lam), kernel, cfg, streams, schedule
-            )
-            self.assert_current(particles, state, target)
+            assert len(np.unique(state.thetas, axis=0)) < len(start)
+            self.assert_current(state, target)
+            state, _ = mutate(state, target.with_lam(lam), kernel, cfg, streams, schedule)
+            self.assert_current(state, target)
             if cfg.kernel == "hmc":
                 assert state.gl is not None
 
@@ -382,31 +377,25 @@ class TestCaches:
     def test_stages_leave_their_inputs_unchanged(self, cfg):
         target = conjugate_target([1.0, -0.5], 0.3, 1.0)
         rng = np.random.default_rng(12)
-        particles = target.prior.sample(rng, 16)
         kernel = cfg.pcn if cfg.kernel == "pcn" else cfg.hmc
-        state = start_state(target, particles, kernel)
+        state = start_state(target, target.prior.sample(rng, 16), kernel)
 
-        def copies(particles, state):
-            return [particles.copy()] + [None if a is None else a.copy() for a in state]
+        def copies(state):
+            return [None if a is None else a.copy() for a in state]
 
-        def unchanged(particles, state, before):
+        def unchanged(state, before):
             return all(
-                (a is None and b is None) or np.array_equal(a, b)
-                for a, b in zip([particles, *state], before)
+                (a is None and b is None) or np.array_equal(a, b) for a, b in zip(state, before)
             )
 
-        before = copies(particles, state)
-        resampled, resampled_state, _ = reweight_and_resample(
-            particles, state, 0.0, 0.3, rng, TemperSchedule()
-        )
-        assert unchanged(particles, state, before)
-        before = copies(resampled, resampled_state)
-        moved, _, _ = mutate(
-            resampled, resampled_state, target.with_lam(0.3), kernel, cfg,
-            RowStreams.seeded(0, 16), TemperSchedule(),
-        )
-        assert unchanged(resampled, resampled_state, before)
-        assert not np.array_equal(moved, resampled)
+        before = copies(state)
+        resampled, _ = reweight_and_resample(state, 0.0, 0.3, rng, TemperSchedule())
+        assert unchanged(state, before)
+        before = copies(resampled)
+        streams = RowStreams.seeded(0, 16)
+        moved, _ = mutate(resampled, target.with_lam(0.3), kernel, cfg, streams, TemperSchedule())
+        assert unchanged(resampled, before)
+        assert not np.array_equal(moved.thetas, resampled.thetas)
 
 
 class TestRunSmc:
@@ -482,6 +471,19 @@ class TestRunSmc:
         r = run_smc(target, SmcConfig(n_particles=16, kernel="pcn"))
         assert np.all(r.particles[:, 0] >= 0)
 
+    @pytest.mark.parametrize("ladder", [None, (0.0, 0.5, 1.0)], ids=["adaptive", "fixed"])
+    def test_a_cloud_with_no_positive_weight_is_refused(self, ladder):
+        # every particle at log-likelihood -inf: the fixed ladder raises the
+        # adaptive one's error, with no floating-point warning, and the
+        # island fails rather than returning log Z = nan
+        target, cfg = constant_target(-np.inf, d=2), SmcConfig(n_particles=8, fixed_schedule=ladder)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="every particle has log-likelihood -inf"):
+                run_smc(target, cfg)
+            results = run_parallel(target, cfg, 2, base_seed=0)
+        assert all(r.failed and "every particle" in r.error for r in results)
+
     def test_fixed_schedule_is_run_as_given(self):
         target = conjugate_target(np.array([1.0]), 0.5, 1.0)
         r = run_smc(target, SmcConfig(n_particles=8, kernel="pcn", fixed_schedule=(0.0, 0.3, 1.0)))
@@ -539,9 +541,9 @@ class TestAdaptedStepSize:
         ``kernels.sweep`` by any caller."""
         made, step = [], kernels.hmc_step
 
-        def recorded(target, thetas, cfg, streams, state):
-            made.append((len(thetas), cfg))
-            return step(target, thetas, cfg, streams, state)
+        def recorded(target, state, cfg, streams):
+            made.append((len(state.thetas), cfg))
+            return step(target, state, cfg, streams)
 
         monkeypatch.setattr(kernels, "hmc_step", recorded)
         return made
@@ -657,15 +659,15 @@ class TestRunMcmc:
         # positive density is accepted, silently, and none back into the cut
         target = truncated_target(np.array([0.5, -0.3]), 0.5, 1.0)
         cfg = kernel.get("hmc", PcnConfig(0.5))
-        thetas, streams = np.array([[-0.5, 0.0]]), RowStreams.seeded(5, 1)
-        state = start_state(target, thetas, cfg)
+        streams = RowStreams.seeded(5, 1)
+        state = start_state(target, np.array([[-0.5, 0.0]]), cfg)
         assert state.ll[0] == -np.inf
         accepted = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(50):
-                thetas, n, state = sweep(target, thetas, cfg, streams, state)
+                state, n = sweep(target, state, cfg, streams)
                 accepted += n
         assert accepted > 0
-        assert thetas[0, 0] >= 0
+        assert state.thetas[0, 0] >= 0
         assert np.isfinite(state.ll[0])

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from anchormc.kernels import HmcConfig
+from anchormc.smc import SmcConfig
 from anchormc.targets import (
     GaussianPrior,
     NonFiniteDensityError,
@@ -255,3 +257,19 @@ class TestMakeCold:
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(ValueError):
             make_cold(posterior(), 0.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: GaussianPrior(np.nan, 2),
+        lambda: make_cold(posterior(), np.nan),
+        lambda: HmcConfig(np.nan, 5),
+        lambda: SmcConfig(mutation_tol=np.nan),
+    ],
+    ids=["variance", "temperature", "step_size", "mutation_tol"],
+)
+def test_a_nan_setting_is_refused(make):
+    # NaN passes a "<= 0" check, so each is checked as "not > 0"
+    with pytest.raises(ValueError, match="must be positive, got nan"):
+        make()
