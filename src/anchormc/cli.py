@@ -175,8 +175,8 @@ def _remove_run_artifacts(out: str) -> None:
 
 def cmd_sample(cfg: dict) -> None:
     out = cfg["output_dir"]
-    if not cfg["step_size"] >= 0:
-        raise ConfigError(f"step_size must be >= 0 (0 adapts it), got {cfg['step_size']}")
+    if not 0 <= cfg["step_size"] < np.inf:
+        raise ConfigError(f"step_size must be finite and >= 0 (0 adapts it), got {cfg['step_size']}")
     if cfg["kernel"] == "hmc" and cfg["step_size"] == 0 and cfg["leapfrog"] != 1:
         raise ConfigError(
             f"leapfrog={cfg['leapfrog']} needs a fixed step_size > 0: the adapted "

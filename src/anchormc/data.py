@@ -46,10 +46,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    @property
-    def labeled(self) -> bool:
-        return self.y is not None
-
     def subset(self, idx: np.ndarray, split: str | None = None) -> "Dataset":
         return Dataset(
             x=self.x[idx],

@@ -99,8 +99,8 @@ class HmcConfig:
     n_leapfrog: int = 1
 
     def __post_init__(self):
-        if not self.step_size > 0:
-            raise ValueError(f"step size must be positive, got {self.step_size}")
+        if not 0 < self.step_size < math.inf:
+            raise ValueError(f"step size must be positive and finite, got {self.step_size}")
         if self.n_leapfrog < 1:
             raise ValueError(f"leapfrog step count must be >= 1, got {self.n_leapfrog}")
 

@@ -356,6 +356,8 @@ def map_estimate(
     sweeps over the training data."""
     if len(train) == 0:
         raise ValueError("training set is empty")
+    if len(val) == 0:
+        raise ValueError("validation set is empty")
     if train.y is None or val.y is None:
         raise ValueError("log-likelihood needs labeled data")
     if prior.dim != spec.n_params:

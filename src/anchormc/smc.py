@@ -6,7 +6,8 @@ reweight (accumulating log Z in log space), systematic resampling, then
 adaptive-length MCMC mutation at the new exponent. The particle bank is one
 value, a ``kernels.BankState`` of the particles and their likelihood pair;
 resampling and mutation act on all of it at once, and each returns a new
-bank and leaves its input as it was.
+bank and what it measured, and leaves its input as it was. ``run_smc`` is
+the one writer of the run's record, the ``TemperSchedule``.
 
 All log-weights (tempering increments here, island evidences in
 ``parallel``) are normalised by one max-shift rule, ``normalize_log_weights``.
@@ -14,7 +15,7 @@ All log-weights (tempering increments here, island evidences in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,12 +25,14 @@ from .targets import TargetDensity
 
 @dataclass
 class TemperSchedule:
-    lambdas: list[float] = field(default_factory=lambda: [0.0])
-    ess: list[float] = field(default_factory=list)
-    mutation_steps: list[int] = field(default_factory=list)
-    # HMC only: the step size of each stage's first sweep
-    step_sizes: list[float] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    """The record ``run_smc`` writes: per stage its λ (after the starting 0),
+    ESS and sweeps, for HMC its first step size, and any stage's warnings."""
+
+    lambdas: list[float]
+    ess: list[float]
+    mutation_steps: list[int]
+    step_sizes: list[float]  # HMC only: the step size of each stage's first sweep
+    warnings: list[str]
 
 
 @dataclass(frozen=True)
@@ -185,13 +188,12 @@ def reweight_and_resample(
     lam: float,
     lam_next: float,
     rng: np.random.Generator,
-    schedule: TemperSchedule,
-) -> tuple[BankState, float]:
+) -> tuple[BankState, float, float]:
     """Advance the tempering exponent of the particle bank ``state`` from
     ``lam`` to ``lam_next``: the log Z increment is the log-mean-exp of the
     incremental log-weights, then systematic resampling to uniform weights
     takes each particle's whole row of the bank. Returns (the resampled
-    bank, log Z increment).
+    bank, log Z increment, the ESS of the weights it resampled from).
 
     Weights are max-shifted (``normalize_log_weights``): a particle whose
     incremental weight is below exp(-745) of the best one gets weight exactly
@@ -202,15 +204,9 @@ def reweight_and_resample(
         raise ValueError(f"lam must increase: {lam} -> {lam_next}")
     _check_some_positive(state.ll)
     log_norm, weights = normalize_log_weights((lam_next - lam) * state.ll)
-    e = ess(weights)
-    schedule.ess.append(e)
-    if e < 1.5:
-        schedule.warnings.append(
-            f"degenerate weights before resampling at lam={lam_next:.6g} (ESS={e:.3g})"
-        )
     idx = systematic_resample(weights, rng)
     resampled = BankState(*(None if a is None else a[idx] for a in state))
-    return resampled, log_norm - np.log(len(weights))
+    return resampled, log_norm - np.log(len(weights)), ess(weights)
 
 
 def _counting(target: TargetDensity) -> tuple[TargetDensity, list[int]]:
@@ -236,8 +232,7 @@ def mutate(
     kernel: HmcConfig | PcnConfig,
     cfg: SmcConfig,
     streams: RowStreams,
-    schedule: TemperSchedule,
-) -> tuple[BankState, HmcConfig | PcnConfig]:
+) -> tuple[BankState, HmcConfig | PcnConfig, int, bool]:
     """Apply sweeps of ``kernel`` to the particle bank ``state`` until the
     mean displacement from its particles stabilizes: smallest M >= 2 with
     |dist_M - dist_{M-1}| / dist_{M-1} <= cfg.mutation_tol, capped at
@@ -245,13 +240,10 @@ def mutate(
     adapted after every sweep (``kernels.tune_step_size``). The bank's pair
     holds for every target, so the sweeps take it as it is. A zero previous
     displacement counts as converged (an immobile ensemble cannot improve).
-    Records M and, for HMC, the first sweep's step size in ``schedule``, and
-    a warning when the stage ends with no particle moved. Returns (the moved
-    bank, the kernel the next stage starts from).
+    Returns (the moved bank, the kernel the next stage starts from, M,
+    whether any particle ends the stage away from where it began).
     """
     start, adapt = state.thetas, cfg.kernel == "hmc" and cfg.hmc is None
-    if isinstance(kernel, HmcConfig):
-        schedule.step_sizes.append(kernel.step_size)
     dist_prev = None
     m_used = cfg.max_mutation_steps
     for m in range(1, cfg.max_mutation_steps + 1):
@@ -263,10 +255,7 @@ def mutate(
             m_used = m
             break
         dist_prev = dist
-    schedule.mutation_steps.append(m_used)
-    if dist == 0.0:
-        schedule.warnings.append(f"mutation moved no particle at lam={target.lam:.6g}")
-    return state, kernel
+    return state, kernel, m_used, dist != 0.0
 
 
 def _kernel_config(cfg: SmcConfig | McmcConfig, target: TargetDensity) -> HmcConfig | PcnConfig:
@@ -303,15 +292,23 @@ def run_smc(target: TargetDensity, cfg: SmcConfig) -> SamplerResult:
 
     kernel = _kernel_config(cfg, target)
     state = start_state(target, target.prior.sample(island_rng, cfg.n_particles), kernel)
-    lam, log_z, schedule = 0.0, 0.0, TemperSchedule()
+    lam, log_z, schedule = 0.0, 0.0, TemperSchedule([0.0], [], [], [], [])
 
     fixed = iter(cfg.fixed_schedule[1:]) if cfg.fixed_schedule is not None else None
     while lam < 1.0:
         lam_next = next(fixed) if fixed else next_lambda(state.ll, lam, cfg.ess_fraction)
-        state, log_increment = reweight_and_resample(state, lam, lam_next, island_rng, schedule)
+        state, log_increment, e = reweight_and_resample(state, lam, lam_next, island_rng)
         log_z, lam = log_z + log_increment, lam_next
         schedule.lambdas.append(lam)
-        state, kernel = mutate(state, target.with_lam(lam), kernel, cfg, streams, schedule)
+        schedule.ess.append(e)
+        if e < 1.5:
+            schedule.warnings.append(f"degenerate weights before resampling at lam={lam:.6g} (ESS={e:.3g})")
+        if isinstance(kernel, HmcConfig):
+            schedule.step_sizes.append(kernel.step_size)
+        state, kernel, sweeps, moved = mutate(state, target.with_lam(lam), kernel, cfg, streams)
+        schedule.mutation_steps.append(sweeps)
+        if not moved:
+            schedule.warnings.append(f"mutation moved no particle at lam={lam:.6g}")
     return SamplerResult(
         particles=state.thetas,
         log_z=log_z,

@@ -54,8 +54,8 @@ class GaussianPrior:
     mean: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.variance > 0:
-            raise ValueError(f"prior variance must be positive, got {self.variance}")
+        if not 0 < self.variance < np.inf:
+            raise ValueError(f"prior variance must be positive and finite, got {self.variance}")
         if self.dim < 1:
             raise ValueError(f"dimension must be positive, got {self.dim}")
         mean = np.zeros(self.dim) if self.mean is None else np.asarray(self.mean, dtype=float)
@@ -108,8 +108,8 @@ class TargetDensity:
     def __post_init__(self):
         if not (0 <= self.lam <= 1):
             raise ValueError(f"tempering exponent must lie in [0, 1], got {self.lam}")
-        if not self.temperature > 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if not 0 < self.temperature < np.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
 
     @property
     def dim(self) -> int:

@@ -10,7 +10,7 @@ CENTERS = np.array([-2.0, 2.0])  # the bimodal toy's two modes, equally weighted
 LOG_WEIGHTS = np.log([0.5, 0.5])
 
 
-def bimodal_loglik(sigma: float = 0.35):
+def bimodal_loglik(sigma: float):
     """1-d Gaussian-mixture log-likelihood with components at ``CENTERS``, as
     the (loglik, loglik_and_grad) pair in the bank form of TargetDensity: an
     (N, 1) bank in, (N,) values and (N, 1) gradients out."""

@@ -24,7 +24,7 @@ from anchormc.nets import (
     make_loglik,
     map_estimate,
 )
-from anchormc.parallel import RunResult, pool, standard_error
+from anchormc.parallel import RunResult, pool, run_parallel, standard_error
 from anchormc.smc import SmcConfig, next_lambda, run_smc
 from anchormc.targets import (
     GaussianPrior,
@@ -430,3 +430,63 @@ def test_criterion_10_meta_classifier(mnist7_runs):
         f"AUC {rep.auc:.3f} >= 0.85: {auc_ok}; best F1 {rep.f1_best:.3f} >= 0.78: {f1_ok}; "
         f"abstention max {best:.3f} > never-abstain {never:.3f}: {abstain_ok}",
     )
+
+
+def _errors_in_se(estimate, batches, exact) -> np.ndarray:
+    """``estimate - exact`` per coordinate, in standard errors of the mean of
+    the batch estimates."""
+    columns = np.asarray(batches, dtype=float).reshape(len(batches), -1).T
+    se = np.array([standard_error(column)[1] for column in columns])
+    return (np.ravel(estimate) - np.ravel(exact)) / se
+
+
+def test_criterion_11_island_pool_consistency():
+    # Each island's Z times its particle mean is unbiased, so the Z-weighted
+    # pool of P islands converges to the posterior as P grows at a fixed,
+    # small N, and the mean Z to the evidence; the unweighted mean of island
+    # means does not. The pool is taken over all P islands; batches of 50
+    # give its standard error. A fixed ladder and 2 sweeps per stage, as the
+    # adaptive ladder and the displacement stop bias each island by a little.
+    a, sl, v = np.array([2.0, -1.0]), 0.1, 1.5
+    anchor, s = np.array([1.5, -0.5]), 0.1
+    posterior = TargetDensity(*gaussian_loglik(a, sl), prior=GaussianPrior(v, 2))
+    post_mean, _, log_ev = conjugate_posterior(a, sl, v)
+    shifted_mean, _, anchored_log_ev = conjugate_posterior(a - anchor, sl, s * v)
+    cfg = SmcConfig(
+        n_particles=8,
+        kernel="pcn",
+        pcn=PcnConfig(0.5),
+        fixed_schedule=(0.0, 0.3, 1.0),
+        max_mutation_steps=2,
+    )
+    n_batches, batch = 40, 50
+    ok, details = True, []
+    for name, target, exact_mean, exact_log_z, base_seed in (
+        ("plain", posterior, post_mean, log_ev, 2903),
+        ("s=0.1", make_anchored(posterior, anchor, s), anchor + shifted_mean, anchored_log_ev, 2904),
+    ):
+        runs = run_parallel(target, cfg, n_batches * batch, base_seed)
+        weighted, unweighted, evidences = [], [], []
+        for b in range(n_batches):
+            islands = runs[b * batch : (b + 1) * batch]
+            samples, weights, _, _ = pool(islands)
+            weighted.append(weights @ samples)
+            unweighted.append(np.mean([r.samples.mean(axis=0) for r in islands], axis=0))
+            evidences.append(np.mean([np.exp(r.log_z) for r in islands]))
+        samples, weights, _, _ = pool(runs)
+        pool_err = _errors_in_se(weights @ samples, weighted, exact_mean)
+        z_err = _errors_in_se(np.mean(evidences), evidences, np.exp(exact_log_z))
+        naive_err = _errors_in_se(np.mean(unweighted, axis=0), unweighted, exact_mean)
+        pool_ok = bool(np.all(np.abs(pool_err) <= 3))
+        z_ok = bool(np.all(np.abs(z_err) <= 3))
+        # the oracle's power: without the evidence weights the plain pool misses
+        power_ok = name != "plain" or bool(np.max(np.abs(naive_err)) > 10)
+        failed_ok = not any(r.failed for r in runs)
+        ok = ok and pool_ok and z_ok and power_ok and failed_ok
+        details.append(
+            f"{name}: Z-weighted pool error {np.round(pool_err, 2).tolist()} SE: {pool_ok}, "
+            f"mean Z error {z_err[0]:.2f} SE: {z_ok}, unweighted error "
+            f"{np.round(naive_err, 1).tolist()} SE (plain must pass 10): {power_ok}, "
+            f"no failed island: {failed_ok}"
+        )
+    report(11, ok, "; ".join(details))

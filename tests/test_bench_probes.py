@@ -3,12 +3,16 @@ package and fail on any that is missing, so these names are part of the
 package's surface: ``TargetDensity.log_density`` and ``grad_log_density``,
 ``kernels.tune_step_size`` (the step-size rule both samplers apply after an
 adapted sweep), ``parallel.island_weights``, ``nets.forward``, and the
-likelihood pairs from ``nets.make_loglik`` and ``targets.gaussian_loglik``."""
+likelihood pairs from ``nets.make_loglik`` and ``targets.gaussian_loglik``.
+The workloads (``bench/workloads.py``) read ``schedule.lambdas`` and
+``schedule.mutation_steps`` of each SMC result and the fields of
+``parallel.run_parallel``'s results, so those are surface too."""
 
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
@@ -16,7 +20,7 @@ if str(ROOT) not in sys.path:
 
 from anchormc import kernels, nets, smc, targets  # noqa: E402
 from anchormc.data import Dataset  # noqa: E402
-from bench import probes  # noqa: E402
+from bench import probes, workloads  # noqa: E402
 
 SPEC = nets.NetworkSpec(kind="cnn", image_shape=(4, 4), conv_channels=2, n_classes=3)
 
@@ -78,3 +82,13 @@ def test_traced_samplers_complete_and_count_bank_sweeps():
         accepted = tracer.counters.get("kernels.accepted", 0)
         assert isinstance(accepted, int)
         assert 0 < accepted <= row_sweeps
+
+
+@pytest.mark.parametrize("name", ["gauss-smc-hmc", "cnn-hmc-islands"])
+def test_smc_workloads_pass_their_checks(name, tmp_path):
+    # one setup and one call, as the benchmark runs them: a failed check or
+    # an empty stage record here fails the benchmark run too
+    workload = workloads.WORKLOADS[name]
+    call = workload.call(workload.setup(29, str(tmp_path)), 0)
+    assert call.checks and all(call.checks.values()), call.checks
+    assert call.outputs["stages"] > 0 and call.outputs["sweeps"] > 0

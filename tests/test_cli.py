@@ -477,6 +477,10 @@ class TestErrors:
             ("sample", "t=nan", "temperature"),
             ("sample", "eta=nan", "mutation tolerance"),
             ("sample", "step_size=nan", "step_size"),
+            # and inf passes a "> 0" check
+            ("sample", "v=inf", "prior variance"),
+            ("sample", "t=inf", "temperature"),
+            ("sample", "step_size=inf", "step_size"),
         ],
     )
     def test_out_of_range_setting_is_an_error_naming_it(self, tmp_path, capsys, command, override, key):
@@ -503,6 +507,26 @@ class TestErrors:
         assert err.startswith("error:") and key in err
         assert not os.path.exists(out / f"{command}.manifest.json")
         assert not glob.glob(str(out / "island_*"))
+
+    @pytest.mark.parametrize("n_val", [0, -3])
+    def test_an_empty_validation_set_is_an_error_naming_it(self, tmp_path, capsys, n_val):
+        tri, trl, tei, tel = synthetic_idx(str(tmp_path), 40, 40)
+        rc = main(
+            [
+                "map",
+                f"train_images={tri}",
+                f"train_labels={trl}",
+                f"test_images={tei}",
+                f"test_labels={tel}",
+                "arch=mlp",
+                "n_train=20",
+                f"n_val={n_val}",
+                f"output_dir={tmp_path / 'o'}",
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error: validation set is empty\n"
+        assert not os.path.exists(tmp_path / "o" / "map.manifest.json")
 
     def test_too_few_training_items_is_a_config_error(self, tmp_path, capsys):
         tri, trl, tei, tel = synthetic_idx(str(tmp_path), 40, 40)

@@ -28,8 +28,8 @@ def write_idx_pair(tmp_path, images, labels, image_magic=0x803, label_magic=0x80
 class TestDataset:
     def test_len_and_labeled(self):
         d = Dataset(x=np.zeros((4, 2)), y=np.arange(4))
-        assert len(d) == 4 and d.labeled
-        assert not Dataset(x=np.zeros((1, 2))).labeled
+        assert len(d) == 4 and d.y is not None
+        assert Dataset(x=np.zeros((1, 2))).y is None
 
     def test_label_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -463,6 +463,13 @@ class TestMapEstimate:
         with pytest.raises(ValueError):
             map_estimate(spec, GaussianPrior(1.0, spec.n_params), empty, empty)
 
+    def test_empty_validation_set_rejected(self, rng):
+        # early stopping has no loss to watch, not a diverged fit
+        spec = NetworkSpec(kind="mlp", widths=(2, 2))
+        empty = Dataset(x=np.zeros((0, 2)), y=np.zeros(0, dtype=int))
+        with pytest.raises(ValueError, match="validation set is empty"):
+            map_estimate(spec, GaussianPrior(1.0, spec.n_params), separable_toy(rng), empty)
+
     @pytest.mark.parametrize("unlabeled", ["train", "val"])
     def test_unlabeled_split_rejected(self, unlabeled, rng):
         spec = NetworkSpec(kind="mlp", widths=(2, 2))

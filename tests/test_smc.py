@@ -10,7 +10,6 @@ from anchormc.parallel import run_parallel
 from anchormc.smc import (
     McmcConfig,
     SmcConfig,
-    TemperSchedule,
     ess,
     mutate,
     next_lambda,
@@ -144,8 +143,8 @@ class TestNextLambda:
         ll = -1e4 + spread * rng.uniform(-1.0, 0.0, size=32)
         with np.errstate(all="raise"):
             lam_next = next_lambda(ll, 0.0, 0.5)
-            _, log_increment = reweight_and_resample(
-                value_bank(np.zeros((32, 1)), ll), 0.0, lam_next, rng, TemperSchedule()
+            _, log_increment, _ = reweight_and_resample(
+                value_bank(np.zeros((32, 1)), ll), 0.0, lam_next, rng
             )
         assert 0 < lam_next <= 1
         assert np.isfinite(log_increment)
@@ -231,30 +230,42 @@ class TestReweightAndResample:
 
     def test_constant_likelihood_increment(self, rng):
         state = self.make_bank(np.full(8, -2.5))
-        out, log_increment = reweight_and_resample(state, 0.0, 0.4, rng, TemperSchedule())
+        out, log_increment, e = reweight_and_resample(state, 0.0, 0.4, rng)
         assert log_increment == pytest.approx(0.4 * -2.5, abs=1e-12)
+        assert e == pytest.approx(8.0)
         # constant weights: each particle survives exactly once
         assert sorted(map(tuple, out.thetas)) == sorted(map(tuple, state.thetas))
 
     def test_extreme_log_weights_stay_finite(self, rng):
         state = self.make_bank([-1e4, -1e4 + 3.0, -1e4 - 2.0])
         with np.errstate(all="raise"):
-            _, log_increment = reweight_and_resample(state, 0.0, 1.0, rng, TemperSchedule())
+            _, log_increment, _ = reweight_and_resample(state, 0.0, 1.0, rng)
         expected = -1e4 + np.log((1.0 + np.exp(3.0) + np.exp(-2.0)) / 3.0)
         assert abs(log_increment - expected) < 1e-9
 
-    def test_degenerate_weights_warn_in_schedule(self, rng):
-        sched = TemperSchedule()
-        reweight_and_resample(self.make_bank([0.0, -1e6, -1e6, -1e6]), 0.0, 1.0, rng, sched)
-        assert any("degenerate" in w for w in sched.warnings)
+    def test_degenerate_weights_give_an_ess_of_one(self, rng):
+        _, _, e = reweight_and_resample(self.make_bank([0.0, -1e6, -1e6, -1e6]), 0.0, 1.0, rng)
+        assert e == 1.0
+
+    def test_degenerate_weights_warn_in_schedule(self):
+        # one particle takes all the weight of the one stage, and a step of 1e6
+        # then moves none: the run warns of both, degenerate weights first
+        target = conjugate_target([40.0], 0.01, 1.0)
+        cfg = SmcConfig(n_particles=4, hmc=HmcConfig(1e6), fixed_schedule=(0.0, 1.0), seed=0)
+        schedule = run_smc(target, cfg).schedule
+        assert schedule.ess[0] < 1.5
+        assert schedule.warnings == [
+            f"degenerate weights before resampling at lam=1 (ESS={schedule.ess[0]:.3g})",
+            "mutation moved no particle at lam=1",
+        ]
 
     def test_increment_is_taken_from_lam(self, rng):
         # the increment scales with lam_next - lam; lam must increase
         state = self.make_bank(np.full(4, -2.0))
-        _, log_increment = reweight_and_resample(state, 0.25, 0.75, rng, TemperSchedule())
+        _, log_increment, _ = reweight_and_resample(state, 0.25, 0.75, rng)
         assert log_increment == pytest.approx(0.5 * -2.0, abs=1e-12)
         with pytest.raises(ValueError, match="lam must increase"):
-            reweight_and_resample(state, 0.5, 0.5, rng, TemperSchedule())
+            reweight_and_resample(state, 0.5, 0.5, rng)
 
     def test_evidence_unbiased_on_conjugate_toy(self):
         # fixed two-step schedule keeps the estimator unbiased
@@ -284,12 +295,11 @@ class TestMutate:
         cfg = SmcConfig(
             mutation_tol=tol, max_mutation_steps=max_steps, kernel="pcn", pcn=PcnConfig(beta)
         )
-        schedule = TemperSchedule()
-        state, _ = mutate(
+        state, _, sweeps, _ = mutate(
             value_bank(np.zeros((16, 2)), np.zeros(16)), target, cfg.pcn, cfg,
-            RowStreams.seeded(seed, 16), schedule,
+            RowStreams.seeded(seed, 16),
         )
-        return state.thetas, schedule.mutation_steps[-1]
+        return state.thetas, sweeps
 
     def test_infinite_tolerance_stops_at_two(self):
         _, m = self.run_mutate(np.inf)
@@ -299,15 +309,14 @@ class TestMutate:
         # beta -> 0 is disallowed, so freeze via an HMC kernel with eps ~ 0
         target = constant_target(0.0, d=2, v=1.0).with_lam(0.0)
         cfg = SmcConfig(mutation_tol=0.01, max_mutation_steps=20, hmc=HmcConfig(1e-300))
-        schedule = TemperSchedule()
-        state, kernel = mutate(
+        state, kernel, sweeps, moved = mutate(
             start_state(target, np.ones((8, 2)), cfg.hmc), target, cfg.hmc, cfg,
-            RowStreams.seeded(0, 8), schedule,
+            RowStreams.seeded(0, 8),
         )
-        assert schedule.mutation_steps == [2]
+        assert sweeps == 2
         assert np.allclose(state.thetas, 1.0)
         assert kernel == cfg.hmc  # a configured step size is not adapted
-        assert schedule.warnings == ["mutation moved no particle at lam=0"]
+        assert not moved
 
     def test_a_stage_that_moves_no_particle_is_recorded(self):
         # a step of 1e6 is rejected for every particle: each stage ends at its
@@ -320,14 +329,18 @@ class TestMutate:
             f"mutation moved no particle at lam={lam:.6g}" for lam in schedule.lambdas[1:]
         ]
 
-    def test_a_stage_that_moves_particles_records_no_warning(self):
+    def test_a_stage_that_moves_particles_says_so(self):
         target = constant_target(0.0, d=2, v=1.0).with_lam(0.0)
         cfg = SmcConfig(kernel="pcn", pcn=PcnConfig(0.5))
-        schedule = TemperSchedule()
-        mutate(
+        *_, moved = mutate(
             value_bank(np.zeros((16, 2)), np.zeros(16)), target, cfg.pcn, cfg,
-            RowStreams.seeded(0, 16), schedule,
+            RowStreams.seeded(0, 16),
         )
+        assert moved
+
+    def test_a_stage_that_moves_particles_records_no_warning(self):
+        cfg = SmcConfig(n_particles=16, kernel="pcn", pcn=PcnConfig(0.5), seed=0)
+        schedule = run_smc(conjugate_target([1.0, -0.5], 0.8, 1.5), cfg).schedule
         assert schedule.warnings == []
 
     def test_prior_draws_stabilize_at_prior_variance(self):
@@ -361,14 +374,13 @@ class TestCaches:
         start = target.prior.sample(rng, 16)
         kernel = cfg.pcn if cfg.kernel == "pcn" else cfg.hmc
         state, lam = start_state(target, start, kernel), 0.0
-        schedule = TemperSchedule()
         for lam_next in (0.3, 0.6, 1.0):
-            state, _ = reweight_and_resample(state, lam, lam_next, rng, schedule)
+            state, _, _ = reweight_and_resample(state, lam, lam_next, rng)
             lam = lam_next
             # resampling dropped some particles and duplicated others
             assert len(np.unique(state.thetas, axis=0)) < len(start)
             self.assert_current(state, target)
-            state, _ = mutate(state, target.with_lam(lam), kernel, cfg, streams, schedule)
+            state, *_ = mutate(state, target.with_lam(lam), kernel, cfg, streams)
             self.assert_current(state, target)
             if cfg.kernel == "hmc":
                 assert state.gl is not None
@@ -389,11 +401,11 @@ class TestCaches:
             )
 
         before = copies(state)
-        resampled, _ = reweight_and_resample(state, 0.0, 0.3, rng, TemperSchedule())
+        resampled, _, _ = reweight_and_resample(state, 0.0, 0.3, rng)
         assert unchanged(state, before)
         before = copies(resampled)
         streams = RowStreams.seeded(0, 16)
-        moved, _ = mutate(resampled, target.with_lam(0.3), kernel, cfg, streams, TemperSchedule())
+        moved, *_ = mutate(resampled, target.with_lam(0.3), kernel, cfg, streams)
         assert unchanged(resampled, before)
         assert not np.array_equal(moved.thetas, resampled.thetas)
 

@@ -271,5 +271,20 @@ class TestMakeCold:
 )
 def test_a_nan_setting_is_refused(make):
     # NaN passes a "<= 0" check, so each is checked as "not > 0"
-    with pytest.raises(ValueError, match="must be positive, got nan"):
+    with pytest.raises(ValueError, match="must be positive( and finite)?, got nan"):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: GaussianPrior(np.inf, 2),
+        lambda: make_cold(posterior(), np.inf),
+        lambda: HmcConfig(np.inf, 5),
+    ],
+    ids=["variance", "temperature", "step_size"],
+)
+def test_an_infinite_setting_is_refused(make):
+    # inf passes a "> 0" check, so each is checked as "not 0 < x < inf"
+    with pytest.raises(ValueError, match="must be positive and finite, got inf"):
         make()
