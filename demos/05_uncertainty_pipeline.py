@@ -46,7 +46,7 @@ def make_images(n):
 
 
 train, val, test = make_images(300), make_images(80), make_images(300)
-ood = Dataset(x=rng.random((150, 64)), split="ood")
+ood = rng.random((150, 64))  # OOD inputs: an array, with no labels
 
 # 1. MAP training of a small classifier.
 spec = NetworkSpec(kind="mlp", widths=(64, 8))
@@ -68,7 +68,7 @@ print("test metrics:", metrics(m_test, test.y))
 # 3. Entropy decomposition separates "the classes genuinely overlap"
 # (aleatoric) from "the sampled networks disagree" (epistemic); only the
 # epistemic part should blow up on OOD inputs.
-m_ood = predictive(smc.particles, w, spec, ood.x)
+m_ood = predictive(smc.particles, w, spec, ood)
 rep_test, rep_ood = entropy_decomposition(m_test), entropy_decomposition(m_ood)
 for name, rep in (("in-distribution", rep_test), ("OOD noise", rep_ood)):
     print(

@@ -15,6 +15,7 @@ import glob
 import os
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -49,14 +50,6 @@ def _write_resolved_config(cfg: dict, out_dir: str, command: str) -> None:
     with open(os.path.join(out_dir, f"{command}.config"), "w") as f:
         for key in sorted(cfg):
             f.write(f"{key} = {cfg[key]}\n")
-
-
-def _check_split_sizes(n_train: int, n_val: int, available: int, which: str) -> None:
-    if n_train + n_val > available:
-        raise ConfigError(
-            f"n_train + n_val = {n_train} + {n_val} exceeds the {available} "
-            f"training items {which}"
-        )
 
 
 def _int_list(cfg: dict, key: str) -> list[int]:
@@ -96,7 +89,11 @@ def _load_datasets(cfg: dict):
         test = remapped("test_images", "test_labels").take(cfg["n_test"], split="test")
         which = f"with labels in labels_keep={cfg['labels_keep']}"
         k = len(keep)
-    _check_split_sizes(n_tr, n_va, len(pool), which)
+    if n_tr + n_va > len(pool):
+        raise ConfigError(
+            f"n_train + n_val = {n_tr} + {n_va} exceeds the {len(pool)} "
+            f"training items {which}"
+        )
     train = pool.take(n_tr)
     val = pool.subset(np.arange(n_tr, n_tr + n_va), split="validation")
 
@@ -118,20 +115,17 @@ def _load_datasets(cfg: dict):
     return train, val, test, spec
 
 
-def _opt_config(cfg: dict) -> OptConfig:
-    return OptConfig(
+def cmd_map(cfg: dict) -> None:
+    out = cfg["output_dir"]
+    train, val, _, spec = _load_datasets(cfg)
+    prior = GaussianPrior(variance=cfg["v"], dim=spec.n_params)
+    opt = OptConfig(
         learning_rate=cfg["lr"],
         batch_size=cfg["batch"],
         max_epochs=cfg["max_epochs"],
         patience=cfg["patience"],
     )
-
-
-def cmd_map(cfg: dict) -> None:
-    out = cfg["output_dir"]
-    train, val, _, spec = _load_datasets(cfg)
-    prior = GaussianPrior(variance=cfg["v"], dim=spec.n_params)
-    result = map_estimate(spec, prior, train, val, _opt_config(cfg), seed=cfg["seed"])
+    result = map_estimate(spec, prior, train, val, opt, seed=cfg["seed"])
     artifact = make_artifact(cfg, result.theta, kind="map", epochs_used=result.epochs_used)
     save_artifact(os.path.join(out, "map"), artifact)
     _write_resolved_config(cfg, out, "map")
@@ -297,9 +291,9 @@ def _ood_sets(cfg: dict, test) -> dict[str, np.ndarray]:
     seed = cfg["ood_seed"]
     full_test = data_mod.load_idx(cfg["test_images"], cfg["test_labels"])
     return {
-        "heldout": data_mod.make_ood(full_test, "heldout", 2 * quarter, seed=seed).x,
-        "white-noise": data_mod.make_ood(test, "white-noise", quarter, seed=seed + 1).x,
-        "perturbed": data_mod.make_ood(test, "perturbed", quarter, seed=seed + 2).x,
+        "heldout": data_mod.make_ood(full_test, "heldout", 2 * quarter, seed=seed),
+        "white-noise": data_mod.make_ood(test, "white-noise", quarter, seed=seed + 1),
+        "perturbed": data_mod.make_ood(test, "perturbed", quarter, seed=seed + 2),
     }
 
 
@@ -438,7 +432,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides)
-        COMMANDS[args.command](cfg)
+        with warnings.catch_warnings():  # a warning is one plain line, as an error is
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            COMMANDS[args.command](cfg)
     except (ConfigError, FileNotFoundError, ValueError, TrainingDivergedError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

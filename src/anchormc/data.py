@@ -23,25 +23,20 @@ class CsvParseError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Inputs as flat float vectors plus optional integer labels.
-
-    ``y`` is None for OOD sets that carry no valid label. ``image_shape``
-    is retained so CNNs can reshape flat rows back into images.
-    """
+    """Inputs as flat float vectors, one integer label per input. OOD
+    inputs, which have no labels, are plain arrays. ``image_shape`` is
+    retained so CNNs can reshape flat rows back into images."""
 
     x: np.ndarray
-    y: np.ndarray | None = None
+    y: np.ndarray
     split: str = "train"
     image_shape: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.x.ndim != 2:
             raise ValueError(f"inputs must be a 2-d array, got shape {self.x.shape}")
-        if self.y is not None:
-            if self.y.shape != (self.x.shape[0],):
-                raise ValueError(
-                    f"labels shape {self.y.shape} does not match {self.x.shape[0]} inputs"
-                )
+        if np.shape(self.y) != (len(self.x),):
+            raise ValueError(f"labels shape {np.shape(self.y)} does not match {len(self.x)} inputs")
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -49,7 +44,7 @@ class Dataset:
     def subset(self, idx: np.ndarray, split: str | None = None) -> "Dataset":
         return Dataset(
             x=self.x[idx],
-            y=None if self.y is None else self.y[idx],
+            y=self.y[idx],
             split=self.split if split is None else split,
             image_shape=self.image_shape,
         )
@@ -58,8 +53,6 @@ class Dataset:
         return self.subset(np.arange(min(n, len(self))), split=split)
 
     def filter_labels(self, keep: list[int]) -> "Dataset":
-        if self.y is None:
-            raise ValueError("cannot filter an unlabeled dataset by label")
         mask = np.isin(self.y, keep)
         return self.subset(np.flatnonzero(mask))
 
@@ -154,29 +147,24 @@ OOD_HELDOUT_LABELS = (8, 9)  # labels held out of training for "heldout" OOD set
 OOD_NOISE_STD = 0.5  # pixel noise of "perturbed" OOD sets
 
 
-def make_ood(base: Dataset, kind: str, n: int, seed: int = 0) -> Dataset:
-    """Build an out-of-distribution set from a base (test) dataset.
+def make_ood(base: Dataset, kind: str, n: int, seed: int = 0) -> np.ndarray:
+    """Out-of-distribution inputs, an (n, features) array, built from a base
+    (test) dataset.
 
-    kinds: ``heldout`` keeps items whose label is in ``OOD_HELDOUT_LABELS``
-    (labels dropped); ``white-noise`` draws pixels U[0,1]; ``perturbed`` adds
-    N(0, OOD_NOISE_STD^2) pixel noise to the first n base items, clamps to
-    [0, 1], and keeps the original labels.
+    kinds: ``heldout`` takes the first n items whose label is in
+    ``OOD_HELDOUT_LABELS``; ``white-noise`` draws pixels U[0,1];
+    ``perturbed`` adds N(0, OOD_NOISE_STD^2) pixel noise to the first n base
+    items, in order, and clamps to [0, 1].
     """
     rng = np.random.default_rng(seed)
     if kind == "heldout":
-        if base.y is None:
-            raise ValueError("heldout OOD needs a labeled base dataset")
         mask = np.isin(base.y, OOD_HELDOUT_LABELS)
         if not mask.any():
             raise ValueError(f"no items with labels {OOD_HELDOUT_LABELS} in base dataset")
-        idx = np.flatnonzero(mask)[:n]
-        sub = base.subset(idx, split="ood")
-        return Dataset(x=sub.x, y=None, split="ood", image_shape=base.image_shape)
+        return base.x[np.flatnonzero(mask)[:n]]
     if kind == "white-noise":
-        x = rng.uniform(0.0, 1.0, size=(n, base.x.shape[1]))
-        return Dataset(x=x, y=None, split="ood", image_shape=base.image_shape)
+        return rng.uniform(0.0, 1.0, size=(n, base.x.shape[1]))
     if kind == "perturbed":
-        sub = base.take(n)
-        x = np.clip(sub.x + rng.normal(0.0, OOD_NOISE_STD, size=sub.x.shape), 0.0, 1.0)
-        return Dataset(x=x, y=sub.y, split="ood", image_shape=base.image_shape)
+        x = base.x[:n]
+        return np.clip(x + rng.normal(0.0, OOD_NOISE_STD, size=x.shape), 0.0, 1.0)
     raise ValueError(f"unknown OOD kind {kind!r}")

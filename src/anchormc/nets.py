@@ -269,21 +269,14 @@ def forward(spec: NetworkSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     return p if stacked else p[0]
 
 
-def _log_likelihood_and_grad(
-    spec: NetworkSpec, theta: np.ndarray, inputs: np.ndarray, y: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """The pass of a one-row bank, at one parameter vector."""
-    ll, g = _network_pass(spec, np.asarray(theta, dtype=float)[None], inputs, y, True)
-    return float(ll[0]), g[0]
-
-
 def log_likelihood_and_grad(
     spec: NetworkSpec, theta: np.ndarray, data: Dataset
 ) -> tuple[float, np.ndarray]:
-    """Sum of log softmax probabilities at the labels, and its exact gradient."""
-    if data.y is None:
-        raise ValueError("log-likelihood needs labeled data")
-    return _log_likelihood_and_grad(spec, theta, _network_input(spec, data.x), data.y)
+    """Sum of log softmax probabilities at the labels, and its exact
+    gradient: the pass of a one-row bank, at one parameter vector."""
+    inputs = _network_input(spec, data.x)
+    ll, g = _network_pass(spec, np.asarray(theta, dtype=float)[None], inputs, data.y, True)
+    return float(ll[0]), g[0]
 
 
 def make_loglik(spec: NetworkSpec, data: Dataset):
@@ -297,8 +290,6 @@ def make_loglik(spec: NetworkSpec, data: Dataset):
     between calls. A row's bits can depend on the bank's size, since the
     block size and the matmul shapes do; a one-row bank's equal those of
     ``log_likelihood_and_grad`` where its rows fit one block."""
-    if data.y is None:
-        raise ValueError("log-likelihood needs labeled data")
     inputs, y = _network_input(spec, data.x), data.y
 
     def ll(thetas: np.ndarray) -> np.ndarray:
@@ -358,8 +349,6 @@ def map_estimate(
         raise ValueError("training set is empty")
     if len(val) == 0:
         raise ValueError("validation set is empty")
-    if train.y is None or val.y is None:
-        raise ValueError("log-likelihood needs labeled data")
     if prior.dim != spec.n_params:
         raise ValueError(
             f"prior dimension {prior.dim} does not match parameter count {spec.n_params}"
@@ -386,7 +375,7 @@ def map_estimate(
             for start in range(0, m, cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
                 inputs = np.take(train_inputs, batch, axis=0, out=batch_inputs[: len(batch)])
-                ll, g_ll = _log_likelihood_and_grad(spec, theta, inputs, train.y[batch])
+                (ll,), (g_ll,) = _network_pass(spec, theta[None], inputs, train.y[batch], True)
                 if not np.isfinite(ll):
                     raise TrainingDivergedError(f"loss became non-finite at epoch {epoch}")
                 g = g_ll / len(batch) + prior.grad_log_density(theta) / m

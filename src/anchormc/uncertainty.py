@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nets import NetworkSpec, TrainingDivergedError, _log_likelihood_and_grad, forward, init_params
+from .data import Dataset
+from .nets import NetworkSpec, TrainingDivergedError, forward, init_params, log_likelihood_and_grad
 from .targets import GaussianPrior
 
 FEATURE_NAMES = (
@@ -98,8 +99,6 @@ THRESHOLD_GRID_STEP = 0.001
 
 
 def metrics(matrix: PredictiveMatrix, labels: np.ndarray) -> Metrics:
-    if labels is None:
-        raise ValueError("metrics need labeled inputs")
     labels = np.asarray(labels)
     m = matrix.mean
     n, k = m.shape
@@ -238,13 +237,13 @@ def train_meta(raw_features: np.ndarray, labels: np.ndarray, seed: int = 0) -> M
     if len(np.unique(labels)) < 2:
         raise ValueError("meta training set contains a single class")
     std = Standardizer.fit(raw_features)
-    x = std.apply(raw_features)
-    n = len(x)
-    spec = NetworkSpec(kind="mlp", widths=(x.shape[1], META_HIDDEN, 2))
+    data = Dataset(std.apply(raw_features), labels)
+    n = len(data)
+    spec = NetworkSpec(kind="mlp", widths=(data.x.shape[1], META_HIDDEN, 2))
     prior = GaussianPrior(variance=META_PRIOR_VARIANCE, dim=spec.n_params)
 
     def objective(theta):  # the mean negative log posterior and its gradient
-        ll, g = _log_likelihood_and_grad(spec, theta, x, labels)
+        ll, g = log_likelihood_and_grad(spec, theta, data)
         return -(ll + prior.log_density(theta)) / n, -(g + prior.grad_log_density(theta)) / n
 
     theta, _, _ = _lbfgs(objective, init_params(spec, prior, np.random.default_rng(seed)))

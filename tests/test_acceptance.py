@@ -338,11 +338,11 @@ def test_criterion_08_mnist7_reproduction(mnist7_runs):
         smc_nlls.append(mm.nll)
         correct = m_test.mean.argmax(axis=1) == test.y
         ep_id = entropy_decomposition(m_test).epistemic
-        m_ood = predictive(smc.particles, wN, spec, ood.x)
+        m_ood = predictive(smc.particles, wN, spec, ood)
         ep_ood = entropy_decomposition(m_ood).epistemic.mean()
         order_ok &= ep_ood > ep_id[~correct].mean() > ep_id[correct].mean()
         wD = np.full(len(de_thetas), 1 / len(de_thetas))
-        de_ep_ood = entropy_decomposition(predictive(de_thetas, wD, spec, ood.x)).epistemic.mean()
+        de_ep_ood = entropy_decomposition(predictive(de_thetas, wD, spec, ood)).epistemic.mean()
         ratio_ok &= ep_ood >= 3 * de_ep_ood
     map_mean, map_se = standard_error(np.array(map_accs))
     smc_mean, smc_se = standard_error(np.array(smc_accs))
@@ -393,7 +393,7 @@ def test_criterion_10_meta_classifier(mnist7_runs):
     wN = np.full(len(smc.particles), 1 / len(smc.particles))
     noise = make_ood(test, "white-noise", 500, seed=1)
     perturbed_raw = make_ood(test, "perturbed", 500, seed=2)
-    ood_x = np.concatenate([heldout.x[:1000], noise.x, perturbed_raw.x])
+    ood_x = np.concatenate([heldout[:1000], noise, perturbed_raw])
 
     m_id = predictive(smc.particles, wN, spec, test.x)
     correct_id = m_id.mean.argmax(axis=1) == test.y

@@ -164,9 +164,9 @@ class TestPipeline:
         quarter, seed = cfg["n_ood"] // 4, cfg["ood_seed"]
         ood_x = np.concatenate(
             [
-                data.make_ood(full_test, "heldout", 2 * quarter, seed=seed).x,
-                data.make_ood(test, "white-noise", quarter, seed=seed + 1).x,
-                data.make_ood(test, "perturbed", quarter, seed=seed + 2).x,
+                data.make_ood(full_test, "heldout", 2 * quarter, seed=seed),
+                data.make_ood(test, "white-noise", quarter, seed=seed + 1),
+                data.make_ood(test, "perturbed", quarter, seed=seed + 2),
             ]
         )
         perm = np.random.default_rng(seed + 10).permutation(len(ood_x))
@@ -666,7 +666,7 @@ class TestErrors:
 
 
 class TestCombine:
-    def test_excluded_island_named_by_its_file(self, tmp_path):
+    def test_excluded_island_named_by_its_file(self, tmp_path, capsys):
         # island 1 is missing (failed at sampling), island 2 has log Z = +inf
         out = str(tmp_path)
         for p, log_z in ((0, -1.0), (2, float("inf"))):
@@ -674,7 +674,9 @@ class TestCombine:
                 dict(CONFIG_DEFAULTS), np.full((2, 3), float(p)), kind="smc", log_z=log_z
             )
             save_artifact(os.path.join(out, f"island_{p:03d}"), artifact)
+        capsys.readouterr()
         assert main(["combine", f"output_dir={out}"]) == 0
+        assert capsys.readouterr().err == "warning: excluding islands [2] from combination\n"
         manifest = load_artifact(os.path.join(out, "combined")).manifest
         assert manifest["excluded_islands"] == [2]
         assert manifest["island_weights"] == [1.0]

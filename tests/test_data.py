@@ -29,7 +29,13 @@ class TestDataset:
     def test_len_and_labeled(self):
         d = Dataset(x=np.zeros((4, 2)), y=np.arange(4))
         assert len(d) == 4 and d.y is not None
-        assert Dataset(x=np.zeros((1, 2))).y is None
+
+    def test_labels_required(self):
+        # inputs without labels are arrays (make_ood's), never a Dataset
+        with pytest.raises(TypeError):
+            Dataset(x=np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="labels"):
+            Dataset(np.zeros((1, 2)), None)
 
     def test_label_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -37,7 +43,7 @@ class TestDataset:
 
     def test_non_2d_rejected(self):
         with pytest.raises(ValueError):
-            Dataset(x=np.zeros(5))
+            Dataset(x=np.zeros(5), y=np.zeros(5, dtype=int))
 
     def test_subset_take_filter(self):
         d = Dataset(x=np.arange(10.0).reshape(5, 2), y=np.array([0, 1, 8, 9, 1]))
@@ -45,10 +51,6 @@ class TestDataset:
         f = d.filter_labels([1])
         assert np.array_equal(f.y, [1, 1])
         assert np.array_equal(f.x, d.x[[1, 4]])
-
-    def test_filter_unlabeled_rejected(self):
-        with pytest.raises(ValueError):
-            Dataset(x=np.zeros((2, 2))).filter_labels([0])
 
 
 class TestLoadIdx:
@@ -154,12 +156,10 @@ class TestMakeOod:
     def test_heldout_keeps_only_heldout_labels_and_drops_them(self, rng):
         base = self.base(rng)
         ood = make_ood(base, "heldout", n=3)
-        assert len(ood) == 3
-        assert ood.y is None
-        assert ood.split == "ood"
+        assert isinstance(ood, np.ndarray)
         # the selected rows are exactly the first three label-8/9 items
         idx = np.flatnonzero(np.isin(base.y, (8, 9)))[:3]
-        assert np.array_equal(ood.x, base.x[idx])
+        assert np.array_equal(ood, base.x[idx])
 
     def test_heldout_without_such_labels_rejected(self, rng):
         base = Dataset(x=rng.random((5, 6)), y=np.zeros(5, dtype=int))
@@ -170,26 +170,27 @@ class TestMakeOod:
         base = self.base(rng)
         a = make_ood(base, "white-noise", n=50, seed=3)
         b = make_ood(base, "white-noise", n=50, seed=3)
-        assert a.x.shape == (50, 6)
-        assert a.y is None
-        assert np.all((a.x >= 0) & (a.x <= 1))
-        assert np.array_equal(a.x, b.x)
+        assert a.shape == (50, 6)
+        assert np.all((a >= 0) & (a <= 1))
+        assert np.array_equal(a, b)
         # uniform moments
-        assert a.x.mean() == pytest.approx(0.5, abs=0.05)
+        assert a.mean() == pytest.approx(0.5, abs=0.05)
 
     def test_perturbed_clamps_and_keeps_labels(self, rng):
         base = self.base(rng)
         ood = make_ood(base, "perturbed", n=10, seed=1)
-        assert ood.x.shape == (10, 6)
-        assert np.array_equal(ood.y, base.y[:10])
-        assert np.all((ood.x >= 0) & (ood.x <= 1))
-        assert not np.array_equal(ood.x, base.x[:10])
+        assert ood.shape == (10, 6)
+        assert np.all((ood >= 0) & (ood <= 1))
+        assert not np.array_equal(ood, base.x[:10])
+        # row i is base item i perturbed, so base.y[:10] are still its labels
+        noise = np.random.default_rng(1).normal(0.0, data.OOD_NOISE_STD, size=(10, 6))
+        assert np.array_equal(ood, np.clip(base.x[:10] + noise, 0.0, 1.0))
 
     def test_perturbed_zero_noise_is_identity(self, rng, monkeypatch):
         monkeypatch.setattr(data, "OOD_NOISE_STD", 0.0)
         base = self.base(rng)
         ood = make_ood(base, "perturbed", n=5)
-        assert np.array_equal(ood.x, np.clip(base.x[:5], 0, 1))
+        assert np.array_equal(ood, np.clip(base.x[:5], 0, 1))
 
     def test_unknown_kind_rejected(self, rng):
         with pytest.raises(ValueError, match="unknown"):

@@ -104,11 +104,6 @@ class TestLikelihood:
         ll, _ = log_likelihood_and_grad(spec, np.zeros(spec.n_params), data)
         assert ll == pytest.approx(np.log(0.5))
 
-    def test_unlabeled_rejected(self):
-        spec = small_mlp()
-        with pytest.raises(ValueError):
-            log_likelihood_and_grad(spec, np.zeros(spec.n_params), Dataset(x=np.zeros((1, 3))))
-
     def test_duplicated_item_doubles(self, rng):
         spec = small_mlp()
         theta = rng.normal(size=spec.n_params)
@@ -155,7 +150,7 @@ class TestLikelihood:
         for start in range(0, len(data), 8):
             idx = order[start : start + 8]
             assert np.array_equal(inputs[idx], nets._network_input(spec, data.x[idx]))
-            ll, grad = nets._log_likelihood_and_grad(spec, theta, inputs[idx], data.y[idx])
+            (ll,), (grad,) = nets._network_pass(spec, theta[None], inputs[idx], data.y[idx], True)
             ll_ref, grad_ref = log_likelihood_and_grad(spec, theta, data.subset(idx))
             assert ll == ll_ref
             assert np.array_equal(grad, grad_ref)
@@ -321,7 +316,7 @@ class TestBankPass:
         inputs = nets._network_input(spec, x)
         for theta in rng.normal(size=(3, spec.n_params)) * 0.5:
             ref_ll, ref_grad = one_vector_loglik_and_grad(spec, theta, inputs, y)
-            ll, grad = nets._log_likelihood_and_grad(spec, theta, inputs, y)
+            ll, grad = log_likelihood_and_grad(spec, theta, Dataset(x=x, y=y))
             assert ll == ref_ll
             assert grad.tobytes() == ref_grad.tobytes()
             probs = np.exp(one_vector_log_probs(spec, theta, inputs)[0])
@@ -469,14 +464,6 @@ class TestMapEstimate:
         empty = Dataset(x=np.zeros((0, 2)), y=np.zeros(0, dtype=int))
         with pytest.raises(ValueError, match="validation set is empty"):
             map_estimate(spec, GaussianPrior(1.0, spec.n_params), separable_toy(rng), empty)
-
-    @pytest.mark.parametrize("unlabeled", ["train", "val"])
-    def test_unlabeled_split_rejected(self, unlabeled, rng):
-        spec = NetworkSpec(kind="mlp", widths=(2, 2))
-        splits = {"train": separable_toy(rng), "val": separable_toy(rng)}
-        splits[unlabeled] = Dataset(x=splits[unlabeled].x)
-        with pytest.raises(ValueError, match="labeled"):
-            map_estimate(spec, GaussianPrior(1.0, spec.n_params), splits["train"], splits["val"])
 
 
 class TestOptConfig:

@@ -10,8 +10,8 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "anchormc"
-CEILING = 56
-LINE_CEILING = 2780
+CEILING = 55
+LINE_CEILING = 2752
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:

@@ -3,7 +3,8 @@ import pytest
 from scipy.optimize import minimize
 
 from anchormc import uncertainty
-from anchormc.nets import NetworkSpec, TrainingDivergedError, _log_likelihood_and_grad, forward
+from anchormc.data import Dataset
+from anchormc.nets import NetworkSpec, TrainingDivergedError, forward, log_likelihood_and_grad
 from anchormc.targets import GaussianPrior
 from anchormc.uncertainty import (
     LBFGS_GTOL,
@@ -115,6 +116,8 @@ class TestMetrics:
         m = matrix([[[0.5, 0.5]]])
         with pytest.raises(ValueError):
             metrics(m, np.array([0, 1]))
+        with pytest.raises(ValueError, match="labels"):  # the shape check refuses None too
+            metrics(m, None)
 
 
 class TestFeatures:
@@ -232,7 +235,7 @@ class TestLbfgs:
         prior = GaussianPrior(variance=1.0, dim=spec.n_params)
 
         def objective(theta):
-            ll, g = _log_likelihood_and_grad(spec, theta, x, y)
+            ll, g = log_likelihood_and_grad(spec, theta, Dataset(x, y))
             n = len(x)
             return -(ll + prior.log_density(theta)) / n, -(g + prior.grad_log_density(theta)) / n
 
