@@ -60,13 +60,16 @@ def _int_list(cfg: dict, key: str) -> list[int]:
         raise ConfigError(f"{key}={cfg[key]} is not a comma-separated list of integers") from None
 
 
-def _load_datasets(cfg: dict):
-    """Returns (train, val, test, spec). Labels are remapped to
-    0..K-1 in the order of ``labels_keep``."""
+def _load_datasets(cfg: dict, with_test: bool):
+    """Returns (train, val, tests, spec), labels remapped to 0..K-1 in the
+    order of ``labels_keep``; ``tests`` is (test, the test input as read)
+    if ``with_test``, else None, and no file is parsed twice."""
     n_tr, n_va = cfg["n_train"], cfg["n_val"]
+    tests = None
     if cfg["features_csv"]:
         pool = data_mod.load_csv_features(cfg["features_csv"])
         test = pool.subset(np.arange(n_tr + n_va, len(pool)), split="test")
+        tests = (test, test) if with_test else None
         which = f"in {cfg['features_csv']}"
         k = int(max(pool.y)) + 1
     else:
@@ -81,12 +84,14 @@ def _load_datasets(cfg: dict):
         remap = np.full(256, -1)
         remap[keep] = np.arange(len(keep))
 
-        def remapped(images, labels):
-            ds = data_mod.load_idx(cfg[images], cfg[labels]).filter_labels(keep)
+        def remapped(ds):
+            ds = ds.filter_labels(keep)
             return data_mod.Dataset(x=ds.x, y=remap[ds.y], image_shape=ds.image_shape)
 
-        pool = remapped("train_images", "train_labels")
-        test = remapped("test_images", "test_labels").take(cfg["n_test"], split="test")
+        pool = remapped(data_mod.load_idx(cfg["train_images"], cfg["train_labels"]))
+        if with_test:
+            parsed = data_mod.load_idx(cfg["test_images"], cfg["test_labels"])
+            tests = (remapped(parsed).take(cfg["n_test"], split="test"), parsed)
         which = f"with labels in labels_keep={cfg['labels_keep']}"
         k = len(keep)
     if n_tr + n_va > len(pool):
@@ -112,12 +117,12 @@ def _load_datasets(cfg: dict):
                 )
             widths = given
         spec = NetworkSpec(kind="mlp", widths=widths)
-    return train, val, test, spec
+    return train, val, tests, spec
 
 
 def cmd_map(cfg: dict) -> None:
     out = cfg["output_dir"]
-    train, val, _, spec = _load_datasets(cfg)
+    train, val, _, spec = _load_datasets(cfg, with_test=False)
     prior = GaussianPrior(variance=cfg["v"], dim=spec.n_params)
     opt = OptConfig(
         learning_rate=cfg["lr"],
@@ -176,7 +181,7 @@ def cmd_sample(cfg: dict) -> None:
             f"leapfrog={cfg['leapfrog']} needs a fixed step_size > 0: the adapted "
             "step size (step_size=0) runs one leapfrog step"
         )
-    train, _, _, spec = _load_datasets(cfg)
+    train, _, _, spec = _load_datasets(cfg, with_test=False)
     target = _build_target(cfg, spec, train)
     hmc = HmcConfig(cfg["step_size"], cfg["leapfrog"]) if cfg["step_size"] > 0 else None
     if cfg["method"] == "smc":
@@ -276,34 +281,24 @@ def _posterior(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _ood_sets(cfg: dict, test) -> dict[str, np.ndarray]:
-    """The OOD inputs by name, in the order ``evaluate`` writes them; none
-    without image input."""
-    if test.image_shape is None:
-        return {}
-    overlap = sorted(set(_int_list(cfg, "labels_keep")) & set(data_mod.OOD_HELDOUT_LABELS))
-    if overlap:
-        raise ConfigError(
-            f"labels_keep={cfg['labels_keep']} keeps labels {overlap}, which the heldout "
-            f"OOD set takes (labels {list(data_mod.OOD_HELDOUT_LABELS)})"
-        )
-    quarter = max(1, cfg["n_ood"] // 4)
-    seed = cfg["ood_seed"]
-    full_test = data_mod.load_idx(cfg["test_images"], cfg["test_labels"])
-    return {
-        "heldout": data_mod.make_ood(full_test, "heldout", 2 * quarter, seed=seed),
-        "white-noise": data_mod.make_ood(test, "white-noise", quarter, seed=seed + 1),
-        "perturbed": data_mod.make_ood(test, "perturbed", quarter, seed=seed + 2),
-    }
-
-
 def cmd_evaluate(cfg: dict) -> None:
     """Test metrics, and entropies and meta features per test and OOD input.
     The ``features`` artifact has a row per input, test rows first: the 7
     features, then 1 where the base prediction is correct (0 for OOD)."""
     out = cfg["output_dir"]
-    _, _, test, spec = _load_datasets(cfg)
-    inputs = {"test": test.x, **_ood_sets(cfg, test)}
+    _, _, (test, parsed), spec = _load_datasets(cfg, with_test=True)
+    inputs = {"test": test.x}
+    if test.image_shape is not None:  # OOD inputs need image input
+        overlap = sorted(set(_int_list(cfg, "labels_keep")) & set(data_mod.OOD_HELDOUT_LABELS))
+        if overlap:
+            raise ConfigError(
+                f"labels_keep={cfg['labels_keep']} keeps labels {overlap}, which the heldout "
+                f"OOD set takes (labels {list(data_mod.OOD_HELDOUT_LABELS)})"
+            )
+        quarter, seed = max(1, cfg["n_ood"] // 4), cfg["ood_seed"]
+        inputs["heldout"] = data_mod.make_ood(parsed, "heldout", 2 * quarter, seed=seed)
+        inputs["white-noise"] = data_mod.make_ood(test, "white-noise", quarter, seed=seed + 1)
+        inputs["perturbed"] = data_mod.make_ood(test, "perturbed", quarter, seed=seed + 2)
     samples, weights = _posterior(cfg)
     ents, feature_rows = [], []
     for name, x in inputs.items():

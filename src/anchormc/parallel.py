@@ -7,7 +7,9 @@ and no floating-point exception is raised for finite log Z."""
 
 from __future__ import annotations
 
-import math
+import os
+import pickle
+import signal
 import warnings
 from dataclasses import dataclass, replace
 
@@ -53,21 +55,6 @@ def _run_island(
         return _failed(p, target.dim, e)
 
 
-# (target, cfg, base_seed) of the batch a worker process serves. Set only in
-# workers, by the pool's initializer: under fork its arguments are inherited,
-# not pickled, so closures over data reach the workers as they are.
-_batch = None
-
-
-def _join_batch(target: TargetDensity, cfg: SmcConfig | McmcConfig, base_seed: int) -> None:
-    global _batch
-    _batch = (target, cfg, base_seed)
-
-
-def _worker_island(p: int) -> RunResult:
-    return _run_island(*_batch, p)
-
-
 def run_parallel(
     target: TargetDensity,
     cfg: SmcConfig | McmcConfig,
@@ -77,40 +64,57 @@ def run_parallel(
 ) -> list[RunResult]:
     """n_islands fully independent runs with seeds derived from base_seed.
 
-    With ``workers`` > 1 and ``fork`` available, the islands run in
-    min(workers, n_islands) forked processes, in chunks of
-    ceil(n_islands / (4 * workers)) consecutive islands per task, so that
-    many small islands cost little more than the serial loop; only island
-    indices go out and only results come back. Results are ordered by
-    island index and do not depend on the worker count. A failed island is
-    returned with its error message instead of aborting the batch; a worker
-    process that dies fails the islands not yet returned
-    (``BrokenProcessPool``). As with any fork, a caller that runs other
-    threads risks a worker inheriting a lock one of them held.
+    The islands go in min(workers, n_islands) contiguous shares, one where
+    ``workers`` < 1 or the platform has no ``os.fork``. The caller runs the
+    first share; each other share runs in a child forked from the caller,
+    which inherits closures over data unpickled and pipes its results back
+    pickled. Results are in island order and do not depend on the worker
+    count. A failed island comes back with its error message; a child that
+    dies before its results are read fails its share, naming its exit
+    status or signal. No child outlives the call, even when the caller's
+    share raises. A child may inherit a lock another caller thread held.
     """
     if n_islands < 1:
         raise ValueError("need at least one island")
-    workers = min(workers, n_islands)
-    if workers > 1:
-        # imported here, so that importing the package loads no pool module
-        import multiprocessing
-        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            results = []
-            with ProcessPoolExecutor(
-                workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_join_batch,
-                initargs=(target, cfg, base_seed),
-            ) as executor:
-                chunk = math.ceil(n_islands / (4 * workers))
+    n_shares = max(1, min(workers, n_islands)) if hasattr(os, "fork") else 1
+    bounds = [n_islands * k // n_shares for k in range(n_shares + 1)]
+    shares = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    children = []  # (pid, pipe read end, share) of each child not yet reaped
+    try:
+        for share in shares[1:]:
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child leaves by os._exit, never into the caller's code
                 try:
-                    results.extend(executor.map(_worker_island, range(n_islands), chunksize=chunk))
-                except BrokenProcessPool as e:  # a worker died: the islands not returned fail
-                    results.extend(_failed(p, target.dim, e) for p in range(len(results), n_islands))
-            return results
-    return [_run_island(target, cfg, base_seed, p) for p in range(n_islands)]
+                    os.close(read_end)
+                    with os.fdopen(write_end, "wb") as pipe:
+                        pickle.dump([_run_island(target, cfg, base_seed, p) for p in share], pipe)
+                except BaseException:
+                    os._exit(1)
+                os._exit(0)
+            os.close(write_end)
+            children.append((pid, os.fdopen(read_end, "rb"), share))
+        results = [_run_island(target, cfg, base_seed, p) for p in shares[0]]
+        while children:
+            pid, pipe, share = children[0]
+            with pipe:
+                try:
+                    returned = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    returned = None
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if returned is None:
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                e = ChildProcessError(f"islands {share.start}-{share.stop - 1}: child process {how}")
+                returned = [_failed(p, target.dim, e) for p in share]
+            results.extend(returned)
+        return results
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def island_weights(results: list[RunResult]) -> tuple[np.ndarray, list[int]]:

@@ -159,8 +159,7 @@ class TestPipeline:
         # bits; with 1000-row blocks (the cli-pipeline benchmark) they are equal.
         out, common = workspace
         cfg = load_config(None, common)
-        _, _, test, spec = _load_datasets(cfg)
-        full_test = data.load_idx(cfg["test_images"], cfg["test_labels"])
+        _, _, (test, full_test), spec = _load_datasets(cfg, with_test=True)
         quarter, seed = cfg["n_ood"] // 4, cfg["ood_seed"]
         ood_x = np.concatenate(
             [
@@ -253,6 +252,27 @@ class TestPipeline:
         return [a for a in common if not a.startswith("output_dir=")]
 
     MCMC = ["sample", "method=mcmc", "kernel=pcn", "n=4", "mcmc_steps=5"]
+
+    def test_each_idx_file_is_parsed_once_per_command(self, workspace, tmp_path, monkeypatch):
+        # map and sample read the training pair alone; evaluate reads it for
+        # the network's shape, and takes test and heldout OOD inputs from one
+        # parse of the test pair
+        out = str(tmp_path / "counted")
+        args = self.with_map(workspace, out) + [f"output_dir={out}"]
+        parsed, load_idx = [], data.load_idx
+
+        def counted(images, labels):
+            parsed.append(os.path.basename(images).split("-")[0])
+            return load_idx(images, labels)
+
+        monkeypatch.setattr(data, "load_idx", counted)
+        expected = {
+            "map": ["train"], "sample": ["train"], "combine": [], "evaluate": ["train", "test"], "meta": [],
+        }
+        for command, files in expected.items():
+            parsed.clear()
+            assert main([command] + (self.MCMC[1:] if command == "sample" else []) + args) == 0
+            assert parsed == files, command
 
     def test_sample_removes_the_islands_of_an_earlier_run(self, workspace, tmp_path):
         # three s=0.1 islands, then two s=1 islands in the same directory:

@@ -1,7 +1,7 @@
 """Every name a module imports is used in that module, no module uses
 another module's private (``_``-prefixed) names, and importing the CLI
-loads no scipy, which only the tests depend on, and no process-pool module,
-which only parallel islands need.
+loads no scipy, which only the tests depend on, and that running islands in
+forked children loads no process-pool module.
 
 No linter ships with the project, so this parses each module of the package
 (``__init__.py`` re-exports by design and is skipped) and fails on an
@@ -94,9 +94,12 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_loads_no_pool_modules():
-    # parallel islands import them on first use, which keeps them out of start-up
+    # nor do islands on two workers: they fork and pipe without a pool
     probe = (
-        "import sys, anchormc.cli; "
+        "import sys, anchormc.cli; from anchormc import parallel, smc, targets; "
+        "target = targets.TargetDensity(lambda th: -th[:, 0] ** 2, None, targets.GaussianPrior(1.0, 1)); "
+        "cfg = smc.McmcConfig(n_chains=2, n_steps=2, kernel='pcn'); "
+        "assert not any(r.failed for r in parallel.run_parallel(target, cfg, 2, 0, workers=2)); "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))

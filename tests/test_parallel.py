@@ -1,6 +1,7 @@
-import multiprocessing
 import os
+import pickle
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -56,15 +57,66 @@ def assert_same_islands(a, b):
 
 @pytest.fixture
 def time_limit():
-    """Fails the test, instead of hanging, after the given seconds."""
+    """Fails the test, instead of hanging, after the given seconds. The
+    alarm fires again every second until the test ends, so an island that
+    turns the first ``TimeoutError`` into a failed island cannot hide a
+    hang that follows."""
 
     def on_alarm(signum, frame):
+        signal.alarm(1)
         raise TimeoutError("run_parallel did not return in time")
 
     previous = signal.signal(signal.SIGALRM, on_alarm)
     yield signal.alarm
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left(monkeypatch):
+    """Fails a test that leaves a child process behind, running or ended,
+    and kills and reaps it, so that it cannot hold up the tests after."""
+    forked, fork = [], os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    yield
+    left = []
+    for pid in forked:
+        try:
+            ended = os.waitpid(pid, os.WNOHANG)[0]
+        except ChildProcessError:  # reaped already: the expected case
+            continue
+        if not ended:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        left.append(pid)
+    if left:
+        pytest.fail(f"child processes outlived the test: {left}")
+
+
+def pid_target(dim, in_child=None, in_caller=None):
+    """A standard-normal likelihood on ``dim`` coordinates that first calls
+    ``in_caller`` in the process that made it, and ``in_child`` in any
+    other."""
+    caller = os.getpid()
+
+    def ll_and_grad(theta):
+        hook = in_caller if os.getpid() == caller else in_child
+        if hook is not None:
+            hook()
+        return -0.5 * np.sum(theta * theta, axis=1), -theta
+
+    return TargetDensity(lambda th: ll_and_grad(th)[0], ll_and_grad, GaussianPrior(1.0, dim))
+
+
+def fail_if_forked():
+    raise AssertionError("an island ran outside the caller")
 
 
 def make_result(p, samples, log_z=0.0):
@@ -110,34 +162,42 @@ class TestRunParallel:
         assert np.array_equal(results[0].samples, direct.particles)
         assert results[0].log_z == direct.log_z
 
-    def test_deterministic_across_worker_counts(self):
+    def test_deterministic_across_worker_counts(self, time_limit):
         target = conjugate_target()
         cfg = McmcConfig(n_chains=4, n_steps=10, kernel="pcn")
         serial = run_parallel(target, cfg, 4, base_seed=1, workers=1)
-        forked = run_parallel(target, cfg, 4, base_seed=1, workers=4)
-        assert_same_islands(serial, forked)
+        time_limit(60)
+        for workers in (2, 3, 4):
+            assert_same_islands(serial, run_parallel(target, cfg, 4, base_seed=1, workers=workers))
 
-    def test_many_small_islands_go_out_in_chunks(self, monkeypatch):
-        # 50 islands on 2 workers: chunks of ceil(50 / (4 * 2)) = 7 islands
-        from concurrent.futures.process import ProcessPoolExecutor
+    def test_many_small_islands_go_out_in_contiguous_shares(self, monkeypatch, tmp_path, time_limit):
+        # each island appends "<island> <pid>" to a log; the caller runs the first share
+        log, run_island = tmp_path / "islands.log", parallel._run_island
 
-        chunks, real_map = [], ProcessPoolExecutor.map
+        def logged(target, cfg, base_seed, p):
+            with open(log, "a") as f:
+                f.write(f"{p} {os.getpid()}\n")
+            return run_island(target, cfg, base_seed, p)
 
-        def spy(self, fn, *iterables, chunksize=1, **kwargs):
-            chunks.append(chunksize)
-            return real_map(self, fn, *iterables, chunksize=chunksize, **kwargs)
-
-        monkeypatch.setattr(ProcessPoolExecutor, "map", spy)
         target = conjugate_target((2.0, -1.0), 0.1, 1.5)
         cfg = SmcConfig(
             n_particles=8, kernel="pcn", pcn=PcnConfig(0.5), fixed_schedule=(0.0, 0.3, 1.0),
             max_mutation_steps=2,
         )
         serial = run_parallel(target, cfg, 50, base_seed=11, workers=1)
-        forked = run_parallel(target, cfg, 50, base_seed=11, workers=2)
-        assert chunks == [7]
-        assert_same_islands(serial, forked)
-        assert [r.p for r in forked] == list(range(50))
+        monkeypatch.setattr(parallel, "_run_island", logged)
+        time_limit(60)
+        for workers, sizes in ((2, [25, 25]), (3, [16, 17, 17])):
+            log.unlink(missing_ok=True)
+            forked = run_parallel(target, cfg, 50, base_seed=11, workers=workers)
+            assert_same_islands(serial, forked)
+            assert [r.p for r in forked] == list(range(50))
+            pids = dict(map(int, line.split()) for line in log.read_text().splitlines())
+            order = [pids[p] for p in range(50)]
+            shares = [order[i] for i in range(50) if i == 0 or order[i] != order[i - 1]]
+            assert len(shares) == len(set(shares)) == workers  # one contiguous range per process
+            assert shares[0] == os.getpid()
+            assert [order.count(pid) for pid in shares] == sizes
 
     @pytest.mark.parametrize(
         "cfg",
@@ -147,42 +207,70 @@ class TestRunParallel:
         ],
         ids=["smc-hmc", "mcmc-pcn"],
     )
-    def test_anchored_cnn_same_for_one_and_two_workers(self, cfg):
-        # the target holds closures over the data; forked workers inherit it
+    def test_anchored_cnn_same_for_one_and_two_workers(self, cfg, time_limit):
+        # the target holds closures over the data, which pickle cannot send:
+        # the forked child inherits it
         target = anchored_cnn_target()
+        with pytest.raises((AttributeError, pickle.PicklingError)):
+            pickle.dumps(target)
         serial = run_parallel(target, cfg, 3, base_seed=7, workers=1)
+        time_limit(60)
         forked = run_parallel(target, cfg, 3, base_seed=7, workers=2)
         assert_same_islands(serial, forked)
-        assert parallel._batch is None  # set in the workers only
 
-    def test_serial_where_fork_is_missing(self, monkeypatch):
-        target = conjugate_target()
+    def test_serial_where_fork_is_missing(self, monkeypatch, time_limit):
         cfg = SmcConfig(n_particles=8, kernel="pcn")
-        forked = run_parallel(target, cfg, 2, base_seed=3, workers=2)
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        parent, pair = os.getpid(), target.loglik_and_grad
+        time_limit(60)
+        forked = run_parallel(pid_target(1), cfg, 2, base_seed=3, workers=2)
+        monkeypatch.delattr(os, "fork")
+        in_caller = pid_target(1, in_child=fail_if_forked)
+        assert_same_islands(run_parallel(in_caller, cfg, 2, base_seed=3, workers=2), forked)
 
-        def ll_and_grad(theta):  # fails the island if it runs in another process
-            assert os.getpid() == parent
-            return pair(theta)
-
-        in_parent = TargetDensity(lambda th: ll_and_grad(th)[0], ll_and_grad, target.prior)
-        assert_same_islands(run_parallel(in_parent, cfg, 2, base_seed=3, workers=2), forked)
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_worker_runs_serially(self, workers):
+        cfg = SmcConfig(n_particles=8, kernel="pcn")
+        serial = run_parallel(pid_target(1), cfg, 3, base_seed=3, workers=1)
+        in_caller = pid_target(1, in_child=fail_if_forked)
+        assert_same_islands(run_parallel(in_caller, cfg, 3, base_seed=3, workers=workers), serial)
 
     def test_dead_worker_fails_its_islands(self, time_limit):
-        parent = os.getpid()
-
-        def ll_and_grad(theta):
-            if os.getpid() != parent:
-                os._exit(1)
-            return -0.5 * float(theta @ theta), -theta
-
-        target = TargetDensity(lambda th: ll_and_grad(th)[0], ll_and_grad, GaussianPrior(1.0, 2))
+        # 3 islands on 2 workers: the caller runs island 0, a child 1 and 2
+        target = pid_target(2, in_child=lambda: os._exit(1))
         time_limit(60)
         results = run_parallel(target, McmcConfig(n_chains=2, n_steps=3, kernel="pcn"), 3, 0, workers=2)
-        assert all(r.failed for r in results)
-        assert all("BrokenProcessPool" in r.error for r in results)
         assert [r.p for r in results] == [0, 1, 2]
+        assert not results[0].failed
+        error = "ChildProcessError: islands 1-2: child process exit status 1"
+        assert [r.error for r in results[1:]] == [error, error]
+
+    @pytest.mark.parametrize("fate", ["returns", "exits", "killed", "interrupted"])
+    def test_no_child_outlives_the_call(self, time_limit, fate):
+        # 3 islands on 3 workers: the caller runs island 0, two children 1 and 2
+        def interrupt():
+            raise KeyboardInterrupt
+
+        in_child, in_caller = {
+            "returns": (None, None),
+            "exits": (lambda: os._exit(1), None),
+            "killed": (lambda: os.kill(os.getpid(), signal.SIGKILL), None),
+            "interrupted": (lambda: time.sleep(60), interrupt),
+        }[fate]
+        target = pid_target(2, in_child, in_caller)
+        cfg = McmcConfig(n_chains=2, n_steps=3, kernel="pcn")
+        time_limit(60)
+        if fate == "interrupted":
+            with pytest.raises(KeyboardInterrupt):
+                run_parallel(target, cfg, 3, 0, workers=3)
+        else:
+            results = run_parallel(target, cfg, 3, 0, workers=3)
+            how = {
+                "returns": None, "exits": "exit status 1", "killed": f"killed by signal {signal.SIGKILL.value}",
+            }[fate]
+            assert [r.error for r in results] == [None] + [
+                how and f"ChildProcessError: islands {p}-{p}: child process {how}" for p in (1, 2)
+            ]
+        with pytest.raises(ChildProcessError):  # every child is reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_mcmc_islands_have_zero_log_z(self):
         target = conjugate_target()
@@ -200,7 +288,7 @@ class TestRunParallel:
         assert all(r.error for r in results)
 
     @pytest.mark.parametrize("hmc", [HmcConfig(0.1, 2), None], ids=["fixed", "adapted"])
-    def test_nan_gradient_fails_the_island(self, hmc):
+    def test_nan_gradient_fails_the_island(self, hmc, time_limit):
         # a finite likelihood whose gradient is NaN: HMC cannot start a chain
         # there, with a fixed or an adapted step size, just as pCN cannot at a NaN value
         bad = TargetDensity(
@@ -209,6 +297,7 @@ class TestRunParallel:
             prior=GaussianPrior(1.0, 2),
         )
         cfg = SmcConfig(n_particles=4, kernel="hmc", hmc=hmc)
+        time_limit(60)
         results = run_parallel(bad, cfg, 2, 0, workers=2)
         assert all(r.failed for r in results)
         assert all(r.error.startswith("NonFiniteDensityError:") for r in results)
